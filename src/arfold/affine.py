@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .rootsys import folding_to
 from .words import CommutationClass
 from .arquiver import DynkinQuiver, gamma_q
 from .twistfold import FoldedQuiver, twisted_folded_quivers
@@ -140,16 +141,11 @@ def f4_denominator(k: int, l: int) -> RootedPolynomial:
 
 
 def den_dist_extra_factor(target: str, n: int) -> tuple[int, int]:
-    """The diagonal factor (z - q^{h_dual}) relating den and dist polys."""
-    h_dual = {"B": 2 * n - 1, "C": n + 1, "F": 9}[target]
-    if target == "F":
-        # (z - (-q_s)^18) stated as the natural extrapolation
-        return factor_minus_qs_power(2 * h_dual)
-    return (1, 2 * h_dual)
+    """The diagonal factor (z - q^{h_dual}) relating den and dist polys.
 
-
-def dist_convention(target: str) -> str:
-    return {"B": "A", "C": "D", "F": "D"}[target]
+    For F_4 this is (z - (-q_s)^18), the natural extrapolation.
+    """
+    return (1, 2 * folding_to(target, n).h_dual)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +154,7 @@ def dist_convention(target: str) -> str:
 
 def v_assign(fq: FoldedQuiver, root_idx: int) -> FundamentalModuleLabel:
     """V(pi_i) with parameter read off the folded coordinate of a root."""
-    target, _ = fq.target()
+    target, _ = fq.folding().target
     i, p = fq.coord_of()[root_idx]
     if target == "B":
         return FundamentalModuleLabel(i, SpectralParameter(2 * i, p))
@@ -396,19 +392,11 @@ class Report:
         }
 
 
-def _twisted_source(target: str, n: int) -> tuple[str, int]:
-    if target == "B":
-        return "A", 2 * n - 1
-    if target == "C":
-        return "D", n + 1
-    return "E", 6
-
-
 def verify_den_dist(target: str, n: int) -> Report:
     """den = dist poly x diagonal factor, class by class, exactly."""
-    src_type, src_rank = _twisted_source(target, n)
-    fqs = twisted_folded_quivers(src_type, src_rank)
-    conv = dist_convention(target)
+    folding = folding_to(target, n)
+    fqs = twisted_folded_quivers(*folding.source)
+    conv = folding.sign_convention
     extra = den_dist_extra_factor(target, n)
     rep = Report(f"den-dist {target} n={n}", True, 0)
     for cls in sorted(fqs, key=lambda c: c.canonical_word):
@@ -430,9 +418,9 @@ def verify_den_dist(target: str, n: int) -> Report:
 
 def verify_class_invariance(target: str, n: int) -> Report:
     """The distance polynomial must not depend on the class."""
-    src_type, src_rank = _twisted_source(target, n)
-    fqs = twisted_folded_quivers(src_type, src_rank)
-    conv = dist_convention(target)
+    folding = folding_to(target, n)
+    fqs = twisted_folded_quivers(*folding.source)
+    conv = folding.sign_convention
     rep = Report(f"class-invariance {target} n={n}", True, 0)
     for k in range(1, n + 1):
         for l in range(k, n + 1):
@@ -448,8 +436,7 @@ def verify_class_invariance(target: str, n: int) -> Report:
 
 def _all_minimal_pair_data(target: str, n: int):
     """(class, fq, alpha, beta, gamma) for every minimal pair, alpha first."""
-    src_type, src_rank = _twisted_source(target, n)
-    fqs = twisted_folded_quivers(src_type, src_rank)
+    fqs = twisted_folded_quivers(*folding_to(target, n).source)
     for cls in sorted(fqs, key=lambda c: c.canonical_word):
         fq = fqs[cls]
         rs = cls.rs
@@ -535,8 +522,7 @@ def verify_dorey(target: str, n: int) -> Report:
 
 def verify_minimal_pair_predicate(target: str, n: int) -> Report:
     """Coordinate predicate == brute-forced minimality, all summing pairs."""
-    src_type, src_rank = _twisted_source(target, n)
-    fqs = twisted_folded_quivers(src_type, src_rank)
+    fqs = twisted_folded_quivers(*folding_to(target, n).source)
     rep = Report(f"minimal-pair predicate {target} n={n}", True, 0)
     for cls in sorted(fqs, key=lambda c: c.canonical_word):
         fq = fqs[cls]
@@ -572,15 +558,17 @@ def verify_f4_conjecture() -> Report:
     entry, where the definitional distance polynomial differs from the
     listed table (it carries strictly more factors at three entries).
     """
-    fqs = twisted_folded_quivers("E", 6)
+    folding = folding_to("F", 4)
+    _, n = folding.target
+    fqs = twisted_folded_quivers(*folding.source)
     rep = Report("f4 conjecture", True, 0)
-    extra = RootedPolynomial.from_factors([den_dist_extra_factor("F", 4)])
+    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*folding.target)])
     entry_match = {"A": {}, "D": {}}
     invariant = True
     computed: dict[tuple[int, int], dict[str, RootedPolynomial]] = {}
     for conv in ("A", "D"):
-        for k in range(1, 5):
-            for l in range(k, 5):
+        for k in range(1, n + 1):
+            for l in range(k, n + 1):
                 polys = set()
                 for cls in fqs:
                     polys.add(distance_polynomial(cls, fqs[cls], k, l, conv))

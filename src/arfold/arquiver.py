@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .rootsys import Root, RootSystem
+from .rootsys import FoldingError, RootSystem
 from .words import (
     CapExceededError,
     CommutationClass,
@@ -152,6 +152,47 @@ def adapted_quiver_of(rs: RootSystem, word: Word) -> DynkinQuiver | None:
     return q if is_adapted(word, q) else None
 
 
+def arrows_by_step(
+    coords: dict[int, tuple[int, int]], adjacent, step
+) -> frozenset[tuple[int, int]]:
+    """Arrows r -> s from each vertex to the adjacent rows, step(i, j) ahead.
+
+    ``coords`` maps a vertex to its (residue, position), ``adjacent`` maps
+    a residue to its neighbours; an arrow points to the vertex s read
+    earlier, at residue j and position p + step(i, j).
+    """
+    by_coord = {}
+    for r, c in coords.items():
+        if c in by_coord:
+            raise FoldingError("coordinates collide")
+        by_coord[c] = r
+    arrows = set()
+    for (i, p), r in by_coord.items():
+        for j in adjacent[i]:
+            s = by_coord.get((j, p + step(i, j)))
+            if s is not None:
+                arrows.add((r, s))
+    return frozenset(arrows)
+
+
+def read_root_labels(rs: RootSystem, cells, step) -> tuple[Word, ARQuiver]:
+    """Label bare (residue, pos2) cells with roots by reading the quiver.
+
+    Arrows are placed by ``arrows_by_step`` along the diagram of ``rs``;
+    one reading of the bare quiver is a word whose root sequence labels
+    its vertices.  Returns that word and the labelled quiver.
+    """
+    cells = sorted(cells)
+    arrows = arrows_by_step(dict(enumerate(cells)), rs.adjacent, step)
+    bare = ARQuiver(rs, tuple((k, i, p2) for k, (i, p2) in enumerate(cells)), arrows)
+    order = reading_vertices(bare)
+    word = tuple(cells[k][0] for k in order)
+    root_of = {k: rs.root_index[b] for k, b in zip(order, root_sequence(rs, word))}
+    coords = tuple(sorted((root_of[k], i, p2) for k, (i, p2) in enumerate(cells)))
+    labelled = frozenset((root_of[a], root_of[b]) for a, b in arrows)
+    return word, ARQuiver(rs, coords, labelled)
+
+
 @lru_cache(maxsize=None)
 def _gamma_q_cached(q: DynkinQuiver) -> ARQuiver:
     rs = q.rs
@@ -176,17 +217,11 @@ def _gamma_q_cached(q: DynkinQuiver) -> ARQuiver:
         frontier = new
     if len(coords) != rs.num_positive:
         raise AssertionError("Gamma_Q did not reach every positive root")
-    by_coord = {v: r for r, v in coords.items()}
-    arrows = set()
-    for (i, p2), r in by_coord.items():
-        for j in rs.adjacent[i]:
-            s = by_coord.get((j, p2 + 2))
-            if s is not None:
-                arrows.add((r, s))  # rightward arrow; s is read earlier
+    arrows = arrows_by_step(coords, rs.adjacent, lambda i, j: 2)
     coord_rows = tuple(
         sorted((r, i, p2) for r, (i, p2) in coords.items())
     )
-    return ARQuiver(rs, coord_rows, frozenset(arrows))
+    return ARQuiver(rs, coord_rows, arrows)
 
 
 def gamma_q(q: DynkinQuiver, shift: int = 0) -> ARQuiver:
@@ -260,18 +295,6 @@ def read_reduced_words(quiver: ARQuiver, cap: int = DEFAULT_CAP) -> list[Word]:
 
     rec(verts, 0)
     return out
-
-
-def roots_of_reading(quiver: ARQuiver, rs: RootSystem) -> dict[int, Root]:
-    """Vertex -> root, computed from one reading of the quiver."""
-    order = reading_vertices(quiver)
-    word = tuple(quiver.residues()[r] for r in order)
-    return dict(zip(order, root_sequence(rs, word)))
-
-
-def convex_order(cls: CommutationClass) -> dict[int, int]:
-    """Strict-order bitmasks of the class partial order on root indices."""
-    return cls.below()
 
 
 def covers(cls: CommutationClass) -> set[tuple[int, int]]:

@@ -4,20 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .rootsys import root_system
-from .words import (
-    CapExceededError,
-    adapted_point,
-    commutation_class,
-    twisted_adapted_point,
-)
+from .words import adapted_point, commutation_class, twisted_adapted_point
 from .arquiver import ARQuiver, adapted_quiver_of, gamma_q, hasse_quiver
-from .twistfold import twisted_folded_quivers
+from .twistfold import FoldingError, twisted_folded_quivers
 from . import affine
 
 SCHEMA = "arfold/1"
@@ -47,7 +41,7 @@ def _resolve_quiver(rs, cls):
         return hasse_quiver(cls, g), "adapted"
     try:
         folded = twisted_folded_quivers(rs.type_tag, rs.rank)
-    except Exception:
+    except FoldingError:
         folded = {}
     if cls in folded:
         fq = folded[cls]
@@ -85,17 +79,39 @@ def quiver_to_json(quiver: ARQuiver) -> dict:
 
 
 def quiver_from_json(doc: dict) -> ARQuiver:
+    """Inverse of quiver_to_json; a ValueError names the bad vertex or arrow."""
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
+    missing = [k for k in ("type", "rank", "vertices", "arrows") if k not in doc]
+    if missing:
+        raise ValueError(f"document lacks {missing}")
     rs = root_system(doc["type"], doc["rank"])
     coords = []
     verts = []
-    for v in doc["vertices"]:
-        r = rs.root_index[tuple(v["root"])]
-        coords.append((r, v["residue"], v["position"]))
+    for k, v in enumerate(doc["vertices"]):
+        try:
+            r = rs.root_index[tuple(v["root"])]
+            i, p2 = v["residue"], v["position"]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"vertex {k} {v!r} needs a positive root of {rs}, "
+                "a residue and a position"
+            ) from None
+        if type(i) is not int or i not in rs.nodes or type(p2) is not int:
+            raise ValueError(f"vertex {k} {v!r} has a bad residue or position")
+        if r in verts:
+            raise ValueError(f"vertex {k} repeats the root {v['root']}")
+        coords.append((r, i, p2))
         verts.append(r)
-    arrows = frozenset((verts[a], verts[b]) for a, b in doc["arrows"])
-    return ARQuiver(rs, tuple(sorted(coords)), arrows)
+    arrows = set()
+    for k, ends in enumerate(doc["arrows"]):
+        if not (
+            isinstance(ends, (list, tuple)) and len(ends) == 2
+            and all(type(e) is int and 0 <= e < len(verts) for e in ends)
+        ):
+            raise ValueError(f"arrow {k} {ends!r} is not a pair of vertex indices")
+        arrows.add((verts[ends[0]], verts[ends[1]]))
+    return ARQuiver(rs, tuple(sorted(coords)), frozenset(arrows))
 
 
 def quiver_to_dot(quiver: ARQuiver) -> str:
@@ -258,10 +274,6 @@ def main(argv=None) -> int:
         prog="arfold",
         description="folded AR quivers of longest-element commutation classes",
     )
-    parser.add_argument(
-        "--cap", type=int, default=None,
-        help="enumeration cap (also via ARFOLD_CAP)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classes", help="list a cluster point")
@@ -291,16 +303,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    if args.cap is not None:
-        os.environ["ARFOLD_CAP"] = str(args.cap)
-        from . import words
-
-        words.DEFAULT_CAP = args.cap
-    try:
-        return args.func(args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,10 @@ class UnsupportedTypeError(ValueError):
     pass
 
 
+class FoldingError(ValueError):
+    pass
+
+
 def _edges(type_tag: str, rank: int) -> list[tuple[int, int]]:
     if type_tag == "A":
         if rank < 1:
@@ -59,6 +63,60 @@ class DiagramAutomorphism:
         return frozenset(members)
 
 
+@dataclass(frozen=True)
+class Folding:
+    """One printed folding, source (type, rank) onto target (letter, n).
+
+    ``h_dual`` is the dual Coxeter number of the target, ``symmetrizer``
+    the diagonal of its symmetrizer by orbit label, ``sign_convention``
+    the sign convention its distance polynomials match, and
+    ``twisted_coxeter_word`` has one source letter per orbit.
+    """
+
+    source: tuple[str, int]
+    target: tuple[str, int]
+    h_dual: int
+    symmetrizer: dict[int, int]
+    sign_convention: str
+    twisted_coxeter_word: tuple[int, ...]
+
+    def twisted_longest_word(self) -> tuple[int, ...]:
+        """h_dual twisted repetitions of the Coxeter word: a word of w_0."""
+        perm = root_system(*self.source).diagram_automorphism().perm
+        word: list[int] = []
+        for k in range(self.h_dual):
+            word.extend(perm[i] if k % 2 else i for i in self.twisted_coxeter_word)
+        return tuple(word)
+
+
+def folding_to(letter: str, n: int) -> Folding:
+    """The folding A_{2n-1} -> B_n, D_{n+1} -> C_n or E_6 -> F_4."""
+    if letter == "B" and n >= 2:
+        sym = {i: 2 if i < n else 1 for i in range(1, n + 1)}
+        return Folding(("A", 2 * n - 1), ("B", n), 2 * n - 1, sym, "A",
+                       tuple(range(1, n + 1)))
+    if letter == "C" and n >= 3:
+        sym = {i: 1 if i < n else 2 for i in range(1, n + 1)}
+        return Folding(("D", n + 1), ("C", n), n + 1, sym, "D",
+                       tuple(range(1, n + 1)))
+    if (letter, n) == ("F", 4):
+        sym = {1: 2, 2: 2, 3: 1, 4: 1}
+        return Folding(("E", 6), ("F", 4), 9, sym, "D", (1, 2, 6, 3))
+    raise FoldingError(f"no printed folding onto {letter}_{n}")
+
+
+def folding_from(type_tag: str, rank: int) -> Folding:
+    """The printed folding whose source is type_tag of this rank."""
+    targets = {"A": ("B", (rank + 1) // 2), "D": ("C", rank - 1), "E": ("F", 4)}
+    try:
+        folding = folding_to(*targets[type_tag])
+    except (KeyError, FoldingError):
+        folding = None
+    if folding is None or folding.source != (type_tag, rank):
+        raise FoldingError(f"{type_tag}_{rank} has no printed folding")
+    return folding
+
+
 class RootSystem:
     """Positive roots, Cartan matrix and Weyl combinatorics for one type.
 
@@ -90,9 +148,18 @@ class RootSystem:
         }
         self._longest_word: tuple[int, ...] | None = None
         self._star: dict[int, int] | None = None
+        self._hash = hash((type_tag, rank))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_tag}{self.rank})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootSystem):
+            return NotImplemented
+        return (self.type_tag, self.rank) == (other.type_tag, other.rank)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def simple_root(self, i: int) -> Root:
         v = [0] * self.rank

@@ -21,7 +21,6 @@ from .words import CommutationClass, Word
 from .twistfold import FoldedQuiver
 
 Sequence = tuple[int, ...]  # multiplicity per positive-root index
-SequenceVector = Sequence
 
 
 def sequence_from_roots(rs: RootSystem, roots) -> Sequence:
@@ -116,10 +115,6 @@ def bilex_less_word(cls: CommutationClass, word: Word, m: Sequence, mp: Sequence
         return False
     diff = [k for k in range(len(a)) if a[k] != b[k]]
     return a[diff[0]] < b[diff[0]] and a[diff[-1]] < b[diff[-1]]
-
-
-def bilex_less(cls: CommutationClass, word: Word, m: Sequence, mp: Sequence) -> bool:
-    return bilex_less_word(cls, word, m, mp)
 
 
 def class_less(cls: CommutationClass, m: Sequence, mp: Sequence) -> bool:

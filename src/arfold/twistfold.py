@@ -20,42 +20,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .rootsys import Root, RootSystem, root_system
+from .rootsys import (
+    Folding,
+    FoldingError,
+    Root,
+    RootSystem,
+    folding_from,
+    root_system,
+)
 from .words import CommutationClass, Word, commutation_class, reflect
 from .arquiver import (
     ARQuiver,
     DynkinQuiver,
+    all_quivers,
+    arrows_by_step,
     gamma_q,
-    reading_vertices,
+    read_root_labels,
 )
-
-
-class FoldingError(ValueError):
-    pass
-
-
-# diagonal of the symmetrizer of the folded target, by orbit label
-def _folded_symmetrizer(target: str, n: int) -> dict[int, int]:
-    if target == "B":
-        return {i: 2 if i < n else 1 for i in range(1, n + 1)}
-    if target == "C":
-        return {i: 1 if i < n else 2 for i in range(1, n + 1)}
-    if target == "F":
-        return {1: 2, 2: 2, 3: 1, 4: 1}
-    raise FoldingError(f"no folded target {target!r}")
-
-
-def folded_target_of(rs: RootSystem) -> tuple[str, int]:
-    """(target letter, target rank) of the printed folding for rs."""
-    if rs.type_tag == "A":
-        return "B", (rs.rank + 1) // 2
-    if rs.type_tag == "D":
-        return "C", rs.rank - 1
-    return "F", 4
-
-
-def dual_coxeter_number(target: str, n: int) -> int:
-    return {"B": 2 * n - 1, "C": n + 1, "F": 9}[target]
 
 
 @dataclass(frozen=True)
@@ -76,31 +57,12 @@ class FoldedQuiver:
             raise FoldingError("folded coordinates collide")
         return out
 
-    def target(self) -> tuple[str, int]:
-        return folded_target_of(self.rs)
+    def folding(self) -> Folding:
+        return folding_from(self.rs.type_tag, self.rs.rank)
 
     def root_labels(self) -> dict[tuple[int, int], Root]:
         rs = self.rs
         return {(i, p): rs.positive_roots[r] for r, i, p in self.coords}
-
-
-def _arrows_by_step(
-    coords: dict[int, tuple[int, int]],
-    adjacent,
-    step,
-) -> frozenset[tuple[int, int]]:
-    by_coord = {}
-    for r, (i, p) in coords.items():
-        if (i, p) in by_coord:
-            raise FoldingError("coordinates collide")
-        by_coord[(i, p)] = r
-    arrows = set()
-    for (i, p), r in by_coord.items():
-        for j in adjacent(i):
-            s = by_coord.get((j, p + step(i, j)))
-            if s is not None:
-                arrows.add((r, s))
-    return frozenset(arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -171,63 +133,17 @@ def twist_quiver_from_a(
     cls = commutation_class(target, new_word)
 
     g = gamma_q(q)
-    coords: dict[tuple[int, int], None] = {}
-    special_positions = []
-    for _, i, p2 in g.coords:
-        if i in (n - 1, n):
-            special_positions.append(p2)
-        coords[(i if i <= n - 1 else i + 1, p2)] = None
-    top = max(special_positions) + (1 if side == ">" else -1)
-    for k in range(2 * n - 1):
-        coords[(n, top - 2 * k)] = None
-
-    quiver = _quiver_from_coords(target, cls, coords, star_row=n)
-    return cls, quiver
-
-
-def _quiver_from_coords(
-    target: RootSystem,
-    cls: CommutationClass,
-    coords,
-    star_row: int | None,
-) -> ARQuiver:
-    """Attach root labels to bare coordinates by reading the quiver.
-
-    Arrows step by 1 (doubled) next to the half-integer row and by 2
-    elsewhere.  The reading must reproduce the expected class; its root
-    sequence labels the vertices.
-    """
-
-    def step(i, j):
-        if star_row is not None and star_row in (i, j):
-            return 1
-        return 2
-
-    placeholders = {k: c for k, c in enumerate(sorted(coords))}
-    arrows_k = _arrows_by_step(
-        {k: c for k, c in placeholders.items()},
-        lambda i: target.adjacent[i],
-        step,
+    cells = [(i if i <= n - 1 else i + 1, p2) for _, i, p2 in g.coords]
+    top = max(p2 for _, i, p2 in g.coords if i in (n - 1, n))
+    top += 1 if side == ">" else -1
+    cells += [(n, top - 2 * k) for k in range(2 * n - 1)]
+    # arrows step by 1 (doubled) next to the inserted half-integer row n
+    word, quiver = read_root_labels(
+        target, cells, lambda i, j: 1 if n in (i, j) else 2
     )
-    bare = ARQuiver(
-        target,
-        tuple((k, i, p2) for k, (i, p2) in placeholders.items()),
-        arrows_k,
-    )
-    order = reading_vertices(bare)
-    word = tuple(placeholders[k][0] for k in order)
-    got = commutation_class(target, word)
-    if got != cls:
+    if commutation_class(target, word) != cls:
         raise FoldingError("constructed quiver does not read back to the class")
-    from .words import root_sequence
-
-    roots = root_sequence(target, word)
-    root_of = {k: target.root_index[b] for k, b in zip(order, roots)}
-    coords_rows = tuple(
-        sorted((root_of[k], i, p2) for k, (i, p2) in placeholders.items())
-    )
-    arrows = frozenset((root_of[a], root_of[b]) for a, b in arrows_k)
-    return ARQuiver(target, coords_rows, arrows)
+    return cls, quiver
 
 
 # ---------------------------------------------------------------------------
@@ -254,41 +170,13 @@ def twist_from_d(q: DynkinQuiver, choice: int) -> tuple[CommutationClass, ARQuiv
     for _, i, p2 in g.coords:
         cells.append((i, p2))
         cells.append((n + 1 - i, p2 - 2 * (n + 1)))
-    if len(set(cells)) != len(cells):
-        raise FoldingError("doubled copies overlap")
 
     fork = sorted((p2 for i, p2 in cells if i == n), reverse=True)
-    relabel = {}
-    for k, p2 in enumerate(fork):
-        if choice == n:
-            relabel[p2] = n if k % 2 == 0 else n + 1
-        else:
-            relabel[p2] = n + 1 if k % 2 == 0 else n
-    coords = {}
-    for i, p2 in cells:
-        coords[(relabel[p2] if i == n else i, p2)] = None
-
-    placeholders = {k: c for k, c in enumerate(sorted(coords))}
-    arrows_k = _arrows_by_step(
-        placeholders, lambda i: target.adjacent[i], lambda i, j: 2
-    )
-    bare = ARQuiver(
-        target,
-        tuple((k, i, p2) for k, (i, p2) in placeholders.items()),
-        arrows_k,
-    )
-    order = reading_vertices(bare)
-    word = tuple(placeholders[k][0] for k in order)
-    cls = commutation_class(target, word)
-    from .words import root_sequence
-
-    roots = root_sequence(target, word)
-    root_of = {k: target.root_index[b] for k, b in zip(order, roots)}
-    coords_rows = tuple(
-        sorted((root_of[k], i, p2) for k, (i, p2) in placeholders.items())
-    )
-    arrows = frozenset((root_of[a], root_of[b]) for a, b in arrows_k)
-    return cls, ARQuiver(target, coords_rows, arrows)
+    first, second = (n, n + 1) if choice == n else (n + 1, n)
+    relabel = {p2: second if k % 2 else first for k, p2 in enumerate(fork)}
+    cells = [(relabel[p2] if i == n else i, p2) for i, p2 in cells]
+    word, quiver = read_root_labels(target, cells, lambda i, j: 2)
+    return commutation_class(target, word), quiver
 
 
 # ---------------------------------------------------------------------------
@@ -334,40 +222,31 @@ def _folded_from_table(
     rows: list[tuple[int, int, Root]], cls: CommutationClass
 ) -> FoldedQuiver:
     rs = root_system("E", 6)
-    d = _folded_symmetrizer("F", 4)
+    d = folding_from("E", 6).symmetrizer
     coords = {}
     for res, pos, root in rows:
         coords[rs.root_index[root]] = (res, pos)
-    arrows = _arrows_by_step(
-        coords,
-        lambda i: [j for j in (i - 1, i + 1) if 1 <= j <= 4],
-        lambda i, j: min(d[i], d[j]),
-    )
+    # the folded diagram F_4 is the path 1-2-3-4
+    adjacent = {i: [j for j in (i - 1, i + 1) if j in d] for i in d}
+    arrows = arrows_by_step(coords, adjacent, lambda i, j: min(d[i], d[j]))
     return FoldedQuiver(
         rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows, cls
     )
-
-
-def e6_base_word() -> Word:
-    """The product of twisted repetitions of s_1 s_2 s_6 s_3."""
-    rs = root_system("E", 6)
-    aut = rs.diagram_automorphism()
-    base = (1, 2, 6, 3)
-    word: list[int] = []
-    for k in range(9):
-        cur = base
-        for _ in range(k % 2):
-            cur = tuple(aut.perm[i] for i in cur)
-        word.extend(cur)
-    return tuple(word)
 
 
 @lru_cache(maxsize=None)
 def e6_folded_quiver() -> FoldedQuiver:
     """The printed 36-vertex folded quiver of E_6."""
     rs = root_system("E", 6)
-    cls = commutation_class(rs, e6_base_word())
+    cls = commutation_class(rs, folding_from("E", 6).twisted_longest_word())
     return _folded_from_table(_load_table("e6_folded.txt"), cls)
+
+
+def e6_unfolded_step(i: int, j: int) -> int:
+    """Doubled step between adjacent E_6 residues: the orbit symmetrizer."""
+    d = folding_from("E", 6).symmetrizer
+    label = root_system("E", 6).diagram_automorphism().orbit_label
+    return 2 * min(d[label[i]], d[label[j]])
 
 
 @lru_cache(maxsize=None)
@@ -375,15 +254,8 @@ def e6_unfolded_quiver() -> ARQuiver:
     """The printed unfolded companion table, stored as an ARQuiver."""
     rs = root_system("E", 6)
     rows = _load_table("e6_unfolded.txt")
-    # steps between adjacent residues follow the orbit symmetrizer
-    dbar = {i: _folded_symmetrizer("F", 4)[rs.diagram_automorphism().orbit_label[i]]
-            for i in rs.nodes}
     coords = {rs.root_index[root]: (res, 2 * pos) for res, pos, root in rows}
-    arrows = _arrows_by_step(
-        coords,
-        lambda i: rs.adjacent[i],
-        lambda i, j: 2 * min(dbar[i], dbar[j]),
-    )
+    arrows = arrows_by_step(coords, rs.adjacent, e6_unfolded_step)
     return ARQuiver(rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows)
 
 
@@ -413,9 +285,10 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     arrows to the adjacent rows, and reflects every other label by s_i.
     """
     rs = fq.rs
-    target, n = fq.target()
-    d = _folded_symmetrizer(target, n)
-    shift = 2 * dual_coxeter_number(target, n)
+    folding = fq.folding()
+    _, n = folding.target
+    d = folding.symmetrizer
+    shift = 2 * folding.h_dual
     r_i = rs.simple_root_index[i]
     coord = fq.coord_of()
     if r_i not in coord:
@@ -498,29 +371,18 @@ def _assert_shift_equal(a: FoldedQuiver, b: FoldedQuiver) -> None:
 @lru_cache(maxsize=None)
 def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, FoldedQuiver]:
     """Folded quivers for every class of the twisted adapted point."""
-    from .arquiver import all_quivers
-
+    folding_from(type_tag, rank)  # FoldingError when there is no folding
     if type_tag == "E":
         return e6_folded_quivers_by_class()
-    rs_target = root_system(type_tag, rank)
-    out: dict[CommutationClass, FoldedQuiver] = {}
+    sources = all_quivers(root_system("A", rank - 1))
     if type_tag == "A":
-        source = root_system("A", rank - 1)
-        for q in all_quivers(source):
-            for side in (">", "<"):
-                cls, quiver = twist_quiver_from_a(q, side)
-                if cls in out:
-                    raise AssertionError("insertion construction repeated a class")
-                out[cls] = fold(quiver, cls)
-    elif type_tag == "D":
-        source = root_system("A", rank - 1)
-        n = rank - 1
-        for q in all_quivers(source):
-            for choice in (n, n + 1):
-                cls, quiver = twist_from_d(q, choice)
-                if cls in out:
-                    raise AssertionError("doubling construction repeated a class")
-                out[cls] = fold(quiver, cls)
+        built = (twist_quiver_from_a(q, side) for q in sources for side in (">", "<"))
     else:
-        raise FoldingError(f"no twisted construction for type {type_tag}")
+        n = rank - 1
+        built = (twist_from_d(q, choice) for q in sources for choice in (n, n + 1))
+    out: dict[CommutationClass, FoldedQuiver] = {}
+    for cls, quiver in built:
+        if cls in out:
+            raise AssertionError("twisted construction repeated a class")
+        out[cls] = fold(quiver, cls)
     return out

@@ -10,15 +10,14 @@ order is the convex order of the class.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import Root, RootSystem, root_system
+from .rootsys import Root, RootSystem, folding_from, root_system
 
 Word = tuple[int, ...]
 
-DEFAULT_CAP = int(os.environ.get("ARFOLD_CAP", 10_000_000))
+DEFAULT_CAP = 10_000_000
 
 
 class NotReducedError(ValueError):
@@ -72,8 +71,8 @@ def _heap_order(rs: RootSystem, word: Word, roots: list[Root]) -> dict[int, int]
 class CommutationClass:
     """A commutation class of reduced words of w_0, canonically keyed.
 
-    Root systems are shared singletons, so identity comparison on ``rs``
-    is the intended equality.
+    Two classes are equal when their root systems have the same type and
+    rank and their canonical words agree.
     """
 
     rs: RootSystem
@@ -366,40 +365,17 @@ def twisted_coxeter_elements(rs: RootSystem, aut) -> list[Word]:
     return sorted(best.values())
 
 
-def _apply_aut_power(aut, word: Word, k: int) -> Word:
-    out = word
-    for _ in range(k % aut.order if aut.order else 0):
-        out = tuple(aut.perm[i] for i in out)
-    return out
-
-
 @lru_cache(maxsize=None)
 def twisted_adapted_point(
     type_tag: str, rank: int
 ) -> frozenset[CommutationClass]:
     """The foldable cluster point built from a twisted Coxeter element.
 
-    Uses the product of twisted repetitions of s_1 s_2 ... s_n (types A
-    and D) or s_1 s_2 s_6 s_3 (E_6); the product must come out reduced.
+    Its class holds the h_dual twisted repetitions of the folding's
+    twisted Coxeter word, which must come out reduced.
     """
-    rs = root_system(type_tag, rank)
-    aut = rs.diagram_automorphism()
-    if type_tag == "A":
-        n = (rank + 1) // 2
-        base: Word = tuple(range(1, n + 1))
-        reps = 2 * n - 1
-    elif type_tag == "D":
-        n = rank - 1
-        base = tuple(range(1, n + 1))
-        reps = n + 1
-    else:
-        base = (1, 2, 6, 3)
-        reps = 9
-    word: list[int] = []
-    for k in range(reps):
-        word.extend(_apply_aut_power(aut, base, k))
-    cls = commutation_class(rs, tuple(word))
-    return cluster_point(cls)
+    word = folding_from(type_tag, rank).twisted_longest_word()
+    return cluster_point(commutation_class(root_system(type_tag, rank), word))
 
 
 @lru_cache(maxsize=None)

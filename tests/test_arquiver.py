@@ -7,13 +7,12 @@ from arfold.arquiver import (
     adapted_quiver_of,
     adapted_word,
     all_quivers,
-    convex_order,
     covers,
     coxeter_element_of,
     gamma_q,
     hasse_quiver,
     read_reduced_words,
-    roots_of_reading,
+    read_root_labels,
 )
 
 A4 = root_system("A", 4)
@@ -142,15 +141,17 @@ def test_read_single_vertex():
 
 def test_reading_roots_match_quiver_translation():
     g = gamma_q(EXAMPLE_Q)
-    lab = roots_of_reading(g, A4)
-    assert all(A4.positive_roots[r] == beta for r, beta in lab.items())
+    cells = [(i, p2) for _, i, p2 in g.coords]
+    word, labelled = read_root_labels(A4, cells, lambda i, j: 2)
+    assert labelled == g
+    assert commutation_class(A4, word) == commutation_class(A4, adapted_word(EXAMPLE_Q))
 
 
-def test_convex_order_is_path_order_on_gamma_q():
+def test_class_order_is_path_order_on_gamma_q():
     for q in all_quivers(A4):
         g = gamma_q(q)
         cls = commutation_class(A4, adapted_word(q))
-        below = convex_order(cls)
+        below = cls.below()
         # reachability along arrows (from b to a means a < b)
         reach = {r: set() for r, _, _ in g.coords}
         adj = {r: [] for r, _, _ in g.coords}
@@ -177,7 +178,7 @@ def test_convexity_of_class_order():
     from arfold.words import cluster_point
     point = cluster_point(commutation_class(rs, (1, 2, 1, 3, 2, 1)))
     for cls in point:
-        below = convex_order(cls)
+        below = cls.below()
         for av in rs.positive_roots:
             for bv in rs.positive_roots:
                 if av >= bv:
@@ -229,7 +230,7 @@ def test_convexity_every_class_a4():
                     triples.append((rs.root_index[av], rs.root_index[bv],
                                     rs.root_index[gv]))
     for cls in classes:
-        below = convex_order(cls)
+        below = cls.below()
         for a, b, g in triples:
             assert (
                 below[g] >> a & 1 and below[b] >> g & 1
@@ -240,7 +241,7 @@ def test_convexity_every_class_a4():
 
 def test_reflexivity_never_strict():
     cls = commutation_class(A4, A4_WORD)
-    below = convex_order(cls)
+    below = cls.below()
     assert all(not (below[r] >> r & 1) for r in below)
 
 
@@ -261,7 +262,7 @@ def test_hasse_quiver_single_vertex():
 
 def test_covers_are_transitive_reduction():
     cls = commutation_class(A4, A4_WORD)
-    below = convex_order(cls)
+    below = cls.below()
     cov = covers(cls)
     for a, b in cov:
         assert below[b] >> a & 1

@@ -1,8 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arfold import cli
+from arfold.arquiver import all_quivers, gamma_q
 from arfold.cli import main, quiver_from_json, quiver_to_json
+from arfold.rootsys import root_system
+
+# a class of A_4 that is neither adapted nor twisted (A_4 has no folding)
+A4_LAYERED_WORD = "1,2,1,3,2,4,3,2,1,2"
 
 
 def run(capsys, *argv):
@@ -80,9 +87,9 @@ def test_quiver_json_round_trip(capsys):
 
 
 def test_quiver_json_e6_folded_count(capsys):
-    from arfold.twistfold import e6_base_word
+    from arfold.rootsys import folding_from
 
-    word = ",".join(map(str, e6_base_word()))
+    word = ",".join(map(str, folding_from("E", 6).twisted_longest_word()))
     code, out = run(capsys, "quiver", "--type", "E", "--rank", "6",
                     "--class", word, "--format", "json")
     assert code == 0
@@ -133,3 +140,77 @@ def test_byte_identical_json(capsys):
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args)
     assert out1 == out2
+
+
+def test_quiver_non_adapted_a4_is_layered(capsys):
+    code, out = run(capsys, "quiver", "--type", "A", "--rank", "4",
+                    "--class", A4_LAYERED_WORD, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["layout"] == "layered"
+
+
+def test_quiver_twisted_construction_errors_propagate(monkeypatch):
+    def broken(type_tag, rank):
+        raise AssertionError("construction is broken")
+
+    monkeypatch.setattr(cli, "twisted_folded_quivers", broken)
+    with pytest.raises(AssertionError, match="construction is broken"):
+        main(["quiver", "--type", "A", "--rank", "4", "--class", A4_LAYERED_WORD])
+
+
+def _a5_doc():
+    rs = root_system("A", 5)
+    return quiver_to_json(gamma_q(all_quivers(rs)[0]))
+
+
+@pytest.mark.parametrize("mutate, names", [
+    (lambda d: d["vertices"][3].update(root=[9, 9, 0, 0, 0]), "vertex 3"),
+    (lambda d: d["vertices"][2].pop("residue"), "vertex 2"),
+    (lambda d: d["vertices"][4].update(residue=6), "vertex 4"),
+    (lambda d: d["vertices"].append(dict(d["vertices"][0])), "vertex 15"),
+    (lambda d: d["arrows"].append([0, 15]), "arrow"),
+    (lambda d: d["arrows"].append([-1, 0]), "arrow"),
+    (lambda d: d["arrows"].append([0, 1, 2]), "arrow"),
+    (lambda d: d.pop("vertices"), "vertices"),
+], ids=["unknown-root", "missing-residue", "residue-out-of-range", "repeated-root",
+        "arrow-out-of-range", "negative-arrow", "arrow-triple", "no-vertices"])
+def test_quiver_from_json_names_the_bad_entry(mutate, names):
+    doc = _a5_doc()
+    mutate(doc)
+    with pytest.raises(ValueError, match=names):
+        quiver_from_json(doc)
+
+
+@st.composite
+def mutated_docs(draw):
+    doc = _a5_doc()
+    verts, arrows = doc["vertices"], doc["arrows"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["root", "residue", "position", "drop_key", "duplicate", "arrow"]
+        ))
+        k = draw(st.integers(0, len(verts) - 1))
+        if kind == "root":
+            verts[k]["root"] = draw(st.lists(st.integers(-1, 2), min_size=4, max_size=6))
+        elif kind == "residue":
+            verts[k]["residue"] = draw(st.integers(-1, 7))
+        elif kind == "position":
+            verts[k]["position"] = draw(st.one_of(st.integers(-30, 30), st.just("x")))
+        elif kind == "drop_key":
+            del verts[k][draw(st.sampled_from(sorted(verts[k])))]
+        elif kind == "duplicate":
+            verts.append(dict(verts[k]))
+        else:
+            a = draw(st.integers(0, len(arrows) - 1))
+            arrows[a] = [draw(st.integers(-3, len(verts) + 3)) for _ in range(2)]
+    return doc
+
+
+@given(mutated_docs())
+@settings(max_examples=150, deadline=None)
+def test_quiver_from_json_fuzz_round_trips_or_raises_value_error(doc):
+    try:
+        quiver = quiver_from_json(doc)
+    except ValueError:
+        return
+    assert quiver_from_json(quiver_to_json(quiver)) == quiver

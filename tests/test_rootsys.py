@@ -2,10 +2,15 @@ import pytest
 
 from arfold.rootsys import (
     DiagramAutomorphism,
+    FoldingError,
+    RootSystem,
     UnsupportedTypeError,
+    folding_from,
+    folding_to,
     root_system,
     trivial_automorphism,
 )
+from arfold.words import commutation_class, root_sequence
 
 
 def interval_root(rs, a, b):
@@ -122,3 +127,59 @@ def test_orbit_computation():
     assert aut.orbit(3) == frozenset({3})
     tri = root_system("D", 4).diagram_automorphism(triality=True)
     assert tri.orbit(1) == frozenset({1, 3, 4})
+
+
+FOLDING_SOURCES = (
+    [("A", r) for r in (3, 5, 7, 9)] + [("D", r) for r in (4, 5, 6, 7)] + [("E", 6)]
+)
+
+
+@pytest.mark.parametrize("source", FOLDING_SOURCES, ids=lambda s: f"{s[0]}{s[1]}")
+def test_folding_twisted_word_is_reduced_with_h_dual_repetitions(source):
+    folding = folding_from(*source)
+    assert folding.source == source
+    assert folding_to(*folding.target) == folding
+    rs = root_system(*source)
+    aut = rs.diagram_automorphism()
+    coxeter = folding.twisted_coxeter_word
+    # one letter per orbit, and the symmetrizer is keyed by orbit label
+    assert sorted(aut.orbit_label[i] for i in coxeter) == list(aut.orbit_labels())
+    assert set(folding.symmetrizer) == set(aut.orbit_labels())
+    word = folding.twisted_longest_word()
+    assert len(word) == folding.h_dual * len(coxeter) == rs.num_positive
+    assert len(root_sequence(rs, word)) == rs.num_positive  # reduced
+    for k in range(folding.h_dual):
+        block = word[k * len(coxeter):(k + 1) * len(coxeter)]
+        assert block == tuple(aut.perm[i] if k % 2 else i for i in coxeter)
+
+
+def test_folding_printed_values():
+    assert folding_to("B", 3).h_dual == 5
+    assert folding_to("C", 3).h_dual == 4
+    assert folding_to("F", 4).h_dual == 9
+    assert folding_to("B", 3).symmetrizer == {1: 2, 2: 2, 3: 1}
+    assert folding_to("C", 4).symmetrizer == {1: 1, 2: 1, 3: 1, 4: 2}
+    assert folding_to("F", 4).twisted_coxeter_word == (1, 2, 6, 3)
+    assert [folding_to(*t).sign_convention for t in (("B", 2), ("C", 3), ("F", 4))] == [
+        "A", "D", "D"
+    ]
+
+
+@pytest.mark.parametrize("source", [("A", 1), ("A", 2), ("A", 4), ("E", 7), ("G", 2)])
+def test_no_folding_from(source):
+    with pytest.raises(FoldingError):
+        folding_from(*source)
+
+
+@pytest.mark.parametrize("target", [("B", 1), ("C", 2), ("F", 5), ("G", 2)])
+def test_no_folding_to(target):
+    with pytest.raises(FoldingError):
+        folding_to(*target)
+
+
+def test_root_system_equality_is_by_type_and_rank():
+    w = (1, 2, 1, 3, 2, 1)
+    assert RootSystem("A", 3) == root_system("A", 3)
+    assert hash(RootSystem("A", 3)) == hash(root_system("A", 3))
+    assert RootSystem("A", 3) != root_system("A", 4)
+    assert commutation_class(RootSystem("A", 3), w) == commutation_class(root_system("A", 3), w)

@@ -1,9 +1,10 @@
+from functools import lru_cache
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from arfold.rootsys import root_system
-from arfold.words import commutation_class, twisted_adapted_point
+from arfold.words import commutation_class, root_sequence, twisted_adapted_point
 from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import (
     RootedPolynomial,
@@ -32,11 +33,28 @@ def seq(rs, *roots):
     return sequence_from_roots(rs, [rs.root_index[r] for r in roots])
 
 
+@lru_cache(maxsize=None)
+def member_orders(cls):
+    """For each member word, its root indices in word order."""
+    rs = cls.rs
+    return tuple(
+        tuple(rs.root_index[b] for b in root_sequence(rs, w)) for w in cls.members()
+    )
+
+
 def class_less_oracle(cls, m, mp):
-    """Definitional: bi-lex under every member word."""
+    """Definitional: bi-lex under every member word.
+
+    Under each member word, m must be smaller at the first and at the
+    last position where the multiplicities differ (``bilex_less_word``).
+    """
     if weight_of(cls.rs, m) != weight_of(cls.rs, mp) or m == mp:
         return False
-    return all(bilex_less_word(cls, w, m, mp) for w in cls.members())
+    for order in member_orders(cls):
+        diff = [r for r in order if m[r] != mp[r]]
+        if not (m[diff[0]] < mp[diff[0]] and m[diff[-1]] < mp[diff[-1]]):
+            return False
+    return True
 
 
 def test_bilex_spec_example_a2():
@@ -354,6 +372,8 @@ def same_weight_pair(draw):
 def test_class_less_matches_oracle_property(data):
     cls, m, mp = data
     assert class_less(cls, m, mp) == class_less_oracle(cls, m, mp)
+    words = all(bilex_less_word(cls, w, m, mp) for w in cls.members())
+    assert class_less_oracle(cls, m, mp) == words
 
 
 @given(same_weight_pair())

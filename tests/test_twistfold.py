@@ -1,6 +1,6 @@
 import pytest
 
-from arfold.rootsys import root_system
+from arfold.rootsys import folding_from, root_system
 from arfold.words import commutation_class, twisted_adapted_point
 from arfold.arquiver import (
     DynkinQuiver,
@@ -10,11 +10,11 @@ from arfold.arquiver import (
 )
 from arfold.twistfold import (
     FoldingError,
-    e6_base_word,
     e6_folded_quiver,
     e6_folded_quivers_by_class,
     e6_folded_r1_table,
     e6_unfolded_quiver,
+    e6_unfolded_step,
     fold,
     folded_reflection,
     folded_sinks,
@@ -194,14 +194,6 @@ def test_fold_rejects_non_twisted():
 # E_6 fixtures
 
 
-def test_e6_base_word_is_reduced_of_w0():
-    rs = root_system("E", 6)
-    from arfold.words import root_sequence
-
-    roots = root_sequence(rs, e6_base_word())
-    assert len(roots) == 36
-
-
 def test_e6_folded_fixture_table():
     rs = root_system("E", 6)
     fq = e6_folded_quiver()
@@ -216,17 +208,18 @@ def test_e6_folded_fixture_table():
 def test_e6_unfolded_reading_consistency():
     rs = root_system("E", 6)
     uq = e6_unfolded_quiver()
-    from arfold.arquiver import roots_of_reading, reading_vertices
+    from arfold.arquiver import read_root_labels
 
-    lab = roots_of_reading(uq, rs)
-    assert all(rs.positive_roots[r] == beta for r, beta in lab.items())
-    word = tuple(uq.residues()[r] for r in reading_vertices(uq))
-    assert commutation_class(rs, word) == commutation_class(rs, e6_base_word())
+    cells = [(i, p2) for _, i, p2 in uq.coords]
+    word, labelled = read_root_labels(rs, cells, e6_unfolded_step)
+    assert labelled == uq
+    base = folding_from("E", 6).twisted_longest_word()
+    assert commutation_class(rs, word) == commutation_class(rs, base)
 
 
 def test_e6_fold_of_unfolded_is_folded_fixture():
     rs = root_system("E", 6)
-    cls = commutation_class(rs, e6_base_word())
+    cls = commutation_class(rs, folding_from("E", 6).twisted_longest_word())
     ff = fold(e6_unfolded_quiver(), cls)
     fq = e6_folded_quiver()
     assert set(ff.coords) == set(fq.coords)
