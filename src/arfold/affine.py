@@ -451,7 +451,7 @@ def verify_dorey(target: str, n: int) -> Report:
     (<=): the spectral ratios of every minimal pair appear in the table;
     (>=): every table entry is realized by a minimal pair in some class.
     The coordinate predicate is checked to be exactly equivalent to
-    brute-forced minimality.  Runs under both table conventions and
+    minimality.  Runs under both table conventions and
     reports branches of the printed one that never match.
     """
     rep = Report(f"dorey {target} n={n}", True, 0)
@@ -521,7 +521,7 @@ def verify_dorey(target: str, n: int) -> Report:
 
 
 def verify_minimal_pair_predicate(target: str, n: int) -> Report:
-    """Coordinate predicate == brute-forced minimality, all summing pairs."""
+    """Coordinate predicate == minimality, over all summing pairs."""
     fqs = twisted_folded_quivers(*folding_to(target, n).source)
     rep = Report(f"minimal-pair predicate {target} n={n}", True, 0)
     for cls in sorted(fqs, key=lambda c: c.canonical_word):

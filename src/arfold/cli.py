@@ -8,7 +8,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .rootsys import root_system
+from .rootsys import UnsupportedTypeError, check_type_rank, folding_to, root_system
 from .words import adapted_point, commutation_class, twisted_adapted_point
 from .arquiver import ARQuiver, adapted_quiver_of, gamma_q, hasse_quiver
 from .twistfold import FoldingError, twisted_folded_quivers
@@ -79,12 +79,13 @@ def quiver_to_json(quiver: ARQuiver) -> dict:
 
 
 def quiver_from_json(doc: dict) -> ARQuiver:
-    """Inverse of quiver_to_json; a ValueError names the bad vertex or arrow."""
+    """Inverse of quiver_to_json; a ValueError names the bad field, vertex or arrow."""
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
     missing = [k for k in ("type", "rank", "vertices", "arrows") if k not in doc]
     if missing:
         raise ValueError(f"document lacks {missing}")
+    check_type_rank(doc["type"], doc["rank"])
     rs = root_system(doc["type"], doc["rank"])
     coords = []
     verts = []
@@ -206,12 +207,13 @@ def _report_lines(rep) -> str:
 
 def cmd_verify(args) -> int:
     reports = []
-    if args.suite == "den-dist":
+    if args.suite in ("den-dist", "dorey"):
         _need(args, "target", "n")
+        folding_to(args.target, args.n)
+    if args.suite == "den-dist":
         reports.append(affine.verify_den_dist(args.target, args.n))
         reports.append(affine.verify_class_invariance(args.target, args.n))
     elif args.suite == "dorey":
-        _need(args, "target", "n")
         reports.append(affine.verify_dorey(args.target, args.n))
     elif args.suite == "socle-dist":
         reports.append(verify_socle_dist(args.type, args.rank, jobs=args.jobs))
@@ -303,7 +305,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FoldingError, UnsupportedTypeError) as exc:
+        parser.exit(2, f"arfold: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -24,20 +24,32 @@ class FoldingError(ValueError):
     pass
 
 
+# The largest rank of type A or D that root_system builds.  The Weyl-group
+# combinatorics of this package is out of reach long before it.
+MAX_RANK = 32
+
+
+def check_type_rank(type_tag: str, rank: int) -> None:
+    """Raise UnsupportedTypeError, naming the field, unless root_system
+    supports (type_tag, rank); builds nothing."""
+    if type_tag not in ("A", "D", "E"):
+        raise UnsupportedTypeError(f"unknown type {type_tag!r}")
+    if type(rank) is not int:
+        raise UnsupportedTypeError(f"rank {rank!r} is not an integer")
+    low, high = {"A": (1, MAX_RANK), "D": (4, MAX_RANK), "E": (6, 6)}[type_tag]
+    if not low <= rank <= high:
+        raise UnsupportedTypeError(
+            f"rank {rank} of type {type_tag} is not supported "
+            f"(need {low} <= rank <= {high})"
+        )
+
+
 def _edges(type_tag: str, rank: int) -> list[tuple[int, int]]:
     if type_tag == "A":
-        if rank < 1:
-            raise UnsupportedTypeError(f"A_{rank} is not supported (need rank >= 1)")
         return [(i, i + 1) for i in range(1, rank)]
     if type_tag == "D":
-        if rank < 4:
-            raise UnsupportedTypeError(f"D_{rank} is not supported (need rank >= 4)")
         return [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
-    if type_tag == "E":
-        if rank != 6:
-            raise UnsupportedTypeError(f"E_{rank} is not supported (only E_6)")
-        return [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
-    raise UnsupportedTypeError(f"unknown type {type_tag!r}")
+    return [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,7 @@ class RootSystem:
     """
 
     def __init__(self, type_tag: str, rank: int):
+        check_type_rank(type_tag, rank)
         self.type_tag = type_tag
         self.rank = rank
         self.nodes = tuple(range(1, rank + 1))

@@ -8,6 +8,12 @@ the convex order, this reduces to a condition on the extremal elements
 of the difference support, which is what `class_less` implements.  The
 definitional word-by-word test is kept as `bilex_less_word` and serves
 as the oracle in the test suite.
+
+Minimal pairs of a root are found among the pairs summing to it only:
+every minimal sequence above a root is a pair, and every summing pair
+lies above the root by convexity (McNamara, Crelle 2015).  The
+definitional search over all sequences of the weight is kept as
+`minimal_sequences`, the oracle for `minimal_pairs_of_root` in the tests.
 """
 
 from __future__ import annotations
@@ -118,15 +124,20 @@ def bilex_less_word(cls: CommutationClass, word: Word, m: Sequence, mp: Sequence
 
 
 def class_less(cls: CommutationClass, m: Sequence, mp: Sequence) -> bool:
-    """m < m' under every member word (weights must agree).
+    """m < m' under every member word (weights must agree)."""
+    rs = cls.rs
+    if weight_of(rs, m) != weight_of(rs, mp):
+        return False
+    return _less_same_weight(cls, m, mp)
+
+
+def _less_same_weight(cls: CommutationClass, m: Sequence, mp: Sequence) -> bool:
+    """`class_less` for two sequences known to have the same weight.
 
     Equivalent to: at every minimal and every maximal element of the
     difference support (w.r.t. the convex order), m is strictly smaller.
     """
-    rs = cls.rs
-    if weight_of(rs, m) != weight_of(rs, mp):
-        return False
-    diff = [r for r in range(rs.num_positive) if m[r] != mp[r]]
+    diff = [r for r in range(cls.rs.num_positive) if m[r] != mp[r]]
     if not diff:
         return False
     below = cls.below()
@@ -189,7 +200,7 @@ def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence
         (x, y)
         for x in elems
         for y in elems
-        if x != y and class_less(cls, x, y)
+        if x != y and _less_same_weight(cls, x, y)
     }
     depth: dict[Sequence, int] = {}
 
@@ -259,20 +270,31 @@ def minimal_sequences(cls: CommutationClass, s: Sequence) -> list[Sequence]:
 def minimal_pairs_of_root(cls: CommutationClass, gamma: int) -> list[tuple[int, int]]:
     """Minimal pairs (a, b) of a positive root, a preceding b.
 
-    Every minimal sequence of a non-simple root is such a pair; this is
-    re-checked on the fly.
+    Every minimal sequence above a root is a pair, and by convexity every
+    pair summing to the root lies above it; so the minimal pairs are the
+    minimal elements among the summing pairs.  `minimal_sequences`, the
+    definitional search over all sequences of the weight, is the oracle
+    the tests check this against.  Memoised per class; every call
+    returns a fresh list.
     """
     rs = cls.rs
-    s = sequence_from_roots(rs, [gamma])
-    out = []
-    for m in minimal_sequences(cls, s):
-        if not is_pair(m):
-            raise AssertionError("minimal sequence of a root is not a pair")
-        a, b = support(m)
-        if cls.precedes(b, a):
-            a, b = b, a
-        out.append((a, b))
-    return sorted(out)
+    n = rs.num_positive
+    table = cls._cache.setdefault("minimal_pairs", {})
+    if gamma not in table:
+        s = sequence_from_roots(rs, [gamma])
+        pairs = [
+            sequence_from_roots(rs, p)
+            for p in rs.roots_summing_to(rs.positive_roots[gamma])
+        ]
+        above = [m for m in pairs if _less_same_weight(cls, s, m)]
+        # a pair (a, b) is kept as a * n + b: a third of the memory of tuples
+        out = []
+        for m in above:
+            if not any(_less_same_weight(cls, mp, m) for mp in above):
+                a, b = support(m)
+                out.append(b * n + a if cls.precedes(b, a) else a * n + b)
+        table[gamma] = tuple(sorted(out))
+    return [divmod(x, n) for x in table[gamma]]
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,27 @@ def test_verify_needs_target(capsys):
         main(["verify", "den-dist"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classes", "--type", "A", "--rank", "4", "--cluster", "twisted"],
+     "A_4 has no printed folding"),
+    (["classes", "--type", "D", "--rank", "3", "--cluster", "adapted"],
+     "rank 3 of type D is not supported"),
+    (["verify", "socle-dist", "--type", "A", "--rank", "4"],
+     "A_4 has no printed folding"),
+    (["verify", "den-dist", "--target", "B", "--n", "1"],
+     "no printed folding onto B_1"),
+    (["verify", "dorey", "--target", "B", "--n", "1"],
+     "no printed folding onto B_1"),
+], ids=["classes-no-folding", "classes-bad-rank", "socle-dist", "den-dist", "dorey"])
+def test_bad_type_or_target_is_a_one_line_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("arfold: error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_byte_identical_json(capsys):
     args = ["quiver", "--type", "A", "--rank", "4",
             "--class", "4,1,3,2,4,1,3,2,4,3", "--format", "json"]
@@ -172,12 +193,34 @@ def _a5_doc():
     (lambda d: d["arrows"].append([-1, 0]), "arrow"),
     (lambda d: d["arrows"].append([0, 1, 2]), "arrow"),
     (lambda d: d.pop("vertices"), "vertices"),
+    (lambda d: d.update(rank="5"), "rank"),
+    (lambda d: d.update(rank=True), "rank"),
+    (lambda d: d.update(rank=10**9), "rank"),
+    (lambda d: d.update(rank=0), "rank"),
+    (lambda d: d.update(type="B"), "type"),
+    (lambda d: d.update(type=["A"]), "type"),
 ], ids=["unknown-root", "missing-residue", "residue-out-of-range", "repeated-root",
-        "arrow-out-of-range", "negative-arrow", "arrow-triple", "no-vertices"])
+        "arrow-out-of-range", "negative-arrow", "arrow-triple", "no-vertices",
+        "string-rank", "bool-rank", "huge-rank", "zero-rank", "unknown-type",
+        "unhashable-type"])
 def test_quiver_from_json_names_the_bad_entry(mutate, names):
     doc = _a5_doc()
     mutate(doc)
     with pytest.raises(ValueError, match=names):
+        quiver_from_json(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rank", "3"), ("rank", True), ("rank", 10**9), ("type", "B"),
+])
+def test_quiver_from_json_checks_type_and_rank_before_building(monkeypatch, field, value):
+    def refuse(type_tag, rank):
+        raise AssertionError("a root system was built")
+
+    doc = _a5_doc()
+    doc[field] = value
+    monkeypatch.setattr(cli, "root_system", refuse)
+    with pytest.raises(ValueError, match=field):
         quiver_from_json(doc)
 
 
@@ -187,10 +230,17 @@ def mutated_docs(draw):
     verts, arrows = doc["vertices"], doc["arrows"]
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(
-            ["root", "residue", "position", "drop_key", "duplicate", "arrow"]
+            ["root", "residue", "position", "drop_key", "duplicate", "arrow",
+             "rank", "type"]
         ))
         k = draw(st.integers(0, len(verts) - 1))
-        if kind == "root":
+        if kind == "rank":
+            doc["rank"] = draw(st.one_of(
+                st.integers(-2, 40), st.just("5"), st.just(True), st.just(5.0)
+            ))
+        elif kind == "type":
+            doc["type"] = draw(st.sampled_from(["A", "D", "E", "B", "a", 5, None]))
+        elif kind == "root":
             verts[k]["root"] = draw(st.lists(st.integers(-1, 2), min_size=4, max_size=6))
         elif kind == "residue":
             verts[k]["residue"] = draw(st.integers(-1, 7))

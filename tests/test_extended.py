@@ -25,3 +25,8 @@ def test_b4_dorey():
 def test_c5_den_dist():
     rep = verify_den_dist("C", 5)
     assert rep.ok and rep.checked == 32 * 15
+
+
+def test_c5_dorey():
+    rep = verify_dorey("C", 5)
+    assert rep.ok and rep.checked == 4480

@@ -52,6 +52,10 @@ def test_unsupported_types():
         root_system("E", 7)
     with pytest.raises(UnsupportedTypeError):
         root_system("B", 3)
+    with pytest.raises(UnsupportedTypeError, match="rank"):
+        root_system("A", 10**9)
+    with pytest.raises(UnsupportedTypeError, match="rank"):
+        root_system("A", "3")
 
 
 def test_star_involution_values():
