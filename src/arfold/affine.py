@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootsys import folding_to
+from .rootsys import Folding, folding_to
 from .words import CommutationClass
 from .arquiver import DynkinQuiver, gamma_q
 from .twistfold import FoldedQuiver, twisted_folded_quivers
@@ -42,10 +42,6 @@ class SpectralParameter:
     @classmethod
     def q_power(cls, a: int) -> SpectralParameter:
         return cls(0, 2 * a)
-
-    @classmethod
-    def qs_power(cls, a: int) -> SpectralParameter:
-        return cls(0, a)
 
     @classmethod
     def minus_q_power(cls, a: int) -> SpectralParameter:
@@ -392,45 +388,50 @@ class Report:
         }
 
 
+def _distance_polynomials(folding: Folding, convention: str) -> dict:
+    """{(k, l): {cls: poly}}, k <= l, classes by canonical word: the distance
+    polynomial under one convention, times the diagonal factor at k = l."""
+    fqs = twisted_folded_quivers(*folding.source)
+    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*folding.target)])
+    _, n = folding.target
+    return {
+        (k, l): {
+            cls: distance_polynomial(cls, fqs[cls], k, l, convention)
+            * (extra if k == l else RootedPolynomial.one())
+            for cls in sorted(fqs, key=lambda c: c.canonical_word)
+        }
+        for k in range(1, n + 1)
+        for l in range(k, n + 1)
+    }
+
+
 def verify_den_dist(target: str, n: int) -> Report:
     """den = dist poly x diagonal factor, class by class, exactly."""
     folding = folding_to(target, n)
-    fqs = twisted_folded_quivers(*folding.source)
-    conv = folding.sign_convention
-    extra = den_dist_extra_factor(target, n)
+    polys = _distance_polynomials(folding, folding.sign_convention)
     rep = Report(f"den-dist {target} n={n}", True, 0)
-    for cls in sorted(fqs, key=lambda c: c.canonical_word):
-        fq = fqs[cls]
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                dhat = distance_polynomial(cls, fq, k, l, conv)
-                if k == l:
-                    dhat = dhat * RootedPolynomial.from_factors([extra])
-                den = denominator(target, n, k, l)
-                rep.checked += 1
-                if dhat != den:
-                    rep.ok = False
-                    rep.mismatches.append(
-                        (cls.canonical_word, (k, l), str(dhat), str(den))
-                    )
+    for cls in polys[1, 1]:
+        for (k, l), by_class in polys.items():
+            den = denominator(target, n, k, l)
+            rep.checked += 1
+            if by_class[cls] != den:
+                rep.ok = False
+                rep.mismatches.append(
+                    (cls.canonical_word, (k, l), str(by_class[cls]), str(den))
+                )
     return rep
 
 
 def verify_class_invariance(target: str, n: int) -> Report:
     """The distance polynomial must not depend on the class."""
     folding = folding_to(target, n)
-    fqs = twisted_folded_quivers(*folding.source)
-    conv = folding.sign_convention
+    polys = _distance_polynomials(folding, folding.sign_convention)
     rep = Report(f"class-invariance {target} n={n}", True, 0)
-    for k in range(1, n + 1):
-        for l in range(k, n + 1):
-            polys = {}
-            for cls in fqs:
-                polys[cls] = distance_polynomial(cls, fqs[cls], k, l, conv)
-            rep.checked += len(polys)
-            if len(set(polys.values())) != 1:
-                rep.ok = False
-                rep.mismatches.append(((k, l), "polynomials differ across classes"))
+    for key, by_class in polys.items():
+        rep.checked += len(by_class)
+        if len(set(by_class.values())) != 1:
+            rep.ok = False
+            rep.mismatches.append((key, "polynomials differ across classes"))
     return rep
 
 
@@ -559,29 +560,21 @@ def verify_f4_conjecture() -> Report:
     listed table (it carries strictly more factors at three entries).
     """
     folding = folding_to("F", 4)
-    _, n = folding.target
-    fqs = twisted_folded_quivers(*folding.source)
     rep = Report("f4 conjecture", True, 0)
-    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*folding.target)])
     entry_match = {"A": {}, "D": {}}
     invariant = True
     computed: dict[tuple[int, int], dict[str, RootedPolynomial]] = {}
     for conv in ("A", "D"):
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                polys = set()
-                for cls in fqs:
-                    polys.add(distance_polynomial(cls, fqs[cls], k, l, conv))
-                rep.checked += len(fqs)
-                if len(polys) != 1:
-                    invariant = False
-                    rep.mismatches.append((conv, (k, l), "not class-invariant"))
-                    continue
-                dhat = polys.pop()
-                if k == l:
-                    dhat = dhat * extra
-                computed.setdefault((k, l), {})[conv] = dhat
-                entry_match[conv][(k, l)] = dhat == f4_denominator(k, l)
+        for key, by_class in _distance_polynomials(folding, conv).items():
+            rep.checked += len(by_class)
+            polys = set(by_class.values())
+            if len(polys) != 1:
+                invariant = False
+                rep.mismatches.append((conv, key, "not class-invariant"))
+                continue
+            dhat = polys.pop()
+            computed.setdefault(key, {})[conv] = dhat
+            entry_match[conv][key] = dhat == f4_denominator(*key)
     full = [c for c in ("A", "D") if all(entry_match[c].values())]
     rep.ok = invariant and len(full) == 1
     counts = {c: sum(entry_match[c].values()) for c in ("A", "D")}

@@ -181,7 +181,7 @@ def cmd_quiver(args) -> int:
     word = _parse_word(args.cls)
     try:
         cls = commutation_class(rs, word)
-    except Exception as exc:
+    except ValueError as exc:
         raise SystemExit(f"not a reduced word of w_0: {exc}")
     quiver, kind = _resolve_quiver(rs, cls)
     if args.format == "json":
@@ -236,10 +236,12 @@ def _need(args, *names):
 
 
 def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
-    """Socle existence/uniqueness and dist bounds over a twisted point."""
+    """Socle existence/uniqueness and dist bounds over a twisted point of A or D."""
     from .seqorder import dist, sequence_from_roots, socle
     from .affine import Report
 
+    if type_tag not in ("A", "D"):
+        raise UnsupportedTypeError(f"socle-dist is proved for A and D only, not {type_tag}")
     point = sorted(
         twisted_adapted_point(type_tag, rank), key=lambda c: c.canonical_word
     )

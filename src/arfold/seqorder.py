@@ -14,12 +14,19 @@ every minimal sequence above a root is a pair, and every summing pair
 lies above the root by convexity (McNamara, Crelle 2015).  The
 definitional search over all sequences of the weight is kept as
 `minimal_sequences`, the oracle for `minimal_pairs_of_root` in the tests.
+
+Distance polynomials read one table per class and folded quiver,
+{(k, l): {t: o_t}} with k <= l, o_t the common `dist` on Phi[t] (the
+comparable pairs at residues {k, l} with gap t).  It is built in one
+pass over the comparable pairs, one `dist` per pair, and keeps only the
+o_t; `phi_pairs`, Phi[t] by definition, is its oracle in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import ceil
 
 from .rootsys import Root, RootSystem
@@ -357,7 +364,7 @@ def _triple_conditions(cls, a, b, supp):
     def minus(u, v):
         return tuple(x - y for x, y in zip(u, v))
 
-    for mu, nu, eta in _permute3(supp):
+    for mu, nu, eta in permutations(supp):
         mv, nv, ev = (rs.positive_roots[r] for r in (mu, nu, eta))
         mn = tuple(x + y for x, y in zip(mv, nv))
         if mn not in rs.root_index:
@@ -412,12 +419,6 @@ def _permute2(supp):
     return [(a, b), (b, a)]
 
 
-def _permute3(supp):
-    from itertools import permutations
-
-    return list(permutations(supp))
-
-
 # ---------------------------------------------------------------------------
 # distance polynomials
 
@@ -446,9 +447,6 @@ class RootedPolynomial:
         for key, mult in other.factors:
             counts[key] = counts.get(key, 0) + mult
         return RootedPolynomial(tuple(sorted(counts.items())))
-
-    def degree(self) -> int:
-        return sum(mult for _, mult in self.factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -491,7 +489,7 @@ def comparable_pairs(cls: CommutationClass) -> list[tuple[int, int]]:
 def phi_pairs(
     cls: CommutationClass, fq: FoldedQuiver, k: int, l: int, t: int
 ) -> list[tuple[int, int]]:
-    """Comparable pairs whose folded coordinates sit at {k, l} with gap t."""
+    """Phi[t] by definition: comparable pairs at residues {k, l}, gap t."""
     coord = fq.coord_of()
     out = []
     for a, b in comparable_pairs(cls):
@@ -501,28 +499,37 @@ def phi_pairs(
     return sorted(out)
 
 
+def _distance_table(cls: CommutationClass, fq: FoldedQuiver) -> dict:
+    """{(k, l): {t: o_t}}, k <= l; memoised per class and folded coordinates."""
+    tables = cls._cache.setdefault("distance_table", {})
+    if fq.coords not in tables:
+        coord = fq.coord_of()
+        table: dict[tuple[int, int], dict[int, int]] = {}
+        for a, b in comparable_pairs(cls):
+            (ia, pa), (ib, pb) = coord[a], coord[b]
+            k, l = sorted((ia, ib))
+            row = table.setdefault((k, l), {})
+            t, d = abs(pa - pb), dist(cls, sequence_from_roots(cls.rs, [a, b]))
+            if row.setdefault(t, d) != d:
+                raise AssertionError(
+                    f"distance is not constant on Phi[{t}] at ({k},{l}): "
+                    f"{sorted({row[t], d})}"
+                )
+        tables[fq.coords] = table
+    return tables[fq.coords]
+
+
+def _distance_row(cls: CommutationClass, fq: FoldedQuiver, k: int, l: int) -> dict:
+    """{t: o_t} at residues {k, l}; a ValueError for a residue outside 1..n."""
+    letter, n = fq.folding().target
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise ValueError(f"residues ({k},{l}) outside 1..{n} of {letter}_{n}")
+    return _distance_table(cls, fq).get((min(k, l), max(k, l)), {})
+
+
 def o_t(cls: CommutationClass, fq: FoldedQuiver, k: int, l: int, t: int) -> int | None:
     """Common distance on Phi[t]; None when the set is empty."""
-    pairs = phi_pairs(cls, fq, k, l, t)
-    if not pairs:
-        return None
-    rs = cls.rs
-    dists = {dist(cls, sequence_from_roots(rs, [a, b])) for a, b in pairs}
-    if len(dists) != 1:
-        raise AssertionError(
-            f"distance is not constant on Phi[{t}] at ({k},{l}): {sorted(dists)}"
-        )
-    return dists.pop()
-
-
-def realized_gaps(cls: CommutationClass, fq: FoldedQuiver, k: int, l: int) -> list[int]:
-    coord = fq.coord_of()
-    gaps = set()
-    for a, b in comparable_pairs(cls):
-        (ia, pa), (ib, pb) = coord[a], coord[b]
-        if {ia, ib} == ({k, l} if k != l else {k}):
-            gaps.add(abs(pa - pb))
-    return sorted(gaps)
+    return _distance_row(cls, fq, k, l).get(t)
 
 
 def distance_polynomial(
@@ -535,17 +542,13 @@ def distance_polynomial(
     """The folded distance polynomial at (k, l) under one sign convention.
 
     Convention "A" uses factors (z - (-1)^(k+l) q_s^t), convention "D"
-    uses (z - (-q_s)^t); exponents are ceil(o_t / 2).
+    uses (z - (-q_s)^t); exponents are ceil(o_t / 2), o_t read from the
+    class's distance table.
     """
     if convention not in ("A", "D"):
         raise ValueError("convention must be 'A' or 'D'")
-    dbar = 2
     factors = []
-    for t in realized_gaps(cls, fq, k, l):
-        o = o_t(cls, fq, k, l, t)
-        e = ceil(o / dbar)
-        if not e:
-            continue
+    for t, o in _distance_row(cls, fq, k, l).items():
         eps = (-1) ** (k + l) if convention == "A" else (-1) ** t
-        factors.extend([(eps, t)] * e)
+        factors.extend([(eps, t)] * ceil(o / 2))
     return RootedPolynomial.from_factors(factors)

@@ -145,7 +145,10 @@ def test_verify_needs_target(capsys):
      "no printed folding onto B_1"),
     (["verify", "dorey", "--target", "B", "--n", "1"],
      "no printed folding onto B_1"),
-], ids=["classes-no-folding", "classes-bad-rank", "socle-dist", "den-dist", "dorey"])
+    (["verify", "socle-dist", "--type", "E", "--rank", "6"],
+     "proved for A and D only, not E"),
+], ids=["classes-no-folding", "classes-bad-rank", "socle-dist", "den-dist", "dorey",
+        "socle-dist-e"])
 def test_bad_type_or_target_is_a_one_line_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -176,6 +179,15 @@ def test_quiver_twisted_construction_errors_propagate(monkeypatch):
 
     monkeypatch.setattr(cli, "twisted_folded_quivers", broken)
     with pytest.raises(AssertionError, match="construction is broken"):
+        main(["quiver", "--type", "A", "--rank", "4", "--class", A4_LAYERED_WORD])
+
+
+def test_quiver_class_errors_propagate(monkeypatch):
+    def broken(rs, word):
+        raise AssertionError("canonicalisation is broken")
+
+    monkeypatch.setattr(cli, "commutation_class", broken)
+    with pytest.raises(AssertionError, match="canonicalisation is broken"):
         main(["quiver", "--type", "A", "--rank", "4", "--class", A4_LAYERED_WORD])
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from arfold.rootsys import root_system
 from arfold.words import commutation_class, root_sequence, twisted_adapted_point
 from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import (
-    RootedPolynomial,
+    _distance_table,
     _less_same_weight,
     bilex_less_word,
     class_less,
@@ -22,7 +23,6 @@ from arfold.seqorder import (
     o_t,
     pair_below,
     phi_pairs,
-    realized_gaps,
     sequence_from_roots,
     sequences_of_weight,
     socle,
@@ -369,21 +369,56 @@ def test_phi_pairs_empty_beyond_diameter():
 
 def test_o_t_constancy_everywhere():
     for tt, rk in [("A", 5), ("D", 4), ("D", 5)]:
-        fqs = twisted_folded_quivers(tt, rk)
-        n = {"A": (rk + 1) // 2, "D": rk - 1}[tt]
-        for cls, fq in fqs.items():
-            for k in range(1, n + 1):
-                for l in range(k, n + 1):
-                    for t in realized_gaps(cls, fq, k, l):
-                        o_t(cls, fq, k, l, t)  # raises if inconstant
+        for cls, fq in twisted_folded_quivers(tt, rk).items():
+            _distance_table(cls, fq)  # raises if inconstant on some Phi[t]
 
 
-def test_distance_polynomial_empty():
-    fqs = twisted_folded_quivers("A", 3)
+def _table_oracle(cls, fq):
+    """{(k, l): {t: o_t}} from the definitional phi_pairs, k <= l in 1..n."""
+    _, n = fq.folding().target
+    gaps = {abs(p - q) for _, _, p in fq.coords for _, _, q in fq.coords}
+    out = {}
+    for k in range(1, n + 1):
+        for l in range(k, n + 1):
+            for t in sorted(gaps):
+                pairs = phi_pairs(cls, fq, k, l, t)
+                if pairs:
+                    dists = {dist(cls, sequence_from_roots(cls.rs, p)) for p in pairs}
+                    assert len(dists) == 1
+                    out.setdefault((k, l), {})[t] = dists.pop()
+    return out
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 5), ("A", 7), ("D", 4), ("D", 5)])
+def test_distance_table_equals_phi_pairs_oracle(tt, rk):
+    for cls, fq in twisted_folded_quivers(tt, rk).items():
+        assert _distance_table(cls, fq) == _table_oracle(cls, fq)
+
+
+def test_distance_table_equals_phi_pairs_oracle_first_e6_class():
+    fqs = twisted_folded_quivers("E", 6)
+    cls = min(fqs, key=lambda c: c.canonical_word)
+    assert _distance_table(cls, fqs[cls]) == _table_oracle(cls, fqs[cls])
+
+
+def test_distance_table_is_keyed_by_folded_coordinates():
+    fqs = twisted_folded_quivers("A", 5)
+    cls = min(fqs, key=lambda c: c.canonical_word)
+    coords = tuple((r, i, 2 * p) for r, i, p in fqs[cls].coords)
+    stretched = replace(fqs[cls], coords=coords)
+    _distance_table(cls, fqs[cls])
+    assert _distance_table(cls, stretched) == _table_oracle(cls, stretched)
+    assert _distance_table(cls, stretched) != _distance_table(cls, fqs[cls])
+
+
+def test_distance_polynomial_refuses_residue_outside_diagram():
+    fqs = twisted_folded_quivers("A", 3)  # folds onto B_2: residues 1, 2
     cls, fq = sorted(fqs.items(), key=lambda kv: kv[0].canonical_word)[0]
-    # same-residue gaps beyond any realized gap: empty product
-    poly = RootedPolynomial.one()
-    assert poly.degree() == 0 and str(poly) == "1"
+    for k, l in [(0, 1), (1, 3), (3, 3), (-1, 2)]:
+        with pytest.raises(ValueError, match="outside 1..2 of B_2"):
+            distance_polynomial(cls, fq, k, l, "A")
+        with pytest.raises(ValueError, match="outside 1..2 of B_2"):
+            o_t(cls, fq, k, l, 1)
 
 
 def test_distance_polynomial_class_invariant_a5():
