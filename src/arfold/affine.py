@@ -276,16 +276,8 @@ def dorey_triples(target: str, n: int, convention: str = "validated") -> list[Do
                         y = sp.minus_qs_power(-i)
                         x = sp.minus_qs_power(2 * n + 2 - j)
                         out.append(DoreyEntry(i, j, k, y, x, "C l=j"))
-        return _dedupe_entries(out)
+        return out
     raise ValueError(f"unknown target {target!r}")
-
-
-def _dedupe_entries(entries: list[DoreyEntry]) -> list[DoreyEntry]:
-    seen = {}
-    for e in entries:
-        key = (e.i, e.j, e.k, e.y_over_z, e.x_over_z)
-        seen.setdefault(key, e)
-    return list(seen.values())
 
 
 def minimal_pair_coordinates(

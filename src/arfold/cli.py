@@ -80,12 +80,17 @@ def quiver_to_json(quiver: ARQuiver) -> dict:
 
 def quiver_from_json(doc: dict) -> ARQuiver:
     """Inverse of quiver_to_json; a ValueError names the bad field, vertex or arrow."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"the document must be a dict, not {type(doc).__name__}")
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
     missing = [k for k in ("type", "rank", "vertices", "arrows") if k not in doc]
     if missing:
         raise ValueError(f"document lacks {missing}")
     check_type_rank(doc["type"], doc["rank"])
+    for key in ("vertices", "arrows"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a list, not {type(doc[key]).__name__}")
     rs = root_system(doc["type"], doc["rank"])
     coords = []
     verts = []

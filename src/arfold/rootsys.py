@@ -224,9 +224,6 @@ class RootSystem:
             )
         return tuple(roots)
 
-    def height(self, v: Root) -> int:
-        return sum(v)
-
     # -- longest element -------------------------------------------------
 
     def longest_word(self) -> tuple[int, ...]:

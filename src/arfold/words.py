@@ -6,6 +6,11 @@ member word induces the same bijection (letter occurrence -> positive
 root), and the member words are exactly the linear extensions of the
 partial order generated by non-commuting occurrences.  That partial
 order is the convex order of the class.
+
+A reflection functor moves one letter between the two ends of a word.
+Occurrences of one letter never commute, so the first s_i of every
+member word is the same heap element, and it can start a member word
+iff the letters before it in the canonical word all commute with i.
 """
 
 from __future__ import annotations
@@ -49,22 +54,22 @@ def root_sequence(rs: RootSystem, word: Word) -> list[Root]:
     return out
 
 
-def _heap_order(rs: RootSystem, word: Word, roots: list[Root]) -> dict[int, int]:
-    """Strict precedence bitmasks over root indices.
+def _heap(rs: RootSystem, word: Word) -> tuple[dict[int, int], dict[int, int]]:
+    """The heap of a reduced word as (below, letter), keyed by root index.
 
     below[r] has bit r' set iff root r' comes strictly before r in every
-    member word of the class of ``word``.
+    member word of the class of ``word``; letter[r] is the letter whose
+    occurrence gives root r.  Every member word gives the same heap.
     """
-    n = len(word)
-    idx = [rs.root_index[b] for b in roots]
-    below = {r: 0 for r in idx}
-    for l in range(n):
+    idx = [rs.root_index[b] for b in root_sequence(rs, word)]
+    below: dict[int, int] = {}
+    for l, r in enumerate(idx):
         acc = 0
-        for k in range(l - 1, -1, -1):
+        for k in range(l):
             if rs.cartan[word[k]][word[l]] != 0:
                 acc |= (1 << idx[k]) | below[idx[k]]
-        below[idx[l]] = acc
-    return below
+        below[r] = acc
+    return below, dict(zip(idx, word))
 
 
 @dataclass(frozen=True)
@@ -83,14 +88,8 @@ class CommutationClass:
 
     def _data(self):
         cache = self._cache
-        if "roots" not in cache:
-            roots = root_sequence(self.rs, self.canonical_word)
-            idx = [self.rs.root_index[b] for b in roots]
-            cache["roots"] = idx
-            cache["letter"] = {
-                r: i for r, i in zip(idx, self.canonical_word)
-            }
-            cache["below"] = _heap_order(self.rs, self.canonical_word, roots)
+        if "below" not in cache:
+            cache["below"], cache["letter"] = _heap(self.rs, self.canonical_word)
         return cache
 
     @property
@@ -118,27 +117,11 @@ class CommutationClass:
         below = self.below()
         return [r for r in below if self.precedes(a, r) and self.precedes(r, b)]
 
-    def minimal_letters(self) -> set[int]:
-        """Letters i such that some member word starts with s_i."""
-        below = self.below()
-        return {self.letter_of(r) for r, mask in below.items() if mask == 0}
-
-    def maximal_letters(self) -> set[int]:
-        """Letters i such that some member word ends with s_i."""
-        below = self.below()
-        tops = set(below)
-        for mask in below.values():
-            for r in list(tops):
-                if mask >> r & 1:
-                    tops.discard(r)
-        return {self.letter_of(r) for r in tops}
-
     def members(self, cap: int = DEFAULT_CAP) -> list[Word]:
         """All member words (linear extensions of the heap), capped."""
         data = self._data()
         below = data["below"]
         letter = data["letter"]
-        n = self.length
         out: list[Word] = []
         prefix: list[int] = []
 
@@ -161,19 +144,13 @@ class CommutationClass:
                 rec(remaining ^ low, done | low)
                 prefix.pop()
 
-        all_mask = 0
-        for v in below:
-            all_mask |= 1 << v
-        rec(all_mask, 0)
+        rec((1 << self.length) - 1, 0)
         return out
 
     def member_count(self, cap: int = DEFAULT_CAP) -> int:
         """Number of member words, via dynamic programming on downsets."""
         below = self.below()
-        verts = sorted(below)
-        all_mask = 0
-        for v in verts:
-            all_mask |= 1 << v
+        all_mask = (1 << self.length) - 1
         counts = {0: 1}
         frontier = [0]
         total_states = 0
@@ -206,9 +183,7 @@ class CommutationClass:
 
 def _canonical_word(rs: RootSystem, word: Word) -> Word:
     """Lexicographically least member: greedy over available occurrences."""
-    roots = root_sequence(rs, word)
-    below = _heap_order(rs, word, roots)
-    letter = {rs.root_index[b]: i for b, i in zip(roots, word)}
+    below, letter = _heap(rs, word)
     remaining = set(below)
     done = 0
     out: list[int] = []
@@ -236,68 +211,27 @@ def commutation_class(rs: RootSystem, word: Word) -> CommutationClass:
 def reflect(cls: CommutationClass, i: int, side: str = "right") -> CommutationClass:
     """Reflection-functor action; returns the input class at a fixed point.
 
-    Right action needs a member starting with s_i, which it rotates to
-    the end as s_{i*}; the left action mirrors this at the other end.
+    The right (left) action moves the first (last) s_i of the canonical
+    word to the end (front) as s_{i*}.  It moves iff the letters passed
+    all commute with i, i.e. iff some member word starts (ends) with s_i.
     """
     rs = cls.rs
-    star = rs.star()
-    data = cls._data()
-    below = data["below"]
-    letter = data["letter"]
+    if i not in rs.nodes:
+        raise ValueError(f"letter {i!r} outside the index set of {rs}")
+    word = cls.canonical_word
     if side == "right":
-        if i not in cls.minimal_letters():
-            return cls
-        first = rs.simple_root_index[i]
-        rest = _greedy_extension(below, letter, skip=first)
-        new_word = tuple(rest) + (star[i],)
-        return commutation_class(rs, new_word)
-    if side == "left":
-        if i not in cls.maximal_letters():
-            return cls
-        word = _greedy_extension_ending_with(below, letter, i)
-        new_word = (star[i],) + tuple(word[:-1])
-        return commutation_class(rs, new_word)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def _greedy_extension(below: dict[int, int], letter: dict[int, int], skip: int) -> list[int]:
-    """A linear extension of the heap minus one minimal element, as letters."""
-    remaining = set(below)
-    remaining.discard(skip)
-    done = 1 << skip
-    out: list[int] = []
-    while remaining:
-        r = next(v for v in sorted(remaining) if not (below[v] & ~done))
-        out.append(letter[r])
-        remaining.discard(r)
-        done |= 1 << r
-    return out
-
-
-def _greedy_extension_ending_with(
-    below: dict[int, int], letter: dict[int, int], i: int
-) -> list[int]:
-    """A member word whose last letter is i (must exist)."""
-    above = {r: 0 for r in below}
-    for r, mask in below.items():
-        m = mask
-        while m:
-            low = m & -m
-            above[low.bit_length() - 1] |= 1 << r
-            m ^= low
-    tops = [r for r, mask in above.items() if mask == 0 and letter[r] == i]
-    last = tops[0]
-    remaining = set(below)
-    remaining.discard(last)
-    done = 1 << last
-    out: list[int] = []
-    while remaining:
-        r = next(v for v in sorted(remaining) if not (above[v] & ~done))
-        out.append(letter[r])
-        remaining.discard(r)
-        done |= 1 << r
-    out.reverse()
-    return out + [i]
+        k = word.index(i)
+        passed = word[:k]
+    elif side == "left":
+        k = len(word) - 1 - word[::-1].index(i)
+        passed = word[k + 1:]
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if any(rs.cartan[j][i] for j in passed):
+        return cls
+    rest = word[:k] + word[k + 1:]
+    star = (rs.star()[i],)
+    return commutation_class(rs, rest + star if side == "right" else star + rest)
 
 
 def cluster_point(cls: CommutationClass) -> frozenset[CommutationClass]:

@@ -161,6 +161,13 @@ def test_dorey_b_printed_branch_ii():
     )
 
 
+def test_dorey_c_entries_are_distinct():
+    # each (i, j, k) fixes l = (i + j + k) / 2, so the C loops meet it once
+    for n in range(3, 9):
+        keys = [(e.i, e.j, e.k) for e in dorey_triples("C", n)]
+        assert len(keys) == len(set(keys)) == 3 * n * (n - 1) // 2
+
+
 def test_dorey_sum_constraint():
     for e in dorey_triples("B", 3):
         if e.branch.startswith("B(i)"):

@@ -1,4 +1,5 @@
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,26 +199,30 @@ def _a5_doc():
 
 @pytest.mark.parametrize("mutate, names", [
     (lambda d: d["vertices"][3].update(root=[9, 9, 0, 0, 0]), "vertex 3"),
-    (lambda d: d["vertices"][2].pop("residue"), "vertex 2"),
+    (lambda d: operator.delitem(d["vertices"][2], "residue"), "vertex 2"),
     (lambda d: d["vertices"][4].update(residue=6), "vertex 4"),
     (lambda d: d["vertices"].append(dict(d["vertices"][0])), "vertex 15"),
     (lambda d: d["arrows"].append([0, 15]), "arrow"),
     (lambda d: d["arrows"].append([-1, 0]), "arrow"),
     (lambda d: d["arrows"].append([0, 1, 2]), "arrow"),
-    (lambda d: d.pop("vertices"), "vertices"),
+    (lambda d: operator.delitem(d, "vertices"), "vertices"),
     (lambda d: d.update(rank="5"), "rank"),
     (lambda d: d.update(rank=True), "rank"),
     (lambda d: d.update(rank=10**9), "rank"),
     (lambda d: d.update(rank=0), "rank"),
     (lambda d: d.update(type="B"), "type"),
     (lambda d: d.update(type=["A"]), "type"),
+    (lambda d: [d], "document must be a dict"),
+    (lambda d: d.update(vertices=5), "vertices must be a list"),
+    (lambda d: d.update(arrows=5), "arrows must be a list"),
 ], ids=["unknown-root", "missing-residue", "residue-out-of-range", "repeated-root",
         "arrow-out-of-range", "negative-arrow", "arrow-triple", "no-vertices",
         "string-rank", "bool-rank", "huge-rank", "zero-rank", "unknown-type",
-        "unhashable-type"])
+        "unhashable-type", "not-a-dict", "vertices-not-a-list", "arrows-not-a-list"])
 def test_quiver_from_json_names_the_bad_entry(mutate, names):
+    # a mutation edits the document in place or returns a replacement
     doc = _a5_doc()
-    mutate(doc)
+    doc = mutate(doc) or doc
     with pytest.raises(ValueError, match=names):
         quiver_from_json(doc)
 

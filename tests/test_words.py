@@ -3,6 +3,7 @@ import pytest
 from arfold.rootsys import root_system, trivial_automorphism
 from arfold.words import (
     CapExceededError,
+    _heap,
     NotReducedError,
     adapted_point,
     cluster_point,
@@ -140,6 +141,50 @@ def test_reflect_acts_within_point_and_inverts():
             assert len(set(images.values())) == len(movers)
             for c, d in images.items():
                 assert reflect(d, star[i], "left") == c
+
+
+def test_reflect_refuses_letter_outside_nodes():
+    cls = commutation_class(root_system("A", 3), (1, 2, 3, 1, 2, 1))
+    for side in ("right", "left"):
+        for i in (0, 4, 7):
+            with pytest.raises(ValueError, match=f"letter {i} "):
+                reflect(cls, i, side)
+
+
+def _reflect_oracle(cls, i, side):
+    """The reflection functor by definition, over every member word."""
+    star = cls.rs.star()[i]
+    if side == "right":
+        moved = {w[1:] + (star,) for w in cls.members() if w[0] == i}
+    else:
+        moved = {(star,) + w[:-1] for w in cls.members() if w[-1] == i}
+    return {commutation_class(cls.rs, w) for w in moved} or {cls}
+
+
+@pytest.mark.parametrize("tt, rk, point", [
+    ("A", 3, adapted_point), ("A", 3, twisted_adapted_point),
+    ("A", 4, adapted_point),  # A_4 has no folding, so no twisted point
+    ("D", 4, adapted_point), ("D", 4, twisted_adapted_point),
+])
+def test_reflect_equals_definitional_action(tt, rk, point):
+    rs = root_system(tt, rk)
+    for cls in point(tt, rk):
+        for i in rs.nodes:
+            for side in ("right", "left"):
+                assert {reflect(cls, i, side)} == _reflect_oracle(cls, i, side)
+
+
+def test_heap_is_the_same_for_every_member_word():
+    for tt, rk, word in [("A", 4, A4_EXAMPLE_WORD),
+                         ("D", 4, root_system("D", 4).longest_word())]:
+        rs = root_system(tt, rk)
+        cls = commutation_class(rs, word)
+        below = cls.below()
+        letter = {r: cls.letter_of(r) for r in below}
+        members = cls.members()
+        assert len(members) > 1
+        for w in members:
+            assert _heap(rs, w) == (below, letter)
 
 
 def test_cluster_point_counts():
