@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -44,14 +45,7 @@ def _resolve_quiver(rs, cls):
     except FoldingError:
         folded = {}
     if cls in folded:
-        fq = folded[cls]
-        # unfolded residue = the letter of the occurrence; type A folded
-        # positions are already the doubled half-integers
-        scale = 1 if rs.type_tag == "A" else 2
-        coords = tuple(
-            (r, cls.letter_of(r), scale * p) for r, _, p in fq.coords
-        )
-        return hasse_quiver(cls, ARQuiver(rs, coords, fq.arrows)), "twisted"
+        return hasse_quiver(cls, folded[cls].unfolded()), "twisted"
     return hasse_quiver(cls), "layered"
 
 
@@ -313,9 +307,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (FoldingError, UnsupportedTypeError) as exc:
         parser.exit(2, f"arfold: error: {exc}\n")
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`): send what is still
+        # buffered to devnull, or the flush at exit raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

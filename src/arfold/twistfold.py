@@ -1,13 +1,19 @@
 """Twisted adapted classes and their (folded) AR quivers.
 
-Three constructions produce quivers with coordinates:
+One path builds the folded quiver of every class of a twisted adapted
+point: a seed quiver for the class of the folding's twisted longest
+word, read off its ``Folding`` record, spread to the other classes by
+folded reflections.
+
+The printed constructions stay as references for it:
 
 * the insertion construction A_{2n-2} -> A_{2n-1}, which adds a new row
   of residue-n vertices at half-integer positions,
 * the doubling construction A_n -> D_{n+1}, which glues an upside-down
   copy of Gamma_Q to its left and alternates the fork residues,
-* the E_6 tables shipped as fixtures, moved around by the folded
-  reflection algorithm.
+* the E_6 tables shipped as fixtures;
+
+``fold`` collapses their residues to orbits.
 
 Folded coordinates are plain integers: for a type-A source they are the
 doubled half-integer positions, otherwise positions are kept as they
@@ -28,15 +34,21 @@ from .rootsys import (
     folding_from,
     root_system,
 )
-from .words import CommutationClass, Word, commutation_class, reflect
+from .words import CommutationClass, Word, commutation_class, reflect, root_sequence
 from .arquiver import (
     ARQuiver,
     DynkinQuiver,
-    all_quivers,
+    adapted_word,
     arrows_by_step,
     gamma_q,
     read_root_labels,
 )
+
+
+def _unfolded_scale(type_tag: str) -> int:
+    """Doubled unfolded positions per folded position: type A folded
+    positions already are the doubled half-integers."""
+    return 1 if type_tag == "A" else 2
 
 
 @dataclass(frozen=True)
@@ -63,6 +75,14 @@ class FoldedQuiver:
     def root_labels(self) -> dict[tuple[int, int], Root]:
         rs = self.rs
         return {(i, p): rs.positive_roots[r] for r, i, p in self.coords}
+
+    def unfolded(self) -> ARQuiver:
+        """The same quiver with the residues of the source class and
+        doubled unfolded positions."""
+        scale = _unfolded_scale(self.rs.type_tag)
+        letter_of = self.source_class.letter_of
+        coords = tuple((r, letter_of(r), scale * p) for r, _, p in self.coords)
+        return ARQuiver(self.rs, coords, self.arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -93,43 +113,18 @@ def _insertion_word(word: Word, n: int, side: str) -> Word:
     return tuple(out)
 
 
-def twist_from_a(
-    source_word_or_quiver, side: str, rs_source: RootSystem | None = None
-) -> CommutationClass:
-    """The twisted adapted class of A_{2n-1} built from adapted A_{2n-2} data."""
-    cls, _ = twist_quiver_from_a(source_word_or_quiver, side, rs_source)
-    return cls
-
-
-def twist_quiver_from_a(
-    source, side: str, rs_source: RootSystem | None = None
-) -> tuple[CommutationClass, ARQuiver]:
-    """Class and coordinate quiver of the insertion construction.
-
-    ``source`` is either a Dynkin quiver of type A_{2n-2} or a word
-    adapted to one (then ``rs_source`` names its root system).
-    """
-    from .arquiver import adapted_quiver_of, adapted_word
-
+def twist_quiver_from_a(q: DynkinQuiver, side: str) -> tuple[CommutationClass, ARQuiver]:
+    """Class and coordinate quiver of the insertion construction on a
+    Dynkin quiver of type A_{2n-2}."""
     if side not in (">", "<"):
         raise ValueError(f"side must be '>' or '<', got {side!r}")
-    if isinstance(source, DynkinQuiver):
-        q = source
-        word = adapted_word(q)
-    else:
-        word = tuple(source)
-        if rs_source is None:
-            raise ValueError("rs_source is required when passing a word")
-        q = adapted_quiver_of(rs_source, word)
-        if q is None:
-            raise FoldingError("word is not adapted to any Dynkin quiver")
     rs = q.rs
     if rs.type_tag != "A" or rs.rank % 2 or rs.rank < 2:
         raise FoldingError("insertion construction needs type A of even rank")
     n = rs.rank // 2 + 1
     target = root_system("A", rs.rank + 1)
 
-    new_word = _insertion_word(word, n, side)
+    new_word = _insertion_word(adapted_word(q), n, side)
     cls = commutation_class(target, new_word)
 
     g = gamma_q(q)
@@ -187,16 +182,12 @@ def fold(quiver: ARQuiver, cls: CommutationClass) -> FoldedQuiver:
     """Collapse residues to orbits; type A doubles positions to integers."""
     rs = quiver.rs
     aut = rs.diagram_automorphism()
-    is_a = rs.type_tag == "A"
+    scale = _unfolded_scale(rs.type_tag)
     coords = []
     for r, i, p2 in quiver.coords:
-        if is_a:
-            pos = p2  # doubled half-integers become the folded integers
-        else:
-            if p2 % 2:
-                raise FoldingError("expected integer positions")
-            pos = p2 // 2
-        coords.append((r, aut.orbit_label[i], pos))
+        if p2 % scale:
+            raise FoldingError("expected integer positions")
+        coords.append((r, aut.orbit_label[i], p2 // scale))
     fq = FoldedQuiver(rs, tuple(sorted(coords)), quiver.arrows, cls)
     fq.by_coord()  # injectivity check
     return fq
@@ -218,19 +209,19 @@ def _load_table(name: str) -> list[tuple[int, int, Root]]:
     return out
 
 
-def _folded_from_table(
-    rows: list[tuple[int, int, Root]], cls: CommutationClass
+def _folded(
+    folding: Folding, coords: dict[int, tuple[int, int]], cls: CommutationClass
 ) -> FoldedQuiver:
-    rs = root_system("E", 6)
-    d = folding_from("E", 6).symmetrizer
-    coords = {}
-    for res, pos, root in rows:
-        coords[rs.root_index[root]] = (res, pos)
-    # the folded diagram F_4 is the path 1-2-3-4
+    """The folded quiver on {root index: (orbit residue, position)}.
+
+    Arrows run along the folded diagram, the path 1..n, and step
+    min(d_i, d_j) ahead, d the folding's symmetrizer.
+    """
+    d = folding.symmetrizer
     adjacent = {i: [j for j in (i - 1, i + 1) if j in d] for i in d}
     arrows = arrows_by_step(coords, adjacent, lambda i, j: min(d[i], d[j]))
     return FoldedQuiver(
-        rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows, cls
+        cls.rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows, cls
     )
 
 
@@ -238,8 +229,11 @@ def _folded_from_table(
 def e6_folded_quiver() -> FoldedQuiver:
     """The printed 36-vertex folded quiver of E_6."""
     rs = root_system("E", 6)
-    cls = commutation_class(rs, folding_from("E", 6).twisted_longest_word())
-    return _folded_from_table(_load_table("e6_folded.txt"), cls)
+    folding = folding_from("E", 6)
+    cls = commutation_class(rs, folding.twisted_longest_word())
+    rows = _load_table("e6_folded.txt")
+    coords = {rs.root_index[root]: (res, pos) for res, pos, root in rows}
+    return _folded(folding, coords, cls)
 
 
 def e6_unfolded_step(i: int, j: int) -> int:
@@ -266,75 +260,83 @@ def e6_folded_r1_table() -> list[tuple[int, int, Root]]:
 def folded_sinks(fq: FoldedQuiver) -> list[int]:
     """Nodes i of the source diagram whose alpha_i vertex has no out-arrow."""
     rs = fq.rs
-    out_deg = {r: 0 for r, _, _ in fq.coords}
-    for a, _ in fq.arrows:
-        out_deg[a] += 1
-    sinks = []
-    for i in rs.nodes:
-        r = rs.simple_root_index[i]
-        if r in out_deg and out_deg[r] == 0:
-            sinks.append(i)
-    return sinks
+    tails = {a for a, _ in fq.arrows}
+    return [i for i in rs.nodes if rs.simple_root_index[i] not in tails]
 
 
 def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     """One reflection step on a folded quiver, at the sink alpha_i.
 
-    Removes the alpha_i vertex with its entering arrows, re-adds it a
-    full (symmetrizer x dual Coxeter number) window to the left with
-    arrows to the adjacent rows, and reflects every other label by s_i.
+    Moves the alpha_i vertex 2 h_dual to the left, reflects every other
+    label by s_i and places the arrows of the new coordinates.
     """
     rs = fq.rs
-    folding = fq.folding()
-    _, n = folding.target
-    d = folding.symmetrizer
-    shift = 2 * folding.h_dual
+    if i not in rs.nodes:
+        raise ValueError(f"letter {i!r} outside the index set of {rs}")
     r_i = rs.simple_root_index[i]
-    coord = fq.coord_of()
-    if r_i not in coord:
+    if r_i not in fq.coord_of():
         raise FoldingError(f"alpha_{i} is not a vertex of this quiver")
     if any(a == r_i for a, _ in fq.arrows):
         raise FoldingError(f"alpha_{i} is not a sink of the folded quiver")
-    res_i, pos_i = coord[r_i]
-    new_pos = pos_i - shift
-
-    def relabel(r: int) -> int:
-        if r == r_i:
-            return r_i
-        return rs.root_index[rs.reflect(rs.positive_roots[r], i)]
-
-    coords = []
+    folding = fq.folding()
+    coords = {}
     for r, res, pos in fq.coords:
         if r == r_i:
-            coords.append((r_i, res_i, new_pos))
+            coords[r_i] = (res, pos - 2 * folding.h_dual)
         else:
-            coords.append((relabel(r), res, pos))
-    arrows = {
-        (relabel(a), relabel(b)) for a, b in fq.arrows if b != r_i
-    }
-    by_coord = {(res, pos): r for r, res, pos in coords}
-    for j in (res_i - 1, res_i + 1):
-        if not 1 <= j <= n:
-            continue
-        s = by_coord.get((j, new_pos + min(d[res_i], d[j])))
-        if s is not None:
-            arrows.add((r_i, s))
+            coords[rs.root_index[rs.reflect(rs.positive_roots[r], i)]] = (res, pos)
     new_cls = reflect(fq.source_class, i, "right")
     if new_cls == fq.source_class:
         raise FoldingError(f"class has no member starting with s_{i}")
-    out = FoldedQuiver(rs, tuple(sorted(coords)), frozenset(arrows), new_cls)
-    out.by_coord()
-    return out
+    return _folded(folding, coords, new_cls)
+
+
+def _seed(folding: Folding) -> FoldedQuiver:
+    """The folded quiver of the class of ``folding.twisted_longest_word()``.
+
+    xi is a height function on the folded path 1..n, xi(1) = 0: from one
+    label to the adjacent label whose slot in the twisted Coxeter word
+    comes later it drops by min(d_i, d_j), d the symmetrizer.  Letter
+    m * width + s of the word sits at residue label(s) and position
+    xi(label(s)) - 2m.
+    """
+    rs = root_system(*folding.source)
+    label = rs.diagram_automorphism().orbit_label
+    d = folding.symmetrizer
+    slot = {label[i]: s for s, i in enumerate(folding.twisted_coxeter_word)}
+    xi = {1: 0}
+    for j in range(1, len(slot)):
+        step = min(d[j], d[j + 1])
+        xi[j + 1] = xi[j] - step if slot[j + 1] > slot[j] else xi[j] + step
+    word = folding.twisted_longest_word()
+    width = len(slot)
+    coords = {}
+    for k, beta in enumerate(root_sequence(rs, word)):
+        res = label[word[k]]
+        coords[rs.root_index[beta]] = (res, xi[res] - 2 * (k // width))
+    return _folded(folding, coords, commutation_class(rs, word))
+
+
+def _assert_shift_equal(a: FoldedQuiver, b: FoldedQuiver) -> None:
+    ca, cb = a.coord_of(), b.coord_of()
+    if set(ca) != set(cb):
+        raise AssertionError("same class, different folded vertex sets")
+    offsets = {cb[r][1] - ca[r][1] for r in ca}
+    residues_differ = any(cb[r][0] != ca[r][0] for r in ca)
+    if residues_differ or len(offsets) != 1:
+        raise AssertionError("same class, incompatible folded quivers")
+    if a.arrows != b.arrows:
+        raise AssertionError("same class, different folded arrows")
 
 
 @lru_cache(maxsize=None)
-def e6_folded_quivers_by_class() -> dict[CommutationClass, FoldedQuiver]:
-    """A folded quiver for each of the 32 twisted adapted classes of E_6.
+def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, FoldedQuiver]:
+    """Folded quivers for every class of the twisted adapted point.
 
-    Produced by BFS with folded reflections from the fixture quiver; a
-    class reached twice must agree up to a global position shift.
+    BFS with folded reflections from the seed quiver; a class reached
+    twice must agree up to a global position shift.
     """
-    start = e6_folded_quiver()
+    start = _seed(folding_from(type_tag, rank))
     found: dict[CommutationClass, FoldedQuiver] = {start.source_class: start}
     frontier = [start]
     while frontier:
@@ -350,39 +352,3 @@ def e6_folded_quivers_by_class() -> dict[CommutationClass, FoldedQuiver]:
                     _assert_shift_equal(prev, nxt)
         frontier = new
     return found
-
-
-def _assert_shift_equal(a: FoldedQuiver, b: FoldedQuiver) -> None:
-    ca, cb = a.coord_of(), b.coord_of()
-    if set(ca) != set(cb):
-        raise AssertionError("same class, different folded vertex sets")
-    offsets = {cb[r][1] - ca[r][1] for r in ca}
-    residues_differ = any(cb[r][0] != ca[r][0] for r in ca)
-    if residues_differ or len(offsets) != 1:
-        raise AssertionError("same class, incompatible folded quivers")
-    if a.arrows != b.arrows:
-        raise AssertionError("same class, different folded arrows")
-
-
-# ---------------------------------------------------------------------------
-# enumerating all twisted classes with quivers, per source type
-
-
-@lru_cache(maxsize=None)
-def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, FoldedQuiver]:
-    """Folded quivers for every class of the twisted adapted point."""
-    folding_from(type_tag, rank)  # FoldingError when there is no folding
-    if type_tag == "E":
-        return e6_folded_quivers_by_class()
-    sources = all_quivers(root_system("A", rank - 1))
-    if type_tag == "A":
-        built = (twist_quiver_from_a(q, side) for q in sources for side in (">", "<"))
-    else:
-        n = rank - 1
-        built = (twist_from_d(q, choice) for q in sources for choice in (n, n + 1))
-    out: dict[CommutationClass, FoldedQuiver] = {}
-    for cls, quiver in built:
-        if cls in out:
-            raise AssertionError("twisted construction repeated a class")
-        out[cls] = fold(quiver, cls)
-    return out

@@ -25,8 +25,8 @@ from arfold.twistfold import (
     e6_folded_quiver,
     e6_folded_r1_table,
     folded_reflection,
-    twist_from_a,
     twist_from_d,
+    twist_quiver_from_a,
     twisted_folded_quivers,
 )
 from arfold.seqorder import (
@@ -105,8 +105,8 @@ def test_criterion_2_gamma_q_fixture():
 
 
 def test_criterion_3_twisted_constructions():
-    cls_gt = twist_from_a(EXAMPLE_Q, ">")
-    cls_lt = twist_from_a(EXAMPLE_Q, "<")
+    cls_gt, _ = twist_quiver_from_a(EXAMPLE_Q, ">")
+    cls_lt, _ = twist_quiver_from_a(EXAMPLE_Q, "<")
     # the printed > word lacks one s_2 (14 letters); its unique completion:
     ok = cls_gt.contains((5, 3, 1, 4, 3, 2, 5, 3, 1, 4, 3, 2, 5, 3, 4))
     ok &= cls_lt.contains((5, 4, 1, 3, 2, 3, 5, 4, 1, 3, 2, 3, 5, 4, 3))

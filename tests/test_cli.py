@@ -1,5 +1,9 @@
 import json
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +176,21 @@ def test_quiver_non_adapted_a4_is_layered(capsys):
                     "--class", A4_LAYERED_WORD, "--format", "json")
     assert code == 0
     assert json.loads(out)["layout"] == "layered"
+
+
+def test_closed_stdout_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "arfold.cli", "verify", "counts"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1
 
 
 def test_quiver_twisted_construction_errors_propagate(monkeypatch):

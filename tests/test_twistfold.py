@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from arfold.rootsys import folding_from, root_system
@@ -10,15 +12,14 @@ from arfold.arquiver import (
 )
 from arfold.twistfold import (
     FoldingError,
+    _assert_shift_equal,
     e6_folded_quiver,
-    e6_folded_quivers_by_class,
     e6_folded_r1_table,
     e6_unfolded_quiver,
     e6_unfolded_step,
     fold,
     folded_reflection,
     folded_sinks,
-    twist_from_a,
     twist_from_d,
     twist_quiver_from_a,
     twisted_folded_quivers,
@@ -42,8 +43,8 @@ def rows_of(quiver):
 
 
 def test_insertion_words_printed():
-    cls_gt = twist_from_a(EXAMPLE_Q, ">")
-    cls_lt = twist_from_a(EXAMPLE_Q, "<")
+    cls_gt, _ = twist_quiver_from_a(EXAMPLE_Q, ">")
+    cls_lt, _ = twist_quiver_from_a(EXAMPLE_Q, "<")
     assert cls_gt.contains(PRINTED_GT_WORD_COMPLETED)
     assert cls_lt.contains(PRINTED_LT_WORD)
     assert cls_gt != cls_lt
@@ -52,7 +53,7 @@ def test_insertion_words_printed():
 def test_printed_gt_word_has_unique_completion():
     """The 14-letter printed word completes uniquely into [Q>]."""
     rs5 = root_system("A", 5)
-    cls_gt = twist_from_a(EXAMPLE_Q, ">")
+    cls_gt, _ = twist_quiver_from_a(EXAMPLE_Q, ">")
     completions = set()
     for pos in range(len(PRINTED_GT_WORD_RAW) + 1):
         for letter in rs5.nodes:
@@ -83,15 +84,9 @@ def test_insertion_classes_distinct_per_quiver():
     seen = set()
     for q in all_quivers(A4):
         for side in (">", "<"):
-            seen.add(twist_from_a(q, side))
+            seen.add(twist_quiver_from_a(q, side)[0])
     assert len(seen) == 16
     assert seen == set(twisted_adapted_point("A", 5))
-
-
-def test_insertion_rejects_non_adapted():
-    rs3 = root_system("A", 3)
-    with pytest.raises(FoldingError):
-        twist_from_a((1, 2, 3, 2, 1, 2), ">", rs_source=rs3)
 
 
 def test_doubling_printed_quivers():
@@ -137,18 +132,7 @@ def test_constructed_quivers_realize_their_classes():
 def test_hasse_agreement_all_twisted_quivers():
     for tt, rk in [("A", 3), ("A", 5), ("D", 4), ("D", 5)]:
         for cls, fq in twisted_folded_quivers(tt, rk).items():
-            hasse_quiver(cls, _unfolded_view(cls, fq))
-
-
-def _unfolded_view(cls, fq):
-    from arfold.arquiver import ARQuiver
-
-    rs = cls.rs
-    if rs.type_tag == "A":
-        coords = tuple((r, cls.letter_of(r), p) for r, _, p in fq.coords)
-    else:
-        coords = tuple((r, cls.letter_of(r), 2 * p) for r, _, p in fq.coords)
-    return ARQuiver(rs, coords, fq.arrows)
+            hasse_quiver(cls, fq.unfolded())
 
 
 def test_fold_injective_all_a5_classes():
@@ -269,7 +253,7 @@ def test_e6_reflection_preserves_labels_up_to_s1():
 
 
 def test_e6_transport_reaches_all_classes():
-    by_class = e6_folded_quivers_by_class()
+    by_class = twisted_folded_quivers("E", 6)
     assert len(by_class) == 32
     assert set(by_class) == set(twisted_adapted_point("E", 6))
     for cls, fq in by_class.items():
@@ -278,5 +262,57 @@ def test_e6_transport_reaches_all_classes():
 
 
 def test_e6_hasse_agreement_all_classes():
-    for cls, fq in e6_folded_quivers_by_class().items():
-        hasse_quiver(cls, _unfolded_view(cls, fq))
+    for cls, fq in twisted_folded_quivers("E", 6).items():
+        hasse_quiver(cls, fq.unfolded())
+
+
+@pytest.mark.parametrize("letter", [0, 9])
+def test_folded_reflection_rejects_letter_outside_diagram(letter):
+    with pytest.raises(ValueError, match=f"letter {letter} outside"):
+        folded_reflection(e6_folded_quiver(), letter)
+
+
+# ---------------------------------------------------------------------------
+# the seeded folded quivers against the printed constructions
+
+FOLDING_SOURCES = (
+    [("A", r) for r in (3, 5, 7, 9)] + [("D", r) for r in (4, 5, 6, 7)] + [("E", 6)]
+)
+
+
+def _seed_class(type_tag, rank):
+    word = folding_from(type_tag, rank).twisted_longest_word()
+    return commutation_class(root_system(type_tag, rank), word)
+
+
+@pytest.mark.parametrize("source", FOLDING_SOURCES, ids=lambda s: f"{s[0]}{s[1]}")
+def test_folded_quivers_cover_the_twisted_point(source):
+    assert set(twisted_folded_quivers(*source)) == set(twisted_adapted_point(*source))
+
+
+@pytest.mark.parametrize(
+    "source", [("A", 3), ("A", 5), ("A", 7), ("D", 4), ("D", 5), ("D", 6)],
+    ids=lambda s: f"{s[0]}{s[1]}",
+)
+def test_folded_quivers_equal_folded_constructions_up_to_shift(source):
+    tt, rk = source
+    quivers = all_quivers(root_system("A", rk - 1))
+    if tt == "A":
+        built = [twist_quiver_from_a(q, side) for q in quivers for side in (">", "<")]
+    else:
+        built = [twist_from_d(q, choice) for q in quivers for choice in (rk - 1, rk)]
+    fqs = twisted_folded_quivers(tt, rk)
+    assert set(fqs) == {cls for cls, _ in built}
+    seed = _seed_class(tt, rk)
+    for cls, quiver in built:
+        ref = fold(quiver, cls)
+        _assert_shift_equal(ref, fqs[cls])  # residues, arrows, one shift
+        a, b = ref.coord_of(), fqs[cls].coord_of()
+        (shift,) = {b[r][1] - a[r][1] for r in a}
+        assert shift == 0 or cls != seed
+
+
+def test_e6_seed_is_the_printed_table_shifted():
+    seed = twisted_folded_quivers("E", 6)[_seed_class("E", 6)]
+    moved = tuple((r, i, p + 20) for r, i, p in seed.coords)
+    assert replace(seed, coords=moved) == e6_folded_quiver()
