@@ -18,6 +18,10 @@ from . import affine
 SCHEMA = "arfold/1"
 
 
+class UsageError(ValueError):
+    """Bad command-line input; main prints it as one line with exit status 2."""
+
+
 def _root_label(rs, r) -> str:
     v = rs.positive_roots[r]
     if rs.type_tag == "A":
@@ -30,7 +34,7 @@ def _parse_word(text: str):
     try:
         return tuple(int(x) for x in text.replace(" ", "").split(","))
     except ValueError:
-        raise SystemExit(f"cannot parse word {text!r}; expected e.g. 1,2,1")
+        raise UsageError(f"cannot parse word {text!r}; expected e.g. 1,2,1") from None
 
 
 def _resolve_quiver(rs, cls):
@@ -181,7 +185,7 @@ def cmd_quiver(args) -> int:
     try:
         cls = commutation_class(rs, word)
     except ValueError as exc:
-        raise SystemExit(f"not a reduced word of w_0: {exc}")
+        raise UsageError(f"not a reduced word of w_0: {exc}") from None
     quiver, kind = _resolve_quiver(rs, cls)
     if args.format == "json":
         doc = quiver_to_json(quiver)
@@ -231,7 +235,7 @@ def cmd_verify(args) -> int:
 def _need(args, *names):
     for name in names:
         if getattr(args, name) is None:
-            raise SystemExit(f"suite {args.suite!r} needs --{name}")
+            raise UsageError(f"suite {args.suite!r} needs --{name}")
 
 
 def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
@@ -310,7 +314,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (FoldingError, UnsupportedTypeError) as exc:
+    except (FoldingError, UnsupportedTypeError, UsageError) as exc:
         parser.exit(2, f"arfold: error: {exc}\n")
     except BrokenPipeError:
         # The reader closed stdout early (e.g. `| head`): send what is still

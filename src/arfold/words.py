@@ -7,6 +7,15 @@ root), and the member words are exactly the linear extensions of the
 partial order generated by non-commuting occurrences.  That partial
 order is the convex order of the class.
 
+Each is read from a word in one pass, linear in its length times the
+number of neighbours of a node.  Occurrences of one letter never
+commute, so the last occurrence of each letter so far dominates the
+earlier ones: the heap keeps, per letter, that occurrence together with
+everything below it, and a new occurrence of i sits above the entries of
+i and of its neighbours.  The canonical word waits each occurrence on
+the previous occurrence of its own letter and of each neighbour, and
+takes the least available letter first.
+
 A reflection functor moves one letter between the two ends of a word.
 Occurrences of one letter never commute, so the first s_i of every
 member word is the same heap element, and it can start a member word
@@ -15,6 +24,7 @@ iff the letters before it in the canonical word all commute with i.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,21 +46,29 @@ class CapExceededError(RuntimeError):
 def root_sequence(rs: RootSystem, word: Word) -> list[Root]:
     """The roots beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}) of a word.
 
-    Raises NotReducedError when a beta_k is negative or repeats, which
-    happens exactly when the word is not reduced.
+    One pass: images[j] is w(alpha_j) for the prefix w read so far, so
+    beta_k = images[i_k], and appending s_i sets w s_i(alpha_j) =
+    w(alpha_j) - a_ij w(alpha_i).  Raises NotReducedError when a beta_k
+    is negative or repeats, which happens exactly when the word is not
+    reduced.
     """
+    images = {j: rs.simple_root(j) for j in rs.nodes}
     seen: set[Root] = set()
     out: list[Root] = []
-    prefix: list[int] = []
     for k, i in enumerate(word):
         if i not in rs.cartan:
             raise ValueError(f"letter {i} outside the index set of {rs}")
-        beta = rs.apply_word(prefix, rs.simple_root(i))
-        if not rs.is_positive(beta) or beta in seen:
+        beta = images[i]
+        # every image is plus or minus a root; root_index holds the positive ones
+        if beta not in rs.root_index or beta in seen:
             raise NotReducedError(f"word is not reduced at position {k + 1}")
         seen.add(beta)
         out.append(beta)
-        prefix.append(i)
+        row = rs.cartan[i]
+        for j in rs.adjacent[i]:
+            c = row[j]
+            images[j] = tuple(x - c * y for x, y in zip(images[j], beta))
+        images[i] = tuple(-y for y in beta)
     return out
 
 
@@ -63,12 +81,14 @@ def _heap(rs: RootSystem, word: Word) -> tuple[dict[int, int], dict[int, int]]:
     """
     idx = [rs.root_index[b] for b in root_sequence(rs, word)]
     below: dict[int, int] = {}
-    for l, r in enumerate(idx):
-        acc = 0
-        for k in range(l):
-            if rs.cartan[word[k]][word[l]] != 0:
-                acc |= (1 << idx[k]) | below[idx[k]]
+    # upto[i]: the last occurrence of letter i so far and everything below it
+    upto: dict[int, int] = {}
+    for r, i in zip(idx, word):
+        acc = upto.get(i, 0)
+        for j in rs.adjacent[i]:
+            acc |= upto.get(j, 0)
         below[r] = acc
+        upto[i] = acc | 1 << r
     return below, dict(zip(idx, word))
 
 
@@ -112,10 +132,10 @@ class CommutationClass:
 
     def interval(self, a: int, b: int) -> list[int]:
         """Root indices strictly between a and b in the convex order."""
-        if not self.precedes(a, b):
-            return []
         below = self.below()
-        return [r for r in below if self.precedes(a, r) and self.precedes(r, b)]
+        if not below[b] >> a & 1:
+            return []
+        return [r for r in below if below[r] >> a & 1 and below[b] >> r & 1]
 
     def members(self, cap: int = DEFAULT_CAP) -> list[Word]:
         """All member words (linear extensions of the heap), capped."""
@@ -182,19 +202,32 @@ class CommutationClass:
 
 
 def _canonical_word(rs: RootSystem, word: Word) -> Word:
-    """Lexicographically least member: greedy over available occurrences."""
-    below, letter = _heap(rs, word)
-    remaining = set(below)
-    done = 0
+    """Lexicographically least member, by Kahn's algorithm on the heap.
+
+    Position p waits on the previous occurrence of its own letter and of
+    each neighbour.  Two available occurrences never share a letter, so
+    taking the least available letter each time gives the least member.
+    """
+    root_sequence(rs, word)  # refuses a word that is not reduced
+    waits = [0] * len(word)
+    after: list[list[int]] = [[] for _ in word]
+    last: dict[int, int] = {}
+    for p, i in enumerate(word):
+        for j in (i, *rs.adjacent[i]):
+            if j in last:
+                waits[p] += 1
+                after[last[j]].append(p)
+        last[i] = p
+    ready = [(i, p) for p, i in enumerate(word) if not waits[p]]
+    heapq.heapify(ready)
     out: list[int] = []
-    for _ in range(len(word)):
-        best = min(
-            (r for r in remaining if not (below[r] & ~done)),
-            key=lambda r: (letter[r], r),
-        )
-        out.append(letter[best])
-        remaining.discard(best)
-        done |= 1 << best
+    while ready:
+        i, p = heapq.heappop(ready)
+        out.append(i)
+        for q in after[p]:
+            waits[q] -= 1
+            if not waits[q]:
+                heapq.heappush(ready, (word[q], q))
     return tuple(out)
 
 

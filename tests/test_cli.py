@@ -152,8 +152,18 @@ def test_verify_needs_target(capsys):
      "no printed folding onto B_1"),
     (["verify", "socle-dist", "--type", "E", "--rank", "6"],
      "proved for A and D only, not E"),
+    (["quiver", "--type", "A", "--rank", "3", "--class", ","],
+     "cannot parse word ','"),
+    (["quiver", "--type", "A", "--rank", "3", "--class", "1,2,1,2,1,2"],
+     "not a reduced word of w_0: word is not reduced at position 4"),
+    (["quiver", "--type", "A", "--rank", "3", "--class", "1,2,3,1,2,7"],
+     "letter 7 outside the index set"),
+    (["quiver", "--type", "A", "--rank", "3", "--class", "1,2,1"],
+     "word of length 3 is not a reduced word of w_0"),
+    (["verify", "dorey", "--target", "B"], "suite 'dorey' needs --n"),
 ], ids=["classes-no-folding", "classes-bad-rank", "socle-dist", "den-dist", "dorey",
-        "socle-dist-e"])
+        "socle-dist-e", "quiver-unparsable", "quiver-not-reduced",
+        "quiver-letter-outside", "quiver-wrong-length", "verify-needs-n"])
 def test_bad_type_or_target_is_a_one_line_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arfold.rootsys import root_system, trivial_automorphism
 from arfold.words import (
     CapExceededError,
+    _canonical_word,
     _heap,
     NotReducedError,
     adapted_point,
@@ -256,3 +258,119 @@ def test_twisted_adapted_point_counts_small():
     assert len(twisted_adapted_point("A", 3)) == 4
     assert len(twisted_adapted_point("D", 4)) == 8
     assert len(twisted_adapted_point("D", 5)) == 16
+
+
+def _root_sequence_oracle(rs, word):
+    """root_sequence by definition: apply the whole prefix for every letter."""
+    seen, out = set(), []
+    for k, i in enumerate(word):
+        if i not in rs.cartan:
+            raise ValueError(f"letter {i} outside the index set of {rs}")
+        beta = rs.apply_word(word[:k], rs.simple_root(i))
+        if not rs.is_positive(beta) or beta in seen:
+            raise NotReducedError(f"word is not reduced at position {k + 1}")
+        seen.add(beta)
+        out.append(beta)
+    return out
+
+
+def _heap_oracle(rs, word):
+    """The heap by definition: bit k of below[l] iff a chain of
+    non-commuting letters runs from occurrence k up to occurrence l."""
+    idx = [rs.root_index[b] for b in _root_sequence_oracle(rs, word)]
+    below = {}
+    for l, r in enumerate(idx):
+        acc = 0
+        for k in range(l):
+            if rs.cartan[word[k]][word[l]] != 0:
+                acc |= (1 << idx[k]) | below[idx[k]]
+        below[r] = acc
+    return below, dict(zip(idx, word))
+
+
+WORD_TYPES = [("A", 3), ("A", 4), ("A", 5), ("A", 6), ("D", 4), ("D", 5), ("E", 6)]
+
+
+@st.composite
+def words(draw):
+    """A type and a word: random letters, a reduced word, or one edited."""
+    tt, rk = draw(st.sampled_from(WORD_TYPES))
+    rs = root_system(tt, rk)
+    letters = st.integers(0, rk + 1)
+    kind = draw(st.sampled_from(["random", "reduced", "edited"]))
+    if kind == "random":
+        return rs, tuple(draw(st.lists(letters, max_size=rs.num_positive + 2)))
+    # a random reduced word: append only letters that lengthen the prefix
+    word = []
+    stop = draw(st.integers(0, rs.num_positive))
+    while len(word) < stop:
+        up = [i for i in rs.nodes
+              if rs.is_positive(rs.apply_word(word, rs.simple_root(i)))]
+        word.append(draw(st.sampled_from(up)))
+    if kind == "edited" and word:
+        k = draw(st.integers(0, len(word) - 1))
+        word[k] = draw(letters)
+        word += draw(st.lists(letters, max_size=2))
+    return rs, tuple(word)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(words())
+@settings(max_examples=300, deadline=None)
+def test_root_sequence_equals_prefix_oracle(case):
+    rs, word = case
+    expected = _outcome(_root_sequence_oracle, rs, word)
+    assert _outcome(root_sequence, rs, word) == expected
+    if isinstance(expected, list):
+        assert _heap(rs, word) == _heap_oracle(rs, word)
+
+
+@pytest.mark.parametrize("tt, rk, point", [
+    ("A", 3, twisted_adapted_point), ("D", 4, twisted_adapted_point),
+    ("A", 4, adapted_point),
+])
+def test_heap_equals_pairwise_oracle_on_every_member_word(tt, rk, point):
+    rs = root_system(tt, rk)
+    for cls in point(tt, rk):
+        for w in cls.members():
+            assert _heap(rs, w) == _heap_oracle(rs, w)
+
+
+@pytest.mark.parametrize("tt, rk, point", [
+    ("A", 4, adapted_point), ("A", 5, twisted_adapted_point),
+    ("D", 4, twisted_adapted_point),
+])
+def test_canonical_word_is_least_member(tt, rk, point):
+    rs = root_system(tt, rk)
+    for cls in point(tt, rk):
+        members = cls.members()
+        assert cls.canonical_word == min(members)
+        for w in members[::7]:
+            assert _canonical_word(rs, w) == cls.canonical_word
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 3), ("D", 4), ("E", 6)])
+def test_commutation_class_refuses_full_length_non_reduced_word(tt, rk):
+    rs = root_system(tt, rk)
+    w0 = rs.longest_word()
+    # s_i s_i cancels; the word keeps the length of w_0
+    bad = (w0[0],) + w0[:-1]
+    with pytest.raises(NotReducedError, match="not reduced at position 2"):
+        commutation_class(rs, bad)
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 5), ("D", 5)])
+def test_interval_equals_precedes_definition(tt, rk):
+    for cls in twisted_adapted_point(tt, rk):
+        roots = list(cls.below())
+        for a in roots:
+            for b in roots:
+                expected = [r for r in roots if cls.precedes(a, b)
+                            and cls.precedes(a, r) and cls.precedes(r, b)]
+                assert cls.interval(a, b) == expected
