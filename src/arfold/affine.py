@@ -9,11 +9,18 @@ the branch data in its printed form, and "validated", in which the
 three min-index branches carry the exponents that the exhaustive
 minimal-pair sweep (and the zero set of the denominator formulas)
 forces.  `verify_dorey` reports the discrepancy rather than hiding it.
+
+Dorey's rule is stated once, as that table.  `_label` is the spectral
+assignment of a folded coordinate, and the coordinate characterization
+of minimal pairs, `minimal_pair_predicate`, is the "validated" table
+read through it: a pair summing to a root is accepted iff the key
+(i, j, k, y/z, x/z) of either ordering is an entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .rootsys import Folding, folding_to
 from .words import CommutationClass
@@ -148,15 +155,19 @@ def den_dist_extra_factor(target: str, n: int) -> tuple[int, int]:
 # spectral assignments
 
 
-def v_assign(fq: FoldedQuiver, root_idx: int) -> FundamentalModuleLabel:
-    """V(pi_i) with parameter read off the folded coordinate of a root."""
-    target, _ = fq.folding().target
-    i, p = fq.coord_of()[root_idx]
+def _label(target: str, i: int, p: int) -> FundamentalModuleLabel:
+    """V(pi_i) at the folded coordinate (i, p): (-1)^i q_s^p for the B
+    target, (-q_s)^p for C."""
     if target == "B":
         return FundamentalModuleLabel(i, SpectralParameter(2 * i, p))
     if target == "C":
         return FundamentalModuleLabel(i, SpectralParameter.minus_qs_power(p))
     raise ValueError("spectral assignment is printed for B and C targets only")
+
+
+def v_assign(fq: FoldedQuiver, root_idx: int) -> FundamentalModuleLabel:
+    """V(pi_i) with parameter read off the folded coordinate of a root."""
+    return _label(fq.folding.target[0], *fq.coord_of()[root_idx])
 
 
 def v_untwisted_twisted(q: DynkinQuiver, beta, t: int) -> FundamentalModuleLabel:
@@ -199,6 +210,9 @@ class DoreyEntry:
     y_over_z: SpectralParameter
     x_over_z: SpectralParameter
     branch: str
+
+    def key(self) -> tuple:
+        return (self.i, self.j, self.k, self.y_over_z, self.x_over_z)
 
 
 def dorey_triples(target: str, n: int, convention: str = "validated") -> list[DoreyEntry]:
@@ -294,66 +308,32 @@ def minimal_pair_coordinates(
     ]
 
 
-def minimal_pair_predicate(
-    target: str, n: int, a_coord, b_coord, g_coord, convention: str = "validated"
-) -> bool:
-    """The printed coordinate characterization of minimal pairs.
+@lru_cache(maxsize=None)
+def _validated_keys(target: str, n: int) -> frozenset:
+    return frozenset(e.key() for e in dorey_triples(target, n))
 
-    Coordinates are folded (residue, position) triples for the pair
-    (alpha, beta) and the summed root; both orderings of the pair are
-    accepted.
+
+def _pair_keys(labels, a, b, g) -> list:
+    """The Dorey keys (i, j, k, y/z, x/z) of both orderings of the pair
+    {a, b} summing to g; in each ordering the first root gives i and x."""
+    lz = labels[g]
+    return [
+        (lx.node, ly.node, lz.node, ly.parameter / lz.parameter, lx.parameter / lz.parameter)
+        for lx, ly in ((labels[a], labels[b]), (labels[b], labels[a]))
+    ]
+
+
+def minimal_pair_predicate(target: str, n: int, a_coord, b_coord, g_coord) -> bool:
+    """The coordinate characterization of minimal pairs: the validated
+    Dorey table read through the spectral assignment.
+
+    Coordinates are folded (residue, position) pairs for the pair
+    (alpha, beta) and the summed root; the predicate holds iff the key of
+    either ordering of the pair is an entry of ``dorey_triples(target, n)``.
     """
-    for (i, p), (j, q) in ((a_coord, b_coord), (b_coord, a_coord)):
-        k, r = g_coord
-        if target == "B" and _b_pair_condition(n, i, p, j, q, k, r, convention):
-            return True
-        if target == "C" and _c_pair_condition(n, i, p, j, q, k, r):
-            return True
-    return False
-
-
-def _b_pair_condition(n, i, p, j, q, k, r, convention) -> bool:
-    l = max(i, j, k)
-    if l <= n - 1 and i + j + k == 2 * l and (q - r) % 2 == 0 and (p - r) % 2 == 0:
-        half = ((q - r) // 2, (p - r) // 2)
-        if l == k and half == (-i, j):
-            return True
-        if l == i and half == (i - (2 * n - 1), j):
-            return True
-        if l == j and half == (-i, 2 * n - 1 - j):
-            return True
-    s = min(i, j, k)
-    if s <= n - 1 and sorted((i, j, k))[1:] == [n, n]:
-        d = (q - r, p - r)
-        if convention == "printed":
-            if s == k and i == j == n and d == (-2 * (n - 1 - k) + 1, 2 * (n - 1 - k) - 1):
-                return True
-            if s == i and j == k == n and d == (-4 * i - 4, 2 * (n - 1 - i) - 1):
-                return True
-            if s == j and i == k == n and d == (-2 * (n - 1 - j) + 1, 4 * j + 4):
-                return True
-        else:
-            if s == k and i == j == n and d == (-(2 * (n - k) - 1), 2 * (n - k) - 1):
-                return True
-            if s == i and j == k == n and d == (-4 * i, 2 * (n - i) - 1):
-                return True
-            if s == j and i == k == n and d == (-(2 * (n - j) - 1), 4 * j):
-                return True
-    return False
-
-
-def _c_pair_condition(n, i, p, j, q, k, r) -> bool:
-    l = max(i, j, k)
-    if not (l <= n and i + j + k == 2 * l):
-        return False
-    d = (q - r, p - r)
-    if l == k and d == (-i, j):
-        return True
-    if l == i and d == (i - (2 * n + 2), j):
-        return True
-    if l == j and d == (-i, 2 * n + 2 - j):
-        return True
-    return False
+    keys = _validated_keys(target, n)
+    labels = [_label(target, *c) for c in (a_coord, b_coord, g_coord)]
+    return not keys.isdisjoint(_pair_keys(labels, 0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +407,13 @@ def verify_class_invariance(target: str, n: int) -> Report:
     return rep
 
 
-def _all_minimal_pair_data(target: str, n: int):
-    """(class, fq, alpha, beta, gamma) for every minimal pair, alpha first."""
+def _class_labels(target: str, n: int):
+    """(class, folded coordinates, spectral label per root) for every
+    class of the twisted point folding onto target_n, by canonical word."""
     fqs = twisted_folded_quivers(*folding_to(target, n).source)
     for cls in sorted(fqs, key=lambda c: c.canonical_word):
-        fq = fqs[cls]
-        rs = cls.rs
-        for g in range(rs.num_positive):
-            for a, b in minimal_pairs_of_root(cls, g):
-                yield cls, fq, a, b, g
+        coord = fqs[cls].coord_of()
+        yield cls, coord, {r: _label(target, *c) for r, c in coord.items()}
 
 
 def verify_dorey(target: str, n: int) -> Report:
@@ -447,58 +425,37 @@ def verify_dorey(target: str, n: int) -> Report:
     minimality.  Runs under both table conventions and
     reports branches of the printed one that never match.
     """
+    folding_to(target, n)  # refuse an unsupported rank before any table
     rep = Report(f"dorey {target} n={n}", True, 0)
-    tables = {
-        conv: dorey_triples(target, n, conv) for conv in ("printed", "validated")
-    }
-    keysets = {
-        conv: {(e.i, e.j, e.k, e.y_over_z, e.x_over_z) for e in tables[conv]}
-        for conv in tables
-    }
-    hit: dict[str, set] = {conv: set() for conv in tables}
-    data = list(_all_minimal_pair_data(target, n))
-    for cls, fq, a, b, g in data:
-        coord = fq.coord_of()
-        rep.checked += 1
-        realized = set()
-        for first, second in ((a, b), (b, a)):
-            la = v_assign(fq, first)
-            lb = v_assign(fq, second)
-            lg = v_assign(fq, g)
-            key = (
-                la.node,
-                lb.node,
-                lg.node,
-                lb.parameter / lg.parameter,
-                la.parameter / lg.parameter,
-            )
-            realized.add(key)
-        for conv in tables:
-            got = realized & keysets[conv]
-            hit[conv] |= got
-            if conv == "validated" and not got:
-                rep.ok = False
-                rep.mismatches.append(
-                    ("pair not in table", cls.canonical_word,
-                     coord[a], coord[b], coord[g])
-                )
+    validated = _validated_keys(target, n)
+    realized: set = set()
+    for cls, coord, labels in _class_labels(target, n):
+        for g in range(cls.rs.num_positive):
+            for a, b in minimal_pairs_of_root(cls, g):
+                rep.checked += 1
+                keys = _pair_keys(labels, a, b, g)
+                realized.update(keys)
+                if validated.isdisjoint(keys):
+                    rep.ok = False
+                    rep.mismatches.append(
+                        ("pair not in table", cls.canonical_word,
+                         coord[a], coord[b], coord[g])
+                    )
     # coverage (>=) per convention
-    for conv in tables:
-        missing = keysets[conv] - hit[conv]
-        if conv == "validated" and missing:
-            rep.ok = False
-            rep.mismatches.append(("unrealized validated entries", sorted(
-                (i, j, k, str(y), str(x)) for i, j, k, y, x in missing)))
-        if conv == "printed":
-            bad_branches = sorted({
-                e.branch for e in tables[conv]
-                if (e.i, e.j, e.k, e.y_over_z, e.x_over_z) in missing
-            })
-            if bad_branches:
-                rep.notes.append(
-                    "printed branches never realized by any minimal pair "
-                    f"(suspected typos): {bad_branches}"
-                )
+    missing = validated - realized
+    if missing:
+        rep.ok = False
+        rep.mismatches.append(("unrealized validated entries", sorted(
+            (i, j, k, str(y), str(x)) for i, j, k, y, x in missing)))
+    bad_branches = sorted({
+        e.branch for e in dorey_triples(target, n, "printed")
+        if e.key() not in realized
+    })
+    if bad_branches:
+        rep.notes.append(
+            "printed branches never realized by any minimal pair "
+            f"(suspected typos): {bad_branches}"
+        )
     rep.notes.append(
         "table convention 'validated' corrects the B(ii) exponents; "
         "see dorey_triples for both versions"
@@ -515,24 +472,17 @@ def verify_dorey(target: str, n: int) -> Report:
 
 def verify_minimal_pair_predicate(target: str, n: int) -> Report:
     """Coordinate predicate == minimality, over all summing pairs."""
-    fqs = twisted_folded_quivers(*folding_to(target, n).source)
+    folding_to(target, n)  # refuse an unsupported rank before any table
+    keys = _validated_keys(target, n)
     rep = Report(f"minimal-pair predicate {target} n={n}", True, 0)
-    for cls in sorted(fqs, key=lambda c: c.canonical_word):
-        fq = fqs[cls]
+    for cls, coord, labels in _class_labels(target, n):
         rs = cls.rs
-        coord = fq.coord_of()
         for g in range(rs.num_positive):
-            gamma = rs.positive_roots[g]
-            minimal = {
-                frozenset(p) for p in minimal_pairs_of_root(cls, g)
-            }
-            for av, bv in rs.roots_summing_to(gamma):
-                a, b = rs.root_index[av], rs.root_index[bv]
+            minimal = set(minimal_pairs_of_root(cls, g))
+            for a, b in rs.summing_pairs(g):
                 rep.checked += 1
-                pred = minimal_pair_predicate(
-                    target, n, coord[a], coord[b], coord[g]
-                )
-                if pred != (frozenset((a, b)) in minimal):
+                pred = not keys.isdisjoint(_pair_keys(labels, a, b, g))
+                if pred != ((a, b) in minimal or (b, a) in minimal):
                     rep.ok = False
                     rep.mismatches.append(
                         (cls.canonical_word, coord[a], coord[b], coord[g],

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 Root = tuple[int, ...]
 
@@ -102,19 +101,29 @@ class Folding:
 
 
 def folding_to(letter: str, n: int) -> Folding:
-    """The folding A_{2n-1} -> B_n, D_{n+1} -> C_n or E_6 -> F_4."""
+    """The folding A_{2n-1} -> B_n, D_{n+1} -> C_n or E_6 -> F_4.
+
+    A FoldingError names the rank when root_system does not support the
+    source, before anything is built for it.
+    """
     if letter == "B" and n >= 2:
         sym = {i: 2 if i < n else 1 for i in range(1, n + 1)}
-        return Folding(("A", 2 * n - 1), ("B", n), 2 * n - 1, sym, "A",
-                       tuple(range(1, n + 1)))
-    if letter == "C" and n >= 3:
+        folding = Folding(("A", 2 * n - 1), ("B", n), 2 * n - 1, sym, "A",
+                          tuple(range(1, n + 1)))
+    elif letter == "C" and n >= 3:
         sym = {i: 1 if i < n else 2 for i in range(1, n + 1)}
-        return Folding(("D", n + 1), ("C", n), n + 1, sym, "D",
-                       tuple(range(1, n + 1)))
-    if (letter, n) == ("F", 4):
+        folding = Folding(("D", n + 1), ("C", n), n + 1, sym, "D",
+                          tuple(range(1, n + 1)))
+    elif (letter, n) == ("F", 4):
         sym = {1: 2, 2: 2, 3: 1, 4: 1}
-        return Folding(("E", 6), ("F", 4), 9, sym, "D", (1, 2, 6, 3))
-    raise FoldingError(f"no printed folding onto {letter}_{n}")
+        folding = Folding(("E", 6), ("F", 4), 9, sym, "D", (1, 2, 6, 3))
+    else:
+        raise FoldingError(f"no printed folding onto {letter}_{n}")
+    try:
+        check_type_rank(*folding.source)
+    except UnsupportedTypeError as exc:
+        raise FoldingError(f"no supported folding onto {letter}_{n}: {exc}") from None
+    return folding
 
 
 def folding_from(type_tag: str, rank: int) -> Folding:
@@ -161,6 +170,7 @@ class RootSystem:
         }
         self._longest_word: tuple[int, ...] | None = None
         self._star: dict[int, int] | None = None
+        self._summing_pairs: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._hash = hash((type_tag, rank))
 
     def __repr__(self) -> str:
@@ -300,14 +310,21 @@ class RootSystem:
         labels = {1: 1, 5: 1, 2: 2, 4: 2, 3: 3, 6: 4}
         return DiagramAutomorphism(perm, 2, labels)
 
-    def roots_summing_to(self, v: Root) -> Iterator[tuple[Root, Root]]:
-        """All unordered pairs (a, b) of positive roots with a + b = v."""
-        seen = set()
-        for a in self.positive_roots:
-            b = tuple(x - y for x, y in zip(v, a))
-            if b in self.root_index and a != b and (b, a) not in seen:
-                seen.add((a, b))
-                yield a, b
+    def summing_pairs(self, g: int) -> tuple[tuple[int, int], ...]:
+        """The index pairs (a, b), a < b, of positive roots summing to root g.
+
+        One pass over all pairs fills the table for every root at once.
+        """
+        if self._summing_pairs is None:
+            table: list[list[tuple[int, int]]] = [[] for _ in self.positive_roots]
+            roots, index = self.positive_roots, self.root_index
+            for a, ra in enumerate(roots):
+                for b in range(a + 1, len(roots)):
+                    g_ab = index.get(tuple(x + y for x, y in zip(ra, roots[b])))
+                    if g_ab is not None:
+                        table[g_ab].append((a, b))
+            self._summing_pairs = tuple(tuple(pairs) for pairs in table)
+        return self._summing_pairs[g]
 
 
 def rank_count_a(n: int) -> int:

@@ -289,10 +289,7 @@ def minimal_pairs_of_root(cls: CommutationClass, gamma: int) -> list[tuple[int, 
     table = cls._cache.setdefault("minimal_pairs", {})
     if gamma not in table:
         s = sequence_from_roots(rs, [gamma])
-        pairs = [
-            sequence_from_roots(rs, p)
-            for p in rs.roots_summing_to(rs.positive_roots[gamma])
-        ]
+        pairs = [sequence_from_roots(rs, p) for p in rs.summing_pairs(gamma)]
         above = [m for m in pairs if _less_same_weight(cls, s, m)]
         # a pair (a, b) is kept as a * n + b: a third of the memory of tuples
         out = []
@@ -521,7 +518,7 @@ def _distance_table(cls: CommutationClass, fq: FoldedQuiver) -> dict:
 
 def _distance_row(cls: CommutationClass, fq: FoldedQuiver, k: int, l: int) -> dict:
     """{t: o_t} at residues {k, l}; a ValueError for a residue outside 1..n."""
-    letter, n = fq.folding().target
+    letter, n = fq.folding.target
     if not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"residues ({k},{l}) outside 1..{n} of {letter}_{n}")
     return _distance_table(cls, fq).get((min(k, l), max(k, l)), {})

@@ -22,7 +22,7 @@ are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -53,12 +53,17 @@ def _unfolded_scale(type_tag: str) -> int:
 
 @dataclass(frozen=True)
 class FoldedQuiver:
-    """An AR quiver with residues collapsed to automorphism orbits."""
+    """An AR quiver with residues collapsed to automorphism orbits.
+
+    ``folding`` is the record it was folded by; it takes no part in
+    equality or hashing.
+    """
 
     rs: RootSystem
     coords: tuple[tuple[int, int, int], ...]  # (root_idx, orbit_residue, position)
     arrows: frozenset[tuple[int, int]]
     source_class: CommutationClass
+    folding: Folding = field(compare=False)
 
     def coord_of(self) -> dict[int, tuple[int, int]]:
         return {r: (i, p) for r, i, p in self.coords}
@@ -68,9 +73,6 @@ class FoldedQuiver:
         if len(out) != len(self.coords):
             raise FoldingError("folded coordinates collide")
         return out
-
-    def folding(self) -> Folding:
-        return folding_from(self.rs.type_tag, self.rs.rank)
 
     def root_labels(self) -> dict[tuple[int, int], Root]:
         rs = self.rs
@@ -181,6 +183,7 @@ def twist_from_d(q: DynkinQuiver, choice: int) -> tuple[CommutationClass, ARQuiv
 def fold(quiver: ARQuiver, cls: CommutationClass) -> FoldedQuiver:
     """Collapse residues to orbits; type A doubles positions to integers."""
     rs = quiver.rs
+    folding = folding_from(rs.type_tag, rs.rank)
     aut = rs.diagram_automorphism()
     scale = _unfolded_scale(rs.type_tag)
     coords = []
@@ -188,7 +191,7 @@ def fold(quiver: ARQuiver, cls: CommutationClass) -> FoldedQuiver:
         if p2 % scale:
             raise FoldingError("expected integer positions")
         coords.append((r, aut.orbit_label[i], p2 // scale))
-    fq = FoldedQuiver(rs, tuple(sorted(coords)), quiver.arrows, cls)
+    fq = FoldedQuiver(rs, tuple(sorted(coords)), quiver.arrows, cls, folding)
     fq.by_coord()  # injectivity check
     return fq
 
@@ -221,7 +224,8 @@ def _folded(
     adjacent = {i: [j for j in (i - 1, i + 1) if j in d] for i in d}
     arrows = arrows_by_step(coords, adjacent, lambda i, j: min(d[i], d[j]))
     return FoldedQuiver(
-        cls.rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows, cls
+        cls.rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows, cls,
+        folding,
     )
 
 
@@ -278,7 +282,7 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
         raise FoldingError(f"alpha_{i} is not a vertex of this quiver")
     if any(a == r_i for a, _ in fq.arrows):
         raise FoldingError(f"alpha_{i} is not a sink of the folded quiver")
-    folding = fq.folding()
+    folding = fq.folding
     coords = {}
     for r, res, pos in fq.coords:
         if r == r_i:

@@ -1,6 +1,7 @@
 import pytest
 
-from arfold.rootsys import root_system
+from arfold import affine
+from arfold.rootsys import FoldingError, root_system
 from arfold.arquiver import DynkinQuiver, gamma_q
 from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import RootedPolynomial
@@ -220,38 +221,109 @@ def test_minimal_pair_coordinates_op():
     assert seen > 0
 
 
-def test_predicate_printed_vs_validated_differ_only_on_b_branch_ii():
-    # C-side: printed == validated by construction
-    fqs = twisted_folded_quivers("D", 4)
-    cls, fq = sorted(fqs.items(), key=lambda kv: kv[0].canonical_word)[0]
-    coord = fq.coord_of()
-    rs = cls.rs
-    for g in range(rs.num_positive):
-        gamma = rs.positive_roots[g]
-        for av, bv in rs.roots_summing_to(gamma):
-            a, b = rs.root_index[av], rs.root_index[bv]
-            assert minimal_pair_predicate(
-                "C", 3, coord[a], coord[b], coord[g], "printed"
-            ) == minimal_pair_predicate(
-                "C", 3, coord[a], coord[b], coord[g], "validated"
-            )
+def _b_pair_oracle(n, i, p, j, q, k, r):
+    """The validated B coordinate conditions, written out branch by branch."""
+    l = max(i, j, k)
+    if l <= n - 1 and i + j + k == 2 * l and (q - r) % 2 == 0 and (p - r) % 2 == 0:
+        half = ((q - r) // 2, (p - r) // 2)
+        if l == k and half == (-i, j):
+            return True
+        if l == i and half == (i - (2 * n - 1), j):
+            return True
+        if l == j and half == (-i, 2 * n - 1 - j):
+            return True
+    s = min(i, j, k)
+    if s <= n - 1 and sorted((i, j, k))[1:] == [n, n]:
+        d = (q - r, p - r)
+        if s == k and i == j == n and d == (-(2 * (n - k) - 1), 2 * (n - k) - 1):
+            return True
+        if s == i and j == k == n and d == (-4 * i, 2 * (n - i) - 1):
+            return True
+        if s == j and i == k == n and d == (-(2 * (n - j) - 1), 4 * j):
+            return True
+    return False
+
+
+def _c_pair_oracle(n, i, p, j, q, k, r):
+    """The C coordinate conditions, written out branch by branch."""
+    l = max(i, j, k)
+    if not (l <= n and i + j + k == 2 * l):
+        return False
+    d = (q - r, p - r)
+    if l == k and d == (-i, j):
+        return True
+    if l == i and d == (i - (2 * n + 2), j):
+        return True
+    if l == j and d == (-i, 2 * n + 2 - j):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("target, n", [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4)])
+def test_predicate_is_the_coordinate_conditions(target, n):
+    # the predicate reads only differences of positions, so the summed
+    # root sits at position 0
+    oracle = _b_pair_oracle if target == "B" else _c_pair_oracle
+    span = range(-(4 * n + 4), 4 * n + 5)
+    accepted = 0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                for p in span:
+                    for q in span:
+                        want = oracle(n, i, p, j, q, k, 0) or oracle(n, j, q, i, p, k, 0)
+                        got = minimal_pair_predicate(target, n, (i, p), (j, q), (k, 0))
+                        assert got == want, (i, p, j, q, k)
+                        accepted += got
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("target, n", [("F", 4), ("X", 3)])
+def test_predicate_refuses_a_target_without_a_table(target, n):
+    with pytest.raises(ValueError):
+        minimal_pair_predicate(target, n, (1, 0), (1, 2), (2, 1))
+
+
+def test_printed_b_ii_s_k_phases_are_no_label_ratio():
+    # the ratio of the B labels at residues i and k has phase 2(i - k); the
+    # printed B(ii) s=k entries are the only ones no minimal pair can match
+    for n in range(2, 7):
+        for e in dorey_triples("B", n, "printed"):
+            x, y, z = (affine._label("B", node, 0).parameter for node in (e.i, e.j, e.k))
+            reachable = ((y / z).phase == e.y_over_z.phase
+                         and (x / z).phase == e.x_over_z.phase)
+            assert reachable == (e.branch != "B(ii) s=k"), e
+
+
+@pytest.mark.parametrize("suite", [verify_dorey, verify_minimal_pair_predicate])
+@pytest.mark.parametrize("target, n, source", [("B", 400, "A"), ("C", 40, "D")])
+def test_unsupported_rank_is_refused_before_any_table(monkeypatch, suite, target, n, source):
+    def no_table(*args):
+        raise AssertionError("a Dorey table was built")
+
+    monkeypatch.setattr(affine, "dorey_triples", no_table)
+    rank = 2 * n - 1 if target == "B" else n + 1
+    with pytest.raises(FoldingError, match=f"{target}_{n}: rank {rank} of type {source}"):
+        suite(target, n)
 
 
 def test_dorey_triple_realized_in_multiple_classes():
     # existence, not uniqueness: some entry has witnesses in >= 2 classes
-    from arfold.affine import _all_minimal_pair_data, dorey_triples
+    from arfold.seqorder import minimal_pairs_of_root
 
     keys = {(e.i, e.j, e.k, e.y_over_z, e.x_over_z)
             for e in dorey_triples("B", 2)}
     witnesses = {}
-    for cls, fq, a, b, g in _all_minimal_pair_data("B", 2):
-        la, lb, lg = (v_assign(fq, r) for r in (a, b, g))
-        for first, second in ((la, lb), (lb, la)):
-            key = (second.node, first.node, lg.node,
-                   first.parameter / lg.parameter,
-                   second.parameter / lg.parameter)
-            if key in keys:
-                witnesses.setdefault(key, set()).add(cls)
+    for cls, fq in twisted_folded_quivers("A", 3).items():
+        for g in range(cls.rs.num_positive):
+            for a, b in minimal_pairs_of_root(cls, g):
+                la, lb, lg = (v_assign(fq, r) for r in (a, b, g))
+                for first, second in ((la, lb), (lb, la)):
+                    key = (second.node, first.node, lg.node,
+                           first.parameter / lg.parameter,
+                           second.parameter / lg.parameter)
+                    if key in keys:
+                        witnesses.setdefault(key, set()).add(cls)
     assert any(len(v) >= 2 for v in witnesses.values())
 
 

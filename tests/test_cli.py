@@ -173,6 +173,19 @@ def test_bad_type_or_target_is_a_one_line_error(capsys, argv, message):
     assert message in err
 
 
+def test_dorey_refuses_an_unsupported_rank_before_any_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a Dorey table was built")
+
+    monkeypatch.setattr(cli.affine, "dorey_triples", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "dorey", "--target", "B", "--n", "400"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("arfold: error: ") and err.count("\n") == 1
+    assert "B_400: rank 799 of type A is not supported" in err
+
+
 def test_byte_identical_json(capsys):
     args = ["quiver", "--type", "A", "--rank", "4",
             "--class", "4,1,3,2,4,1,3,2,4,3", "--format", "json"]

@@ -175,10 +175,27 @@ def test_no_folding_from(source):
         folding_from(*source)
 
 
-@pytest.mark.parametrize("target", [("B", 1), ("C", 2), ("F", 5), ("G", 2)])
+# B_17 and C_32 fold from A_33 and D_33, beyond MAX_RANK
+@pytest.mark.parametrize("target", [("B", 1), ("C", 2), ("F", 5), ("G", 2), ("B", 17), ("C", 32)])
 def test_no_folding_to(target):
     with pytest.raises(FoldingError):
         folding_to(*target)
+
+
+@pytest.mark.parametrize("source", [("A", r) for r in range(3, 8)]
+                         + [("D", r) for r in (4, 5, 6)] + [("E", 6)],
+                         ids=lambda s: f"{s[0]}{s[1]}")
+def test_summing_pairs_by_definition(source):
+    rs = root_system(*source)
+    roots = rs.positive_roots
+    for g, gv in enumerate(roots):
+        want = [
+            (a, b)
+            for a in range(len(roots))
+            for b in range(len(roots))
+            if a < b and tuple(x + y for x, y in zip(roots[a], roots[b])) == gv
+        ]
+        assert list(rs.summing_pairs(g)) == want
 
 
 def test_root_system_equality_is_by_type_and_rank():

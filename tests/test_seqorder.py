@@ -128,10 +128,9 @@ def test_simple_singleton_and_multiple():
 def test_pair_summing_to_root_is_not_simple():
     for cls in twisted_adapted_point("A", 3):
         rs = cls.rs
-        for gv in rs.positive_roots:
-            for av, bv in rs.roots_summing_to(gv):
-                m = seq(rs, av, bv)
-                assert not is_simple(cls, m)
+        for g in range(rs.num_positive):
+            for a, b in rs.summing_pairs(g):
+                assert not is_simple(cls, sequence_from_roots(rs, [a, b]))
 
 
 def test_minimal_sequences_of_simple_root_empty():
@@ -375,7 +374,7 @@ def test_o_t_constancy_everywhere():
 
 def _table_oracle(cls, fq):
     """{(k, l): {t: o_t}} from the definitional phi_pairs, k <= l in 1..n."""
-    _, n = fq.folding().target
+    _, n = fq.folding.target
     gaps = {abs(p - q) for _, _, p in fq.coords for _, _, q in fq.coords}
     out = {}
     for k in range(1, n + 1):
