@@ -330,8 +330,12 @@ def minimal_pair_predicate(target: str, n: int, a_coord, b_coord, g_coord) -> bo
     Coordinates are folded (residue, position) pairs for the pair
     (alpha, beta) and the summed root; the predicate holds iff the key of
     either ordering of the pair is an entry of ``dorey_triples(target, n)``.
+    A residue outside 1..n is a ValueError.
     """
     keys = _validated_keys(target, n)
+    for i, _ in (a_coord, b_coord, g_coord):
+        if not 1 <= i <= n:
+            raise ValueError(f"residue {i} outside 1..{n} of {target}_{n}")
     labels = [_label(target, *c) for c in (a_coord, b_coord, g_coord)]
     return not keys.isdisjoint(_pair_keys(labels, 0, 1, 2))
 

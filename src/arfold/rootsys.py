@@ -143,7 +143,7 @@ class RootSystem:
 
     Positive roots are enumerated once, ordered by (height, coefficients)
     so indices are stable across runs.  All state is immutable after
-    construction.
+    construction, apart from memos filled on first use, which only grow.
     """
 
     def __init__(self, type_tag: str, rank: int):
@@ -171,6 +171,9 @@ class RootSystem:
         self._longest_word: tuple[int, ...] | None = None
         self._star: dict[int, int] | None = None
         self._summing_pairs: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        # memos other modules keep per root system: seqorder's pair partitions
+        # and packed roots
+        self._cache: dict = {}
         self._hash = hash((type_tag, rank))
 
     def __repr__(self) -> str:

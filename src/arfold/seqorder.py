@@ -20,6 +20,15 @@ Distance polynomials read one table per class and folded quiver,
 comparable pairs at residues {k, l} with gap t).  It is built in one
 pass over the comparable pairs, one `dist` per pair, and keeps only the
 o_t; `phi_pairs`, Phi[t] by definition, is its oracle in the tests.
+
+The sequences below a pair {a, b}, a before b, are the partitions of
+root_a + root_b into roots of the open interval, which is the bitmask
+above[a] & below[b] of the class.  They depend on that weight and that
+mask alone, so `pair_below` memoises them once per root system, in
+`RootSystem._cache`, shared by every class of every point: the key is
+one int, the packed weight above the mask, and stored sequences and
+results are interned.  The memo is never freed and grows with the rank,
+to some 7,500 entries on E6 after the F4 distance tables.
 """
 
 from __future__ import annotations
@@ -74,37 +83,57 @@ def sequences_of_weight(rs: RootSystem, w: Root, cap_height: int = 40):
     return _sequences_of_weight(rs, tuple(w))
 
 
-def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
-    """Multisets from ``allowed`` root indices summing to w."""
-    allowed = sorted(allowed, key=lambda r: (-sum(rs.positive_roots[r]), r))
-    n = rs.num_positive
-    out: list[Sequence] = []
-    cur = [0] * n
+def _pack(v, f: int) -> int:
+    """A vector of nonnegative coordinates as one int, f bits per coordinate."""
+    k = 0
+    for c in reversed(v):
+        k = k << f | c
+    return k
 
-    def rec(k: int, rem: Root, rem_ht: int):
-        if rem_ht == 0:
+
+def _packed_roots(rs: RootSystem, f: int) -> list[int]:
+    """Every positive root packed f bits per coordinate; kept per root system."""
+    key = ("packed_roots", f)
+    packed = rs._cache.get(key)
+    if packed is None:
+        packed = rs._cache.setdefault(key, [_pack(r, f) for r in rs.positive_roots])
+    return packed
+
+
+def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
+    """Multisets from ``allowed`` root indices summing to w.
+
+    They come in lexicographic order of the multiplicities along
+    ``allowed`` sorted by decreasing height.  Weights are packed f bits
+    per coordinate, the top bit of each field a guard: (rem | guard) - root
+    keeps every guard bit iff root <= rem in each coordinate, and then
+    rem - root is the remaining weight.
+    """
+    if min(w) < 0:
+        return []
+    f = max(*w, *rs.positive_roots[-1]).bit_length() + 1
+    guard = _pack([1 << f - 1] * rs.rank, f)
+    packed = _packed_roots(rs, f)
+    order = sorted(allowed, key=lambda r: (-sum(rs.positive_roots[r]), r))
+    roots = [(r, packed[r]) for r in order]
+    out: list[Sequence] = []
+    cur = [0] * rs.num_positive
+
+    def rec(start: int, rem: int):
+        if not rem:
             out.append(tuple(cur))
             return
-        if k == len(allowed):
-            return
-        r = allowed[k]
-        beta = rs.positive_roots[r]
-        ht = sum(beta)
-        max_mult = rem_ht // ht
-        for j, c in enumerate(beta):
-            if c:
-                max_mult = min(max_mult, rem[j] // c)
-                if max_mult == 0:
-                    break
-        rec(k + 1, rem, rem_ht)
-        acc = rem
-        for mult in range(1, max_mult + 1):
-            acc = tuple(a - b for a, b in zip(acc, beta))
-            cur[r] = mult
-            rec(k + 1, acc, rem_ht - mult * ht)
-        cur[r] = 0
+        # a later first root gives a lexicographically smaller multiset
+        for k in range(len(roots) - 1, start - 1, -1):
+            r, p = roots[k]
+            acc = rem
+            while ((acc | guard) - p) & guard == guard:
+                acc -= p
+                cur[r] += 1
+                rec(k + 1, acc)
+            cur[r] = 0
 
-    rec(0, w, sum(w))
+    rec(0, _pack(w, f))
     return out
 
 
@@ -165,24 +194,52 @@ def _less_same_weight(cls: CommutationClass, m: Sequence, mp: Sequence) -> bool:
 # pairs: everything below a pair lives on its open interval
 
 
+def _pair_memo(rs: RootSystem) -> tuple[list[int], dict, dict]:
+    """(weight key per root, memo, intern table) of one root system.
+
+    A root's weight key is its coordinates packed into one int, each in
+    enough bits for twice the largest coefficient of the highest root,
+    shifted above a root mask.  So the sum of two weight keys packs the
+    pair's weight, and a memo key, that sum ORed with the interval mask,
+    is read from the input alone.
+    """
+    memo = rs._cache.get("pair_partitions")
+    if memo is None:
+        f = (2 * max(rs.positive_roots[-1])).bit_length()
+        keys = [_pack(root, f) << rs.num_positive for root in rs.positive_roots]
+        memo = rs._cache.setdefault("pair_partitions", (keys, {}, {}))
+    return memo
+
+
 def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
     """All sequences strictly below the pair {a, b} in the class order.
 
     These are exactly the multisets of roots lying strictly between a
-    and b in the convex order whose weight is root_a + root_b.
+    and b in the convex order whose weight is root_a + root_b.  They
+    depend on that weight and interval alone, so they are memoised per
+    root system, shared by all its classes; every call returns a fresh
+    list.
     """
-    rs = cls.rs
-    if cls.precedes(b, a):
+    above, below = cls.above(), cls.below()
+    if not above[a] & below[b]:
         a, b = b, a
-    elif not cls.precedes(a, b):
+    mask = above[a] & below[b]
+    if not mask:
         return []
-    inner = cls.interval(a, b)
-    if not inner:
-        return []
-    w = tuple(
-        x + y for x, y in zip(rs.positive_roots[a], rs.positive_roots[b])
-    )
-    return _partitions(rs, w, inner)
+    rs = cls.rs
+    weight_key, memo, interned = _pair_memo(rs)
+    key = weight_key[a] + weight_key[b] | mask
+    seqs = memo.get(key)
+    if seqs is None:
+        w = tuple(
+            x + y for x, y in zip(rs.positive_roots[a], rs.positive_roots[b])
+        )
+        # sequences and whole results are interned; () is the shared empty one
+        seqs = tuple(
+            interned.setdefault(m, m) for m in _partitions(rs, w, cls.interval(a, b))
+        )
+        seqs = memo[key] = interned.setdefault(seqs, seqs)
+    return list(seqs)
 
 
 def pair_is_simple(cls: CommutationClass, a: int, b: int) -> bool:
@@ -248,10 +305,10 @@ def socle(cls: CommutationClass, m: Sequence) -> Sequence | None:
     """The unique simple sequence weakly below a pair, when it exists."""
     if not is_pair(m):
         raise ValueError("socle is defined for pairs")
-    a, b = support(m)
-    if pair_is_simple(cls, a, b):
+    below = pair_below(cls, *support(m))
+    if not below:
         return m
-    simples = [x for x in pair_below(cls, a, b) if is_simple(cls, x)]
+    simples = [x for x in below if is_simple(cls, x)]
     if len(simples) == 1:
         return simples[0]
     return None

@@ -130,12 +130,29 @@ class CommutationClass:
     def comparable(self, a: int, b: int) -> bool:
         return self.precedes(a, b) or self.precedes(b, a)
 
+    def above(self) -> list[int]:
+        """Strict convex-order bitmasks: bit r' of above[r] iff r < r'.
+
+        Built on the first interval query, not with the heap.
+        """
+        cache = self._cache
+        if "above" not in cache:
+            above = [0] * self.length
+            for r, mask in self.below().items():
+                bit = 1 << r
+                while mask:
+                    low = mask & -mask
+                    above[low.bit_length() - 1] |= bit
+                    mask ^= low
+            cache["above"] = above
+        return cache["above"]
+
     def interval(self, a: int, b: int) -> list[int]:
-        """Root indices strictly between a and b in the convex order."""
+        """Root indices strictly between a and b in the convex order: the
+        bits of above[a] & below[b], listed in canonical-word order."""
         below = self.below()
-        if not below[b] >> a & 1:
-            return []
-        return [r for r in below if below[r] >> a & 1 and below[b] >> r & 1]
+        mask = self.above()[a] & below[b]
+        return [r for r in below if mask >> r & 1]
 
     def members(self, cap: int = DEFAULT_CAP) -> list[Word]:
         """All member words (linear extensions of the heap), capped."""

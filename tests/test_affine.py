@@ -284,6 +284,17 @@ def test_predicate_refuses_a_target_without_a_table(target, n):
         minimal_pair_predicate(target, n, (1, 0), (1, 2), (2, 1))
 
 
+@pytest.mark.parametrize("target, n, a, b, g", [
+    ("B", 3, (9, 0), (9, 2), (9, 1)),
+    ("C", 3, (0, 0), (-1, 2), (5, 1)),
+    ("B", 3, (1, 0), (2, 2), (4, 1)),
+    ("C", 4, (0, 0), (1, 2), (2, 1)),
+])
+def test_predicate_refuses_a_residue_outside_the_diagram(target, n, a, b, g):
+    with pytest.raises(ValueError, match=f"outside 1..{n}"):
+        minimal_pair_predicate(target, n, a, b, g)
+
+
 def test_printed_b_ii_s_k_phases_are_no_label_ratio():
     # the ratio of the B labels at residues i and k has phase 2(i - k); the
     # printed B(ii) s=k entries are the only ones no minimal pair can match

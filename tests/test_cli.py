@@ -125,6 +125,21 @@ def test_verify_socle_dist_small(capsys):
     assert "[PASS]" in out
 
 
+@pytest.mark.parametrize("tt, rk", [("A", 5), ("D", 4)])
+def test_socle_dist_threads_share_the_memo_safely(tt, rk):
+    # the threads fill one cold pair-partition memo; a key that depended on
+    # the order of insertion could give two weights one entry
+    root_system(tt, rk)._cache.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = cli.verify_socle_dist(tt, rk, jobs=2).as_dict()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == cli.verify_socle_dist(tt, rk, jobs=1).as_dict()
+    assert threaded["ok"] and threaded["checked"] > 0
+
+
 def test_verify_report_json(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _ = run(capsys, "verify", "den-dist", "--target", "B", "--n", "2",

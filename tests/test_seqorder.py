@@ -1,16 +1,22 @@
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arfold.rootsys import root_system
-from arfold.words import commutation_class, root_sequence, twisted_adapted_point
+from arfold.words import (
+    adapted_point,
+    commutation_class,
+    root_sequence,
+    twisted_adapted_point,
+)
 from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import (
     _distance_table,
     _less_same_weight,
+    _partitions,
     bilex_less_word,
     class_less,
     classify_cover,
@@ -103,18 +109,94 @@ def test_class_less_equals_oracle_exhaustive_small():
 
 
 def test_pair_below_matches_unpruned_enumeration():
-    for tt, rk in [("A", 3), ("A", 5), ("D", 4)]:
-        cls = sorted(twisted_adapted_point(tt, rk),
-                     key=lambda c: c.canonical_word)[0]
-        rs = cls.rs
-        for a in range(rs.num_positive):
-            for b in range(a + 1, rs.num_positive):
-                p = sequence_from_roots(rs, [a, b])
-                brute = [
-                    m for m in sequences_of_weight(rs, weight_of(rs, p))
-                    if m != p and class_less(cls, m, p)
-                ]
-                assert sorted(pair_below(cls, a, b)) == sorted(brute)
+    # every class in one process: classes share the root system's memo
+    points = [twisted_adapted_point("A", 3), twisted_adapted_point("A", 5),
+              twisted_adapted_point("D", 4), adapted_point("A", 4)]
+    for point in points:
+        for cls in sorted(point, key=lambda c: c.canonical_word):
+            rs = cls.rs
+            for a in range(rs.num_positive):
+                for b in range(a + 1, rs.num_positive):
+                    p = sequence_from_roots(rs, [a, b])
+                    brute = sorted(
+                        m for m in sequences_of_weight(rs, weight_of(rs, p))
+                        if m != p and class_less(cls, m, p)
+                    )
+                    assert sorted(pair_below(cls, a, b)) == brute
+                    assert sorted(pair_below(cls, b, a)) == brute
+
+
+def partitions_oracle(rs, w, allowed):
+    """Multisets of ``allowed`` roots of weight w, one root at a time in
+    decreasing height (lexicographic order of the multiplicities)."""
+    allowed = sorted(allowed, key=lambda r: (-sum(rs.positive_roots[r]), r))
+    out, cur = [], [0] * rs.num_positive
+
+    def rec(k, rem):
+        if not any(rem):
+            out.append(tuple(cur))
+            return
+        if k == len(allowed):
+            return
+        r = allowed[k]
+        beta = rs.positive_roots[r]
+        rec(k + 1, rem)
+        while all(x >= y for x, y in zip(rem, beta)):
+            rem = tuple(x - y for x, y in zip(rem, beta))
+            cur[r] += 1
+            rec(k + 1, rem)
+        cur[r] = 0
+
+    rec(0, tuple(w))
+    return out
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 5), ("D", 4), ("D", 5), ("E", 6)])
+def test_partitions_equal_oracle(tt, rk):
+    rs = root_system(tt, rk)
+    every = range(rs.num_positive)
+    for w in product(range(3), repeat=rk):
+        if sum(w) <= 8:
+            assert _partitions(rs, w, every) == partitions_oracle(rs, w, every), w
+    cls = min(twisted_adapted_point(tt, rk), key=lambda c: c.canonical_word)
+    for a in every:
+        for b in every:
+            w = weight_of(rs, sequence_from_roots(rs, [a, b]))
+            inner = cls.interval(a, b)
+            assert _partitions(rs, w, inner) == partitions_oracle(rs, w, inner)
+
+
+def test_no_sequence_has_a_negative_coordinate():
+    rs = root_system("A", 3)
+    assert sequences_of_weight(rs, (1, -1, 1)) == ()
+    assert sequences_of_weight(rs, (2, -1, 0)) == ()
+
+
+def test_pair_below_returns_a_fresh_list():
+    cls = min(twisted_adapted_point("A", 5), key=lambda c: c.canonical_word)
+    rs = cls.rs
+    a, b = next(
+        (a, b) for a in range(rs.num_positive) for b in range(rs.num_positive)
+        if len(pair_below(cls, a, b)) > 1
+    )
+    want = list(pair_below(cls, a, b))
+    first = pair_below(cls, a, b)
+    first.pop()
+    first.append(sequence_from_roots(rs, [a, b]))
+    assert pair_below(cls, a, b) == want
+    pair_below(cls, a, b).clear()
+    assert pair_below(cls, a, b) == want
+
+
+def test_interval_is_the_bits_of_above_and_below():
+    for tt, rk in [("A", 5), ("D", 5), ("E", 6)]:
+        for cls in twisted_adapted_point(tt, rk):
+            above, below = cls.above(), cls.below()
+            for a in below:
+                assert above[a] == sum(1 << r for r in below if cls.precedes(a, r))
+                for b in below:
+                    mask = above[a] & below[b]
+                    assert cls.interval(a, b) == [r for r in below if mask >> r & 1]
 
 
 def test_simple_singleton_and_multiple():
