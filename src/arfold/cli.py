@@ -240,7 +240,7 @@ def _need(args, *names):
 
 def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
     """Socle existence/uniqueness and dist bounds over a twisted point of A or D."""
-    from .seqorder import dist, sequence_from_roots, socle
+    from .seqorder import _pair_dist, sequence_from_roots, socle
     from .affine import Report
 
     if type_tag not in ("A", "D"):
@@ -256,9 +256,8 @@ def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
         n = rs.num_positive
         for a in range(n):
             for b in range(a + 1, n):
-                p = sequence_from_roots(rs, [a, b])
-                d = dist(cls, p)
-                s = socle(cls, p)
+                d = _pair_dist(cls, a, b)
+                s = socle(cls, sequence_from_roots(rs, [a, b]))
                 if d > 2 or s is None:
                     bad.append((cls.canonical_word, a, b, d, s))
         return n * (n - 1) // 2, bad

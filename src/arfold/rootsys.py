@@ -171,8 +171,8 @@ class RootSystem:
         self._longest_word: tuple[int, ...] | None = None
         self._star: dict[int, int] | None = None
         self._summing_pairs: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        # memos other modules keep per root system: seqorder's pair partitions
-        # and packed roots
+        # memos kept per root system: the reflection permutations, and
+        # seqorder's pair partitions and packed roots
         self._cache: dict = {}
         self._hash = hash((type_tag, rank))
 
@@ -203,6 +203,23 @@ class RootSystem:
         w = list(v)
         w[i - 1] -= c
         return tuple(w)
+
+    def reflection_permutation(self, i: int) -> tuple[int, ...]:
+        """The action of s_i on positive-root indices, alpha_i to itself.
+
+        s_i permutes the positive roots other than alpha_i; alpha_i, sent
+        to -alpha_i, is kept in place by convention.  Built once per i.
+        """
+        key = ("reflection_permutation", i)
+        perm = self._cache.get(key)
+        if perm is None:
+            r_i = self.simple_root_index[i]
+            perm = tuple(
+                r if r == r_i else self.root_index[self.reflect(root, i)]
+                for r, root in enumerate(self.positive_roots)
+            )
+            perm = self._cache.setdefault(key, perm)
+        return perm
 
     def apply_word(self, word: tuple[int, ...] | list[int], v: Root) -> Root:
         """Apply s_{i_1} ... s_{i_k} to v (rightmost letter acts first)."""

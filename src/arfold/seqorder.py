@@ -176,16 +176,13 @@ def _less_same_weight(cls: CommutationClass, m: Sequence, mp: Sequence) -> bool:
     diff = [r for r in range(cls.rs.num_positive) if m[r] != mp[r]]
     if not diff:
         return False
-    below = cls.below()
+    below, above = cls.below(), cls.above()
     diff_mask = 0
     for r in diff:
         diff_mask |= 1 << r
     for r in diff:
-        is_min = not (below[r] & diff_mask)
-        if is_min and m[r] >= mp[r]:
-            return False
-        is_max = all(not (below[s] >> r & 1) for s in diff if s != r)
-        if is_max and m[r] >= mp[r]:
+        is_extremal = not below[r] & diff_mask or not above[r] & diff_mask
+        if is_extremal and m[r] >= mp[r]:
             return False
     return True
 
@@ -283,15 +280,18 @@ def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence
     return depth
 
 
+def _pair_dist(cls: CommutationClass, a: int, b: int) -> int:
+    """`dist` of the pair {a, b} of distinct root indices."""
+    below = pair_below(cls, a, b)
+    if not below:
+        return 0
+    return 1 + max(_chain_depths(cls, below).values())
+
+
 def dist(cls: CommutationClass, m: Sequence) -> int:
     """Length of the longest strict chain below m (ending at a simple)."""
     if is_pair(m):
-        a, b = support(m)
-        below = pair_below(cls, a, b)
-        if not below:
-            return 0
-        depth = _chain_depths(cls, below)
-        return 1 + max(depth.values())
+        return _pair_dist(cls, *support(m))
     rs = cls.rs
     elems = [x for x in sequences_of_weight(rs, weight_of(rs, m)) if x != m]
     under = [x for x in elems if class_less(cls, x, m)]
@@ -563,7 +563,7 @@ def _distance_table(cls: CommutationClass, fq: FoldedQuiver) -> dict:
             (ia, pa), (ib, pb) = coord[a], coord[b]
             k, l = sorted((ia, ib))
             row = table.setdefault((k, l), {})
-            t, d = abs(pa - pb), dist(cls, sequence_from_roots(cls.rs, [a, b]))
+            t, d = abs(pa - pb), _pair_dist(cls, a, b)
             if row.setdefault(t, d) != d:
                 raise AssertionError(
                     f"distance is not constant on Phi[{t}] at ({k},{l}): "

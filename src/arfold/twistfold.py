@@ -271,8 +271,9 @@ def folded_sinks(fq: FoldedQuiver) -> list[int]:
 def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     """One reflection step on a folded quiver, at the sink alpha_i.
 
-    Moves the alpha_i vertex 2 h_dual to the left, reflects every other
-    label by s_i and places the arrows of the new coordinates.
+    Reflects every other label by s_i, a permutation of the positive
+    roots other than alpha_i, moves the alpha_i vertex 2 h_dual to the
+    left and places the arrows of the new coordinates.
     """
     rs = fq.rs
     if i not in rs.nodes:
@@ -283,12 +284,10 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     if any(a == r_i for a, _ in fq.arrows):
         raise FoldingError(f"alpha_{i} is not a sink of the folded quiver")
     folding = fq.folding
-    coords = {}
-    for r, res, pos in fq.coords:
-        if r == r_i:
-            coords[r_i] = (res, pos - 2 * folding.h_dual)
-        else:
-            coords[rs.root_index[rs.reflect(rs.positive_roots[r], i)]] = (res, pos)
+    perm = rs.reflection_permutation(i)  # alpha_i stays in place
+    coords = {perm[r]: (res, pos) for r, res, pos in fq.coords}
+    res, pos = coords[r_i]
+    coords[r_i] = (res, pos - 2 * folding.h_dual)
     new_cls = reflect(fq.source_class, i, "right")
     if new_cls == fq.source_class:
         raise FoldingError(f"class has no member starting with s_{i}")

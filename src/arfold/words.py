@@ -20,6 +20,11 @@ A reflection functor moves one letter between the two ends of a word.
 Occurrences of one letter never commute, so the first s_i of every
 member word is the same heap element, and it can start a member word
 iff the letters before it in the canonical word all commute with i.
+The moved word needs no new check: s_i w_0 = w_0 s_{i*}, so moving the
+first s_i of a reduced word of w_0 to the end as s_{i*} (or the last s_i
+to the front) gives a reduced word of w_0 again.  Reducedness is checked
+only where a word enters: `commutation_class`, and so `contains`, the
+seeds of the cluster points and the CLI's ``--class``.
 """
 
 from __future__ import annotations
@@ -218,14 +223,14 @@ class CommutationClass:
             return False
 
 
-def _canonical_word(rs: RootSystem, word: Word) -> Word:
-    """Lexicographically least member, by Kahn's algorithm on the heap.
+def _kahn(rs: RootSystem, word: Word) -> Word:
+    """Lexicographically least member of the class of a reduced word, by
+    Kahn's algorithm on the heap; the word is not checked.
 
     Position p waits on the previous occurrence of its own letter and of
     each neighbour.  Two available occurrences never share a letter, so
     taking the least available letter each time gives the least member.
     """
-    root_sequence(rs, word)  # refuses a word that is not reduced
     waits = [0] * len(word)
     after: list[list[int]] = [[] for _ in word]
     last: dict[int, int] = {}
@@ -255,7 +260,8 @@ def commutation_class(rs: RootSystem, word: Word) -> CommutationClass:
             f"word of length {len(word)} is not a reduced word of w_0 "
             f"(need {rs.num_positive} letters)"
         )
-    return CommutationClass(rs, _canonical_word(rs, word))
+    root_sequence(rs, word)  # refuses a word that is not reduced
+    return CommutationClass(rs, _kahn(rs, word))
 
 
 def reflect(cls: CommutationClass, i: int, side: str = "right") -> CommutationClass:
@@ -264,6 +270,8 @@ def reflect(cls: CommutationClass, i: int, side: str = "right") -> CommutationCl
     The right (left) action moves the first (last) s_i of the canonical
     word to the end (front) as s_{i*}.  It moves iff the letters passed
     all commute with i, i.e. iff some member word starts (ends) with s_i.
+    Since s_i w_0 = w_0 s_{i*}, the moved word is again a reduced word of
+    w_0, so it is canonicalised without the reducedness check.
     """
     rs = cls.rs
     if i not in rs.nodes:
@@ -281,7 +289,8 @@ def reflect(cls: CommutationClass, i: int, side: str = "right") -> CommutationCl
         return cls
     rest = word[:k] + word[k + 1:]
     star = (rs.star()[i],)
-    return commutation_class(rs, rest + star if side == "right" else star + rest)
+    moved = rest + star if side == "right" else star + rest
+    return CommutationClass(rs, _kahn(rs, moved))
 
 
 def cluster_point(cls: CommutationClass) -> frozenset[CommutationClass]:

@@ -204,3 +204,17 @@ def test_root_system_equality_is_by_type_and_rank():
     assert hash(RootSystem("A", 3)) == hash(root_system("A", 3))
     assert RootSystem("A", 3) != root_system("A", 4)
     assert commutation_class(RootSystem("A", 3), w) == commutation_class(root_system("A", 3), w)
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 9), ("D", 7), ("E", 6)])
+def test_reflection_permutation_is_s_i_on_root_indices(tt, rk):
+    rs = root_system(tt, rk)
+    for i in rs.nodes:
+        perm = rs.reflection_permutation(i)
+        r_i = rs.simple_root_index[i]
+        assert perm[r_i] == r_i
+        assert sorted(perm) == list(range(rs.num_positive))
+        for r, root in enumerate(rs.positive_roots):
+            if r != r_i:
+                assert perm[r] == rs.root_index[rs.reflect(root, i)]
+        assert rs.reflection_permutation(i) is perm  # built once

@@ -15,6 +15,7 @@ from arfold.words import (
 from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import (
     _distance_table,
+    _pair_dist,
     _less_same_weight,
     _partitions,
     bilex_less_word,
@@ -298,6 +299,32 @@ def test_dist_at_most_two_twisted():
             for a in range(rs.num_positive):
                 for b in range(a + 1, rs.num_positive):
                     assert dist(cls, sequence_from_roots(rs, [a, b])) <= 2
+
+
+def _dist_oracle(cls, m):
+    """Longest strict chain below m among all sequences of its weight."""
+    rs = cls.rs
+    elems = [x for x in sequences_of_weight(rs, weight_of(rs, m)) if x != m]
+    depth = {}
+
+    def rec(y):
+        if y not in depth:
+            depth[y] = max(
+                (rec(x) + 1 for x in elems if class_less(cls, x, y)), default=0
+            )
+        return depth[y]
+
+    return rec(m)
+
+
+@pytest.mark.parametrize("tt, rk", [("D", 5), ("A", 5)])  # C4 and B3
+def test_pair_dist_equals_dist_of_the_pair_sequence(tt, rk):
+    cls = min(twisted_adapted_point(tt, rk), key=lambda c: c.canonical_word)
+    rs = cls.rs
+    for a, b in combinations(range(rs.num_positive), 2):
+        m = sequence_from_roots(rs, [a, b])
+        d = _pair_dist(cls, a, b)
+        assert d == _pair_dist(cls, b, a) == dist(cls, m) == _dist_oracle(cls, m)
 
 
 def test_dist_two_has_unique_intermediate():

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from arfold.rootsys import root_system, trivial_automorphism
 from arfold.words import (
     CapExceededError,
-    _canonical_word,
     _heap,
+    _kahn,
     NotReducedError,
     adapted_point,
     cluster_point,
@@ -174,6 +174,37 @@ def test_reflect_equals_definitional_action(tt, rk, point):
         for i in rs.nodes:
             for side in ("right", "left"):
                 assert {reflect(cls, i, side)} == _reflect_oracle(cls, i, side)
+
+
+def _moved_word(cls, i, side):
+    """The word the reflection functor moves to, or None at a fixed point."""
+    rs, w = cls.rs, cls.canonical_word
+    k = w.index(i) if side == "right" else len(w) - 1 - w[::-1].index(i)
+    passed = w[:k] if side == "right" else w[k + 1:]
+    if any(rs.cartan[j][i] for j in passed):
+        return None
+    rest, star = w[:k] + w[k + 1:], (rs.star()[i],)
+    return rest + star if side == "right" else star + rest
+
+
+@pytest.mark.parametrize("tt, rk", [
+    ("A", 5), ("A", 7), ("A", 9), ("D", 5), ("D", 6), ("D", 7), ("E", 6),
+])
+def test_reflect_moves_to_a_reduced_word_of_its_class(tt, rk):
+    # s_i w_0 = w_0 s_{i*}: reflect builds the moved class unchecked
+    rs = root_system(tt, rk)
+    moves = 0
+    for cls in twisted_adapted_point(tt, rk):
+        for i in rs.nodes:
+            for side in ("right", "left"):
+                moved = _moved_word(cls, i, side)
+                if moved is None:
+                    assert reflect(cls, i, side) == cls
+                    continue
+                moves += 1
+                assert len(root_sequence(rs, moved)) == rs.num_positive
+                assert reflect(cls, i, side) == commutation_class(rs, moved)
+    assert moves
 
 
 def test_heap_is_the_same_for_every_member_word():
@@ -352,7 +383,7 @@ def test_canonical_word_is_least_member(tt, rk, point):
         members = cls.members()
         assert cls.canonical_word == min(members)
         for w in members[::7]:
-            assert _canonical_word(rs, w) == cls.canonical_word
+            assert _kahn(rs, w) == cls.canonical_word
 
 
 @pytest.mark.parametrize("tt, rk", [("A", 3), ("D", 4), ("E", 6)])
