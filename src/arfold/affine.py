@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rootsys import Folding, folding_to
-from .words import CommutationClass
 from .arquiver import DynkinQuiver, gamma_q
 from .twistfold import FoldedQuiver, twisted_folded_quivers
 from .seqorder import (
@@ -47,20 +46,12 @@ class SpectralParameter:
         object.__setattr__(self, "phase", self.phase % 4)
 
     @classmethod
-    def q_power(cls, a: int) -> SpectralParameter:
-        return cls(0, 2 * a)
-
-    @classmethod
     def minus_q_power(cls, a: int) -> SpectralParameter:
         return cls(2 * a, 2 * a)
 
     @classmethod
     def minus_qs_power(cls, a: int) -> SpectralParameter:
         return cls(2 * a, a)
-
-    @classmethod
-    def signed_qs(cls, sign: int, a: int) -> SpectralParameter:
-        return cls(0 if sign > 0 else 2, a)
 
     def __mul__(self, other: SpectralParameter) -> SpectralParameter:
         return SpectralParameter(self.phase + other.phase, self.exp + other.exp)
@@ -295,16 +286,16 @@ def dorey_triples(target: str, n: int, convention: str = "validated") -> list[Do
 
 
 def minimal_pair_coordinates(
-    cls: CommutationClass, fq: FoldedQuiver, gamma
+    fq: FoldedQuiver, gamma
 ) -> list[tuple[tuple[int, int], tuple[int, int], tuple[int, int]]]:
     """Folded coordinate triples ((i,p),(j,q),(k,r)) of the minimal pairs
-    of a positive root, the pair ordered by the convex order."""
-    rs = cls.rs
-    g = gamma if isinstance(gamma, int) else rs.root_index[tuple(gamma)]
+    of a positive root in the quiver's class, the pair ordered by the
+    convex order."""
+    g = gamma if isinstance(gamma, int) else fq.rs.root_index[tuple(gamma)]
     coord = fq.coord_of()
     return [
         (coord[a], coord[b], coord[g])
-        for a, b in minimal_pairs_of_root(cls, g)
+        for a, b in minimal_pairs_of_root(fq.source_class, g)
     ]
 
 
@@ -364,17 +355,24 @@ class Report:
         }
 
 
+def _twisted_point(folding: Folding) -> list[FoldedQuiver]:
+    """The folded quivers of the twisted point of a folding, ordered by
+    the canonical words of their classes."""
+    fqs = twisted_folded_quivers(*folding.source)
+    return [fqs[cls] for cls in sorted(fqs, key=lambda c: c.canonical_word)]
+
+
 def _distance_polynomials(folding: Folding, convention: str) -> dict:
     """{(k, l): {cls: poly}}, k <= l, classes by canonical word: the distance
     polynomial under one convention, times the diagonal factor at k = l."""
-    fqs = twisted_folded_quivers(*folding.source)
+    point = _twisted_point(folding)
     extra = RootedPolynomial.from_factors([den_dist_extra_factor(*folding.target)])
     _, n = folding.target
     return {
         (k, l): {
-            cls: distance_polynomial(cls, fqs[cls], k, l, convention)
+            fq.source_class: distance_polynomial(fq, k, l, convention)
             * (extra if k == l else RootedPolynomial.one())
-            for cls in sorted(fqs, key=lambda c: c.canonical_word)
+            for fq in point
         }
         for k in range(1, n + 1)
         for l in range(k, n + 1)
@@ -411,42 +409,61 @@ def verify_class_invariance(target: str, n: int) -> Report:
     return rep
 
 
-def _class_labels(target: str, n: int):
-    """(class, folded coordinates, spectral label per root) for every
-    class of the twisted point folding onto target_n, by canonical word."""
-    fqs = twisted_folded_quivers(*folding_to(target, n).source)
-    for cls in sorted(fqs, key=lambda c: c.canonical_word):
-        coord = fqs[cls].coord_of()
-        yield cls, coord, {r: _label(target, *c) for r, c in coord.items()}
+def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
+    """One pass over the summing pairs of every class of the twisted point.
+
+    Each pair's Dorey keys are computed once, and its minimality is read
+    from `minimal_pairs_of_root`.  Returns the minimal-pair report
+    (checked = minimal pairs, a mismatch per pair whose keys are not in
+    the validated table), the keys the minimal pairs realize, and the
+    report of the predicate against minimality over all summing pairs.
+    """
+    folding = folding_to(target, n)  # refuse an unsupported rank before any table
+    validated = _validated_keys(target, n)
+    pairs = Report(f"dorey {target} n={n}", True, 0)
+    predicate = Report(f"minimal-pair predicate {target} n={n}", True, 0)
+    realized: set = set()
+    for fq in _twisted_point(folding):
+        cls, coord = fq.source_class, fq.coord_of()
+        labels = {r: _label(target, *c) for r, c in coord.items()}
+        for g in range(cls.rs.num_positive):
+            minimal = set(minimal_pairs_of_root(cls, g))
+            for a, b in cls.rs.summing_pairs(g):
+                if (b, a) in minimal:
+                    a, b = b, a  # a minimal pair in the convex order
+                keys = _pair_keys(labels, a, b, g)
+                listed = not validated.isdisjoint(keys)
+                is_minimal = (a, b) in minimal
+                predicate.checked += 1
+                if listed != is_minimal:
+                    predicate.ok = False
+                    predicate.mismatches.append(
+                        (cls.canonical_word, coord[a], coord[b], coord[g],
+                         "predicate", listed)
+                    )
+                if is_minimal:
+                    pairs.checked += 1
+                    realized.update(keys)
+                    if not listed:
+                        pairs.ok = False
+                        pairs.mismatches.append(
+                            ("pair not in table", cls.canonical_word,
+                             coord[a], coord[b], coord[g])
+                        )
+    return pairs, realized, predicate
 
 
 def verify_dorey(target: str, n: int) -> Report:
-    """Both inclusions of the Dorey correspondence, plus the predicates.
+    """Both inclusions of the Dorey correspondence, plus the predicate.
 
     (<=): the spectral ratios of every minimal pair appear in the table;
     (>=): every table entry is realized by a minimal pair in some class.
     The coordinate predicate is checked to be exactly equivalent to
-    minimality.  Runs under both table conventions and
-    reports branches of the printed one that never match.
+    minimality, in the same pass over the summing pairs.  Branches of
+    the printed table that never match are reported.
     """
-    folding_to(target, n)  # refuse an unsupported rank before any table
-    rep = Report(f"dorey {target} n={n}", True, 0)
-    validated = _validated_keys(target, n)
-    realized: set = set()
-    for cls, coord, labels in _class_labels(target, n):
-        for g in range(cls.rs.num_positive):
-            for a, b in minimal_pairs_of_root(cls, g):
-                rep.checked += 1
-                keys = _pair_keys(labels, a, b, g)
-                realized.update(keys)
-                if validated.isdisjoint(keys):
-                    rep.ok = False
-                    rep.mismatches.append(
-                        ("pair not in table", cls.canonical_word,
-                         coord[a], coord[b], coord[g])
-                    )
-    # coverage (>=) per convention
-    missing = validated - realized
+    rep, realized, predicate = _dorey_sweep(target, n)
+    missing = _validated_keys(target, n) - realized
     if missing:
         rep.ok = False
         rep.mismatches.append(("unrealized validated entries", sorted(
@@ -465,34 +482,15 @@ def verify_dorey(target: str, n: int) -> Report:
         "see dorey_triples for both versions"
         if target == "B" else "printed table used as-is"
     )
-    # predicate <-> minimality equivalence
-    eq = verify_minimal_pair_predicate(target, n)
-    rep.checked += eq.checked
-    if not eq.ok:
-        rep.ok = False
-        rep.mismatches.extend(eq.mismatches)
+    rep.checked += predicate.checked
+    rep.ok = rep.ok and predicate.ok
+    rep.mismatches.extend(predicate.mismatches)
     return rep
 
 
 def verify_minimal_pair_predicate(target: str, n: int) -> Report:
     """Coordinate predicate == minimality, over all summing pairs."""
-    folding_to(target, n)  # refuse an unsupported rank before any table
-    keys = _validated_keys(target, n)
-    rep = Report(f"minimal-pair predicate {target} n={n}", True, 0)
-    for cls, coord, labels in _class_labels(target, n):
-        rs = cls.rs
-        for g in range(rs.num_positive):
-            minimal = set(minimal_pairs_of_root(cls, g))
-            for a, b in rs.summing_pairs(g):
-                rep.checked += 1
-                pred = not keys.isdisjoint(_pair_keys(labels, a, b, g))
-                if pred != ((a, b) in minimal or (b, a) in minimal):
-                    rep.ok = False
-                    rep.mismatches.append(
-                        (cls.canonical_word, coord[a], coord[b], coord[g],
-                         "predicate", pred)
-                    )
-    return rep
+    return _dorey_sweep(target, n)[2]
 
 
 def verify_f4_conjecture() -> Report:

@@ -121,7 +121,8 @@ class ARQuiver:
 def adapted_word(q: DynkinQuiver) -> Word:
     """Some reduced word of w_0 adapted to Q (a reading of Gamma_Q)."""
     g = gamma_q(q)
-    return read_one(g)
+    residues = g.residues()
+    return tuple(residues[r] for r in reading_vertices(g))
 
 
 def is_adapted(word: Word, q: DynkinQuiver) -> bool:
@@ -194,7 +195,9 @@ def read_root_labels(rs: RootSystem, cells, step) -> tuple[Word, ARQuiver]:
 
 
 @lru_cache(maxsize=None)
-def _gamma_q_cached(q: DynkinQuiver) -> ARQuiver:
+def gamma_q(q: DynkinQuiver) -> ARQuiver:
+    """The AR quiver of Q: coordinates by the Coxeter translation rule,
+    with the height function pinned at xi(1) = 0."""
     rs = q.rs
     xi = q.height_function()
     phi = coxeter_element_of(q)
@@ -224,22 +227,6 @@ def _gamma_q_cached(q: DynkinQuiver) -> ARQuiver:
     return ARQuiver(rs, coord_rows, arrows)
 
 
-def gamma_q(q: DynkinQuiver, shift: int = 0) -> ARQuiver:
-    """The AR quiver of Q: coordinates by the Coxeter translation rule.
-
-    ``shift`` adds a constant to the height function (positions move by
-    2 * shift in doubled units); the default pins xi(1) = 0.
-    """
-    g = _gamma_q_cached(q)
-    if not shift:
-        return g
-    return ARQuiver(
-        g.rs,
-        tuple((r, i, p2 + 2 * shift) for r, i, p2 in g.coords),
-        g.arrows,
-    )
-
-
 def reading_vertices(quiver: ARQuiver) -> list[int]:
     """Vertices in one reading order: a vertex follows its arrow targets."""
     residues = quiver.residues()
@@ -261,12 +248,6 @@ def reading_vertices(quiver: ARQuiver) -> list[int]:
     if len(order) != len(residues):
         raise AssertionError("quiver has a cycle")
     return order
-
-
-def read_one(quiver: ARQuiver) -> Word:
-    """One reading of the quiver compatible with arrows (greedy smallest)."""
-    residues = quiver.residues()
-    return tuple(residues[r] for r in reading_vertices(quiver))
 
 
 def read_reduced_words(quiver: ARQuiver, cap: int = DEFAULT_CAP) -> list[Word]:
@@ -299,14 +280,7 @@ def read_reduced_words(quiver: ARQuiver, cap: int = DEFAULT_CAP) -> list[Word]:
 
 def covers(cls: CommutationClass) -> set[tuple[int, int]]:
     """Cover relations (a, b): a before b with nothing strictly between."""
-    below = cls.below()
-    above = {r: 0 for r in below}
-    for b, mask in below.items():
-        m = mask
-        while m:
-            low = m & -m
-            above[low.bit_length() - 1] |= 1 << b
-            m ^= low
+    below, above = cls.below(), cls.above()
     out = set()
     for b, mask in below.items():
         m = mask

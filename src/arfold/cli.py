@@ -9,7 +9,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .rootsys import UnsupportedTypeError, check_type_rank, folding_to, root_system
+from .rootsys import (
+    UnsupportedTypeError,
+    check_type_rank,
+    folding_from,
+    folding_to,
+    root_system,
+)
 from .words import adapted_point, commutation_class, twisted_adapted_point
 from .arquiver import ARQuiver, adapted_quiver_of, gamma_q, hasse_quiver
 from .twistfold import FoldingError, twisted_folded_quivers
@@ -213,6 +219,8 @@ def cmd_verify(args) -> int:
     if args.suite in ("den-dist", "dorey"):
         _need(args, "target", "n")
         folding_to(args.target, args.n)
+    elif args.suite == "socle-dist":
+        _need(args, "type", "rank")
     if args.suite == "den-dist":
         reports.append(affine.verify_den_dist(args.target, args.n))
         reports.append(affine.verify_class_invariance(args.target, args.n))
@@ -240,24 +248,22 @@ def _need(args, *names):
 
 def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
     """Socle existence/uniqueness and dist bounds over a twisted point of A or D."""
-    from .seqorder import _pair_dist, sequence_from_roots, socle
-    from .affine import Report
+    from .seqorder import _pair_dist, _pair_socle
 
     if type_tag not in ("A", "D"):
         raise UnsupportedTypeError(f"socle-dist is proved for A and D only, not {type_tag}")
-    point = sorted(
-        twisted_adapted_point(type_tag, rank), key=lambda c: c.canonical_word
-    )
-    rep = Report(f"socle-dist {type_tag}{rank}", True, 0)
+    point = [fq.source_class for fq in affine._twisted_point(folding_from(type_tag, rank))]
+    rep = affine.Report(f"socle-dist {type_tag}{rank}", True, 0)
 
     def check_class(cls):
-        rs = cls.rs
         bad = []
-        n = rs.num_positive
+        n = cls.rs.num_positive
         for a in range(n):
             for b in range(a + 1, n):
                 d = _pair_dist(cls, a, b)
-                s = socle(cls, sequence_from_roots(rs, [a, b]))
+                if not d:
+                    continue  # nothing below: the pair is its own socle
+                s = _pair_socle(cls, a, b)
                 if d > 2 or s is None:
                     bad.append((cls.canonical_word, a, b, d, s))
         return n * (n - 1) // 2, bad
@@ -302,8 +308,8 @@ def main(argv=None) -> int:
     p.add_argument("suite", choices=["den-dist", "dorey", "socle-dist", "counts", "f4"])
     p.add_argument("--target", choices=["B", "C"])
     p.add_argument("--n", type=int)
-    p.add_argument("--type", default="A", choices=["A", "D", "E"])
-    p.add_argument("--rank", type=int, default=3)
+    p.add_argument("--type", choices=["A", "D", "E"])
+    p.add_argument("--rank", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

@@ -15,11 +15,13 @@ lies above the root by convexity (McNamara, Crelle 2015).  The
 definitional search over all sequences of the weight is kept as
 `minimal_sequences`, the oracle for `minimal_pairs_of_root` in the tests.
 
-Distance polynomials read one table per class and folded quiver,
-{(k, l): {t: o_t}} with k <= l, o_t the common `dist` on Phi[t] (the
-comparable pairs at residues {k, l} with gap t).  It is built in one
-pass over the comparable pairs, one `dist` per pair, and keeps only the
-o_t; `phi_pairs`, Phi[t] by definition, is its oracle in the tests.
+Distance reads (`distance_polynomial`, `o_t`, `phi_pairs`) take the
+folded quiver alone and read its class from `fq.source_class`.  They
+read one table per folded quiver, {(k, l): {t: o_t}} with k <= l, o_t
+the common `dist` on Phi[t] (the comparable pairs at residues {k, l}
+with gap t).  It is built in one pass over the comparable pairs, one
+`dist` per pair, and keeps only the o_t; `phi_pairs`, Phi[t] by
+definition, is its oracle in the tests.
 
 The sequences below a pair {a, b}, a before b, are the partitions of
 root_a + root_b into roots of the open interval, which is the bitmask
@@ -239,10 +241,6 @@ def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
     return list(seqs)
 
 
-def pair_is_simple(cls: CommutationClass, a: int, b: int) -> bool:
-    return not pair_below(cls, a, b)
-
-
 def is_simple(cls: CommutationClass, m: Sequence) -> bool:
     """Simplicity: a single-root multiple, or all supported pairs simple."""
     supp = support(m)
@@ -250,7 +248,7 @@ def is_simple(cls: CommutationClass, m: Sequence) -> bool:
         return True
     for x in range(len(supp)):
         for y in range(x + 1, len(supp)):
-            if not pair_is_simple(cls, supp[x], supp[y]):
+            if pair_below(cls, supp[x], supp[y]):
                 return False
     return True
 
@@ -301,17 +299,20 @@ def dist(cls: CommutationClass, m: Sequence) -> int:
     return 1 + max(depth[x] for x in under)
 
 
+def _pair_socle(cls: CommutationClass, a: int, b: int) -> Sequence | None:
+    """`socle` of the pair {a, b} of distinct root indices."""
+    below = pair_below(cls, a, b)
+    if not below:
+        return sequence_from_roots(cls.rs, (a, b))
+    simples = [x for x in below if is_simple(cls, x)]
+    return simples[0] if len(simples) == 1 else None
+
+
 def socle(cls: CommutationClass, m: Sequence) -> Sequence | None:
     """The unique simple sequence weakly below a pair, when it exists."""
     if not is_pair(m):
         raise ValueError("socle is defined for pairs")
-    below = pair_below(cls, *support(m))
-    if not below:
-        return m
-    simples = [x for x in below if is_simple(cls, x)]
-    if len(simples) == 1:
-        return simples[0]
-    return None
+    return _pair_socle(cls, *support(m))
 
 
 def minimal_sequences(cls: CommutationClass, s: Sequence) -> list[Sequence]:
@@ -540,21 +541,20 @@ def comparable_pairs(cls: CommutationClass) -> list[tuple[int, int]]:
     return out
 
 
-def phi_pairs(
-    cls: CommutationClass, fq: FoldedQuiver, k: int, l: int, t: int
-) -> list[tuple[int, int]]:
+def phi_pairs(fq: FoldedQuiver, k: int, l: int, t: int) -> list[tuple[int, int]]:
     """Phi[t] by definition: comparable pairs at residues {k, l}, gap t."""
     coord = fq.coord_of()
     out = []
-    for a, b in comparable_pairs(cls):
+    for a, b in comparable_pairs(fq.source_class):
         (ia, pa), (ib, pb) = coord[a], coord[b]
         if {ia, ib} == ({k, l} if k != l else {k}) and abs(pa - pb) == t:
             out.append((a, b))
     return sorted(out)
 
 
-def _distance_table(cls: CommutationClass, fq: FoldedQuiver) -> dict:
+def _distance_table(fq: FoldedQuiver) -> dict:
     """{(k, l): {t: o_t}}, k <= l; memoised per class and folded coordinates."""
+    cls = fq.source_class
     tables = cls._cache.setdefault("distance_table", {})
     if fq.coords not in tables:
         coord = fq.coord_of()
@@ -573,36 +573,32 @@ def _distance_table(cls: CommutationClass, fq: FoldedQuiver) -> dict:
     return tables[fq.coords]
 
 
-def _distance_row(cls: CommutationClass, fq: FoldedQuiver, k: int, l: int) -> dict:
+def _distance_row(fq: FoldedQuiver, k: int, l: int) -> dict:
     """{t: o_t} at residues {k, l}; a ValueError for a residue outside 1..n."""
     letter, n = fq.folding.target
     if not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"residues ({k},{l}) outside 1..{n} of {letter}_{n}")
-    return _distance_table(cls, fq).get((min(k, l), max(k, l)), {})
+    return _distance_table(fq).get((min(k, l), max(k, l)), {})
 
 
-def o_t(cls: CommutationClass, fq: FoldedQuiver, k: int, l: int, t: int) -> int | None:
+def o_t(fq: FoldedQuiver, k: int, l: int, t: int) -> int | None:
     """Common distance on Phi[t]; None when the set is empty."""
-    return _distance_row(cls, fq, k, l).get(t)
+    return _distance_row(fq, k, l).get(t)
 
 
 def distance_polynomial(
-    cls: CommutationClass,
-    fq: FoldedQuiver,
-    k: int,
-    l: int,
-    convention: str,
+    fq: FoldedQuiver, k: int, l: int, convention: str
 ) -> RootedPolynomial:
     """The folded distance polynomial at (k, l) under one sign convention.
 
     Convention "A" uses factors (z - (-1)^(k+l) q_s^t), convention "D"
     uses (z - (-q_s)^t); exponents are ceil(o_t / 2), o_t read from the
-    class's distance table.
+    distance table of the quiver's class.
     """
     if convention not in ("A", "D"):
         raise ValueError("convention must be 'A' or 'D'")
     factors = []
-    for t, o in _distance_row(cls, fq, k, l).items():
+    for t, o in _distance_row(fq, k, l).items():
         eps = (-1) ** (k + l) if convention == "A" else (-1) ** t
         factors.extend([(eps, t)] * ceil(o / 2))
     return RootedPolynomial.from_factors(factors)

@@ -30,6 +30,7 @@ from arfold.twistfold import (
     twisted_folded_quivers,
 )
 from arfold.seqorder import (
+    _pair_socle,
     class_less,
     dist,
     distance_polynomial,
@@ -178,6 +179,23 @@ def _pairs(rs):
             yield a, b
 
 
+def _under(cls, p):
+    """Every sequence below p in the class order, by brute force over the
+    full same-weight poset."""
+    rs = cls.rs
+    allm = sequences_of_weight(rs, weight_of(rs, p))
+    return [m for m in allm if m != p and class_less(cls, m, p)]
+
+
+def _definitional_socle(cls, p, under):
+    """The unique simple sequence weakly below the pair p, or None;
+    ``under`` is `_under(cls, p)`."""
+    if not under:
+        return p
+    simples = [m for m in under if is_simple(cls, m)]
+    return simples[0] if len(simples) == 1 else None
+
+
 def test_criterion_7_socle_dist_suite():
     t0 = time.time()
     ok = True
@@ -186,18 +204,15 @@ def test_criterion_7_socle_dist_suite():
             rs = cls.rs
             for a, b in _pairs(rs):
                 p = sequence_from_roots(rs, [a, b])
-                # brute force over the full same-weight poset
-                allm = sequences_of_weight(rs, weight_of(rs, p))
-                under = [m for m in allm if m != p and class_less(cls, m, p)]
+                under = _under(cls, p)
                 ok &= sorted(under) == sorted(pair_below(cls, a, b))
-                simples = [m for m in under if is_simple(cls, m)]
                 d = dist(cls, p)
                 s = socle(cls, p)
                 ok &= d <= 2
                 if not under:
                     ok &= d == 0 and s == p
                     continue
-                ok &= len(simples) == 1 and s == simples[0]
+                ok &= s is not None and s == _definitional_socle(cls, p, under)
                 if d == 2:
                     mids = [m for m in under if m != s and class_less(cls, s, m)]
                     ok &= len(mids) == 1 and class_less(cls, mids[0], p)
@@ -210,6 +225,14 @@ def test_criterion_7_socle_dist_suite():
                 assert ok
     dt = time.time() - t0
     report(7, ok, f"socle/dist suite vs brute-force poset in {dt:.1f}s")
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 5), ("D", 5)])
+def test_pair_socle_equals_definitional_socle(tt, rk):
+    for cls in twisted_adapted_point(tt, rk):
+        for a, b in _pairs(cls.rs):
+            p = sequence_from_roots(cls.rs, [a, b])
+            assert _pair_socle(cls, a, b) == _definitional_socle(cls, p, _under(cls, p))
 
 
 def test_criterion_8_minimal_sequences_are_summing_pairs():
@@ -296,7 +319,7 @@ def test_criterion_10_discrepancy_is_pinned():
     mismatched = {}
     for k in range(1, 5):
         for l in range(k, 5):
-            dhat = distance_polynomial(cls, fq, k, l, "D")
+            dhat = distance_polynomial(fq, k, l, "D")
             if k == l:
                 dhat = dhat * extra
             if dhat != f4_denominator(k, l):

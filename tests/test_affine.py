@@ -31,8 +31,6 @@ def test_spectral_parameter_algebra():
     assert (b.phase, b.exp) == (2, 5)
     assert (a * b).phase == 0 and (a * b).exp == 11
     assert (a / b).phase == 0 and (a / b).exp == 1
-    assert SP.q_power(2) == SP(0, 4)
-    assert SP.signed_qs(-1, 7) == SP(2, 7)
     assert str(SP(2, 5)) == "-qs^5"
     with pytest.raises(ValueError):
         SP(1, 0).sign()
@@ -203,6 +201,37 @@ def test_minimal_pair_predicate_equivalence_quick():
     assert rep.ok and rep.checked > 0
 
 
+def test_verify_dorey_reads_each_summing_pair_once(monkeypatch):
+    calls = []
+    pair_keys = affine._pair_keys
+    monkeypatch.setattr(
+        affine, "_pair_keys", lambda *args: calls.append(args) or pair_keys(*args)
+    )
+    rep = verify_dorey("C", 3)
+    summing = len(calls)
+    calls.clear()
+    assert verify_minimal_pair_predicate("C", 3).checked == summing == len(calls)
+    assert summing < rep.checked
+
+
+@pytest.mark.parametrize("target, n", [("B", 3), ("C", 3)])
+def test_dorey_and_predicate_fail_without_any_one_table_entry(monkeypatch, target, n):
+    keys = affine._validated_keys(target, n)
+    for dropped in keys:
+        monkeypatch.setattr(affine, "_validated_keys", lambda *_: keys - {dropped})
+        assert not verify_dorey(target, n).ok, dropped
+        assert not verify_minimal_pair_predicate(target, n).ok, dropped
+
+
+@pytest.mark.parametrize("target, n", [("B", 3), ("C", 3)])
+def test_dorey_and_predicate_fail_with_two_residues_swapped(monkeypatch, target, n):
+    # the whole label moves: a C parameter does not depend on the residue
+    label, swap = affine._label, {1: 2, 2: 1}
+    monkeypatch.setattr(affine, "_label", lambda t, i, p: label(t, swap.get(i, i), p))
+    assert not verify_dorey(target, n).ok
+    assert not verify_minimal_pair_predicate(target, n).ok
+
+
 def test_minimal_pair_coordinates_op():
     from arfold.affine import minimal_pair_coordinates
 
@@ -210,11 +239,11 @@ def test_minimal_pair_coordinates_op():
     cls, fq = sorted(fqs.items(), key=lambda kv: kv[0].canonical_word)[0]
     rs = cls.rs
     # a simple root has no minimal pairs
-    assert minimal_pair_coordinates(cls, fq, rs.simple_root(1)) == []
+    assert minimal_pair_coordinates(fq, rs.simple_root(1)) == []
     coord = fq.coord_of()
     seen = 0
     for g in range(rs.num_positive):
-        for (ip, jq, kr) in minimal_pair_coordinates(cls, fq, g):
+        for (ip, jq, kr) in minimal_pair_coordinates(fq, g):
             seen += 1
             assert kr == coord[g]
             assert minimal_pair_predicate("B", 2, ip, jq, kr)

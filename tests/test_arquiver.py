@@ -95,14 +95,6 @@ def test_gamma_q_printed_coordinates():
     assert got == expected  # positions doubled: (i, p) printed as (i, p2/2)
 
 
-def test_gamma_q_shift_equivariance():
-    g0 = gamma_q(EXAMPLE_Q)
-    g5 = gamma_q(EXAMPLE_Q, shift=5)
-    assert g5.arrows == g0.arrows
-    c0, c5 = g0.coord_of(), g5.coord_of()
-    assert all(c5[r] == (c0[r][0], c0[r][1] + 10) for r in c0)
-
-
 def test_gamma_q_a2_mirror():
     rs2 = root_system("A", 2)
     q = DynkinQuiver(rs2, frozenset({(1, 2)}))

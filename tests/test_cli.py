@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfold import cli
+from arfold import cli, seqorder
 from arfold.arquiver import all_quivers, gamma_q
 from arfold.cli import main, quiver_from_json, quiver_to_json
 from arfold.rootsys import root_system
+from arfold.words import commutation_class
 
 # a class of A_4 that is neither adapted nor twisted (A_4 has no folding)
 A4_LAYERED_WORD = "1,2,1,3,2,4,3,2,1,2"
@@ -176,9 +177,12 @@ def test_verify_needs_target(capsys):
     (["quiver", "--type", "A", "--rank", "3", "--class", "1,2,1"],
      "word of length 3 is not a reduced word of w_0"),
     (["verify", "dorey", "--target", "B"], "suite 'dorey' needs --n"),
+    (["verify", "socle-dist"], "suite 'socle-dist' needs --type"),
+    (["verify", "socle-dist", "--type", "D"], "suite 'socle-dist' needs --rank"),
 ], ids=["classes-no-folding", "classes-bad-rank", "socle-dist", "den-dist", "dorey",
         "socle-dist-e", "quiver-unparsable", "quiver-not-reduced",
-        "quiver-letter-outside", "quiver-wrong-length", "verify-needs-n"])
+        "quiver-letter-outside", "quiver-wrong-length", "verify-needs-n",
+        "socle-dist-needs-type", "socle-dist-needs-rank"])
 def test_bad_type_or_target_is_a_one_line_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -186,6 +190,27 @@ def test_bad_type_or_target_is_a_one_line_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("arfold: error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_socle_dist_fails_when_every_sequence_is_simple(monkeypatch):
+    monkeypatch.setattr(seqorder, "is_simple", lambda cls, m: True)
+    rep = cli.verify_socle_dist("A", 5)
+    assert not rep.ok and rep.mismatches
+    word, a, b, d, s = rep.mismatches[0]
+    cls = commutation_class(root_system("A", 5), word)
+    assert a != b and d > 0 and s is None
+    assert len(seqorder.pair_below(cls, a, b)) > 1
+
+
+def test_socle_dist_builds_no_sequence_for_a_pair_it_passes(monkeypatch):
+    built = []
+    sequence_from_roots = seqorder.sequence_from_roots
+    monkeypatch.setattr(
+        seqorder, "sequence_from_roots",
+        lambda rs, roots: built.append(roots) or sequence_from_roots(rs, roots),
+    )
+    assert cli.verify_socle_dist("A", 5).ok
+    assert built == []
 
 
 def test_dorey_refuses_an_unsupported_rank_before_any_table(capsys, monkeypatch):

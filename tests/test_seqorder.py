@@ -470,26 +470,27 @@ def _triple_sum_side_holds(cls, supp):
 
 def test_phi_pairs_empty_beyond_diameter():
     fqs = twisted_folded_quivers("A", 3)
-    cls, fq = sorted(fqs.items(), key=lambda kv: kv[0].canonical_word)[0]
-    assert phi_pairs(cls, fq, 1, 1, 999) == []
-    assert o_t(cls, fq, 1, 1, 999) is None
+    fq = fqs[min(fqs, key=lambda c: c.canonical_word)]
+    assert phi_pairs(fq, 1, 1, 999) == []
+    assert o_t(fq, 1, 1, 999) is None
 
 
 def test_o_t_constancy_everywhere():
     for tt, rk in [("A", 5), ("D", 4), ("D", 5)]:
-        for cls, fq in twisted_folded_quivers(tt, rk).items():
-            _distance_table(cls, fq)  # raises if inconstant on some Phi[t]
+        for fq in twisted_folded_quivers(tt, rk).values():
+            _distance_table(fq)  # raises if inconstant on some Phi[t]
 
 
-def _table_oracle(cls, fq):
+def _table_oracle(fq):
     """{(k, l): {t: o_t}} from the definitional phi_pairs, k <= l in 1..n."""
+    cls = fq.source_class
     _, n = fq.folding.target
     gaps = {abs(p - q) for _, _, p in fq.coords for _, _, q in fq.coords}
     out = {}
     for k in range(1, n + 1):
         for l in range(k, n + 1):
             for t in sorted(gaps):
-                pairs = phi_pairs(cls, fq, k, l, t)
+                pairs = phi_pairs(fq, k, l, t)
                 if pairs:
                     dists = {dist(cls, sequence_from_roots(cls.rs, p)) for p in pairs}
                     assert len(dists) == 1
@@ -499,14 +500,14 @@ def _table_oracle(cls, fq):
 
 @pytest.mark.parametrize("tt, rk", [("A", 5), ("A", 7), ("D", 4), ("D", 5)])
 def test_distance_table_equals_phi_pairs_oracle(tt, rk):
-    for cls, fq in twisted_folded_quivers(tt, rk).items():
-        assert _distance_table(cls, fq) == _table_oracle(cls, fq)
+    for fq in twisted_folded_quivers(tt, rk).values():
+        assert _distance_table(fq) == _table_oracle(fq)
 
 
 def test_distance_table_equals_phi_pairs_oracle_first_e6_class():
     fqs = twisted_folded_quivers("E", 6)
     cls = min(fqs, key=lambda c: c.canonical_word)
-    assert _distance_table(cls, fqs[cls]) == _table_oracle(cls, fqs[cls])
+    assert _distance_table(fqs[cls]) == _table_oracle(fqs[cls])
 
 
 def test_distance_table_is_keyed_by_folded_coordinates():
@@ -514,27 +515,26 @@ def test_distance_table_is_keyed_by_folded_coordinates():
     cls = min(fqs, key=lambda c: c.canonical_word)
     coords = tuple((r, i, 2 * p) for r, i, p in fqs[cls].coords)
     stretched = replace(fqs[cls], coords=coords)
-    _distance_table(cls, fqs[cls])
-    assert _distance_table(cls, stretched) == _table_oracle(cls, stretched)
-    assert _distance_table(cls, stretched) != _distance_table(cls, fqs[cls])
+    _distance_table(fqs[cls])
+    assert _distance_table(stretched) == _table_oracle(stretched)
+    assert _distance_table(stretched) != _distance_table(fqs[cls])
 
 
 def test_distance_polynomial_refuses_residue_outside_diagram():
     fqs = twisted_folded_quivers("A", 3)  # folds onto B_2: residues 1, 2
-    cls, fq = sorted(fqs.items(), key=lambda kv: kv[0].canonical_word)[0]
+    fq = fqs[min(fqs, key=lambda c: c.canonical_word)]
     for k, l in [(0, 1), (1, 3), (3, 3), (-1, 2)]:
         with pytest.raises(ValueError, match="outside 1..2 of B_2"):
-            distance_polynomial(cls, fq, k, l, "A")
+            distance_polynomial(fq, k, l, "A")
         with pytest.raises(ValueError, match="outside 1..2 of B_2"):
-            o_t(cls, fq, k, l, 1)
+            o_t(fq, k, l, 1)
 
 
 def test_distance_polynomial_class_invariant_a5():
     fqs = twisted_folded_quivers("A", 5)
     for k in range(1, 4):
         for l in range(k, 4):
-            vals = {distance_polynomial(cls, fq, k, l, "A")
-                    for cls, fq in fqs.items()}
+            vals = {distance_polynomial(fq, k, l, "A") for fq in fqs.values()}
             assert len(vals) == 1
 
 
