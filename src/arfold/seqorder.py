@@ -19,9 +19,17 @@ Distance reads (`distance_polynomial`, `o_t`, `phi_pairs`) take the
 folded quiver alone and read its class from `fq.source_class`.  They
 read one table per folded quiver, {(k, l): {t: o_t}} with k <= l, o_t
 the common `dist` on Phi[t] (the comparable pairs at residues {k, l}
-with gap t).  It is built in one pass over the comparable pairs, one
-`dist` per pair, and keeps only the o_t; `phi_pairs`, Phi[t] by
-definition, is its oracle in the tests.
+with gap t); `phi_pairs`, Phi[t] by definition, is its oracle in the
+tests.  The tables of a twisted point are built in one pass over the
+BFS tree of its folded reflections, from counts {(k, l, t): (o_t,
+|Phi[t]|)}: the seed's from one `dist` per comparable pair, every
+other class's from its parent's.  A folded reflection at the sink
+alpha_i keeps every other root's coordinates and carries its pairs,
+their order and their `dist` along by s_i; only alpha_i moves, from
+first to last in the convex order.  So a child's counts are its
+parent's without the pairs at alpha_i, plus at most N - 1 new pairs
+below it, each with one `dist`.  A quiver outside its point's BFS
+tree gets its table from scratch.
 
 The sequences below a pair {a, b}, a before b, are the partitions of
 root_a + root_b into roots of the open interval, which is the bitmask
@@ -30,11 +38,12 @@ mask alone, so `pair_below` memoises them once per root system, in
 `RootSystem._cache`, shared by every class of every point: the key is
 one int, the packed weight above the mask, and stored sequences and
 results are interned.  The memo is never freed and grows with the rank,
-to some 7,500 entries on E6 after the F4 distance tables.
+to some 1,400 entries on E6 after the F4 distance tables.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -42,7 +51,7 @@ from math import ceil
 
 from .rootsys import Root, RootSystem
 from .words import CommutationClass, Word
-from .twistfold import FoldedQuiver
+from .twistfold import FoldedQuiver, twisted_folded_quivers
 
 Sequence = tuple[int, ...]  # multiplicity per positive-root index
 
@@ -102,6 +111,21 @@ def _packed_roots(rs: RootSystem, f: int) -> list[int]:
     return packed
 
 
+def _height_rank(rs: RootSystem) -> list[int]:
+    """Each root's place by decreasing height, then by index; kept per
+    root system."""
+    rank = rs._cache.get("height_rank")
+    if rank is None:
+        order = sorted(
+            range(rs.num_positive), key=lambda r: (-sum(rs.positive_roots[r]), r)
+        )
+        rank = [0] * len(order)
+        for k, r in enumerate(order):
+            rank[r] = k
+        rank = rs._cache.setdefault("height_rank", rank)
+    return rank
+
+
 def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     """Multisets from ``allowed`` root indices summing to w.
 
@@ -116,7 +140,7 @@ def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     f = max(*w, *rs.positive_roots[-1]).bit_length() + 1
     guard = _pack([1 << f - 1] * rs.rank, f)
     packed = _packed_roots(rs, f)
-    order = sorted(allowed, key=lambda r: (-sum(rs.positive_roots[r]), r))
+    order = sorted(allowed, key=_height_rank(rs).__getitem__)
     roots = [(r, packed[r]) for r in order]
     out: list[Sequence] = []
     cur = [0] * rs.num_positive
@@ -552,24 +576,127 @@ def phi_pairs(fq: FoldedQuiver, k: int, l: int, t: int) -> list[tuple[int, int]]
     return sorted(out)
 
 
+def _bucket(coord: dict, a: int, b: int) -> tuple[int, int, int]:
+    """(k, l, t) of the pair {a, b}: its residues k <= l and its gap t."""
+    (ia, pa), (ib, pb) = coord[a], coord[b]
+    return (ia, ib, abs(pa - pb)) if ia <= ib else (ib, ia, abs(pa - pb))
+
+
+def _count(counts: dict, key: tuple[int, int, int], d: int) -> None:
+    """Add a pair at distance d to the bucket (k, l, t) = key of the counts
+    {(k, l, t): (o_t, |Phi[t]|)}; Phi[t] must keep one distance."""
+    o, size = counts.get(key, (d, 0))
+    if o != d:
+        k, l, t = key
+        raise AssertionError(
+            f"distance is not constant on Phi[{t}] at ({k},{l}): {sorted({o, d})}"
+        )
+    counts[key] = (d, size + 1)
+
+
+def _scratch_counts(fq: FoldedQuiver) -> dict:
+    """The bucket counts of a folded quiver, one `dist` per comparable pair."""
+    cls = fq.source_class
+    coord = fq.coord_of()
+    counts: dict = {}
+    for a, b in comparable_pairs(cls):
+        _count(counts, _bucket(coord, a, b), _pair_dist(cls, a, b))
+    return counts
+
+
+def _pairs_at(fq: FoldedQuiver, r: int) -> list[tuple[tuple[int, int, int], int, int]]:
+    """(bucket, a, b) for each comparable pair {a, b} of the quiver's class
+    that contains the root r, a before b."""
+    cls = fq.source_class
+    coord = fq.coord_of()
+    out = []
+    for mask, first in ((cls.below()[r], False), (cls.above()[r], True)):
+        while mask:
+            low = mask & -mask
+            x = low.bit_length() - 1
+            a, b = (r, x) if first else (x, r)
+            out.append((_bucket(coord, a, b), a, b))
+            mask ^= low
+    return out
+
+
+def _transport(counts: dict, parent: FoldedQuiver, child: FoldedQuiver, i: int) -> dict:
+    """The child's bucket counts from the parent's, across the folded
+    reflection at the sink alpha_i.
+
+    The reflection relabels every other root by s_i at the same residue
+    and position, and moves alpha_i from the first place of the convex
+    order to the last.  A pair without alpha_i keeps its bucket, its
+    order and its `dist` (s_i maps its partitions onto the relabelled
+    pair's).  So the parent's pairs at alpha_i, all above it, leave the
+    buckets of the parent's coordinates, and the child's pairs at
+    alpha_i, all below it, come in with one `dist` each: at most N - 1.
+    """
+    r = child.rs.simple_root_index[i]
+    out = dict(counts)
+    for key, _, _ in _pairs_at(parent, r):
+        o, size = out.pop(key, (None, 0))
+        if size < 1:
+            k, l, t = key
+            raise AssertionError(f"transport drives |Phi[{t}]| at ({k},{l}) negative")
+        if size > 1:
+            out[key] = (o, size - 1)
+    cls = child.source_class
+    for key, a, b in _pairs_at(child, r):
+        _count(out, key, _pair_dist(cls, a, b))
+    return out
+
+
+def _table_of(counts: dict) -> dict:
+    """The table {(k, l): {t: o_t}} of the bucket counts."""
+    table: dict[tuple[int, int], dict[int, int]] = {}
+    for (k, l, t), (o, _) in counts.items():
+        table.setdefault((k, l), {})[t] = o
+    return table
+
+
+def _fill_point_tables(point: dict[CommutationClass, FoldedQuiver]) -> None:
+    """The distance table of every quiver of a twisted point, in one pass
+    over the BFS tree its quivers' ``origin`` records.
+
+    The seed is counted from scratch, every other quiver transported from
+    its parent, which the point's order puts first; a class's counts are
+    dropped once its last child is done.
+    """
+    children = Counter(fq.origin[0].source_class for fq in point.values() if fq.origin)
+    live: dict[CommutationClass, dict] = {}
+    for cls, fq in point.items():
+        if fq.origin is None:
+            counts = _scratch_counts(fq)
+        else:
+            parent, i = fq.origin
+            up = parent.source_class
+            counts = _transport(live[up], parent, fq, i)
+            children[up] -= 1
+            if not children[up]:
+                del live[up]
+        if children[cls]:
+            live[cls] = counts
+        tables = cls._cache.setdefault("distance_table", {})
+        tables.setdefault(fq.coords, _table_of(counts))
+
+
 def _distance_table(fq: FoldedQuiver) -> dict:
-    """{(k, l): {t: o_t}}, k <= l; memoised per class and folded coordinates."""
+    """{(k, l): {t: o_t}}, k <= l; memoised per class and folded coordinates.
+
+    A quiver of its twisted point gets its table, with every other quiver
+    of the point, from `_fill_point_tables`; any other quiver, such as
+    one with moved coordinates, from scratch.  Either way a Phi[t] on
+    which `dist` is not constant is an AssertionError.
+    """
     cls = fq.source_class
     tables = cls._cache.setdefault("distance_table", {})
     if fq.coords not in tables:
-        coord = fq.coord_of()
-        table: dict[tuple[int, int], dict[int, int]] = {}
-        for a, b in comparable_pairs(cls):
-            (ia, pa), (ib, pb) = coord[a], coord[b]
-            k, l = sorted((ia, ib))
-            row = table.setdefault((k, l), {})
-            t, d = abs(pa - pb), _pair_dist(cls, a, b)
-            if row.setdefault(t, d) != d:
-                raise AssertionError(
-                    f"distance is not constant on Phi[{t}] at ({k},{l}): "
-                    f"{sorted({row[t], d})}"
-                )
-        tables[fq.coords] = table
+        point = twisted_folded_quivers(*fq.folding.source)
+        if point.get(cls) is fq:
+            _fill_point_tables(point)
+        else:
+            tables[fq.coords] = _table_of(_scratch_counts(fq))
     return tables[fq.coords]
 
 

@@ -55,8 +55,10 @@ def _unfolded_scale(type_tag: str) -> int:
 class FoldedQuiver:
     """An AR quiver with residues collapsed to automorphism orbits.
 
-    ``folding`` is the record it was folded by; it takes no part in
-    equality or hashing.
+    ``folding`` is the record it was folded by.  ``origin`` is the
+    (parent quiver, letter i) whose folded reflection made it, and None
+    for a quiver built otherwise, ``dataclasses.replace`` included.
+    Neither takes part in equality or hashing.
     """
 
     rs: RootSystem
@@ -64,6 +66,9 @@ class FoldedQuiver:
     arrows: frozenset[tuple[int, int]]
     source_class: CommutationClass
     folding: Folding = field(compare=False)
+    origin: tuple[FoldedQuiver, int] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def coord_of(self) -> dict[int, tuple[int, int]]:
         return {r: (i, p) for r, i, p in self.coords}
@@ -273,7 +278,8 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
 
     Reflects every other label by s_i, a permutation of the positive
     roots other than alpha_i, moves the alpha_i vertex 2 h_dual to the
-    left and places the arrows of the new coordinates.
+    left and places the arrows of the new coordinates.  The result
+    records (fq, i) as its ``origin``.
     """
     rs = fq.rs
     if i not in rs.nodes:
@@ -291,7 +297,9 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     new_cls = reflect(fq.source_class, i, "right")
     if new_cls == fq.source_class:
         raise FoldingError(f"class has no member starting with s_{i}")
-    return _folded(folding, coords, new_cls)
+    out = _folded(folding, coords, new_cls)
+    object.__setattr__(out, "origin", (fq, i))
+    return out
 
 
 def _seed(folding: Folding) -> FoldedQuiver:
@@ -337,7 +345,9 @@ def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, F
     """Folded quivers for every class of the twisted adapted point.
 
     BFS with folded reflections from the seed quiver; a class reached
-    twice must agree up to a global position shift.
+    twice must agree up to a global position shift.  The first quiver
+    reached is kept, so each ``origin`` is an edge of the BFS tree and
+    the insertion order puts every parent before its children.
     """
     start = _seed(folding_from(type_tag, rank))
     found: dict[CommutationClass, FoldedQuiver] = {start.source_class: start}

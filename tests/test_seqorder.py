@@ -5,7 +5,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfold.rootsys import root_system
+from arfold import seqorder
+from arfold.rootsys import folding_to, root_system
 from arfold.words import (
     adapted_point,
     commutation_class,
@@ -21,6 +22,7 @@ from arfold.seqorder import (
     bilex_less_word,
     class_less,
     classify_cover,
+    comparable_pairs,
     dist,
     distance_polynomial,
     is_pair,
@@ -518,6 +520,143 @@ def test_distance_table_is_keyed_by_folded_coordinates():
     _distance_table(fqs[cls])
     assert _distance_table(stretched) == _table_oracle(stretched)
     assert _distance_table(stretched) != _distance_table(fqs[cls])
+
+
+# ---------------------------------------------------------------------------
+# distance tables transported along the BFS tree of the folded reflections
+
+
+@pytest.fixture
+def fresh_point(monkeypatch):
+    """Twisted points built anew, so no table of theirs is memoised yet;
+    `_distance_table` reads its points from the same builder."""
+    build = lru_cache(maxsize=None)(twisted_folded_quivers.__wrapped__)
+    monkeypatch.setattr(seqorder, "twisted_folded_quivers", build)
+    return build
+
+
+def _scratch_table(fq):
+    """{(k, l): {t: o_t}} from `comparable_pairs` and `_pair_dist` alone."""
+    cls = fq.source_class
+    coord = fq.coord_of()
+    out = {}
+    for a, b in comparable_pairs(cls):
+        (ia, pa), (ib, pb) = coord[a], coord[b]
+        row = out.setdefault((min(ia, ib), max(ia, ib)), {})
+        d = _pair_dist(cls, a, b)
+        assert row.setdefault(abs(pa - pb), d) == d
+    return out
+
+
+def _tables_match_scratch(point) -> bool:
+    """Every transported table equals the scratch build; False also when
+    the transport raises on the way."""
+    try:
+        tables = [_distance_table(fq) for fq in point.values()]
+    except AssertionError:
+        return False
+    return tables == [_scratch_table(fq) for fq in point.values()]
+
+
+@pytest.mark.parametrize(
+    "target", ["B3", "B4", "B5", "C4", "C5", "C6", "F4"]
+)
+def test_transported_tables_equal_scratch_build(fresh_point, target):
+    # every class of the twisted point
+    point = fresh_point(*folding_to(target[0], int(target[1:])).source)
+    assert _tables_match_scratch(point)
+
+
+def _keep_pairs(keep):
+    real = seqorder._pairs_at
+
+    def pairs_at(fq, r):
+        return [(key, a, b) for key, a, b in real(fq, r) if keep(r, a, b)]
+
+    return pairs_at
+
+
+MUTANT_SOURCES = [("D", 4), ("D", 5), ("A", 7)]
+
+
+@pytest.mark.parametrize("mutant", ["keep_parent_pairs", "skip_child_pairs"])
+def test_transport_mutants_fail_the_oracle(fresh_point, monkeypatch, mutant):
+    # the parent's pairs at alpha_i have alpha_i first, the child's last
+    keep = (lambda r, a, b: b == r) if mutant == "keep_parent_pairs" else (
+        lambda r, a, b: a == r
+    )
+    monkeypatch.setattr(seqorder, "_pairs_at", _keep_pairs(keep))
+    assert not all(_tables_match_scratch(fresh_point(*s)) for s in MUTANT_SOURCES)
+
+
+def test_removing_at_the_child_coordinates_fails_the_oracle(fresh_point, monkeypatch):
+    real = seqorder._transport
+
+    def transport(counts, parent, child, i):
+        return real(counts, replace(parent, coords=child.coords), child, i)
+
+    monkeypatch.setattr(seqorder, "_transport", transport)
+    assert not all(_tables_match_scratch(fresh_point(*s)) for s in MUTANT_SOURCES)
+
+
+def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
+    point = fresh_point("A", 7)
+    lie = None
+    for fq in point.values():
+        if fq.origin is None:
+            continue
+        _, i = fq.origin
+        r = fq.rs.simple_root_index[i]
+        sizes = {}
+        coord = fq.coord_of()
+        for a, b in comparable_pairs(fq.source_class):
+            key = seqorder._bucket(coord, a, b)
+            sizes[key] = sizes.get(key, 0) + 1
+        for key, a, b in seqorder._pairs_at(fq, r):
+            if sizes[key] > 1:  # Phi[t] has another pair to disagree with
+                lie = (fq.source_class, a, b)
+                break
+        if lie:
+            break
+    real = seqorder._pair_dist
+
+    def pair_dist(cls, a, b):
+        return real(cls, a, b) + ((cls, a, b) == lie)
+
+    monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
+    with pytest.raises(AssertionError, match="not constant on Phi"):
+        for fq in point.values():
+            _distance_table(fq)
+
+
+def test_transport_driving_a_count_negative_raises(fresh_point):
+    point = fresh_point("D", 4)
+    child = next(fq for fq in point.values() if fq.origin)
+    parent, i = child.origin
+    with pytest.raises(AssertionError, match="negative"):
+        seqorder._transport({}, parent, child, i)
+
+
+def test_table_fill_computes_only_the_moved_pairs(fresh_point, monkeypatch):
+    # a silent fallback to one dist per comparable pair of every class
+    # would make some ten times the calls
+    point = fresh_point(*folding_to("C", 5).source)
+    calls = []
+    real = seqorder._pair_dist
+
+    def pair_dist(cls, a, b):
+        calls.append((a, b))
+        return real(cls, a, b)
+
+    monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
+    for fq in point.values():
+        _distance_table(fq)
+    seed = next(iter(point.values()))
+    assert seed.origin is None
+    n = seed.rs.num_positive
+    assert len(calls) <= len(comparable_pairs(seed.source_class)) + (n - 1) * (
+        len(point) - 1
+    )
 
 
 def test_distance_polynomial_refuses_residue_outside_diagram():

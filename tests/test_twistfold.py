@@ -316,3 +316,31 @@ def test_e6_seed_is_the_printed_table_shifted():
     seed = twisted_folded_quivers("E", 6)[_seed_class("E", 6)]
     moved = tuple((r, i, p + 20) for r, i, p in seed.coords)
     assert replace(seed, coords=moved) == e6_folded_quiver()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("A", 5), ("A", 7), ("A", 9), ("D", 5), ("D", 6), ("D", 7), ("E", 6)],
+    ids=lambda s: f"{s[0]}{s[1]}",
+)
+def test_recorded_bfs_edges_replay(source):
+    point = twisted_folded_quivers(*source)
+    order = {cls: k for k, cls in enumerate(point)}
+    seed, *rest = point.values()
+    assert seed.origin is None and seed.source_class == _seed_class(*source)
+    for fq in rest:
+        parent, i = fq.origin
+        assert point[parent.source_class] is parent
+        assert order[parent.source_class] < order[fq.source_class]
+        replay = folded_reflection(parent, i)
+        assert replay.coords == fq.coords
+        assert replay.arrows == fq.arrows
+        assert replay.source_class == fq.source_class
+
+
+def test_a_replaced_quiver_has_no_origin():
+    point = twisted_folded_quivers("A", 5)
+    fq = next(fq for fq in point.values() if fq.origin)
+    copy = replace(fq, coords=fq.coords)
+    assert copy.origin is None and copy == fq
+    assert "origin" not in repr(fq)
