@@ -364,19 +364,29 @@ def _twisted_point(folding: Folding) -> list[FoldedQuiver]:
 
 def _distance_polynomials(folding: Folding, convention: str) -> dict:
     """{(k, l): {cls: poly}}, k <= l, classes by canonical word: the distance
-    polynomial under one convention, times the diagonal factor at k = l."""
-    point = _twisted_point(folding)
-    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*folding.target)])
-    _, n = folding.target
-    return {
-        (k, l): {
-            fq.source_class: distance_polynomial(fq, k, l, convention)
-            * (extra if k == l else RootedPolynomial.one())
-            for fq in point
+    polynomial under one convention, times the diagonal factor at k = l.
+
+    Memoised per convention on the class of the point's seed quiver, keyed
+    by its coordinates like the distance tables the polynomials read, so
+    it lives exactly as long as they do.  Callers must not change it.
+    """
+    seed = next(iter(twisted_folded_quivers(*folding.source).values()))
+    memo = seed.source_class._cache.setdefault("distance_polynomials", {})
+    key = (seed.coords, convention)
+    if key not in memo:
+        point = _twisted_point(folding)
+        extra = RootedPolynomial.from_factors([den_dist_extra_factor(*folding.target)])
+        _, n = folding.target
+        memo[key] = {
+            (k, l): {
+                fq.source_class: distance_polynomial(fq, k, l, convention)
+                * (extra if k == l else RootedPolynomial.one())
+                for fq in point
+            }
+            for k in range(1, n + 1)
+            for l in range(k, n + 1)
         }
-        for k in range(1, n + 1)
-        for l in range(k, n + 1)
-    }
+    return memo[key]
 
 
 def verify_den_dist(target: str, n: int) -> Report:

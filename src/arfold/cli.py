@@ -6,13 +6,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .rootsys import (
     UnsupportedTypeError,
     check_type_rank,
-    folding_from,
     folding_to,
     root_system,
 )
@@ -227,7 +225,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "dorey":
         reports.append(affine.verify_dorey(args.target, args.n))
     elif args.suite == "socle-dist":
-        reports.append(verify_socle_dist(args.type, args.rank, jobs=args.jobs))
+        reports.append(verify_socle_dist(args.type, args.rank))
     elif args.suite == "counts":
         reports.append(affine.verify_counts())
     elif args.suite == "f4":
@@ -247,37 +245,31 @@ def _need(args, *names):
 
 
 def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
-    """Socle existence/uniqueness and dist bounds over a twisted point of A or D."""
-    from .seqorder import _pair_dist, _pair_socle
+    """Socle existence/uniqueness and dist bounds over a twisted point of A or D.
 
+    One walk over the point's BFS tree: the seed class checks each
+    comparable pair, every other class carries its parent's records along
+    the folded reflection and checks only the pairs at the moved root.
+    ``checked`` counts every pair of every class; mismatches come sorted
+    by canonical word, then by pair.  The check runs in one thread:
+    ``jobs`` is kept only because `perfbench/passes.py` passes ``jobs=1``,
+    and any other value is a UsageError.
+    """
+    from .seqorder import _scratch_socles, _transport_socles, _walk_point
+
+    if jobs != 1:
+        raise UsageError(f"socle-dist runs in one thread; jobs={jobs!r} is not supported")
     if type_tag not in ("A", "D"):
         raise UnsupportedTypeError(f"socle-dist is proved for A and D only, not {type_tag}")
-    point = [fq.source_class for fq in affine._twisted_point(folding_from(type_tag, rank))]
+    point = twisted_folded_quivers(type_tag, rank)
+    n = root_system(type_tag, rank).num_positive
     rep = affine.Report(f"socle-dist {type_tag}{rank}", True, 0)
-
-    def check_class(cls):
-        bad = []
-        n = cls.rs.num_positive
-        for a in range(n):
-            for b in range(a + 1, n):
-                d = _pair_dist(cls, a, b)
-                if not d:
-                    continue  # nothing below: the pair is its own socle
-                s = _pair_socle(cls, a, b)
-                if d > 2 or s is None:
-                    bad.append((cls.canonical_word, a, b, d, s))
-        return n * (n - 1) // 2, bad
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check_class, point))
-    else:
-        results = [check_class(c) for c in point]
-    for count, bad in results:
-        rep.checked += count
-        if bad:
-            rep.ok = False
-            rep.mismatches.extend(bad)
+    for fq, records in _walk_point(point, _scratch_socles, _transport_socles):
+        rep.checked += n * (n - 1) // 2
+        word = fq.source_class.canonical_word
+        rep.mismatches.extend((word, *rec) for rec in records)
+    rep.mismatches.sort(key=lambda m: m[:3])
+    rep.ok = not rep.mismatches
     return rep
 
 
@@ -310,7 +302,6 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int)
     p.add_argument("--type", choices=["A", "D", "E"])
     p.add_argument("--rank", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -31,6 +31,13 @@ parent's without the pairs at alpha_i, plus at most N - 1 new pairs
 below it, each with one `dist`.  A quiver outside its point's BFS
 tree gets its table from scratch.
 
+socle-dist walks the same tree with the same helper, `_walk_point`.  A
+class's records are its pairs at dist > 2 or without a unique socle,
+each with its `dist` and socle.  The seed's are checked pair by pair;
+a child's are its parent's without the pairs at alpha_i, pair and
+socle relabelled by s_i, plus its own at most N - 1 pairs at alpha_i,
+each checked anew.
+
 The sequences below a pair {a, b}, a before b, are the partitions of
 root_a + root_b into roots of the open interval, which is the bitmask
 above[a] & below[b] of the class.  They depend on that weight and that
@@ -655,29 +662,38 @@ def _table_of(counts: dict) -> dict:
     return table
 
 
-def _fill_point_tables(point: dict[CommutationClass, FoldedQuiver]) -> None:
-    """The distance table of every quiver of a twisted point, in one pass
-    over the BFS tree its quivers' ``origin`` records.
+def _walk_point(point: dict[CommutationClass, FoldedQuiver], seed, move):
+    """(quiver, data) for every quiver of a twisted point, parents first.
 
-    The seed is counted from scratch, every other quiver transported from
-    its parent, which the point's order puts first; a class's counts are
-    dropped once its last child is done.
+    The walk follows the BFS tree that the quivers' ``origin`` records:
+    the seed's data is ``seed(fq)``, every other quiver's is
+    ``move(parent_data, parent, fq, i)``, its parent's data carried
+    across the folded reflection at the sink alpha_i.  The point's order
+    puts each parent first, and a class's data is dropped once its last
+    child has it.
     """
     children = Counter(fq.origin[0].source_class for fq in point.values() if fq.origin)
-    live: dict[CommutationClass, dict] = {}
+    live: dict[CommutationClass, object] = {}
     for cls, fq in point.items():
         if fq.origin is None:
-            counts = _scratch_counts(fq)
+            data = seed(fq)
         else:
             parent, i = fq.origin
             up = parent.source_class
-            counts = _transport(live[up], parent, fq, i)
+            data = move(live[up], parent, fq, i)
             children[up] -= 1
             if not children[up]:
                 del live[up]
         if children[cls]:
-            live[cls] = counts
-        tables = cls._cache.setdefault("distance_table", {})
+            live[cls] = data
+        yield fq, data
+
+
+def _fill_point_tables(point: dict[CommutationClass, FoldedQuiver]) -> None:
+    """The distance table of every quiver of a twisted point, in one walk:
+    the seed counted from scratch, every other quiver transported."""
+    for fq, counts in _walk_point(point, _scratch_counts, _transport):
+        tables = fq.source_class._cache.setdefault("distance_table", {})
         tables.setdefault(fq.coords, _table_of(counts))
 
 
@@ -729,3 +745,61 @@ def distance_polynomial(
         eps = (-1) ** (k + l) if convention == "A" else (-1) ** t
         factors.extend([(eps, t)] * ceil(o / 2))
     return RootedPolynomial.from_factors(factors)
+
+
+# ---------------------------------------------------------------------------
+# socle-dist records, transported along the same walk
+
+
+def _bad_pair(cls: CommutationClass, a: int, b: int):
+    """(a, b, d, socle), a < b, when the pair {a, b} is at dist d > 2 or
+    has no unique socle; otherwise None."""
+    a, b = min(a, b), max(a, b)
+    d = _pair_dist(cls, a, b)
+    if not d:
+        return None  # nothing below: the pair is its own socle
+    s = _pair_socle(cls, a, b)
+    return (a, b, d, s) if d > 2 or s is None else None
+
+
+def _scratch_socles(fq: FoldedQuiver) -> list:
+    """The socle-dist records of a quiver's class, one check per comparable
+    pair (an incomparable pair has nothing below it)."""
+    cls = fq.source_class
+    return [rec for a, b in comparable_pairs(cls) if (rec := _bad_pair(cls, a, b))]
+
+
+def _permuted(m: Sequence, perm: tuple[int, ...]) -> Sequence:
+    """The sequence m with the multiplicity of each root r moved to perm[r]."""
+    out = [0] * len(m)
+    for r, mult in enumerate(m):
+        out[perm[r]] = mult
+    return tuple(out)
+
+
+def _transport_socles(
+    records: list, parent: FoldedQuiver, child: FoldedQuiver, i: int
+) -> list:
+    """The child's socle-dist records from the parent's, across the folded
+    reflection at the sink alpha_i.
+
+    As for the distance counts, s_i maps the partitions below a pair
+    without alpha_i onto those below the relabelled pair, order kept; so
+    the pair keeps its `dist`, and its socle is the parent's relabelled
+    by s_i.  The parent's records at alpha_i are dropped, and the
+    child's pairs at alpha_i, at most N - 1, are checked anew.
+    """
+    rs = child.rs
+    r = rs.simple_root_index[i]
+    perm = rs.reflection_permutation(i)
+    out = [
+        (*sorted((perm[a], perm[b])), d, None if s is None else _permuted(s, perm))
+        for a, b, d, s in records
+        if r != a and r != b
+    ]
+    cls = child.source_class
+    for _, a, b in _pairs_at(child, r):
+        rec = _bad_pair(cls, a, b)
+        if rec:
+            out.append(rec)
+    return out

@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from arfold import affine
+from arfold import affine, seqorder
 from arfold.rootsys import FoldingError, root_system
 from arfold.arquiver import DynkinQuiver, gamma_q
 from arfold.twistfold import twisted_folded_quivers
@@ -182,6 +184,24 @@ def test_verify_den_dist_b2():
 def test_verify_class_invariance_c3():
     rep = verify_class_invariance("C", 3)
     assert rep.ok
+
+
+def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
+    # a point built anew, so none of its polynomials is memoised yet
+    build = lru_cache(maxsize=None)(twisted_folded_quivers.__wrapped__)
+    monkeypatch.setattr(affine, "twisted_folded_quivers", build)
+    monkeypatch.setattr(seqorder, "twisted_folded_quivers", build)
+    calls = []
+    real = affine.distance_polynomial
+    monkeypatch.setattr(
+        affine, "distance_polynomial", lambda *args: calls.append(args) or real(*args)
+    )
+    assert verify_den_dist("C", 4).ok
+    first = len(calls)
+    calls.clear()
+    rep = verify_class_invariance("C", 4)
+    assert rep.ok and first == rep.checked > 0
+    assert calls == []
 
 
 def test_verify_dorey_b2():

@@ -120,25 +120,22 @@ def test_verify_counts_exit_zero(capsys):
 
 
 def test_verify_socle_dist_small(capsys):
-    code, out = run(capsys, "verify", "socle-dist", "--type", "A",
-                    "--rank", "3", "--jobs", "2")
+    code, out = run(capsys, "verify", "socle-dist", "--type", "A", "--rank", "3")
     assert code == 0
     assert "[PASS]" in out
 
 
-@pytest.mark.parametrize("tt, rk", [("A", 5), ("D", 4)])
-def test_socle_dist_threads_share_the_memo_safely(tt, rk):
-    # the threads fill one cold pair-partition memo; a key that depended on
-    # the order of insertion could give two weights one entry
-    root_system(tt, rk)._cache.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = cli.verify_socle_dist(tt, rk, jobs=2).as_dict()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == cli.verify_socle_dist(tt, rk, jobs=1).as_dict()
-    assert threaded["ok"] and threaded["checked"] > 0
+def test_socle_dist_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "socle-dist", "--type", "A", "--rank", "3", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_verify_socle_dist_refuses_jobs_other_than_one(jobs):
+    with pytest.raises(cli.UsageError, match="one thread"):
+        cli.verify_socle_dist("A", 3, jobs=jobs)
 
 
 def test_verify_report_json(tmp_path, capsys):

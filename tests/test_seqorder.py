@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfold import seqorder
+from arfold import cli, seqorder
 from arfold.rootsys import folding_to, root_system
 from arfold.words import (
     adapted_point,
@@ -17,6 +17,7 @@ from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import (
     _distance_table,
     _pair_dist,
+    _pair_socle,
     _less_same_weight,
     _partitions,
     bilex_less_word,
@@ -657,6 +658,145 @@ def test_table_fill_computes_only_the_moved_pairs(fresh_point, monkeypatch):
     assert len(calls) <= len(comparable_pairs(seed.source_class)) + (n - 1) * (
         len(point) - 1
     )
+
+
+# ---------------------------------------------------------------------------
+# socle-dist records transported along the same walk
+
+SOCLE_POINTS = [("A", 5), ("A", 7), ("A", 9), ("D", 5), ("D", 6), ("D", 7), ("E", 6)]
+
+
+def _scratch_socle_records(cls):
+    """(a, b, d, socle), a < b, of every pair at dist > 2 or without a
+    unique socle, from `_pair_dist` and `_pair_socle` over all pairs."""
+    out = []
+    for a, b in combinations(range(cls.rs.num_positive), 2):
+        d = _pair_dist(cls, a, b)
+        if d:
+            s = _pair_socle(cls, a, b)
+            if d > 2 or s is None:
+                out.append((a, b, d, s))
+    return out
+
+
+def _socle_walk(point):
+    return seqorder._walk_point(
+        point, seqorder._scratch_socles, seqorder._transport_socles
+    )
+
+
+def _socles_match_scratch(point) -> bool:
+    return all(
+        sorted(records) == _scratch_socle_records(fq.source_class)
+        for fq, records in _socle_walk(point)
+    )
+
+
+@pytest.mark.parametrize("tt, rk", SOCLE_POINTS)
+def test_transported_socles_equal_scratch_records(fresh_point, tt, rk):
+    # every class of the twisted point; E6 is read through the walk only,
+    # since socle-dist refuses it as a suite
+    assert _socles_match_scratch(fresh_point(tt, rk))
+
+
+def test_e6_is_the_point_with_socle_records(fresh_point):
+    # the only point whose records carry pairs and socles to relabel
+    records = [r for _, recs in _socle_walk(fresh_point("E", 6)) for r in recs]
+    assert len(records) == 960
+    assert sum(s is not None for *_, s in records) > 0
+
+
+def _keep_parent_alpha_records(real):
+    def transport(records, parent, child, i):
+        r = child.rs.simple_root_index[i]
+        perm = child.rs.reflection_permutation(i)
+        kept = [
+            (*sorted((perm[a], perm[b])), d, s)
+            for a, b, d, s in records
+            if r in (a, b)
+        ]
+        return real(records, parent, child, i) + kept
+
+    return transport
+
+
+def test_socle_transport_mutants_fail_the_oracle(fresh_point, monkeypatch):
+    point = fresh_point("E", 6)
+    monkeypatch.setattr(
+        seqorder, "_transport_socles",
+        _keep_parent_alpha_records(seqorder._transport_socles),
+    )
+    assert not _socles_match_scratch(point)
+
+
+def test_socle_not_relabelled_fails_the_oracle(fresh_point, monkeypatch):
+    point = fresh_point("E", 6)
+    monkeypatch.setattr(seqorder, "_permuted", lambda m, perm: m)
+    assert not _socles_match_scratch(point)
+
+
+def test_skipping_the_child_pairs_fails_the_socle_oracle(fresh_point, monkeypatch):
+    point = fresh_point("E", 6)
+    monkeypatch.setattr(seqorder, "_pairs_at", _keep_pairs(lambda r, a, b: a == r))
+    assert not _socles_match_scratch(point)
+
+
+def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
+    """socle-dist A7 with a `_pair_socle` that gives None on one pair at
+    the moved root of a child class, and ``_pairs_at`` replaced by the
+    mutant, if one is given; the report and the record the lie makes."""
+    lie = None
+    for fq in point.values():
+        if fq.origin is None:
+            continue
+        cls = fq.source_class
+        r = fq.rs.simple_root_index[fq.origin[1]]
+        for _, a, b in seqorder._pairs_at(fq, r):
+            d = _pair_dist(cls, a, b)
+            if d:
+                lie = (cls, min(a, b), max(a, b), d)
+                break
+        if lie:
+            break
+    real = seqorder._pair_socle
+
+    def pair_socle(cls, a, b):
+        return None if (cls, min(a, b), max(a, b)) == lie[:3] else real(cls, a, b)
+
+    monkeypatch.setattr(seqorder, "_pair_socle", pair_socle)
+    if mutant_pairs_at:
+        monkeypatch.setattr(seqorder, "_pairs_at", mutant_pairs_at)
+    monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
+    cls, a, b, d = lie
+    return cli.verify_socle_dist("A", 7), (cls.canonical_word, a, b, d, None)
+
+
+def test_lying_pair_socle_at_a_moved_root_is_named(fresh_point, monkeypatch):
+    rep, record = _socle_report_with_a_lie(fresh_point("A", 7), monkeypatch)
+    assert not rep.ok and record in rep.mismatches
+
+
+def test_skipping_the_child_pairs_hides_the_lie(fresh_point, monkeypatch):
+    skip = _keep_pairs(lambda r, a, b: a == r)
+    rep, record = _socle_report_with_a_lie(fresh_point("A", 7), monkeypatch, skip)
+    assert record not in rep.mismatches
+
+
+def test_socle_dist_checks_only_the_moved_pairs(fresh_point, monkeypatch):
+    point = fresh_point("A", 7)
+    calls = []
+    real = seqorder._pair_dist
+
+    def pair_dist(cls, a, b):
+        calls.append((a, b))
+        return real(cls, a, b)
+
+    monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
+    monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
+    rep = cli.verify_socle_dist("A", 7)
+    n = root_system("A", 7).num_positive
+    assert rep.ok and rep.checked == len(point) * n * (n - 1) // 2
+    assert len(calls) <= n * (n - 1) // 2 + (len(point) - 1) * (n - 1)
 
 
 def test_distance_polynomial_refuses_residue_outside_diagram():
