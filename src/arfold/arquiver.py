@@ -18,6 +18,7 @@ from .words import (
     CommutationClass,
     DEFAULT_CAP,
     Word,
+    bits,
     root_sequence,
 )
 
@@ -107,12 +108,6 @@ class ARQuiver:
 
     def coord_of(self) -> dict[int, tuple[int, int]]:
         return {r: (i, p2) for r, i, p2 in self.coords}
-
-    def by_coord(self) -> dict[tuple[int, int], int]:
-        out = {(i, p2): r for r, i, p2 in self.coords}
-        if len(out) != len(self.coords):
-            raise AssertionError("coordinate map is not injective")
-        return out
 
     def residues(self) -> dict[int, int]:
         return {r: i for r, i, _ in self.coords}
@@ -280,17 +275,11 @@ def read_reduced_words(quiver: ARQuiver, cap: int = DEFAULT_CAP) -> list[Word]:
 
 def covers(cls: CommutationClass) -> set[tuple[int, int]]:
     """Cover relations (a, b): a before b with nothing strictly between."""
-    below, above = cls.below(), cls.above()
-    out = set()
-    for b, mask in below.items():
-        m = mask
-        while m:
-            low = m & -m
-            a = low.bit_length() - 1
-            m ^= low
-            if not (below[b] & above[a]):
-                out.add((a, b))
-    return out
+    above = cls.above()
+    return {
+        (a, b) for b, mask in cls.below().items() for a in bits(mask)
+        if not mask & above[a]
+    }
 
 
 def hasse_quiver(cls: CommutationClass, quiver: ARQuiver | None = None) -> ARQuiver:
@@ -311,9 +300,8 @@ def hasse_quiver(cls: CommutationClass, quiver: ARQuiver | None = None) -> ARQui
         return ARQuiver(cls.rs, quiver.coords, arrows)
     below = cls.below()
     depth = {}
-    for r in sorted(below, key=lambda r: bin(below[r]).count("1")):
-        ups = [depth[a] for a in below if below[r] >> a & 1 and a in depth]
-        depth[r] = 1 + max(ups, default=-1)
+    for r, mask in below.items():  # canonical-word order: a member word
+        depth[r] = 1 + max((depth[a] for a in bits(mask)), default=-1)
     top = max(depth.values(), default=0)
     coords = tuple(
         sorted((r, cls.letter_of(r), 2 * (top - depth[r])) for r in below)

@@ -161,11 +161,16 @@ def quiver_to_ascii(quiver: ARQuiver) -> str:
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    """Print ``text``, or write it to ``out_path``; an OSError there is a
+    UsageError."""
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
 
 
 def cmd_classes(args) -> int:
@@ -233,8 +238,7 @@ def cmd_verify(args) -> int:
     text = "\n".join(_report_lines(r) for r in reports)
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump([r.as_dict() for r in reports], fh, indent=2)
+        _emit(json.dumps([r.as_dict() for r in reports], indent=2), args.out)
     return 0 if all(r.ok for r in reports) else 1
 
 

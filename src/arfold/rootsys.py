@@ -168,10 +168,8 @@ class RootSystem:
         self.simple_root_index = {
             i: self.root_index[self.simple_root(i)] for i in self.nodes
         }
-        self._longest_word: tuple[int, ...] | None = None
-        self._star: dict[int, int] | None = None
-        self._summing_pairs: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        # memos kept per root system: the reflection permutations, and
+        # memos kept per root system, each filled once: the longest word,
+        # i -> i*, the summing pairs, the reflection permutations, and
         # seqorder's pair partitions and packed roots
         self._cache: dict = {}
         self._hash = hash((type_tag, rank))
@@ -211,15 +209,13 @@ class RootSystem:
         to -alpha_i, is kept in place by convention.  Built once per i.
         """
         key = ("reflection_permutation", i)
-        perm = self._cache.get(key)
-        if perm is None:
+        if key not in self._cache:
             r_i = self.simple_root_index[i]
-            perm = tuple(
+            self._cache[key] = tuple(
                 r if r == r_i else self.root_index[self.reflect(root, i)]
                 for r, root in enumerate(self.positive_roots)
             )
-            perm = self._cache.setdefault(key, perm)
-        return perm
+        return self._cache[key]
 
     def apply_word(self, word: tuple[int, ...] | list[int], v: Root) -> Root:
         """Apply s_{i_1} ... s_{i_k} to v (rightmost letter acts first)."""
@@ -258,7 +254,7 @@ class RootSystem:
 
     def longest_word(self) -> tuple[int, ...]:
         """Some reduced word for the longest element, deterministic."""
-        if self._longest_word is None:
+        if "longest_word" not in self._cache:
             # images of the simple roots under the product built so far
             images = [self.simple_root(i) for i in self.nodes]
             word: list[int] = []
@@ -280,12 +276,12 @@ class RootSystem:
                 ]
             if len(word) != self.num_positive:
                 raise AssertionError("longest-element search terminated early")
-            self._longest_word = tuple(word)
-        return self._longest_word
+            self._cache["longest_word"] = tuple(word)
+        return self._cache["longest_word"]
 
     def star(self) -> dict[int, int]:
         """The involution i -> i* with w_0(alpha_i) = -alpha_{i*}."""
-        if self._star is None:
+        if "star" not in self._cache:
             w0 = self.longest_word()
             star = {}
             for i in self.nodes:
@@ -294,8 +290,8 @@ class RootSystem:
                 if neg not in self.root_index or sum(neg) != 1:
                     raise AssertionError("w_0 image of a simple root is not -simple")
                 star[i] = neg.index(1) + 1
-            self._star = star
-        return self._star
+            self._cache["star"] = star
+        return self._cache["star"]
 
     def diagram_automorphism(self, triality: bool = False) -> DiagramAutomorphism:
         """The folding automorphism printed for this type.
@@ -335,7 +331,7 @@ class RootSystem:
 
         One pass over all pairs fills the table for every root at once.
         """
-        if self._summing_pairs is None:
+        if "summing_pairs" not in self._cache:
             table: list[list[tuple[int, int]]] = [[] for _ in self.positive_roots]
             roots, index = self.positive_roots, self.root_index
             for a, ra in enumerate(roots):
@@ -343,8 +339,8 @@ class RootSystem:
                     g_ab = index.get(tuple(x + y for x, y in zip(ra, roots[b])))
                     if g_ab is not None:
                         table[g_ab].append((a, b))
-            self._summing_pairs = tuple(tuple(pairs) for pairs in table)
-        return self._summing_pairs[g]
+            self._cache["summing_pairs"] = tuple(tuple(pairs) for pairs in table)
+        return self._cache["summing_pairs"][g]
 
 
 def rank_count_a(n: int) -> int:

@@ -7,7 +7,12 @@ member word; because member words are exactly the linear extensions of
 the convex order, this reduces to a condition on the extremal elements
 of the difference support, which is what `class_less` implements.  The
 definitional word-by-word test is kept as `bilex_less_word` and serves
-as the oracle in the test suite.
+as the oracle in the test suite.  The canonical word is a member word,
+so sorting sequences by their multiplicities along it extends the class
+order: `dist` reads its longest chains in one sweep over that sort
+(`_chain_depths`), each sequence compared only with those before it.
+`sequences_of_weight` lists every sequence of a weight up to height
+`MAX_WEIGHT_HEIGHT` and refuses a heavier one.
 
 Minimal pairs of a root are found among the pairs summing to it only:
 every minimal sequence above a root is a pair, and every summing pair
@@ -53,11 +58,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import ceil
 
 from .rootsys import Root, RootSystem
-from .words import CommutationClass, Word
+from .words import CommutationClass, Word, bits
 from .twistfold import FoldedQuiver, twisted_folded_quivers
 
 Sequence = tuple[int, ...]  # multiplicity per positive-root index
@@ -87,18 +92,18 @@ def is_pair(m: Sequence) -> bool:
     return sum(m) == 2 and max(m) == 1
 
 
+MAX_WEIGHT_HEIGHT = 40  # the heaviest weight `sequences_of_weight` lists
+
+
 @lru_cache(maxsize=None)
-def _sequences_of_weight(rs: RootSystem, w: Root) -> tuple[Sequence, ...]:
-    return tuple(_partitions(rs, w, range(rs.num_positive)))
-
-
-def sequences_of_weight(rs: RootSystem, w: Root, cap_height: int = 40):
-    """All multiplicity vectors of positive roots with the given weight."""
-    if sum(w) > cap_height:
+def sequences_of_weight(rs: RootSystem, w: Root) -> tuple[Sequence, ...]:
+    """All multiplicity vectors of positive roots with the given weight;
+    a ValueError above the height cap."""
+    if sum(w) > MAX_WEIGHT_HEIGHT:
         raise ValueError(
-            f"weight height {sum(w)} exceeds the enumeration cap {cap_height}"
+            f"weight height {sum(w)} exceeds the enumeration cap {MAX_WEIGHT_HEIGHT}"
         )
-    return _sequences_of_weight(rs, tuple(w))
+    return tuple(_partitions(rs, w, range(rs.num_positive)))
 
 
 def _pack(v, f: int) -> int:
@@ -112,25 +117,23 @@ def _pack(v, f: int) -> int:
 def _packed_roots(rs: RootSystem, f: int) -> list[int]:
     """Every positive root packed f bits per coordinate; kept per root system."""
     key = ("packed_roots", f)
-    packed = rs._cache.get(key)
-    if packed is None:
-        packed = rs._cache.setdefault(key, [_pack(r, f) for r in rs.positive_roots])
-    return packed
+    if key not in rs._cache:
+        rs._cache[key] = [_pack(r, f) for r in rs.positive_roots]
+    return rs._cache[key]
 
 
 def _height_rank(rs: RootSystem) -> list[int]:
     """Each root's place by decreasing height, then by index; kept per
     root system."""
-    rank = rs._cache.get("height_rank")
-    if rank is None:
+    if "height_rank" not in rs._cache:
         order = sorted(
             range(rs.num_positive), key=lambda r: (-sum(rs.positive_roots[r]), r)
         )
         rank = [0] * len(order)
         for k, r in enumerate(order):
             rank[r] = k
-        rank = rs._cache.setdefault("height_rank", rank)
-    return rank
+        rs._cache["height_rank"] = rank
+    return rs._cache["height_rank"]
 
 
 def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
@@ -233,12 +236,11 @@ def _pair_memo(rs: RootSystem) -> tuple[list[int], dict, dict]:
     pair's weight, and a memo key, that sum ORed with the interval mask,
     is read from the input alone.
     """
-    memo = rs._cache.get("pair_partitions")
-    if memo is None:
+    if "pair_partitions" not in rs._cache:
         f = (2 * max(rs.positive_roots[-1])).bit_length()
         keys = [_pack(root, f) << rs.num_positive for root in rs.positive_roots]
-        memo = rs._cache.setdefault("pair_partitions", (keys, {}, {}))
-    return memo
+        rs._cache["pair_partitions"] = (keys, {}, {})
+    return rs._cache["pair_partitions"]
 
 
 def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
@@ -274,38 +276,23 @@ def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
 
 def is_simple(cls: CommutationClass, m: Sequence) -> bool:
     """Simplicity: a single-root multiple, or all supported pairs simple."""
-    supp = support(m)
-    if len(supp) <= 1:
-        return True
-    for x in range(len(supp)):
-        for y in range(x + 1, len(supp)):
-            if pair_below(cls, supp[x], supp[y]):
-                return False
-    return True
+    return not any(pair_below(cls, a, b) for a, b in combinations(support(m), 2))
 
 
 def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence, int]:
-    """Longest-chain length ending at each element of the given poset."""
-    lt = {
-        (x, y)
-        for x in elems
-        for y in elems
-        if x != y and _less_same_weight(cls, x, y)
-    }
+    """Longest-chain length ending at each of some sequences of one weight.
+
+    Sorted along the canonical word, every element comes after the
+    elements below it, so one sweep compares each pair once.
+    """
+    order = list(cls.below())  # root indices in canonical-word order
+    elems = sorted(elems, key=lambda m: [m[r] for r in order])
     depth: dict[Sequence, int] = {}
-
-    def rec(y: Sequence) -> int:
-        if y in depth:
-            return depth[y]
-        best = 0
-        for x in elems:
-            if (x, y) in lt:
-                best = max(best, rec(x) + 1)
-        depth[y] = best
-        return best
-
-    for y in elems:
-        rec(y)
+    for k, y in enumerate(elems):
+        depth[y] = max(
+            (depth[x] + 1 for x in elems[:k] if _less_same_weight(cls, x, y)),
+            default=0,
+        )
     return depth
 
 
@@ -322,12 +309,9 @@ def dist(cls: CommutationClass, m: Sequence) -> int:
     if is_pair(m):
         return _pair_dist(cls, *support(m))
     rs = cls.rs
-    elems = [x for x in sequences_of_weight(rs, weight_of(rs, m)) if x != m]
-    under = [x for x in elems if class_less(cls, x, m)]
-    if not under:
-        return 0
-    depth = _chain_depths(cls, under)
-    return 1 + max(depth[x] for x in under)
+    seqs = sequences_of_weight(rs, weight_of(rs, m))
+    under = [x for x in seqs if class_less(cls, x, m)]
+    return 1 + max(_chain_depths(cls, under).values()) if under else 0
 
 
 def _pair_socle(cls: CommutationClass, a: int, b: int) -> Sequence | None:
@@ -489,20 +473,14 @@ def _pair_cover_conditions(cls, a, b, supp):
         d = tuple(x - y for x, y in zip(u, v))
         return d in rs.root_index
 
-    for ap, bp in _permute2(supp):
+    # a cover 2 * root has one support root r: both orderings are (r, r)
+    for ap, bp in ((supp[0], supp[-1]), (supp[-1], supp[0])):
         av, bv = rs.positive_roots[ap], rs.positive_roots[bp]
         fwd = diff_in_phi(av, alpha) and diff_in_phi(beta, bv)
         bwd = diff_in_phi(alpha, av) and diff_in_phi(bv, beta)
         if fwd or bwd:
             return (("forward", fwd), ("backward", bwd))
     return (("forward", False), ("backward", False))
-
-
-def _permute2(supp):
-    if len(supp) == 1:
-        return [(supp[0], supp[0])]
-    a, b = supp
-    return [(a, b), (b, a)]
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +539,7 @@ def factor_minus_qs_power(a: int) -> tuple[int, int]:
 
 
 def comparable_pairs(cls: CommutationClass) -> list[tuple[int, int]]:
-    below = cls.below()
-    out = []
-    for b, mask in below.items():
-        m = mask
-        while m:
-            low = m & -m
-            out.append((low.bit_length() - 1, b))
-            m ^= low
-    return out
+    return [(a, b) for b, mask in cls.below().items() for a in bits(mask)]
 
 
 def phi_pairs(fq: FoldedQuiver, k: int, l: int, t: int) -> list[tuple[int, int]]:
@@ -616,15 +586,9 @@ def _pairs_at(fq: FoldedQuiver, r: int) -> list[tuple[tuple[int, int, int], int,
     that contains the root r, a before b."""
     cls = fq.source_class
     coord = fq.coord_of()
-    out = []
-    for mask, first in ((cls.below()[r], False), (cls.above()[r], True)):
-        while mask:
-            low = mask & -mask
-            x = low.bit_length() - 1
-            a, b = (r, x) if first else (x, r)
-            out.append((_bucket(coord, a, b), a, b))
-            mask ^= low
-    return out
+    return [(_bucket(coord, a, r), a, r) for a in bits(cls.below()[r])] + [
+        (_bucket(coord, r, b), r, b) for b in bits(cls.above()[r])
+    ]
 
 
 def _transport(counts: dict, parent: FoldedQuiver, child: FoldedQuiver, i: int) -> dict:

@@ -12,9 +12,12 @@ number of neighbours of a node.  Occurrences of one letter never
 commute, so the last occurrence of each letter so far dominates the
 earlier ones: the heap keeps, per letter, that occurrence together with
 everything below it, and a new occurrence of i sits above the entries of
-i and of its neighbours.  The canonical word waits each occurrence on
-the previous occurrence of its own letter and of each neighbour, and
-takes the least available letter first.
+i and of its neighbours.  That pass, `_order_pass`, is the one builder
+of order masks: read along the canonical word it gives `below`, read
+backwards it gives `above`.  `bits` is the one walk over the set bits
+of a mask.  The canonical word waits each occurrence on the previous
+occurrence of its own letter and of each neighbour, and takes the least
+available letter first.
 
 A reflection functor moves one letter between the two ends of a word.
 Occurrences of one letter never commute, so the first s_i of every
@@ -77,6 +80,33 @@ def root_sequence(rs: RootSystem, word: Word) -> list[Root]:
     return out
 
 
+def bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _order_pass(adjacent, idx, word) -> dict[int, int]:
+    """{r: mask of the roots before r in the order}, read along ``word``.
+
+    idx[k] is the root of the occurrence word[k].  Read forwards, bit r'
+    of the mask of r is set iff r' comes before r in every member word;
+    read backwards, iff r' comes after r.  The dict follows ``idx``.
+    """
+    masks: dict[int, int] = {}
+    # upto[i]: the last occurrence of letter i so far and everything before it
+    upto: dict[int, int] = {}
+    for r, i in zip(idx, word):
+        acc = upto.get(i, 0)
+        for j in adjacent[i]:
+            acc |= upto.get(j, 0)
+        masks[r] = acc
+        upto[i] = acc | 1 << r
+    return masks
+
+
 def _heap(rs: RootSystem, word: Word) -> tuple[dict[int, int], dict[int, int]]:
     """The heap of a reduced word as (below, letter), keyed by root index.
 
@@ -85,16 +115,7 @@ def _heap(rs: RootSystem, word: Word) -> tuple[dict[int, int], dict[int, int]]:
     occurrence gives root r.  Every member word gives the same heap.
     """
     idx = [rs.root_index[b] for b in root_sequence(rs, word)]
-    below: dict[int, int] = {}
-    # upto[i]: the last occurrence of letter i so far and everything below it
-    upto: dict[int, int] = {}
-    for r, i in zip(idx, word):
-        acc = upto.get(i, 0)
-        for j in rs.adjacent[i]:
-            acc |= upto.get(j, 0)
-        below[r] = acc
-        upto[i] = acc | 1 << r
-    return below, dict(zip(idx, word))
+    return _order_pass(rs.adjacent, idx, word), dict(zip(idx, word))
 
 
 @dataclass(frozen=True)
@@ -138,18 +159,15 @@ class CommutationClass:
     def above(self) -> list[int]:
         """Strict convex-order bitmasks: bit r' of above[r] iff r < r'.
 
-        Built on the first interval query, not with the heap.
+        The heap pass of `below`, run backwards over the canonical word;
+        built on the first interval query.
         """
         cache = self._cache
         if "above" not in cache:
-            above = [0] * self.length
-            for r, mask in self.below().items():
-                bit = 1 << r
-                while mask:
-                    low = mask & -mask
-                    above[low.bit_length() - 1] |= bit
-                    mask ^= low
-            cache["above"] = above
+            masks = _order_pass(
+                self.rs.adjacent, list(self.below())[::-1], self.canonical_word[::-1]
+            )
+            cache["above"] = [masks[r] for r in range(self.length)]
         return cache["above"]
 
     def interval(self, a: int, b: int) -> list[int]:
@@ -175,15 +193,11 @@ class CommutationClass:
                         f"commutation closure exceeds cap {cap}"
                     )
                 return
-            r = remaining
-            while r:
-                low = r & -r
-                v = low.bit_length() - 1
-                r ^= low
+            for v in bits(remaining):
                 if below[v] & ~done:
                     continue
                 prefix.append(letter[v])
-                rec(remaining ^ low, done | low)
+                rec(remaining ^ 1 << v, done | 1 << v)
                 prefix.pop()
 
         rec((1 << self.length) - 1, 0)
@@ -200,14 +214,10 @@ class CommutationClass:
             new: dict[int, int] = {}
             for dn in frontier:
                 c = counts[dn]
-                r = all_mask & ~dn
-                while r:
-                    low = r & -r
-                    v = low.bit_length() - 1
-                    r ^= low
+                for v in bits(all_mask & ~dn):
                     if below[v] & ~dn:
                         continue
-                    nxt = dn | low
+                    nxt = dn | 1 << v
                     new[nxt] = new.get(nxt, 0) + c
             total_states += len(new)
             if total_states > cap:

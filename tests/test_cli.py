@@ -189,6 +189,21 @@ def test_bad_type_or_target_is_a_one_line_error(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "counts"],
+    ["classes", "--type", "A", "--rank", "3", "--cluster", "twisted"],
+    ["quiver", "--type", "A", "--rank", "2", "--class", "1,2,1"],
+], ids=["verify", "classes", "quiver"])
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"arfold: error: cannot write --out {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 def test_socle_dist_fails_when_every_sequence_is_simple(monkeypatch):
     monkeypatch.setattr(seqorder, "is_simple", lambda cls, m: True)
     rep = cli.verify_socle_dist("A", 5)

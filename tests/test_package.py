@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -29,3 +32,22 @@ def test_benchmark_tracer_contract():
     modules = sorted(p.name for p in Path(arfold.__file__).parent.glob("*.py"))
     assert len(modules) == 8, modules
     assert arfold.cli.verify_socle_dist("A", 3, jobs=1).ok
+
+
+def test_import_needs_only_the_standard_library():
+    # pyproject.toml declares dependencies = []: importing the package and
+    # its CLI in a fresh interpreter loads no third-party module
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import arfold, arfold.cli\n"
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - {'arfold'} - sys.stdlib_module_names)))\n"
+    )
+    src = str(Path(arfold.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

@@ -176,6 +176,16 @@ def test_no_sequence_has_a_negative_coordinate():
     assert sequences_of_weight(rs, (2, -1, 0)) == ()
 
 
+def test_sequences_of_weight_refuses_a_weight_above_the_cap():
+    rs = root_system("A", 1)
+    cap = seqorder.MAX_WEIGHT_HEIGHT
+    assert sequences_of_weight(rs, (cap,)) == ((cap,),)
+    for _ in range(2):  # a refusal is not memoised away
+        with pytest.raises(ValueError, match=f"weight height {cap + 1} exceeds "
+                           f"the enumeration cap {cap}"):
+            sequences_of_weight(rs, (cap + 1,))
+
+
 def test_pair_below_returns_a_fresh_list():
     cls = min(twisted_adapted_point("A", 5), key=lambda c: c.canonical_word)
     rs = cls.rs
@@ -328,6 +338,58 @@ def test_pair_dist_equals_dist_of_the_pair_sequence(tt, rk):
         m = sequence_from_roots(rs, [a, b])
         d = _pair_dist(cls, a, b)
         assert d == _pair_dist(cls, b, a) == dist(cls, m) == _dist_oracle(cls, m)
+
+
+def _chain_depths_oracle(cls, elems):
+    """Longest-chain length ending at each element, by closing the strict
+    order relation over all ordered pairs."""
+    lt = {
+        (x, y) for x in elems for y in elems if x != y and _less_same_weight(cls, x, y)
+    }
+    depth = {}
+
+    def rec(y):
+        if y not in depth:
+            depth[y] = max((rec(x) + 1 for x in elems if (x, y) in lt), default=0)
+        return depth[y]
+
+    for y in elems:
+        rec(y)
+    return depth
+
+
+@pytest.mark.parametrize("tt, rk", [("E", 6), ("A", 7), ("D", 6)])
+def test_chain_depths_equal_the_relation_closure(tt, rk):
+    deepest = 0
+    for cls in twisted_adapted_point(tt, rk):
+        for a, b in comparable_pairs(cls):
+            below = pair_below(cls, a, b)
+            depth = seqorder._chain_depths(cls, below)
+            assert depth == _chain_depths_oracle(cls, below)
+            deepest = max(deepest, *depth.values(), 0)
+    # E6 reaches dist 4, the twisted points of A and D dist 2
+    assert deepest + 1 == (4 if tt == "E" else 2)
+
+
+def test_chain_depths_compare_each_unordered_pair_at_most_once(monkeypatch):
+    calls = []
+    real = seqorder._less_same_weight
+
+    def less(cls, m, mp):
+        calls.append((m, mp))
+        return real(cls, m, mp)
+
+    monkeypatch.setattr(seqorder, "_less_same_weight", less)
+    largest = 0
+    for cls in twisted_adapted_point("E", 6):
+        for a, b in comparable_pairs(cls):
+            below = pair_below(cls, a, b)
+            calls.clear()
+            seqorder._chain_depths(cls, below)
+            k = len(below)
+            assert len(calls) <= k * (k - 1) // 2
+            largest = max(largest, k)
+    assert largest >= 3
 
 
 def test_dist_two_has_unique_intermediate():

@@ -220,6 +220,17 @@ def test_heap_is_the_same_for_every_member_word():
             assert _heap(rs, w) == (below, letter)
 
 
+@pytest.mark.parametrize("tt, rk", [("A", 9), ("D", 7), ("E", 6)])
+def test_above_is_the_transpose_of_below(tt, rk):
+    for cls in twisted_adapted_point(tt, rk):
+        transpose = [0] * cls.length
+        for r, mask in cls.below().items():
+            for r2 in range(cls.length):
+                if mask >> r2 & 1:
+                    transpose[r2] |= 1 << r
+        assert cls.above() == transpose
+
+
 def test_cluster_point_counts():
     assert len(adapted_point("A", 4)) == 8
     assert len(adapted_point("A", 5)) == 16
