@@ -290,8 +290,11 @@ def minimal_pair_coordinates(
 ) -> list[tuple[tuple[int, int], tuple[int, int], tuple[int, int]]]:
     """Folded coordinate triples ((i,p),(j,q),(k,r)) of the minimal pairs
     of a positive root in the quiver's class, the pair ordered by the
-    convex order."""
-    g = gamma if isinstance(gamma, int) else fq.rs.root_index[tuple(gamma)]
+    convex order.  A root index or tuple naming no positive root is a
+    ValueError."""
+    g = gamma if isinstance(gamma, int) else fq.rs.root_index.get(tuple(gamma))
+    if g is None:
+        raise ValueError(f"{tuple(gamma)} is not a positive root of {fq.rs}")
     coord = fq.coord_of()
     return [
         (coord[a], coord[b], coord[g])

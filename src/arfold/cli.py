@@ -160,17 +160,21 @@ def quiver_to_ascii(quiver: ARQuiver) -> str:
     return "\n".join(out)
 
 
+def _open_out(out_path: str, mode: str = "w"):
+    """``out_path`` opened in ``mode``; an OSError there is a UsageError."""
+    try:
+        return open(out_path, mode)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
+
+
 def _emit(text: str, out_path: str | None):
-    """Print ``text``, or write it to ``out_path``; an OSError there is a
-    UsageError."""
+    """Print ``text``, or write it to ``out_path``."""
     if not out_path:
         print(text)
         return
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:
-        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
+    with _open_out(out_path) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_classes(args) -> int:
@@ -224,6 +228,10 @@ def cmd_verify(args) -> int:
         folding_to(args.target, args.n)
     elif args.suite == "socle-dist":
         _need(args, "type", "rank")
+    if args.out:
+        # refuse an unwritable path before the suite runs; appending
+        # leaves an existing file as it is
+        _open_out(args.out, "a").close()
     if args.suite == "den-dist":
         reports.append(affine.verify_den_dist(args.target, args.n))
         reports.append(affine.verify_class_invariance(args.target, args.n))

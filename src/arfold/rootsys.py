@@ -170,7 +170,7 @@ class RootSystem:
         }
         # memos kept per root system, each filled once: the longest word,
         # i -> i*, the summing pairs, the reflection permutations, and
-        # seqorder's pair partitions and packed roots
+        # seqorder's packed roots and height ranks
         self._cache: dict = {}
         self._hash = hash((type_tag, rank))
 
@@ -330,7 +330,10 @@ class RootSystem:
         """The index pairs (a, b), a < b, of positive roots summing to root g.
 
         One pass over all pairs fills the table for every root at once.
+        An index outside 0..N-1 is a ValueError.
         """
+        if not 0 <= g < self.num_positive:
+            raise ValueError(f"{g!r} is not a positive-root index of {self}")
         if "summing_pairs" not in self._cache:
             table: list[list[tuple[int, int]]] = [[] for _ in self.positive_roots]
             roots, index = self.positive_roots, self.root_index

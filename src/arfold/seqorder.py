@@ -42,15 +42,6 @@ each with its `dist` and socle.  The seed's are checked pair by pair;
 a child's are its parent's without the pairs at alpha_i, pair and
 socle relabelled by s_i, plus its own at most N - 1 pairs at alpha_i,
 each checked anew.
-
-The sequences below a pair {a, b}, a before b, are the partitions of
-root_a + root_b into roots of the open interval, which is the bitmask
-above[a] & below[b] of the class.  They depend on that weight and that
-mask alone, so `pair_below` memoises them once per root system, in
-`RootSystem._cache`, shared by every class of every point: the key is
-one int, the packed weight above the mask, and stored sequences and
-results are interned.  The memo is never freed and grows with the rank,
-to some 1,400 entries on E6 after the F4 distance tables.
 """
 
 from __future__ import annotations
@@ -227,51 +218,21 @@ def _less_same_weight(cls: CommutationClass, m: Sequence, mp: Sequence) -> bool:
 # pairs: everything below a pair lives on its open interval
 
 
-def _pair_memo(rs: RootSystem) -> tuple[list[int], dict, dict]:
-    """(weight key per root, memo, intern table) of one root system.
-
-    A root's weight key is its coordinates packed into one int, each in
-    enough bits for twice the largest coefficient of the highest root,
-    shifted above a root mask.  So the sum of two weight keys packs the
-    pair's weight, and a memo key, that sum ORed with the interval mask,
-    is read from the input alone.
-    """
-    if "pair_partitions" not in rs._cache:
-        f = (2 * max(rs.positive_roots[-1])).bit_length()
-        keys = [_pack(root, f) << rs.num_positive for root in rs.positive_roots]
-        rs._cache["pair_partitions"] = (keys, {}, {})
-    return rs._cache["pair_partitions"]
-
-
 def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
     """All sequences strictly below the pair {a, b} in the class order.
 
     These are exactly the multisets of roots lying strictly between a
-    and b in the convex order whose weight is root_a + root_b.  They
-    depend on that weight and interval alone, so they are memoised per
-    root system, shared by all its classes; every call returns a fresh
-    list.
+    and b in the convex order whose weight is root_a + root_b; every
+    call enumerates them anew.
     """
     above, below = cls.above(), cls.below()
     if not above[a] & below[b]:
         a, b = b, a
-    mask = above[a] & below[b]
-    if not mask:
-        return []
+        if not above[a] & below[b]:
+            return []  # an empty interval, or an incomparable pair
     rs = cls.rs
-    weight_key, memo, interned = _pair_memo(rs)
-    key = weight_key[a] + weight_key[b] | mask
-    seqs = memo.get(key)
-    if seqs is None:
-        w = tuple(
-            x + y for x, y in zip(rs.positive_roots[a], rs.positive_roots[b])
-        )
-        # sequences and whole results are interned; () is the shared empty one
-        seqs = tuple(
-            interned.setdefault(m, m) for m in _partitions(rs, w, cls.interval(a, b))
-        )
-        seqs = memo[key] = interned.setdefault(seqs, seqs)
-    return list(seqs)
+    w = tuple(x + y for x, y in zip(rs.positive_roots[a], rs.positive_roots[b]))
+    return _partitions(rs, w, cls.interval(a, b))
 
 
 def is_simple(cls: CommutationClass, m: Sequence) -> bool:
@@ -296,12 +257,14 @@ def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence
     return depth
 
 
+def _dist_over(cls: CommutationClass, under: list[Sequence]) -> int:
+    """`dist` of a sequence from the list of every sequence below it."""
+    return 1 + max(_chain_depths(cls, under).values()) if under else 0
+
+
 def _pair_dist(cls: CommutationClass, a: int, b: int) -> int:
     """`dist` of the pair {a, b} of distinct root indices."""
-    below = pair_below(cls, a, b)
-    if not below:
-        return 0
-    return 1 + max(_chain_depths(cls, below).values())
+    return _dist_over(cls, pair_below(cls, a, b))
 
 
 def dist(cls: CommutationClass, m: Sequence) -> int:
@@ -310,8 +273,13 @@ def dist(cls: CommutationClass, m: Sequence) -> int:
         return _pair_dist(cls, *support(m))
     rs = cls.rs
     seqs = sequences_of_weight(rs, weight_of(rs, m))
-    under = [x for x in seqs if class_less(cls, x, m)]
-    return 1 + max(_chain_depths(cls, under).values()) if under else 0
+    return _dist_over(cls, [x for x in seqs if class_less(cls, x, m)])
+
+
+def _unique_simple(cls: CommutationClass, under: list[Sequence]) -> Sequence | None:
+    """The one simple sequence among ``under``; None for none or several."""
+    simples = [x for x in under if is_simple(cls, x)]
+    return simples[0] if len(simples) == 1 else None
 
 
 def _pair_socle(cls: CommutationClass, a: int, b: int) -> Sequence | None:
@@ -319,8 +287,7 @@ def _pair_socle(cls: CommutationClass, a: int, b: int) -> Sequence | None:
     below = pair_below(cls, a, b)
     if not below:
         return sequence_from_roots(cls.rs, (a, b))
-    simples = [x for x in below if is_simple(cls, x)]
-    return simples[0] if len(simples) == 1 else None
+    return _unique_simple(cls, below)
 
 
 def socle(cls: CommutationClass, m: Sequence) -> Sequence | None:
@@ -355,14 +322,14 @@ def minimal_pairs_of_root(cls: CommutationClass, gamma: int) -> list[tuple[int, 
     minimal elements among the summing pairs.  `minimal_sequences`, the
     definitional search over all sequences of the weight, is the oracle
     the tests check this against.  Memoised per class; every call
-    returns a fresh list.
+    returns a fresh list.  A bad root index is a ValueError.
     """
     rs = cls.rs
     n = rs.num_positive
     table = cls._cache.setdefault("minimal_pairs", {})
     if gamma not in table:
-        s = sequence_from_roots(rs, [gamma])
         pairs = [sequence_from_roots(rs, p) for p in rs.summing_pairs(gamma)]
+        s = sequence_from_roots(rs, [gamma])
         above = [m for m in pairs if _less_same_weight(cls, s, m)]
         # a pair (a, b) is kept as a * n + b: a third of the memory of tuples
         out = []
@@ -717,12 +684,13 @@ def distance_polynomial(
 
 def _bad_pair(cls: CommutationClass, a: int, b: int):
     """(a, b, d, socle), a < b, when the pair {a, b} is at dist d > 2 or
-    has no unique socle; otherwise None."""
+    has no unique socle; otherwise None.  Both are read from one
+    `pair_below` list."""
     a, b = min(a, b), max(a, b)
-    d = _pair_dist(cls, a, b)
-    if not d:
+    below = pair_below(cls, a, b)
+    if not below:
         return None  # nothing below: the pair is its own socle
-    s = _pair_socle(cls, a, b)
+    d, s = _dist_over(cls, below), _unique_simple(cls, below)
     return (a, b, d, s) if d > 2 or s is None else None
 
 

@@ -13,6 +13,7 @@ from arfold.affine import (
     denominator,
     dorey_triples,
     f4_denominator,
+    minimal_pair_coordinates,
     minimal_pair_predicate,
     v_assign,
     v_untwisted_twisted,
@@ -252,9 +253,25 @@ def test_dorey_and_predicate_fail_with_two_residues_swapped(monkeypatch, target,
     assert not verify_minimal_pair_predicate(target, n).ok
 
 
-def test_minimal_pair_coordinates_op():
-    from arfold.affine import minimal_pair_coordinates
+@pytest.mark.parametrize("call, named", [
+    (lambda fq: seqorder.minimal_pairs_of_root(fq.source_class, -1), "-1 "),
+    (lambda fq: seqorder.minimal_pairs_of_root(fq.source_class, 99), "99 "),
+    (lambda fq: fq.rs.summing_pairs(-1), "-1 "),
+    (lambda fq: minimal_pair_coordinates(fq, 99), "99 "),
+    (lambda fq: minimal_pair_coordinates(fq, (5, 5, 5)), r"\(5, 5, 5\) "),
+], ids=["pairs-of-root-negative", "pairs-of-root-too-big", "summing-pairs-negative",
+        "coordinates-index", "coordinates-tuple"])
+def test_a_bad_root_is_refused(call, named):
+    fqs = twisted_folded_quivers("A", 5)
+    fq = fqs[min(fqs, key=lambda c: c.canonical_word)]
+    for _ in range(2):  # a refusal is not memoised away
+        with pytest.raises(ValueError, match=named + "is not a positive.root"):
+            call(fq)
+    n = fq.rs.num_positive
+    assert all(0 <= g < n for g in fq.source_class._cache.get("minimal_pairs", {}))
 
+
+def test_minimal_pair_coordinates_op():
     fqs = twisted_folded_quivers("A", 3)
     cls, fq = sorted(fqs.items(), key=lambda kv: kv[0].canonical_word)[0]
     rs = cls.rs

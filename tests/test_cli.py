@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfold import cli, seqorder
+from arfold import affine, cli, seqorder
 from arfold.arquiver import all_quivers, gamma_q
 from arfold.cli import main, quiver_from_json, quiver_to_json
 from arfold.rootsys import root_system
@@ -202,6 +202,18 @@ def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err == f"arfold: error: cannot write --out {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+def test_unwritable_out_is_refused_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    def suite():
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(affine, "verify_counts", suite)
+    out = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "counts", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_socle_dist_fails_when_every_sequence_is_simple(monkeypatch):

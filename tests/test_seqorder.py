@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
@@ -5,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfold import cli, seqorder
+from arfold import affine, cli, seqorder
 from arfold.rootsys import folding_to, root_system
 from arfold.words import (
     adapted_point,
@@ -113,7 +114,7 @@ def test_class_less_equals_oracle_exhaustive_small():
 
 
 def test_pair_below_matches_unpruned_enumeration():
-    # every class in one process: classes share the root system's memo
+    # every class of four points, each pair in both orders
     points = [twisted_adapted_point("A", 3), twisted_adapted_point("A", 5),
               twisted_adapted_point("D", 4), adapted_point("A", 4)]
     for point in points:
@@ -804,9 +805,9 @@ def test_skipping_the_child_pairs_fails_the_socle_oracle(fresh_point, monkeypatc
 
 
 def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
-    """socle-dist A7 with a `_pair_socle` that gives None on one pair at
-    the moved root of a child class, and ``_pairs_at`` replaced by the
-    mutant, if one is given; the report and the record the lie makes."""
+    """socle-dist A7 with a `_bad_pair` that gives the socle None on one
+    pair at the moved root of a child class, and ``_pairs_at`` replaced by
+    the mutant, if one is given; the report and the record the lie makes."""
     lie = None
     for fq in point.values():
         if fq.origin is None:
@@ -820,12 +821,14 @@ def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
                 break
         if lie:
             break
-    real = seqorder._pair_socle
+    real = seqorder._bad_pair
 
-    def pair_socle(cls, a, b):
-        return None if (cls, min(a, b), max(a, b)) == lie[:3] else real(cls, a, b)
+    def bad_pair(cls, a, b):
+        if (cls, min(a, b), max(a, b)) == lie[:3]:
+            return (*lie[1:], None)
+        return real(cls, a, b)
 
-    monkeypatch.setattr(seqorder, "_pair_socle", pair_socle)
+    monkeypatch.setattr(seqorder, "_bad_pair", bad_pair)
     if mutant_pairs_at:
         monkeypatch.setattr(seqorder, "_pairs_at", mutant_pairs_at)
     monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
@@ -847,18 +850,61 @@ def test_skipping_the_child_pairs_hides_the_lie(fresh_point, monkeypatch):
 def test_socle_dist_checks_only_the_moved_pairs(fresh_point, monkeypatch):
     point = fresh_point("A", 7)
     calls = []
-    real = seqorder._pair_dist
+    real = seqorder._bad_pair
 
-    def pair_dist(cls, a, b):
+    def bad_pair(cls, a, b):
         calls.append((a, b))
         return real(cls, a, b)
 
-    monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
+    monkeypatch.setattr(seqorder, "_bad_pair", bad_pair)
     monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
     rep = cli.verify_socle_dist("A", 7)
     n = root_system("A", 7).num_positive
     assert rep.ok and rep.checked == len(point) * n * (n - 1) // 2
     assert len(calls) <= n * (n - 1) // 2 + (len(point) - 1) * (n - 1)
+
+
+def test_socle_dist_reads_each_checked_pair_once(fresh_point, monkeypatch):
+    # dist and socle come from one `pair_below` list, one `_partitions`
+    # enumeration; the reads `is_simple` makes are of pairs inside the
+    # interval, never of the checked pair itself
+    point = fresh_point("A", 7)
+    checking, reads = [None], Counter()
+    real_bad_pair, real_pair_below = seqorder._bad_pair, seqorder.pair_below
+
+    def bad_pair(cls, a, b):
+        checking[0] = (cls, min(a, b), max(a, b))
+        return real_bad_pair(cls, a, b)
+
+    def pair_below(cls, a, b):
+        if (cls, min(a, b), max(a, b)) == checking[0]:
+            reads[checking[0]] += 1
+        return real_pair_below(cls, a, b)
+
+    monkeypatch.setattr(seqorder, "_bad_pair", bad_pair)
+    monkeypatch.setattr(seqorder, "pair_below", pair_below)
+    monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
+    assert cli.verify_socle_dist("A", 7).ok
+    assert reads and max(reads.values()) == 1
+
+
+ROOT_SYSTEM_MEMOS = {
+    "packed_roots", "reflection_permutation", "height_rank", "longest_word",
+    "star", "summing_pairs",
+}
+
+
+def test_root_systems_keep_only_the_bounded_memos():
+    # each of these is one table per root system, or per (root system, i)
+    # or bit width; a memo keyed by the suites' data would show up here
+    assert cli.verify_socle_dist("A", 7).ok
+    assert affine.verify_den_dist("C", 5).ok and affine.verify_dorey("B", 4).ok
+    systems = [root_system("A", 7)] + [
+        root_system(*folding_to(t, n).source) for t, n in (("C", 5), ("B", 4))
+    ]
+    for rs in systems:
+        names = {k if isinstance(k, str) else k[0] for k in rs._cache}
+        assert names <= ROOT_SYSTEM_MEMOS, (rs, names - ROOT_SYSTEM_MEMOS)
 
 
 def test_distance_polynomial_refuses_residue_outside_diagram():
