@@ -14,7 +14,10 @@ Dorey's rule is stated once, as that table.  `_label` is the spectral
 assignment of a folded coordinate, and the coordinate characterization
 of minimal pairs, `minimal_pair_predicate`, is the "validated" table
 read through it: a pair summing to a root is accepted iff the key
-(i, j, k, y/z, x/z) of either ordering is an entry.
+(i, j, k, y/z, x/z) of either ordering is an entry.  Keys are compared
+as plain integer tuples (i, j, k, y/z phase, y/z exponent, x/z phase,
+x/z exponent), made by `_pair_keys` from (node, phase, exponent) labels
+and by `_plain_key` from table entries.
 """
 
 from __future__ import annotations
@@ -302,18 +305,31 @@ def minimal_pair_coordinates(
     ]
 
 
+def _plain_key(key: tuple) -> tuple:
+    """A Dorey key (i, j, k, y/z, x/z) as the plain integer tuple
+    (i, j, k, y/z phase, y/z exponent, x/z phase, x/z exponent)."""
+    i, j, k, y, x = key
+    return (i, j, k, y.phase, y.exp, x.phase, x.exp)
+
+
 @lru_cache(maxsize=None)
 def _validated_keys(target: str, n: int) -> frozenset:
-    return frozenset(e.key() for e in dorey_triples(target, n))
+    return frozenset(_plain_key(e.key()) for e in dorey_triples(target, n))
+
+
+def _plain_label(label: FundamentalModuleLabel) -> tuple[int, int, int]:
+    """(node, phase, exponent) of a label."""
+    return (label.node, label.parameter.phase, label.parameter.exp)
 
 
 def _pair_keys(labels, a, b, g) -> list:
-    """The Dorey keys (i, j, k, y/z, x/z) of both orderings of the pair
-    {a, b} summing to g; in each ordering the first root gives i and x."""
-    lz = labels[g]
+    """The plain Dorey keys of both orderings of the pair {a, b} summing
+    to g, from (node, phase, exponent) labels; in each ordering the first
+    root gives i and x."""
+    k, zp, ze = labels[g]
     return [
-        (lx.node, ly.node, lz.node, ly.parameter / lz.parameter, lx.parameter / lz.parameter)
-        for lx, ly in ((labels[a], labels[b]), (labels[b], labels[a]))
+        (i, j, k, (yp - zp) % 4, ye - ze, (xp - zp) % 4, xe - ze)
+        for (i, xp, xe), (j, yp, ye) in ((labels[a], labels[b]), (labels[b], labels[a]))
     ]
 
 
@@ -330,7 +346,7 @@ def minimal_pair_predicate(target: str, n: int, a_coord, b_coord, g_coord) -> bo
     for i, _ in (a_coord, b_coord, g_coord):
         if not 1 <= i <= n:
             raise ValueError(f"residue {i} outside 1..{n} of {target}_{n}")
-    labels = [_label(target, *c) for c in (a_coord, b_coord, g_coord)]
+    labels = [_plain_label(_label(target, *c)) for c in (a_coord, b_coord, g_coord)]
     return not keys.isdisjoint(_pair_keys(labels, 0, 1, 2))
 
 
@@ -425,10 +441,11 @@ def verify_class_invariance(target: str, n: int) -> Report:
 def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
     """One pass over the summing pairs of every class of the twisted point.
 
-    Each pair's Dorey keys are computed once, and its minimality is read
-    from `minimal_pairs_of_root`.  Returns the minimal-pair report
+    Each root's label is made plain once per class, each pair's Dorey
+    keys are computed once, and its minimality is read from
+    `minimal_pairs_of_root`.  Returns the minimal-pair report
     (checked = minimal pairs, a mismatch per pair whose keys are not in
-    the validated table), the keys the minimal pairs realize, and the
+    the validated table), the plain keys the minimal pairs realize, and the
     report of the predicate against minimality over all summing pairs.
     """
     folding = folding_to(target, n)  # refuse an unsupported rank before any table
@@ -438,7 +455,7 @@ def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
     realized: set = set()
     for fq in _twisted_point(folding):
         cls, coord = fq.source_class, fq.coord_of()
-        labels = {r: _label(target, *c) for r, c in coord.items()}
+        labels = {r: _plain_label(_label(target, *c)) for r, c in coord.items()}
         for g in range(cls.rs.num_positive):
             minimal = set(minimal_pairs_of_root(cls, g))
             for a, b in cls.rs.summing_pairs(g):
@@ -479,11 +496,13 @@ def verify_dorey(target: str, n: int) -> Report:
     missing = _validated_keys(target, n) - realized
     if missing:
         rep.ok = False
+        sp = SpectralParameter
         rep.mismatches.append(("unrealized validated entries", sorted(
-            (i, j, k, str(y), str(x)) for i, j, k, y, x in missing)))
+            (i, j, k, str(sp(yp, ye)), str(sp(xp, xe)))
+            for i, j, k, yp, ye, xp, xe in missing)))
     bad_branches = sorted({
         e.branch for e in dorey_triples(target, n, "printed")
-        if e.key() not in realized
+        if _plain_key(e.key()) not in realized
     })
     if bad_branches:
         rep.notes.append(

@@ -221,13 +221,27 @@ def _report_lines(rep) -> str:
     return "\n".join(lines)
 
 
+# the options each suite reads and needs; giving it any other is a UsageError
+SUITE_OPTIONS = {
+    "den-dist": ("target", "n"),
+    "dorey": ("target", "n"),
+    "socle-dist": ("type", "rank"),
+    "counts": (),
+    "f4": (),
+}
+
+
 def cmd_verify(args) -> int:
     reports = []
-    if args.suite in ("den-dist", "dorey"):
-        _need(args, "target", "n")
+    reads = SUITE_OPTIONS[args.suite]
+    for name in ("target", "n", "type", "rank"):
+        if name not in reads and getattr(args, name) is not None:
+            raise UsageError(f"suite {args.suite!r} does not read --{name}")
+    for name in reads:
+        if getattr(args, name) is None:
+            raise UsageError(f"suite {args.suite!r} needs --{name}")
+    if "target" in reads:
         folding_to(args.target, args.n)
-    elif args.suite == "socle-dist":
-        _need(args, "type", "rank")
     if args.out:
         # refuse an unwritable path before the suite runs; appending
         # leaves an existing file as it is
@@ -248,12 +262,6 @@ def cmd_verify(args) -> int:
     if args.out:
         _emit(json.dumps([r.as_dict() for r in reports], indent=2), args.out)
     return 0 if all(r.ok for r in reports) else 1
-
-
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"suite {args.suite!r} needs --{name}")
 
 
 def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
@@ -309,7 +317,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["den-dist", "dorey", "socle-dist", "counts", "f4"])
+    p.add_argument("suite", choices=list(SUITE_OPTIONS))
     p.add_argument("--target", choices=["B", "C"])
     p.add_argument("--n", type=int)
     p.add_argument("--type", choices=["A", "D", "E"])

@@ -16,7 +16,12 @@ order: `dist` reads its longest chains in one sweep over that sort
 
 Minimal pairs of a root are found among the pairs summing to it only:
 every minimal sequence above a root is a pair, and every summing pair
-lies above the root by convexity (McNamara, Crelle 2015).  The
+lies above the root by convexity (McNamara, Crelle 2015).  Two distinct
+pairs summing to the root are disjoint and of one weight, so the four
+roots are their difference support, and {c, d} lies below {a, b} iff c
+and d are both inner in {a, b, c, d}: each has one of the four below it
+and one above it in the convex order, two mask reads of `below` and
+`above` per root (`_pair_lies_below`).  No sequence is built.  The
 definitional search over all sequences of the weight is kept as
 `minimal_sequences`, the oracle for `minimal_pairs_of_root` in the tests.
 
@@ -314,28 +319,42 @@ def minimal_sequences(cls: CommutationClass, s: Sequence) -> list[Sequence]:
     ]
 
 
+def _pair_lies_below(below, above, c: int, d: int, upper: int) -> bool:
+    """The pair {c, d} lies below a disjoint pair of the same weight whose
+    two bits make ``upper``: c and d are both inner in the four roots,
+    each with one of them below it and one above it in the convex order."""
+    m = upper | 1 << c | 1 << d
+    return bool(below[c] & m and above[c] & m and below[d] & m and above[d] & m)
+
+
 def minimal_pairs_of_root(cls: CommutationClass, gamma: int) -> list[tuple[int, int]]:
     """Minimal pairs (a, b) of a positive root, a preceding b.
 
     Every minimal sequence above a root is a pair, and by convexity every
     pair summing to the root lies above it; so the minimal pairs are the
-    minimal elements among the summing pairs.  `minimal_sequences`, the
-    definitional search over all sequences of the weight, is the oracle
-    the tests check this against.  Memoised per class; every call
-    returns a fresh list.  A bad root index is a ValueError.
+    minimal elements among the summing pairs.  Two distinct pairs summing
+    to the root are disjoint, so one lies below the other iff its two
+    roots are inner in the four (`_pair_lies_below`): two mask reads per
+    root.  `minimal_sequences`, the definitional search over all
+    sequences of the weight, is the oracle the tests check this against.
+    Memoised per class; every call returns a fresh list.  A bad root
+    index is a ValueError.
     """
     rs = cls.rs
     n = rs.num_positive
     table = cls._cache.setdefault("minimal_pairs", {})
     if gamma not in table:
-        pairs = [sequence_from_roots(rs, p) for p in rs.summing_pairs(gamma)]
-        s = sequence_from_roots(rs, [gamma])
-        above = [m for m in pairs if _less_same_weight(cls, s, m)]
+        pairs = rs.summing_pairs(gamma)  # a bad index is refused before any shift
+        below, above = cls.below(), cls.above()
         # a pair (a, b) is kept as a * n + b: a third of the memory of tuples
         out = []
-        for m in above:
-            if not any(_less_same_weight(cls, mp, m) for mp in above):
-                a, b = support(m)
+        for a, b in pairs:
+            upper = 1 << a | 1 << b
+            if not any(
+                _pair_lies_below(below, above, c, d, upper)
+                for c, d in pairs
+                if c != a
+            ):
                 out.append(b * n + a if cls.precedes(b, a) else a * n + b)
         table[gamma] = tuple(sorted(out))
     return [divmod(x, n) for x in table[gamma]]

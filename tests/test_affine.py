@@ -1,3 +1,5 @@
+import hashlib
+import json
 from functools import lru_cache
 
 import pytest
@@ -242,6 +244,39 @@ def test_dorey_and_predicate_fail_without_any_one_table_entry(monkeypatch, targe
         monkeypatch.setattr(affine, "_validated_keys", lambda *_: keys - {dropped})
         assert not verify_dorey(target, n).ok, dropped
         assert not verify_minimal_pair_predicate(target, n).ok, dropped
+
+
+# sha256 of each report's sorted-key JSON: the sweep's plain integer keys
+# and mask tests must leave every report string as it was
+DOREY_REPORT_DIGESTS = {
+    ("B", 3): "8283d85fbe5438afeb0729db71bec3d58d16dacd9fa080a48448c6fa59d402cb",
+    ("B", 4): "f8801b9bffe1332f165c49a750084550f4502b261ccdedd02de43a8f5a72f2b4",
+    ("C", 4): "2b21b7cc196d1f4ee2dbcdd838e523efc0af9557e724f7b9697b746ee25f5967",
+    ("C", 5): "67c83828d3d4c2c02e25c199c8a3f237b2ba93d1ff0b01ea692bb4630240cc0f",
+    ("C", 6): "3847e2b9b1261350c5ca49511c9c85bf71d669259608be0268250790c845b66b",
+}
+
+
+@pytest.mark.parametrize("target, n", sorted(DOREY_REPORT_DIGESTS))
+def test_dorey_report_is_pinned(target, n):
+    doc = json.dumps(verify_dorey(target, n).as_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == DOREY_REPORT_DIGESTS[target, n]
+
+
+@pytest.mark.parametrize("target, n", [("B", 3), ("C", 4)])
+def test_an_unrealized_entry_is_named_by_its_ratios(monkeypatch, target, n):
+    pair_keys = affine._pair_keys
+    for e in dorey_triples(target, n):
+        dropped = affine._plain_key(e.key())
+        monkeypatch.setattr(affine, "_pair_keys", lambda *args: [
+            key for key in pair_keys(*args) if key != dropped
+        ])
+        rep = verify_dorey(target, n)
+        assert not rep.ok
+        named = [m[1] for m in rep.mismatches if m[0] == "unrealized validated entries"]
+        ratios = (str(e.y_over_z), str(e.x_over_z))
+        assert named == [[(e.i, e.j, e.k, *ratios)]]
+        assert all("qs^" in r for r in ratios)
 
 
 @pytest.mark.parametrize("target, n", [("B", 3), ("C", 3)])

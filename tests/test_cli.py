@@ -189,6 +189,30 @@ def test_bad_type_or_target_is_a_one_line_error(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("suite, flag", [
+    *[(suite, flag) for suite in ("counts", "f4", "socle-dist")
+      for flag in ("--target", "--n")],
+    *[(suite, flag) for suite in ("den-dist", "dorey", "counts", "f4")
+      for flag in ("--type", "--rank")],
+])
+def test_a_flag_the_suite_does_not_read_is_a_one_line_error(capsys, monkeypatch, suite, flag):
+    def no_suite(*args):
+        raise AssertionError("the suite ran")
+
+    for name in ("verify_counts", "verify_f4_conjecture", "verify_den_dist", "verify_dorey"):
+        monkeypatch.setattr(affine, name, no_suite)
+    monkeypatch.setattr(cli, "verify_socle_dist", no_suite)
+    values = {"--target": "B", "--n": "2", "--type": "A", "--rank": "3"}
+    argv = ["verify", suite]
+    for f in [*(f"--{name}" for name in cli.SUITE_OPTIONS[suite]), flag]:
+        argv += [f, values[f]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"arfold: error: suite {suite!r} does not read {flag}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "counts"],
     ["classes", "--type", "A", "--rank", "3", "--cluster", "twisted"],

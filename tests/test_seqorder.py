@@ -10,6 +10,7 @@ from arfold import affine, cli, seqorder
 from arfold.rootsys import folding_to, root_system
 from arfold.words import (
     adapted_point,
+    bits,
     commutation_class,
     root_sequence,
     twisted_adapted_point,
@@ -18,7 +19,6 @@ from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import (
     _distance_table,
     _pair_dist,
-    _pair_socle,
     _less_same_weight,
     _partitions,
     bilex_less_word,
@@ -285,6 +285,37 @@ def test_minimal_pairs_of_root_returns_a_fresh_list():
     assert first
     first.clear()
     assert minimal_pairs_of_root(cls, g) == oracle_minimal_pairs(cls, g)
+
+
+def _inner(below, above, r, m):
+    return bool(below[r] & m and above[r] & m)
+
+
+def _lies_below_checking_one_root(below, above, c, d, upper):
+    return _inner(below, above, c, upper | 1 << c | 1 << d)
+
+
+def _lies_below_checking_the_upper_pair(below, above, c, d, upper):
+    m = upper | 1 << c | 1 << d
+    return all(_inner(below, above, r, m) for r in bits(upper))
+
+
+@pytest.mark.parametrize("mutant", [
+    _lies_below_checking_one_root, _lies_below_checking_the_upper_pair,
+], ids=["one-root-of-the-lower-pair", "the-upper-pair"])
+@pytest.mark.parametrize("tt, rk", [("A", 5), ("A", 7), ("D", 4), ("D", 5)])
+def test_mask_test_mutants_fail_the_oracle(monkeypatch, mutant, tt, rk):
+    monkeypatch.setattr(seqorder, "_pair_lies_below", mutant)
+    classes = sorted(twisted_adapted_point(tt, rk), key=lambda c: c.canonical_word)
+    for cls in classes:  # the mutant's pairs are memoised aside
+        monkeypatch.setitem(cls._cache, "minimal_pairs", {})
+    rs = classes[0].rs
+    assert any(
+        minimal_pairs_of_root(cls, g) != oracle_minimal_pairs(cls, g)
+        for cls in classes
+        for g in range(rs.num_positive)
+        if len(rs.summing_pairs(g)) > 1  # else no two pairs are compared
+    )
 
 
 def test_class_less_false_for_unequal_weights():
@@ -731,12 +762,13 @@ SOCLE_POINTS = [("A", 5), ("A", 7), ("A", 9), ("D", 5), ("D", 6), ("D", 7), ("E"
 
 def _scratch_socle_records(cls):
     """(a, b, d, socle), a < b, of every pair at dist > 2 or without a
-    unique socle, from `_pair_dist` and `_pair_socle` over all pairs."""
+    unique socle, over all pairs; `dist` and the socle are both read from
+    the pair's one `pair_below` list."""
     out = []
     for a, b in combinations(range(cls.rs.num_positive), 2):
-        d = _pair_dist(cls, a, b)
-        if d:
-            s = _pair_socle(cls, a, b)
+        below = pair_below(cls, a, b)
+        if below:
+            d, s = seqorder._dist_over(cls, below), seqorder._unique_simple(cls, below)
             if d > 2 or s is None:
                 out.append((a, b, d, s))
     return out
