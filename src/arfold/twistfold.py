@@ -3,7 +3,9 @@
 One path builds the folded quiver of every class of a twisted adapted
 point: a seed quiver for the class of the folding's twisted longest
 word, read off its ``Folding`` record, spread to the other classes by
-folded reflections.
+folded reflections.  The spread tells classes apart by the projection
+keys of ``words``, so a class reached again costs only its reflected
+coordinates.
 
 The printed constructions stay as references for it:
 
@@ -34,7 +36,16 @@ from .rootsys import (
     folding_from,
     root_system,
 )
-from .words import CommutationClass, Word, commutation_class, reflect, root_sequence
+from .words import (
+    CommutationClass,
+    Word,
+    commutation_class,
+    edge_slots,
+    moved_key,
+    projection_key,
+    reflect,
+    root_sequence,
+)
 from .arquiver import (
     ARQuiver,
     DynkinQuiver,
@@ -273,13 +284,24 @@ def folded_sinks(fq: FoldedQuiver) -> list[int]:
     return [i for i in rs.nodes if rs.simple_root_index[i] not in tails]
 
 
+def _reflected_coords(fq: FoldedQuiver, i: int) -> dict[int, tuple[int, int]]:
+    """The coordinates of the folded reflection of ``fq`` at alpha_i:
+    every other label reflected by s_i, a permutation of the positive
+    roots other than alpha_i, and the alpha_i vertex moved 2 h_dual to
+    the left."""
+    perm = fq.rs.reflection_permutation(i)  # alpha_i stays in place
+    coords = {perm[r]: (res, pos) for r, res, pos in fq.coords}
+    r_i = fq.rs.simple_root_index[i]
+    res, pos = coords[r_i]
+    coords[r_i] = (res, pos - 2 * fq.folding.h_dual)
+    return coords
+
+
 def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     """One reflection step on a folded quiver, at the sink alpha_i.
 
-    Reflects every other label by s_i, a permutation of the positive
-    roots other than alpha_i, moves the alpha_i vertex 2 h_dual to the
-    left and places the arrows of the new coordinates.  The result
-    records (fq, i) as its ``origin``.
+    Takes the coordinates of `_reflected_coords` and places their
+    arrows.  The result records (fq, i) as its ``origin``.
     """
     rs = fq.rs
     if i not in rs.nodes:
@@ -289,15 +311,10 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
         raise FoldingError(f"alpha_{i} is not a vertex of this quiver")
     if any(a == r_i for a, _ in fq.arrows):
         raise FoldingError(f"alpha_{i} is not a sink of the folded quiver")
-    folding = fq.folding
-    perm = rs.reflection_permutation(i)  # alpha_i stays in place
-    coords = {perm[r]: (res, pos) for r, res, pos in fq.coords}
-    res, pos = coords[r_i]
-    coords[r_i] = (res, pos - 2 * folding.h_dual)
     new_cls = reflect(fq.source_class, i, "right")
     if new_cls == fq.source_class:
         raise FoldingError(f"class has no member starting with s_{i}")
-    out = _folded(folding, coords, new_cls)
+    out = _folded(fq.folding, _reflected_coords(fq, i), new_cls)
     object.__setattr__(out, "origin", (fq, i))
     return out
 
@@ -328,14 +345,20 @@ def _seed(folding: Folding) -> FoldedQuiver:
     return _folded(folding, coords, commutation_class(rs, word))
 
 
-def _assert_shift_equal(a: FoldedQuiver, b: FoldedQuiver) -> None:
-    ca, cb = a.coord_of(), b.coord_of()
+def _assert_coords_shift_equal(
+    ca: dict[int, tuple[int, int]], cb: dict[int, tuple[int, int]]
+) -> None:
+    """Same vertices, same residues and one global position offset."""
     if set(ca) != set(cb):
         raise AssertionError("same class, different folded vertex sets")
     offsets = {cb[r][1] - ca[r][1] for r in ca}
     residues_differ = any(cb[r][0] != ca[r][0] for r in ca)
     if residues_differ or len(offsets) != 1:
         raise AssertionError("same class, incompatible folded quivers")
+
+
+def _assert_shift_equal(a: FoldedQuiver, b: FoldedQuiver) -> None:
+    _assert_coords_shift_equal(a.coord_of(), b.coord_of())
     if a.arrows != b.arrows:
         raise AssertionError("same class, different folded arrows")
 
@@ -344,24 +367,36 @@ def _assert_shift_equal(a: FoldedQuiver, b: FoldedQuiver) -> None:
 def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, FoldedQuiver]:
     """Folded quivers for every class of the twisted adapted point.
 
-    BFS with folded reflections from the seed quiver; a class reached
-    twice must agree up to a global position shift.  The first quiver
-    reached is kept, so each ``origin`` is an edge of the BFS tree and
-    the insertion order puts every parent before its children.
+    BFS with folded reflections from the seed quiver, deduplicated by
+    projection key.  A class reached twice must agree up to a global
+    position shift; arrows are a function of the coordinates and a
+    shift keeps them, so a revisit compares its reflected coordinates
+    alone.  The first quiver reached is kept, so each ``origin`` is an
+    edge of the BFS tree and the insertion order puts every parent
+    before its children.
     """
     start = _seed(folding_from(type_tag, rank))
+    rs = start.rs
+    slots, star = edge_slots(rs), rs.star()
+    start_key = projection_key(rs, start.source_class.canonical_word)
+    by_key = {start_key: start}
     found: dict[CommutationClass, FoldedQuiver] = {start.source_class: start}
-    frontier = [start]
+    frontier = [(start_key, start)]
     while frontier:
         new = []
-        for fq in frontier:
+        for key, fq in frontier:
             for i in folded_sinks(fq):
-                nxt = folded_reflection(fq, i)
-                prev = found.get(nxt.source_class)
-                if prev is None:
-                    found[nxt.source_class] = nxt
-                    new.append(nxt)
-                else:
-                    _assert_shift_equal(prev, nxt)
+                k = moved_key(key, slots, i, star[i], "right")
+                if k is None:
+                    raise FoldingError(f"class has no member starting with s_{i}")
+                prev = by_key.get(k)
+                if prev is not None:
+                    _assert_coords_shift_equal(prev.coord_of(), _reflected_coords(fq, i))
+                    continue
+                nxt = by_key[k] = folded_reflection(fq, i)
+                if nxt.source_class in found:
+                    raise AssertionError("one class under two projection keys")
+                found[nxt.source_class] = nxt
+                new.append((k, nxt))
         frontier = new
     return found

@@ -28,6 +28,19 @@ first s_i of a reduced word of w_0 to the end as s_{i*} (or the last s_i
 to the front) gives a reduced word of w_0 again.  Reducedness is checked
 only where a word enters: `commutation_class`, and so `contains`, the
 seeds of the cluster points and the CLI's ``--class``.
+
+The cluster-point BFS compares classes by projection keys.  Two words
+are commutation-equivalent iff they have the same projection onto every
+pair of non-commuting letters (the projection lemma of trace theory,
+Diekert and Rozenberg, *The Book of Traces*, 1995).  Each letter lies on
+a diagram edge when the rank is at least 2, and an edge's projection
+fixes the counts of its two letters, so the pairs {a, b} of the edges
+suffice.  `projection_key` writes the word restricted to {a, b} as an
+int: a leading 1, then one bit per letter, 1 for b.  A reflection
+functor changes only the projections at i and i*: `moved_key` drops the
+first (last) letter of each edge at i, which must be i for the class to
+move, and appends (prepends) i* to each edge at i*.  So a class is
+canonicalised only the first time its key is reached.
 """
 
 from __future__ import annotations
@@ -303,21 +316,92 @@ def reflect(cls: CommutationClass, i: int, side: str = "right") -> CommutationCl
     return CommutationClass(rs, _kahn(rs, moved))
 
 
+Key = tuple[int, ...]
+
+
+def edge_slots(rs: RootSystem) -> dict[int, tuple[tuple[int, int], ...]]:
+    """{i: ((slot, bit), ...)}: for each edge at node i, its slot in a
+    projection key and the bit that letter i writes there."""
+    slots: dict[int, list[tuple[int, int]]] = {i: [] for i in rs.nodes}
+    for s, (a, b) in enumerate(rs.edges):
+        slots[a].append((s, 0))
+        slots[b].append((s, 1))
+    return {i: tuple(at) for i, at in slots.items()}
+
+
+def projection_key(rs: RootSystem, word: Word) -> Key:
+    """One int per edge (a, b) of ``rs.edges``: the word restricted to
+    {a, b}, as a leading 1 followed by one bit per letter, 1 for b.
+    Equal keys are equal classes, by the projection lemma."""
+    slots = edge_slots(rs)
+    key = [1] * len(rs.edges)
+    for i in word:
+        for s, b in slots[i]:
+            key[s] = key[s] << 1 | b
+    return tuple(key)
+
+
+def moved_key(key: Key, slots, i: int, i_star: int, side: str) -> Key | None:
+    """The projection key of ``reflect(cls, i, side)`` for a class keyed
+    ``key``, or None when the class does not move.
+
+    ``slots`` is ``edge_slots`` of the root system.  The right (left)
+    move needs every edge at i to start (end) with i; it drops that
+    letter and appends (prepends) i* to every edge at i*.
+    """
+    out = list(key)
+    if side == "right":
+        for s, b in slots[i]:
+            k = out[s]
+            first = k.bit_length() - 2  # the bit of the first letter
+            if k >> first & 1 != b:
+                return None
+            out[s] = k & ((1 << first) - 1) | 1 << first
+        for s, b in slots[i_star]:
+            out[s] = out[s] << 1 | b
+    else:
+        for s, b in slots[i]:
+            k = out[s]
+            if k & 1 != b:
+                return None
+            out[s] = k >> 1
+        for s, b in slots[i_star]:
+            k = out[s]
+            # the leading 1 becomes a leading 1 followed by b
+            out[s] = k + (1 + b << k.bit_length() - 1)
+    return tuple(out)
+
+
 def cluster_point(cls: CommutationClass) -> frozenset[CommutationClass]:
-    """BFS closure of a class under left and right reflection functors."""
-    seen = {cls}
-    frontier = [cls]
+    """BFS closure of a class under left and right reflection functors.
+
+    Classes are deduplicated by projection key, so `reflect`
+    canonicalises only a class not reached before.  A class reached
+    under a second key is refused, which also bounds the BFS by the
+    number of classes.
+    """
+    rs = cls.rs
+    slots, star = edge_slots(rs), rs.star()
+    start = projection_key(rs, cls.canonical_word)
+    seen = {start}
+    classes = {cls}
+    frontier = [(start, cls)]
     while frontier:
         new = []
-        for c in frontier:
-            for i in c.rs.nodes:
+        for key, c in frontier:
+            for i in rs.nodes:
                 for side in ("right", "left"):
+                    k = moved_key(key, slots, i, star[i], side)
+                    if k is None or k in seen:
+                        continue
                     d = reflect(c, i, side)
-                    if d not in seen:
-                        seen.add(d)
-                        new.append(d)
+                    if d in classes:
+                        raise AssertionError("one class under two projection keys")
+                    seen.add(k)
+                    classes.add(d)
+                    new.append((k, d))
         frontier = new
-    return frozenset(seen)
+    return frozenset(classes)
 
 
 def coxeter_composition(

@@ -1,8 +1,10 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from arfold.rootsys import folding_from, root_system
+from arfold import twistfold, words
+from arfold.rootsys import RootSystem, folding_from, root_system
 from arfold.words import commutation_class, twisted_adapted_point
 from arfold.arquiver import (
     DynkinQuiver,
@@ -344,3 +346,68 @@ def test_a_replaced_quiver_has_no_origin():
     copy = replace(fq, coords=fq.coords)
     assert copy.origin is None and copy == fq
     assert "origin" not in repr(fq)
+
+
+@pytest.mark.parametrize("source", [("A", 9), ("D", 7)], ids=lambda s: f"{s[0]}{s[1]}")
+def test_bfs_canonicalises_each_class_once(source, monkeypatch):
+    # a class reached again is told apart by its projection key alone:
+    # no canonical word, heap or arrows are built for it
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(words, "_kahn", counted("_kahn", words._kahn))
+    monkeypatch.setattr(twistfold, "_folded", counted("_folded", twistfold._folded))
+    point = twisted_adapted_point.__wrapped__(*source)
+    assert calls == {"_kahn": len(point)}
+    calls.clear()
+    fqs = twisted_folded_quivers.__wrapped__(*source)
+    assert calls == {"_kahn": len(fqs), "_folded": len(fqs)}
+
+
+@pytest.mark.parametrize("source", [("D", 5), ("A", 7)], ids=lambda s: f"{s[0]}{s[1]}")
+def test_revisit_check_catches_broken_reflection(source, monkeypatch):
+    # break s_1: swap the images of the two highest roots other than alpha_1
+    reflection_permutation = RootSystem.reflection_permutation
+
+    def broken(self, i):
+        perm = list(reflection_permutation(self, i))
+        if i == 1:
+            r_1 = self.simple_root_index[1]
+            a, b = [r for r in range(self.num_positive) if r != r_1][-2:]
+            perm[a], perm[b] = perm[b], perm[a]
+        return tuple(perm)
+
+    monkeypatch.setattr(RootSystem, "reflection_permutation", broken)
+    with pytest.raises(AssertionError, match="same class, incompatible folded quivers"):
+        twisted_folded_quivers.__wrapped__(*source)
+
+
+def test_bfs_refuses_a_sink_whose_class_does_not_move(monkeypatch):
+    # offer the non-sinks as sinks: no member of their class starts with s_i
+    sinks = folded_sinks
+    monkeypatch.setattr(
+        twistfold, "folded_sinks", lambda fq: [i for i in fq.rs.nodes if i not in sinks(fq)]
+    )
+    with pytest.raises(FoldingError, match="no member starting with s_"):
+        twisted_folded_quivers.__wrapped__("D", 5)
+
+
+def test_a_class_under_a_second_key_is_refused(monkeypatch):
+    # a move that never gives an old key again: without the guard both
+    # BFS loops would run on for ever
+    moved_key = words.moved_key
+
+    def growing(key, *args):
+        k = moved_key(key, *args)
+        return None if k is None else k + (len(key),)
+
+    monkeypatch.setattr(words, "moved_key", growing)
+    monkeypatch.setattr(twistfold, "moved_key", growing)
+    for build in (twisted_adapted_point.__wrapped__, twisted_folded_quivers.__wrapped__):
+        with pytest.raises(AssertionError, match="one class under two projection keys"):
+            build("D", 5)

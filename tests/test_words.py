@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,10 @@ from arfold.words import (
     cluster_point,
     commutation_class,
     coxeter_composition,
+    edge_slots,
     is_foldable,
+    moved_key,
+    projection_key,
     reflect,
     root_sequence,
     twisted_adapted_point,
@@ -416,3 +421,89 @@ def test_interval_equals_precedes_definition(tt, rk):
                 expected = [r for r in roots if cls.precedes(a, b)
                             and cls.precedes(a, r) and cls.precedes(r, b)]
                 assert cls.interval(a, b) == expected
+
+
+def _projections(rs, word):
+    """The definition of the key: per edge (a, b), the word restricted to
+    {a, b} with b as 1, behind a leading 1, read in base 2."""
+    return tuple(
+        int("1" + "".join("1" if x == b else "0" for x in word if x in (a, b)), 2)
+        for a, b in rs.edges
+    )
+
+
+def _count_key(rs, word):
+    """Mutant key: per edge, the letter counts alone (all a's, then all b's)."""
+    return tuple(
+        int("1" + "0" * word.count(a) + "1" * word.count(b), 2) for a, b in rs.edges
+    )
+
+
+def _unchecked_move(key, slots, i, i_star, side):
+    """Mutant move: the letter it drops at each edge at i is first set to
+    i, so the first/last-letter check never refuses."""
+    out = list(key)
+    for s, b in slots[i]:
+        t = out[s].bit_length() - 2 if side == "right" else 0
+        out[s] = out[s] & ~(1 << t) | b << t
+    return moved_key(tuple(out), slots, i, i_star, side)
+
+
+def _key_oracle_faults(point, key_of, move):
+    """Disagreements of a class key and its move with ``reflect``, over
+    every class of a point, every node and both sides."""
+    faults = Counter()
+    rs = next(iter(point)).rs
+    slots, star = edge_slots(rs), rs.star()
+    for cls in point:
+        key = key_of(rs, cls.canonical_word)
+        for i in rs.nodes:
+            for side in ("right", "left"):
+                got, d = move(key, slots, i, star[i], side), reflect(cls, i, side)
+                if (got is None) != (d == cls):
+                    faults["moves"] += 1
+                elif got is not None and got != _projections(rs, d.canonical_word):
+                    faults["keys"] += 1
+    # equal keys iff equal canonical words
+    faults["collisions"] = len(point) - len({key_of(rs, c.canonical_word) for c in point})
+    return +faults
+
+
+KEY_POINTS = [("A", 5), ("A", 7), ("A", 9), ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("E", 6)]
+
+
+@pytest.mark.parametrize("tt, rk", KEY_POINTS)
+def test_moved_key_equals_projections_of_reflect(tt, rk):
+    point = twisted_adapted_point(tt, rk)
+    rs = root_system(tt, rk)
+    for cls in point:
+        assert projection_key(rs, cls.canonical_word) == _projections(rs, cls.canonical_word)
+    assert _key_oracle_faults(point, projection_key, moved_key) == {}
+
+
+@pytest.mark.parametrize("tt, rk", KEY_POINTS)
+def test_key_oracle_refuses_mutants(tt, rk):
+    point = twisted_adapted_point(tt, rk)
+    assert _key_oracle_faults(point, projection_key, _unchecked_move)["moves"]
+    assert _key_oracle_faults(point, _count_key, moved_key)["collisions"]
+
+
+def test_cluster_point_by_keys_equals_cluster_point_by_classes():
+    # the plain BFS over reflect, deduplicated by class; in A_4 and A_6
+    # the middle i and i* are adjacent, so one edge both loses and gains
+    for tt, rk in [("A", 4), ("A", 5), ("A", 6), ("D", 5), ("E", 6)]:
+        rs = root_system(tt, rk)
+        start = commutation_class(rs, rs.longest_word())
+        seen, frontier = {start}, [start]
+        while frontier:
+            new = []
+            for c in frontier:
+                for i in c.rs.nodes:
+                    for side in ("right", "left"):
+                        d = reflect(c, i, side)
+                        if d not in seen:
+                            seen.add(d)
+                            new.append(d)
+            frontier = new
+        assert cluster_point(start) == seen
+        assert _key_oracle_faults(seen, projection_key, moved_key) == {}
