@@ -14,6 +14,16 @@ order: `dist` reads its longest chains in one sweep over that sort
 `sequences_of_weight` lists every sequence of a weight up to height
 `MAX_WEIGHT_HEIGHT` and refuses a heavier one.
 
+The sequences below a pair {a, b} (`pair_below`) are the partitions of
+root_a + root_b into the roots strictly between a and b: the bits of
+above[a] & below[b].  Weights are packed into one int, and every pair
+weight fits one field width per root system, the highest root's largest
+coefficient doubled plus a guard bit, so the pair's weight is the sum
+of its two packed roots.  Only the interval roots that fit the weight
+are sorted by height and searched, and the search descends only while
+the roots left cover every nonzero coordinate of the remainder.  That
+search, `_packed_partitions`, also serves `_partitions` for any weight.
+
 Minimal pairs of a root are found among the pairs summing to it only:
 every minimal sequence above a root is a pair, and every summing pair
 lies above the root by convexity (McNamara, Crelle 2015).  Two distinct
@@ -110,12 +120,24 @@ def _pack(v, f: int) -> int:
     return k
 
 
-def _packed_roots(rs: RootSystem, f: int) -> list[int]:
-    """Every positive root packed f bits per coordinate; kept per root system."""
+def _packing(rs: RootSystem, f: int) -> tuple[list[int], int, int]:
+    """(packed, guard, ones) at f bits per coordinate: every positive root
+    packed, and the top and the low bit of every field; kept per root
+    system."""
     key = ("packed_roots", f)
     if key not in rs._cache:
-        rs._cache[key] = [_pack(r, f) for r in rs.positive_roots]
+        rs._cache[key] = (
+            [_pack(r, f) for r in rs.positive_roots],
+            _pack([1 << f - 1] * rs.rank, f),
+            _pack([1] * rs.rank, f),
+        )
     return rs._cache[key]
+
+
+def _pair_width(rs: RootSystem) -> int:
+    """The field width of every pair weight: the highest root's largest
+    coefficient doubled, plus the guard bit."""
+    return (2 * max(rs.positive_roots[-1])).bit_length() + 1
 
 
 def _height_rank(rs: RootSystem) -> list[int]:
@@ -136,36 +158,74 @@ def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     """Multisets from ``allowed`` root indices summing to w.
 
     They come in lexicographic order of the multiplicities along
-    ``allowed`` sorted by decreasing height.  Weights are packed f bits
-    per coordinate, the top bit of each field a guard: (rem | guard) - root
-    keeps every guard bit iff root <= rem in each coordinate, and then
-    rem - root is the remaining weight.
+    ``allowed`` sorted by decreasing height.  w is packed f bits per
+    coordinate, f wide enough for w and for every root, and
+    `_packed_partitions` searches.
     """
     if min(w) < 0:
         return []
     f = max(*w, *rs.positive_roots[-1]).bit_length() + 1
-    guard = _pack([1 << f - 1] * rs.rank, f)
-    packed = _packed_roots(rs, f)
-    order = sorted(allowed, key=_height_rank(rs).__getitem__)
-    roots = [(r, packed[r]) for r in order]
+    mask = 0
+    for r in allowed:
+        mask |= 1 << r
+    return _packed_partitions(rs, _packing(rs, f), _pack(w, f), mask)
+
+
+def _packed_partitions(rs: RootSystem, packing, w: int, mask: int) -> list[Sequence]:
+    """`_partitions` of the packed weight w over the roots of ``mask``.
+
+    ``packing`` is `_packing` at the width of w.  The top bit of each
+    field is a guard: (rem | guard) - root keeps every guard bit iff
+    root <= rem in each coordinate, and then rem - root is the remaining
+    weight; ((rem | guard) - ones) & guard are the guard bits of the
+    coordinates where rem is nonzero.  Only the roots of the mask that fit
+    w take part, and only they are sorted.  cover[k] holds the guard bits
+    of the coordinates on which some root of roots[k:] is nonzero: a
+    remainder nonzero outside it has no completion there, so the search
+    descends only where the cover holds, and a sequence is emitted as
+    soon as its remainder is 0.
+    """
+    packed, guard, ones = packing
+    if not w:
+        return [(0,) * rs.num_positive]
+    wg = w | guard
+    fit = []
+    reach = 0  # guard bits of the coordinates some fitting root is nonzero on
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        r = low.bit_length() - 1
+        p = packed[r]
+        if (wg - p) & guard == guard:
+            fit.append(r)
+            reach |= (p | guard) - ones
+    if (wg - ones) & guard & ~reach:
+        return []  # w is nonzero where no fitting root is
+    fit.sort(key=_height_rank(rs).__getitem__)
+    roots = [(r, packed[r]) for r in fit]
+    cover = [0] * (len(roots) + 1)
+    for k in range(len(roots) - 1, -1, -1):
+        cover[k] = cover[k + 1] | ((roots[k][1] | guard) - ones) & guard
     out: list[Sequence] = []
     cur = [0] * rs.num_positive
 
     def rec(start: int, rem: int):
-        if not rem:
-            out.append(tuple(cur))
-            return
         # a later first root gives a lexicographically smaller multiset
         for k in range(len(roots) - 1, start - 1, -1):
             r, p = roots[k]
+            uncovered = guard ^ cover[k + 1]
             acc = rem
             while ((acc | guard) - p) & guard == guard:
                 acc -= p
                 cur[r] += 1
-                rec(k + 1, acc)
+                if not acc:
+                    out.append(tuple(cur))
+                    break
+                if not ((acc | guard) - ones) & uncovered:
+                    rec(k + 1, acc)
             cur[r] = 0
 
-    rec(0, _pack(w, f))
+    rec(0, w)
     return out
 
 
@@ -228,16 +288,18 @@ def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
 
     These are exactly the multisets of roots lying strictly between a
     and b in the convex order whose weight is root_a + root_b; every
-    call enumerates them anew.
+    call enumerates them anew, in `_partitions` order.  The interval is
+    read from the order masks, and the weight is packed at the one pair
+    width of the root system, as the sum of the two packed roots.
     """
     above, below = cls.above(), cls.below()
-    if not above[a] & below[b]:
-        a, b = b, a
-        if not above[a] & below[b]:
-            return []  # an empty interval, or an incomparable pair
+    mask = above[a] & below[b] or above[b] & below[a]
+    if not mask:
+        return []  # an empty interval, or an incomparable pair
     rs = cls.rs
-    w = tuple(x + y for x, y in zip(rs.positive_roots[a], rs.positive_roots[b]))
-    return _partitions(rs, w, cls.interval(a, b))
+    packing = _packing(rs, _pair_width(rs))
+    packed = packing[0]
+    return _packed_partitions(rs, packing, packed[a] + packed[b], mask)
 
 
 def is_simple(cls: CommutationClass, m: Sequence) -> bool:
@@ -263,8 +325,11 @@ def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence
 
 
 def _dist_over(cls: CommutationClass, under: list[Sequence]) -> int:
-    """`dist` of a sequence from the list of every sequence below it."""
-    return 1 + max(_chain_depths(cls, under).values()) if under else 0
+    """`dist` of a sequence from the list of every sequence below it:
+    0 with none below, 1 with one, else one plus the longest chain."""
+    if len(under) < 2:
+        return len(under)
+    return 1 + max(_chain_depths(cls, under).values())
 
 
 def _pair_dist(cls: CommutationClass, a: int, b: int) -> int:

@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arfold import affine, cli, seqorder
-from arfold.rootsys import folding_to, root_system
+from arfold.rootsys import RootSystem, folding_to, root_system
 from arfold.words import (
+    CommutationClass,
     adapted_point,
     bits,
     commutation_class,
@@ -169,6 +172,91 @@ def test_partitions_equal_oracle(tt, rk):
             w = weight_of(rs, sequence_from_roots(rs, [a, b]))
             inner = cls.interval(a, b)
             assert _partitions(rs, w, inner) == partitions_oracle(rs, w, inner)
+
+
+PAIR_ORACLE_POINTS = [("A", 5), ("A", 7), ("D", 5), ("E", 6)]
+
+
+def oracle_classes(tt, rk):
+    """Every class of the twisted point, the first one only for E6."""
+    classes = sorted(twisted_adapted_point(tt, rk), key=lambda c: c.canonical_word)
+    return classes[:1] if tt == "E" else classes
+
+
+@lru_cache(maxsize=None)
+def pair_below_oracle(tt, rk):
+    """[(word, a, b, list)] for every ordered pair of every oracle class:
+    `partitions_oracle` over the interval between a and b, whichever comes
+    first, or [] for an incomparable pair."""
+    out = []
+    for cls in oracle_classes(tt, rk):
+        rs = cls.rs
+        for a, b in product(range(rs.num_positive), repeat=2):
+            w = weight_of(rs, sequence_from_roots(rs, [a, b]))
+            if cls.precedes(a, b):
+                want = partitions_oracle(rs, w, cls.interval(a, b))
+            elif cls.precedes(b, a):
+                want = partitions_oracle(rs, w, cls.interval(b, a))
+            else:
+                want = []
+            out.append((cls.canonical_word, a, b, want))
+    return out
+
+
+def pair_below_mismatches(tt, rk):
+    """The oracle entries `pair_below` gets wrong, the first few only,
+    read on classes of a root system built anew: no packing is memoised
+    yet, so a mutant cannot reuse a correct one."""
+    rs = RootSystem(tt, rk)
+    classes = {}
+    bad = []
+    for word, a, b, want in pair_below_oracle(tt, rk):
+        cls = classes.setdefault(word, CommutationClass(rs, word))
+        if pair_below(cls, a, b) != want:
+            bad.append((word, a, b))
+            if len(bad) == 3:
+                break
+    return bad
+
+
+@pytest.mark.parametrize("tt, rk", PAIR_ORACLE_POINTS)
+def test_pair_below_equals_the_interval_oracle_in_order(tt, rk):
+    assert pair_below_mismatches(tt, rk) == []
+
+
+def _unsorted_height_rank(rs):
+    return range(rs.num_positive)  # the fit list stays in root-index order
+
+
+def _undoubled_pair_width(rs):
+    return max(rs.positive_roots[-1]).bit_length() + 1
+
+
+def _recompiled(fn, old: str, new: str):
+    """``fn`` compiled anew in its module's namespace, with the one
+    occurrence of ``old`` in its source replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize("mutant", ["width", "cover", "sort"])
+def test_pair_below_mutants_fail_the_interval_oracle(monkeypatch, mutant):
+    if mutant == "width":  # a pair weight overflows its fields
+        monkeypatch.setattr(seqorder, "_pair_width", _undoubled_pair_width)
+    elif mutant == "sort":
+        monkeypatch.setattr(seqorder, "_height_rank", _unsorted_height_rank)
+    else:  # the cover misses root k + 1, so live branches are cut
+        monkeypatch.setattr(seqorder, "_packed_partitions", _recompiled(
+            seqorder._packed_partitions,
+            "uncovered = guard ^ cover[k + 1]",
+            "uncovered = guard ^ cover[min(k + 2, len(roots))]",
+        ))
+    assert any(
+        pair_below_mismatches(tt, rk) for tt, rk in PAIR_ORACLE_POINTS
+    )
 
 
 def test_no_sequence_has_a_negative_coordinate():
@@ -897,9 +985,9 @@ def test_socle_dist_checks_only_the_moved_pairs(fresh_point, monkeypatch):
 
 
 def test_socle_dist_reads_each_checked_pair_once(fresh_point, monkeypatch):
-    # dist and socle come from one `pair_below` list, one `_partitions`
-    # enumeration; the reads `is_simple` makes are of pairs inside the
-    # interval, never of the checked pair itself
+    # dist and socle come from one `pair_below` list, one
+    # `_packed_partitions` enumeration; the reads `is_simple` makes are of
+    # pairs inside the interval, never of the checked pair itself
     point = fresh_point("A", 7)
     checking, reads = [None], Counter()
     real_bad_pair, real_pair_below = seqorder._bad_pair, seqorder.pair_below
@@ -918,6 +1006,29 @@ def test_socle_dist_reads_each_checked_pair_once(fresh_point, monkeypatch):
     monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
     assert cli.verify_socle_dist("A", 7).ok
     assert reads and max(reads.values()) == 1
+
+
+def test_pair_path_reads_the_masks_and_sweeps_two_or_more(fresh_point, monkeypatch):
+    # `pair_below` lists each interval from the order masks, never through
+    # `CommutationClass.interval`, and `_dist_over` answers 0 or 1
+    # sequences below without the chain sweep
+    def interval(cls, a, b):
+        raise AssertionError(f"interval({a}, {b}) listed on the pair path")
+
+    sizes = []
+    real_chain_depths = seqorder._chain_depths
+
+    def chain_depths(cls, elems):
+        sizes.append(len(elems))
+        return real_chain_depths(cls, elems)
+
+    monkeypatch.setattr(CommutationClass, "interval", interval)
+    monkeypatch.setattr(seqorder, "_chain_depths", chain_depths)
+    monkeypatch.setattr(cli, "twisted_folded_quivers", fresh_point)
+    monkeypatch.setattr(affine, "twisted_folded_quivers", fresh_point)
+    assert cli.verify_socle_dist("A", 7).ok
+    assert affine.verify_den_dist("C", 5).ok
+    assert sizes and min(sizes) >= 2
 
 
 ROOT_SYSTEM_MEMOS = {
