@@ -59,9 +59,6 @@ class SpectralParameter:
     def __mul__(self, other: SpectralParameter) -> SpectralParameter:
         return SpectralParameter(self.phase + other.phase, self.exp + other.exp)
 
-    def __truediv__(self, other: SpectralParameter) -> SpectralParameter:
-        return SpectralParameter(self.phase - other.phase, self.exp - other.exp)
-
     def sign(self) -> int:
         if self.phase % 2:
             raise ValueError("parameter is not real")

@@ -402,27 +402,18 @@ def minimal_pairs_of_root(cls: CommutationClass, gamma: int) -> list[tuple[int, 
     roots are inner in the four (`_pair_lies_below`): two mask reads per
     root.  `minimal_sequences`, the definitional search over all
     sequences of the weight, is the oracle the tests check this against.
-    Memoised per class; every call returns a fresh list.  A bad root
-    index is a ValueError.
+    A bad root index is a ValueError.
     """
-    rs = cls.rs
-    n = rs.num_positive
-    table = cls._cache.setdefault("minimal_pairs", {})
-    if gamma not in table:
-        pairs = rs.summing_pairs(gamma)  # a bad index is refused before any shift
-        below, above = cls.below(), cls.above()
-        # a pair (a, b) is kept as a * n + b: a third of the memory of tuples
-        out = []
-        for a, b in pairs:
-            upper = 1 << a | 1 << b
-            if not any(
-                _pair_lies_below(below, above, c, d, upper)
-                for c, d in pairs
-                if c != a
-            ):
-                out.append(b * n + a if cls.precedes(b, a) else a * n + b)
-        table[gamma] = tuple(sorted(out))
-    return [divmod(x, n) for x in table[gamma]]
+    pairs = cls.rs.summing_pairs(gamma)  # a bad index is refused before any shift
+    below, above = cls.below(), cls.above()
+    out = []
+    for a, b in pairs:
+        upper = 1 << a | 1 << b
+        if not any(
+            _pair_lies_below(below, above, c, d, upper) for c, d in pairs if c != a
+        ):
+            out.append((b, a) if cls.precedes(b, a) else (a, b))
+    return sorted(out)
 
 
 @dataclass(frozen=True)

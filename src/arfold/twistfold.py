@@ -3,9 +3,8 @@
 One path builds the folded quiver of every class of a twisted adapted
 point: a seed quiver for the class of the folding's twisted longest
 word, read off its ``Folding`` record, spread to the other classes by
-folded reflections.  The spread tells classes apart by the projection
-keys of ``words``, so a class reached again costs only its reflected
-coordinates.
+folded reflections along the cluster-point BFS of ``words``, so a class
+reached again costs only its reflected coordinates.
 
 The printed constructions stay as references for it:
 
@@ -39,10 +38,8 @@ from .rootsys import (
 from .words import (
     CommutationClass,
     Word,
+    cluster_moves,
     commutation_class,
-    edge_slots,
-    moved_key,
-    projection_key,
     reflect,
     root_sequence,
 )
@@ -297,11 +294,20 @@ def _reflected_coords(fq: FoldedQuiver, i: int) -> dict[int, tuple[int, int]]:
     return coords
 
 
+def _moved(fq: FoldedQuiver, i: int, cls: CommutationClass) -> FoldedQuiver:
+    """The folded quiver of ``cls`` = r_i of ``fq``'s class: the
+    coordinates of `_reflected_coords` with their arrows, recording
+    (fq, i) as its ``origin``."""
+    out = _folded(fq.folding, _reflected_coords(fq, i), cls)
+    object.__setattr__(out, "origin", (fq, i))
+    return out
+
+
 def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     """One reflection step on a folded quiver, at the sink alpha_i.
 
-    Takes the coordinates of `_reflected_coords` and places their
-    arrows.  The result records (fq, i) as its ``origin``.
+    Refuses a letter outside the diagram, an alpha_i that is not a sink
+    vertex and a class that does not move, then builds `_moved`.
     """
     rs = fq.rs
     if i not in rs.nodes:
@@ -311,12 +317,10 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
         raise FoldingError(f"alpha_{i} is not a vertex of this quiver")
     if any(a == r_i for a, _ in fq.arrows):
         raise FoldingError(f"alpha_{i} is not a sink of the folded quiver")
-    new_cls = reflect(fq.source_class, i, "right")
+    new_cls = reflect(fq.source_class, i)
     if new_cls == fq.source_class:
         raise FoldingError(f"class has no member starting with s_{i}")
-    out = _folded(fq.folding, _reflected_coords(fq, i), new_cls)
-    object.__setattr__(out, "origin", (fq, i))
-    return out
+    return _moved(fq, i, new_cls)
 
 
 def _seed(folding: Folding) -> FoldedQuiver:
@@ -367,36 +371,31 @@ def _assert_shift_equal(a: FoldedQuiver, b: FoldedQuiver) -> None:
 def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, FoldedQuiver]:
     """Folded quivers for every class of the twisted adapted point.
 
-    BFS with folded reflections from the seed quiver, deduplicated by
-    projection key.  A class reached twice must agree up to a global
-    position shift; arrows are a function of the coordinates and a
-    shift keeps them, so a revisit compares its reflected coordinates
-    alone.  The first quiver reached is kept, so each ``origin`` is an
-    edge of the BFS tree and the insertion order puts every parent
-    before its children.
+    Reads the BFS of `words.cluster_moves` from the seed's class: the
+    folded sinks of each class's quiver must be the letters that move
+    the class, and a class reached first by r_i gets the folded
+    reflection of its parent at alpha_i (`_moved`).  A class reached
+    again must agree up to a global position shift; arrows are a
+    function of the coordinates and a shift keeps them, so a revisit
+    compares its reflected coordinates alone.  The first quiver reached
+    is kept, so each ``origin`` is an edge of the BFS tree and the
+    insertion order puts every parent before its children.
     """
     start = _seed(folding_from(type_tag, rank))
-    rs = start.rs
-    slots, star = edge_slots(rs), rs.star()
-    start_key = projection_key(rs, start.source_class.canonical_word)
-    by_key = {start_key: start}
-    found: dict[CommutationClass, FoldedQuiver] = {start.source_class: start}
-    frontier = [(start_key, start)]
-    while frontier:
-        new = []
-        for key, fq in frontier:
-            for i in folded_sinks(fq):
-                k = moved_key(key, slots, i, star[i], "right")
-                if k is None:
-                    raise FoldingError(f"class has no member starting with s_{i}")
-                prev = by_key.get(k)
-                if prev is not None:
-                    _assert_coords_shift_equal(prev.coord_of(), _reflected_coords(fq, i))
-                    continue
-                nxt = by_key[k] = folded_reflection(fq, i)
-                if nxt.source_class in found:
-                    raise AssertionError("one class under two projection keys")
-                found[nxt.source_class] = nxt
-                new.append((k, nxt))
-        frontier = new
+    found = {start.source_class: start}
+    for cls, moves in cluster_moves(start.source_class):
+        fq = found[cls]
+        movers = [i for i, _, _ in moves]
+        sinks = folded_sinks(fq)
+        for i in sinks:
+            if i not in movers:
+                raise FoldingError(f"class has no member starting with s_{i}")
+        for i in movers:
+            if i not in sinks:
+                raise FoldingError(f"s_{i} moves the class but alpha_{i} is not a folded sink")
+        for i, d, new in moves:
+            if new:
+                found[d] = _moved(fq, i, d)
+            else:
+                _assert_coords_shift_equal(found[d].coord_of(), _reflected_coords(fq, i))
     return found

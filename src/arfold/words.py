@@ -19,28 +19,35 @@ of a mask.  The canonical word waits each occurrence on the previous
 occurrence of its own letter and of each neighbour, and takes the least
 available letter first.
 
-A reflection functor moves one letter between the two ends of a word.
-Occurrences of one letter never commute, so the first s_i of every
-member word is the same heap element, and it can start a member word
-iff the letters before it in the canonical word all commute with i.
-The moved word needs no new check: s_i w_0 = w_0 s_{i*}, so moving the
-first s_i of a reduced word of w_0 to the end as s_{i*} (or the last s_i
-to the front) gives a reduced word of w_0 again.  Reducedness is checked
-only where a word enters: `commutation_class`, and so `contains`, the
-seeds of the cluster points and the CLI's ``--class``.
+A reflection functor r_i moves the first s_i of a word to the end as
+s_{i*}.  Occurrences of one letter never commute, so the first s_i of
+every member word is the same heap element, and it can start a member
+word iff the letters before it in the canonical word all commute with i.
+The moved word needs no new check: s_i w_0 = w_0 s_{i*}, so it is a
+reduced word of w_0 again.  Reducedness is checked only where a word
+enters: `commutation_class`, and so `contains`, the seeds of the cluster
+points and the CLI's ``--class``.
 
-The cluster-point BFS compares classes by projection keys.  Two words
-are commutation-equivalent iff they have the same projection onto every
-pair of non-commuting letters (the projection lemma of trace theory,
-Diekert and Rozenberg, *The Book of Traces*, 1995).  Each letter lies on
-a diagram edge when the rank is at least 2, and an edge's projection
-fixes the counts of its two letters, so the pairs {a, b} of the edges
-suffice.  `projection_key` writes the word restricted to {a, b} as an
-int: a leading 1, then one bit per letter, 1 for b.  A reflection
-functor changes only the projections at i and i*: `moved_key` drops the
-first (last) letter of each edge at i, which must be i for the class to
-move, and appends (prepends) i* to each edge at i*.  So a class is
-canonicalised only the first time its key is reached.
+The r_i alone reach the whole cluster point, the closure under r_i and
+the left moves, which take the last s_i to the front as s_{i*}.  Let
+c = [i w'] and d = r_i(c) = [w' i*], N letters.  Moving the N letters of
+w' i* to the end one at a time gives w'* i, and moving its first N - 1
+letters the same way gives i w'.  Each of these 2N - 1 moves takes the
+first letter of a member word of its class, so it is an r-move: the left
+move from d back to c is a path of r-moves.
+
+The cluster-point BFS, `cluster_moves`, compares classes by projection
+keys.  Two words are commutation-equivalent iff they have the same
+projection onto every pair of non-commuting letters (the projection
+lemma of trace theory, Diekert and Rozenberg, *The Book of Traces*,
+1995).  Each letter lies on a diagram edge when the rank is at least 2,
+and an edge's projection fixes the counts of its two letters, so the
+pairs {a, b} of the edges suffice.  `projection_key` writes the word
+restricted to {a, b} as an int: a leading 1, then one bit per letter, 1
+for b.  r_i changes only the projections at i and i*: `moved_key` drops
+the first letter of each edge at i, which must be i for the class to
+move, and appends i* to each edge at i*.  So a class is canonicalised
+only the first time its key is reached.
 """
 
 from __future__ import annotations
@@ -287,33 +294,23 @@ def commutation_class(rs: RootSystem, word: Word) -> CommutationClass:
     return CommutationClass(rs, _kahn(rs, word))
 
 
-def reflect(cls: CommutationClass, i: int, side: str = "right") -> CommutationClass:
-    """Reflection-functor action; returns the input class at a fixed point.
+def reflect(cls: CommutationClass, i: int) -> CommutationClass:
+    """The reflection functor r_i; returns the input class at a fixed point.
 
-    The right (left) action moves the first (last) s_i of the canonical
-    word to the end (front) as s_{i*}.  It moves iff the letters passed
-    all commute with i, i.e. iff some member word starts (ends) with s_i.
-    Since s_i w_0 = w_0 s_{i*}, the moved word is again a reduced word of
-    w_0, so it is canonicalised without the reducedness check.
+    Moves the first s_i of the canonical word to the end as s_{i*}.  It
+    moves iff the letters passed all commute with i, i.e. iff some member
+    word starts with s_i.  Since s_i w_0 = w_0 s_{i*}, the moved word is
+    again a reduced word of w_0, so it is canonicalised without the
+    reducedness check.
     """
     rs = cls.rs
     if i not in rs.nodes:
         raise ValueError(f"letter {i!r} outside the index set of {rs}")
     word = cls.canonical_word
-    if side == "right":
-        k = word.index(i)
-        passed = word[:k]
-    elif side == "left":
-        k = len(word) - 1 - word[::-1].index(i)
-        passed = word[k + 1:]
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if any(rs.cartan[j][i] for j in passed):
+    k = word.index(i)
+    if any(rs.cartan[j][i] for j in word[:k]):
         return cls
-    rest = word[:k] + word[k + 1:]
-    star = (rs.star()[i],)
-    moved = rest + star if side == "right" else star + rest
-    return CommutationClass(rs, _kahn(rs, moved))
+    return CommutationClass(rs, _kahn(rs, word[:k] + word[k + 1:] + (rs.star()[i],)))
 
 
 Key = tuple[int, ...]
@@ -341,67 +338,64 @@ def projection_key(rs: RootSystem, word: Word) -> Key:
     return tuple(key)
 
 
-def moved_key(key: Key, slots, i: int, i_star: int, side: str) -> Key | None:
-    """The projection key of ``reflect(cls, i, side)`` for a class keyed
+def moved_key(key: Key, slots, i: int, i_star: int) -> Key | None:
+    """The projection key of ``reflect(cls, i)`` for a class keyed
     ``key``, or None when the class does not move.
 
-    ``slots`` is ``edge_slots`` of the root system.  The right (left)
-    move needs every edge at i to start (end) with i; it drops that
-    letter and appends (prepends) i* to every edge at i*.
+    ``slots`` is ``edge_slots`` of the root system.  The move needs every
+    edge at i to start with i; it drops that letter and appends i* to
+    every edge at i*.
     """
     out = list(key)
-    if side == "right":
-        for s, b in slots[i]:
-            k = out[s]
-            first = k.bit_length() - 2  # the bit of the first letter
-            if k >> first & 1 != b:
-                return None
-            out[s] = k & ((1 << first) - 1) | 1 << first
-        for s, b in slots[i_star]:
-            out[s] = out[s] << 1 | b
-    else:
-        for s, b in slots[i]:
-            k = out[s]
-            if k & 1 != b:
-                return None
-            out[s] = k >> 1
-        for s, b in slots[i_star]:
-            k = out[s]
-            # the leading 1 becomes a leading 1 followed by b
-            out[s] = k + (1 + b << k.bit_length() - 1)
+    for s, b in slots[i]:
+        k = out[s]
+        first = k.bit_length() - 2  # the bit of the first letter
+        if k >> first & 1 != b:
+            return None
+        out[s] = k & ((1 << first) - 1) | 1 << first
+    for s, b in slots[i_star]:
+        out[s] = out[s] << 1 | b
     return tuple(out)
 
 
-def cluster_point(cls: CommutationClass) -> frozenset[CommutationClass]:
-    """BFS closure of a class under left and right reflection functors.
+def cluster_moves(cls: CommutationClass):
+    """BFS over the cluster point of ``cls`` by the reflection functors.
 
-    Classes are deduplicated by projection key, so `reflect`
-    canonicalises only a class not reached before.  A class reached
-    under a second key is refused, which also bounds the BFS by the
-    number of classes.
+    Yields each class c of the point once, ``cls`` first and every class
+    after the class it was first reached from, together with its moves
+    [(i, reflect(c, i), new), ...] for the letters i that move c, in node
+    order; ``new`` is true iff the BFS reaches that class there first.
+    Classes are told apart by projection key, so `reflect` canonicalises
+    only a class not reached before.  A class reached under a second key
+    is refused, which also bounds the BFS by the number of classes.
     """
     rs = cls.rs
     slots, star = edge_slots(rs), rs.star()
     start = projection_key(rs, cls.canonical_word)
-    seen = {start}
+    by_key = {start: cls}
     classes = {cls}
-    frontier = [(start, cls)]
-    while frontier:
-        new = []
-        for key, c in frontier:
-            for i in rs.nodes:
-                for side in ("right", "left"):
-                    k = moved_key(key, slots, i, star[i], side)
-                    if k is None or k in seen:
-                        continue
-                    d = reflect(c, i, side)
-                    if d in classes:
-                        raise AssertionError("one class under two projection keys")
-                    seen.add(k)
-                    classes.add(d)
-                    new.append((k, d))
-        frontier = new
-    return frozenset(classes)
+    queue = [(start, cls)]
+    for key, c in queue:  # grows as the BFS reaches new classes
+        moves = []
+        for i in rs.nodes:
+            k = moved_key(key, slots, i, star[i])
+            if k is None:
+                continue
+            d = by_key.get(k)
+            new = d is None
+            if new:
+                d = by_key[k] = reflect(c, i)
+                if d in classes:
+                    raise AssertionError("one class under two projection keys")
+                classes.add(d)
+                queue.append((k, d))
+            moves.append((i, d, new))
+        yield c, moves
+
+
+def cluster_point(cls: CommutationClass) -> frozenset[CommutationClass]:
+    """The cluster point of a class: the classes `cluster_moves` reaches."""
+    return frozenset(c for c, _ in cluster_moves(cls))
 
 
 def coxeter_composition(

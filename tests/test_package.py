@@ -51,3 +51,19 @@ def test_import_needs_only_the_standard_library():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def test_only_words_runs_the_projection_key_bfs():
+    # one BFS over a cluster point, by the reflection functors r_i alone
+    import inspect
+
+    from arfold.words import reflect
+
+    src = Path(arfold.__file__).parent
+    callers = {
+        p.name for p in src.glob("*.py")
+        for name in ("moved_key(", "projection_key(", "edge_slots(")
+        if name in p.read_text()
+    }
+    assert callers == {"words.py"}
+    assert "side" not in inspect.signature(reflect).parameters

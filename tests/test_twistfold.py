@@ -397,9 +397,17 @@ def test_bfs_refuses_a_sink_whose_class_does_not_move(monkeypatch):
         twisted_folded_quivers.__wrapped__("D", 5)
 
 
+def test_bfs_refuses_a_moving_letter_that_is_not_a_folded_sink(monkeypatch):
+    # hide the first sink: its class still moves by r_i
+    sinks = folded_sinks
+    monkeypatch.setattr(twistfold, "folded_sinks", lambda fq: sinks(fq)[1:])
+    with pytest.raises(FoldingError, match="moves the class but alpha_.* is not a folded sink"):
+        twisted_folded_quivers.__wrapped__("D", 5)
+
+
 def test_a_class_under_a_second_key_is_refused(monkeypatch):
-    # a move that never gives an old key again: without the guard both
-    # BFS loops would run on for ever
+    # a move that never gives an old key again: without the guard the one
+    # BFS would run on for ever under both builders
     moved_key = words.moved_key
 
     def growing(key, *args):
@@ -407,7 +415,6 @@ def test_a_class_under_a_second_key_is_refused(monkeypatch):
         return None if k is None else k + (len(key),)
 
     monkeypatch.setattr(words, "moved_key", growing)
-    monkeypatch.setattr(twistfold, "moved_key", growing)
     for build in (twisted_adapted_point.__wrapped__, twisted_folded_quivers.__wrapped__):
         with pytest.raises(AssertionError, match="one class under two projection keys"):
             build("D", 5)

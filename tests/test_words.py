@@ -10,6 +10,7 @@ from arfold.words import (
     _kahn,
     NotReducedError,
     adapted_point,
+    cluster_moves,
     cluster_point,
     commutation_class,
     coxeter_composition,
@@ -101,12 +102,11 @@ def test_members_cap():
 def test_reflect_fixed_point():
     rs = root_system("A", 2)
     cls = commutation_class(rs, (1, 2, 1))
-    # the class is the single word (1,2,1): no member starts or ends with 2
-    assert reflect(cls, 2, "right") == cls
-    assert reflect(cls, 2, "left") == cls
-    # it does start and end with 1, so both actions at 1 move it
-    assert reflect(cls, 1, "right") != cls
-    assert reflect(cls, 1, "left") != cls
+    # the class is the single word (1,2,1): no member starts with 2
+    assert reflect(cls, 2) == cls
+    # it does start with 1, so r_1 moves it
+    assert reflect(cls, 1) != cls
+    assert cluster_point(cls) == _two_sided_closure(cls)
 
 
 def test_reflect_adapted_moves_to_reflected_quiver():
@@ -116,7 +116,7 @@ def test_reflect_adapted_moves_to_reflected_quiver():
     q = DynkinQuiver(rs, frozenset({(2, 1), (2, 3), (3, 4)}))
     cls = commutation_class(rs, adapted_word(q))
     for i in (1, 4):  # sinks of q
-        out = reflect(cls, i, "right")
+        out = reflect(cls, i)
         assert out != cls
         q2 = adapted_quiver_of(rs, out.canonical_word)
         assert q2 == q.reflect(i)
@@ -128,43 +128,41 @@ def test_reflect_round_trip_stays_in_cluster_point():
     point = cluster_point(cls)
     star = rs.star()
     for i in rs.nodes:
-        d = reflect(cls, i, "right")
+        d = reflect(cls, i)
         assert d in point
-        back = reflect(d, star[i], "left")
-        assert back in point
+        if d != cls:
+            assert commutation_class(rs, _moved_word(d, star[i], "left")) == cls
+    assert point == _two_sided_closure(cls)
 
 
 def test_reflect_acts_within_point_and_inverts():
-    # On the classes it moves, the right action at i is injective and is
-    # undone by the left action at i*; images always stay in the point.
+    # On the classes it moves, r_i is injective and is undone by the left
+    # move at i*; images always stay in the point.
     for tt, rk in [("A", 3), ("D", 4)]:
         rs = root_system(tt, rk)
         star = rs.star()
         point = twisted_adapted_point(tt, rk)
         for i in rs.nodes:
-            movers = {c for c in point if reflect(c, i, "right") != c}
-            images = {c: reflect(c, i, "right") for c in movers}
+            movers = {c for c in point if reflect(c, i) != c}
+            images = {c: reflect(c, i) for c in movers}
             assert set(images.values()) <= point
             assert len(set(images.values())) == len(movers)
             for c, d in images.items():
-                assert reflect(d, star[i], "left") == c
+                assert commutation_class(rs, _moved_word(d, star[i], "left")) == c
+        assert point == _two_sided_closure(next(iter(point)))
 
 
 def test_reflect_refuses_letter_outside_nodes():
     cls = commutation_class(root_system("A", 3), (1, 2, 3, 1, 2, 1))
-    for side in ("right", "left"):
-        for i in (0, 4, 7):
-            with pytest.raises(ValueError, match=f"letter {i} "):
-                reflect(cls, i, side)
+    for i in (0, 4, 7):
+        with pytest.raises(ValueError, match=f"letter {i} "):
+            reflect(cls, i)
 
 
-def _reflect_oracle(cls, i, side):
-    """The reflection functor by definition, over every member word."""
+def _reflect_oracle(cls, i):
+    """The reflection functor r_i by definition, over every member word."""
     star = cls.rs.star()[i]
-    if side == "right":
-        moved = {w[1:] + (star,) for w in cls.members() if w[0] == i}
-    else:
-        moved = {(star,) + w[:-1] for w in cls.members() if w[-1] == i}
+    moved = {w[1:] + (star,) for w in cls.members() if w[0] == i}
     return {commutation_class(cls.rs, w) for w in moved} or {cls}
 
 
@@ -177,12 +175,13 @@ def test_reflect_equals_definitional_action(tt, rk, point):
     rs = root_system(tt, rk)
     for cls in point(tt, rk):
         for i in rs.nodes:
-            for side in ("right", "left"):
-                assert {reflect(cls, i, side)} == _reflect_oracle(cls, i, side)
+            assert {reflect(cls, i)} == _reflect_oracle(cls, i)
 
 
 def _moved_word(cls, i, side):
-    """The word the reflection functor moves to, or None at a fixed point."""
+    """The word a move sends the canonical word to, or None at a fixed
+    point: the first s_i to the end as s_{i*} (right, r_i), or the last
+    s_i to the front as s_{i*} (left)."""
     rs, w = cls.rs, cls.canonical_word
     k = w.index(i) if side == "right" else len(w) - 1 - w[::-1].index(i)
     passed = w[:k] if side == "right" else w[k + 1:]
@@ -201,14 +200,13 @@ def test_reflect_moves_to_a_reduced_word_of_its_class(tt, rk):
     moves = 0
     for cls in twisted_adapted_point(tt, rk):
         for i in rs.nodes:
-            for side in ("right", "left"):
-                moved = _moved_word(cls, i, side)
-                if moved is None:
-                    assert reflect(cls, i, side) == cls
-                    continue
-                moves += 1
-                assert len(root_sequence(rs, moved)) == rs.num_positive
-                assert reflect(cls, i, side) == commutation_class(rs, moved)
+            moved = _moved_word(cls, i, "right")
+            if moved is None:
+                assert reflect(cls, i) == cls
+                continue
+            moves += 1
+            assert len(root_sequence(rs, moved)) == rs.num_positive
+            assert reflect(cls, i) == commutation_class(rs, moved)
     assert moves
 
 
@@ -439,31 +437,30 @@ def _count_key(rs, word):
     )
 
 
-def _unchecked_move(key, slots, i, i_star, side):
+def _unchecked_move(key, slots, i, i_star):
     """Mutant move: the letter it drops at each edge at i is first set to
-    i, so the first/last-letter check never refuses."""
+    i, so the first-letter check never refuses."""
     out = list(key)
     for s, b in slots[i]:
-        t = out[s].bit_length() - 2 if side == "right" else 0
+        t = out[s].bit_length() - 2
         out[s] = out[s] & ~(1 << t) | b << t
-    return moved_key(tuple(out), slots, i, i_star, side)
+    return moved_key(tuple(out), slots, i, i_star)
 
 
 def _key_oracle_faults(point, key_of, move):
     """Disagreements of a class key and its move with ``reflect``, over
-    every class of a point, every node and both sides."""
+    every class of a point and every node."""
     faults = Counter()
     rs = next(iter(point)).rs
     slots, star = edge_slots(rs), rs.star()
     for cls in point:
         key = key_of(rs, cls.canonical_word)
         for i in rs.nodes:
-            for side in ("right", "left"):
-                got, d = move(key, slots, i, star[i], side), reflect(cls, i, side)
-                if (got is None) != (d == cls):
-                    faults["moves"] += 1
-                elif got is not None and got != _projections(rs, d.canonical_word):
-                    faults["keys"] += 1
+            got, d = move(key, slots, i, star[i]), reflect(cls, i)
+            if (got is None) != (d == cls):
+                faults["moves"] += 1
+            elif got is not None and got != _projections(rs, d.canonical_word):
+                faults["keys"] += 1
     # equal keys iff equal canonical words
     faults["collisions"] = len(point) - len({key_of(rs, c.canonical_word) for c in point})
     return +faults
@@ -499,11 +496,132 @@ def test_cluster_point_by_keys_equals_cluster_point_by_classes():
             new = []
             for c in frontier:
                 for i in c.rs.nodes:
-                    for side in ("right", "left"):
-                        d = reflect(c, i, side)
-                        if d not in seen:
-                            seen.add(d)
-                            new.append(d)
+                    d = reflect(c, i)
+                    if d not in seen:
+                        seen.add(d)
+                        new.append(d)
             frontier = new
-        assert cluster_point(start) == seen
+        assert cluster_point(start) == seen == _two_sided_closure(start)
         assert _key_oracle_faults(seen, projection_key, moved_key) == {}
+
+
+# ---------------------------------------------------------------------------
+# the cluster point by r_i alone against the closure under both moves
+
+
+def _two_sided_closure(cls):
+    """The cluster point by definition: every class reached by moving the
+    first s_i to the end or the last s_i to the front, as s_{i*}."""
+    rs = cls.rs
+    seen, frontier = {cls}, [cls]
+    while frontier:
+        new = []
+        for c in frontier:
+            for i in rs.nodes:
+                for side in ("right", "left"):
+                    moved = _moved_word(c, i, side)
+                    if moved is None:
+                        continue
+                    d = commutation_class(rs, moved)
+                    if d not in seen:
+                        seen.add(d)
+                        new.append(d)
+        frontier = new
+    return seen
+
+
+def _seeded_classes():
+    """The classes of the seeded D_7 and E_6 words of the construct benchmark."""
+    import importlib
+    import random
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        passes = importlib.import_module("passes")
+    finally:
+        sys.path.pop(0)
+    out = []
+    for key, spec in sorted(passes.SEEDED_POINTS.items()):
+        rs = root_system(*spec)
+        for seed in (1, 2):
+            word = passes.seeded_member_word(rs, random.Random(seed))
+            out.append(pytest.param(commutation_class(rs, word), id=f"seeded-{key}-{seed}"))
+    return out
+
+
+def _start(point):
+    return min(point, key=lambda c: c.canonical_word)
+
+
+CLOSURE_STARTS = (
+    [pytest.param(_start(adapted_point("A", rk)), id=f"adapted-A{rk}") for rk in range(3, 8)]
+    + [pytest.param(_start(twisted_adapted_point(tt, rk)), id=f"twisted-{tt}{rk}")
+       for tt, rk in [("A", 5), ("A", 7), ("D", 5), ("D", 6), ("E", 6)]]
+    + _seeded_classes()
+)
+
+
+@pytest.mark.parametrize("cls", CLOSURE_STARTS)
+def test_cluster_point_equals_the_two_sided_closure(cls):
+    assert cluster_point(cls) == _two_sided_closure(cls)
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 5), ("D", 5), ("E", 6)])
+def test_r_moves_lead_back_in_2n_minus_1_steps(tt, rk):
+    # c = [i w'], d = r_i(c) = [w' i*]: moving the N letters of w' i* and
+    # then the first N - 1 letters of the result returns to c
+    rs = root_system(tt, rk)
+    star = rs.star()
+    n = rs.num_positive
+    for c in twisted_adapted_point(tt, rk):
+        for i in rs.nodes:
+            u = _moved_word(c, i, "right")
+            if u is None:
+                continue
+            d = reflect(c, i)
+            path = u + tuple(star[x] for x in u[:-1])
+            for x in path:
+                moved = reflect(d, x)
+                assert moved != d, "each letter begins a member word"
+                d = moved
+            assert len(path) == 2 * n - 1 and d == c
+
+
+def test_cluster_moves_yields_each_class_once_with_its_moves():
+    rs = root_system("D", 5)
+    seed = _start(twisted_adapted_point("D", 5))
+    order, reached = [], {seed}
+    for c, moves in cluster_moves(seed):
+        order.append(c)
+        assert [i for i, _, _ in moves] == [i for i in rs.nodes if reflect(c, i) != c]
+        for i, d, new in moves:
+            assert d == reflect(c, i)
+            assert new == (d not in reached)
+            reached.add(d)
+    assert order[0] == seed and len(order) == len(set(order))
+    assert set(order) == reached == twisted_adapted_point("D", 5)
+
+
+def _skipping_the_last_class(cluster_moves, moved_key):
+    """Mutant BFS: never yields the last class it reaches."""
+    return lambda cls: list(cluster_moves(cls))[:-1], moved_key
+
+
+def _skipping_the_first_letter(cluster_moves, moved_key):
+    """Mutant BFS: never moves by r_1."""
+    return cluster_moves, lambda key, slots, i, i_star: (
+        None if i == 1 else moved_key(key, slots, i, i_star)
+    )
+
+
+@pytest.mark.parametrize("mutant", [_skipping_the_last_class, _skipping_the_first_letter])
+@pytest.mark.parametrize("cls", CLOSURE_STARTS)
+def test_cluster_moves_mutants_fail_the_oracle(cls, mutant, monkeypatch):
+    from arfold import words
+
+    moves, key = mutant(words.cluster_moves, words.moved_key)
+    monkeypatch.setattr(words, "cluster_moves", moves)
+    monkeypatch.setattr(words, "moved_key", key)
+    assert cluster_point(cls) != _two_sided_closure(cls)
