@@ -25,16 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .rootsys import Folding, folding_to
+from .rootsys import folding_to
 from .arquiver import DynkinQuiver, gamma_q
 from .twistfold import FoldedQuiver, twisted_folded_quivers
 from .seqorder import (
     RootedPolynomial,
-    distance_polynomial,
     factor_minus_q_power,
     factor_minus_qs_power,
     factor_plus_q_power,
     minimal_pairs_of_root,
+    point_tables,
+    table_polynomial,
 )
 
 
@@ -371,44 +372,37 @@ class Report:
         }
 
 
-def _twisted_point(folding: Folding) -> list[FoldedQuiver]:
-    """The folded quivers of the twisted point of a folding, ordered by
-    the canonical words of their classes."""
-    fqs = twisted_folded_quivers(*folding.source)
-    return [fqs[cls] for cls in sorted(fqs, key=lambda c: c.canonical_word)]
+@lru_cache(maxsize=None)
+def _distance_polynomials(target: tuple[str, int], conventions: tuple[str, ...]) -> dict:
+    """{convention: {(k, l): {cls: poly}}}, k <= l, classes by canonical
+    word: the distance polynomials of the twisted point folding onto
+    ``target`` under each convention, times the diagonal factor at k = l.
 
-
-def _distance_polynomials(folding: Folding, convention: str) -> dict:
-    """{(k, l): {cls: poly}}, k <= l, classes by canonical word: the distance
-    polynomial under one convention, times the diagonal factor at k = l.
-
-    Memoised per convention on the class of the point's seed quiver, keyed
-    by its coordinates like the distance tables the polynomials read, so
-    it lives exactly as long as they do.  Callers must not change it.
+    One `point_tables` walk over the point builds every convention's
+    polynomials as each class arrives; memoised per point and conventions.
+    Callers must not change it.
     """
-    seed = next(iter(twisted_folded_quivers(*folding.source).values()))
-    memo = seed.source_class._cache.setdefault("distance_polynomials", {})
-    key = (seed.coords, convention)
-    if key not in memo:
-        point = _twisted_point(folding)
-        extra = RootedPolynomial.from_factors([den_dist_extra_factor(*folding.target)])
-        _, n = folding.target
-        memo[key] = {
-            (k, l): {
-                fq.source_class: distance_polynomial(fq, k, l, convention)
-                * (extra if k == l else RootedPolynomial.one())
-                for fq in point
-            }
-            for k in range(1, n + 1)
-            for l in range(k, n + 1)
-        }
-    return memo[key]
+    _, n = target
+    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
+    keys = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
+    polys = {conv: {key: {} for key in keys} for conv in conventions}
+    for fq, table in point_tables(twisted_folded_quivers(*folding_to(*target).source)):
+        for conv, by_key in polys.items():
+            for k, l in keys:
+                poly = table_polynomial(table, target, k, l, conv)
+                by_key[k, l][fq.source_class] = poly * extra if k == l else poly
+    for by_key in polys.values():
+        for key, by_class in by_key.items():
+            order = sorted(by_class, key=lambda c: c.canonical_word)
+            by_key[key] = {c: by_class[c] for c in order}
+    return polys
 
 
 def verify_den_dist(target: str, n: int) -> Report:
     """den = dist poly x diagonal factor, class by class, exactly."""
     folding = folding_to(target, n)
-    polys = _distance_polynomials(folding, folding.sign_convention)
+    conv = folding.sign_convention
+    polys = _distance_polynomials(folding.target, (conv,))[conv]
     rep = Report(f"den-dist {target} n={n}", True, 0)
     for cls in polys[1, 1]:
         for (k, l), by_class in polys.items():
@@ -425,7 +419,8 @@ def verify_den_dist(target: str, n: int) -> Report:
 def verify_class_invariance(target: str, n: int) -> Report:
     """The distance polynomial must not depend on the class."""
     folding = folding_to(target, n)
-    polys = _distance_polynomials(folding, folding.sign_convention)
+    conv = folding.sign_convention
+    polys = _distance_polynomials(folding.target, (conv,))[conv]
     rep = Report(f"class-invariance {target} n={n}", True, 0)
     for key, by_class in polys.items():
         rep.checked += len(by_class)
@@ -450,8 +445,9 @@ def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
     pairs = Report(f"dorey {target} n={n}", True, 0)
     predicate = Report(f"minimal-pair predicate {target} n={n}", True, 0)
     realized: set = set()
-    for fq in _twisted_point(folding):
-        cls, coord = fq.source_class, fq.coord_of()
+    point = twisted_folded_quivers(*folding.source)
+    for cls in sorted(point, key=lambda c: c.canonical_word):
+        coord = point[cls].coord_of()
         labels = {r: _plain_label(_label(target, *c)) for r, c in coord.items()}
         for g in range(cls.rs.num_positive):
             minimal = set(minimal_pairs_of_root(cls, g))
@@ -532,20 +528,20 @@ def verify_f4_conjecture() -> Report:
     entry, where the definitional distance polynomial differs from the
     listed table (it carries strictly more factors at three entries).
     """
-    folding = folding_to("F", 4)
+    polys = _distance_polynomials(("F", 4), ("A", "D"))
     rep = Report("f4 conjecture", True, 0)
     entry_match = {"A": {}, "D": {}}
     invariant = True
     computed: dict[tuple[int, int], dict[str, RootedPolynomial]] = {}
     for conv in ("A", "D"):
-        for key, by_class in _distance_polynomials(folding, conv).items():
+        for key, by_class in polys[conv].items():
             rep.checked += len(by_class)
-            polys = set(by_class.values())
-            if len(polys) != 1:
+            distinct = set(by_class.values())
+            if len(distinct) != 1:
                 invariant = False
                 rep.mismatches.append((conv, key, "not class-invariant"))
                 continue
-            dhat = polys.pop()
+            dhat = distinct.pop()
             computed.setdefault(key, {})[conv] = dhat
             entry_match[conv][key] = dhat == f4_denominator(*key)
     full = [c for c in ("A", "D") if all(entry_match[c].values())]

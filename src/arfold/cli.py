@@ -17,6 +17,7 @@ from .rootsys import (
 from .words import adapted_point, commutation_class, twisted_adapted_point
 from .arquiver import ARQuiver, adapted_quiver_of, gamma_q, hasse_quiver
 from .twistfold import FoldingError, twisted_folded_quivers
+from .seqorder import point_socle_records
 from . import affine
 
 SCHEMA = "arfold/1"
@@ -275,8 +276,6 @@ def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
     ``jobs`` is kept only because `perfbench/passes.py` passes ``jobs=1``,
     and any other value is a UsageError.
     """
-    from .seqorder import _scratch_socles, _transport_socles, _walk_point
-
     if jobs != 1:
         raise UsageError(f"socle-dist runs in one thread; jobs={jobs!r} is not supported")
     if type_tag not in ("A", "D"):
@@ -284,7 +283,7 @@ def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
     point = twisted_folded_quivers(type_tag, rank)
     n = root_system(type_tag, rank).num_positive
     rep = affine.Report(f"socle-dist {type_tag}{rank}", True, 0)
-    for fq, records in _walk_point(point, _scratch_socles, _transport_socles):
+    for fq, records in point_socle_records(point):
         rep.checked += n * (n - 1) // 2
         word = fq.source_class.canonical_word
         rep.mismatches.extend((word, *rec) for rec in records)

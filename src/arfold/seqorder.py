@@ -37,26 +37,27 @@ definitional search over all sequences of the weight is kept as
 
 Distance reads (`distance_polynomial`, `o_t`, `phi_pairs`) take the
 folded quiver alone and read its class from `fq.source_class`.  They
-read one table per folded quiver, {(k, l): {t: o_t}} with k <= l, o_t
-the common `dist` on Phi[t] (the comparable pairs at residues {k, l}
-with gap t); `phi_pairs`, Phi[t] by definition, is its oracle in the
-tests.  The tables of a twisted point are built in one pass over the
-BFS tree of its folded reflections, from counts {(k, l, t): (o_t,
+read the quiver's table, {(k, l): {t: o_t}} with k <= l, o_t the common
+`dist` on Phi[t] (the comparable pairs at residues {k, l} with gap t),
+built from that quiver alone on every call and never memoised;
+`phi_pairs`, Phi[t] by definition, is its oracle in the tests.  The
+suites walk their point once instead (`point_tables`), along the BFS
+tree of its folded reflections, from counts {(k, l, t): (o_t,
 |Phi[t]|)}: the seed's from one `dist` per comparable pair, every
 other class's from its parent's.  A folded reflection at the sink
 alpha_i keeps every other root's coordinates and carries its pairs,
 their order and their `dist` along by s_i; only alpha_i moves, from
 first to last in the convex order.  So a child's counts are its
 parent's without the pairs at alpha_i, plus at most N - 1 new pairs
-below it, each with one `dist`.  A quiver outside its point's BFS
-tree gets its table from scratch.
+below it, each with one `dist`.  `table_polynomial` turns a table into
+a distance polynomial for either reader.
 
-socle-dist walks the same tree with the same helper, `_walk_point`.  A
-class's records are its pairs at dist > 2 or without a unique socle,
-each with its `dist` and socle.  The seed's are checked pair by pair;
-a child's are its parent's without the pairs at alpha_i, pair and
-socle relabelled by s_i, plus its own at most N - 1 pairs at alpha_i,
-each checked anew.
+socle-dist walks the same tree with the same helper, `_walk_point`
+(`point_socle_records`).  A class's records are its pairs at dist > 2
+or without a unique socle, each with its `dist` and socle.  The seed's
+are checked pair by pair; a child's are its parent's without the pairs
+at alpha_i, pair and socle relabelled by s_i, plus its own at most
+N - 1 pairs at alpha_i, each checked anew.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from math import ceil
 
 from .rootsys import Root, RootSystem
 from .words import CommutationClass, Word, bits
-from .twistfold import FoldedQuiver, twisted_folded_quivers
+from .twistfold import FoldedQuiver
 
 Sequence = tuple[int, ...]  # multiplicity per positive-root index
 
@@ -544,10 +545,6 @@ class RootedPolynomial:
             counts[(eps, t)] = counts.get((eps, t), 0) + 1
         return cls(tuple(sorted(counts.items())))
 
-    @classmethod
-    def one(cls) -> RootedPolynomial:
-        return cls(())
-
     def __mul__(self, other: RootedPolynomial) -> RootedPolynomial:
         counts = dict(self.factors)
         for key, mult in other.factors:
@@ -695,62 +692,58 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver], seed, move):
         yield fq, data
 
 
-def _fill_point_tables(point: dict[CommutationClass, FoldedQuiver]) -> None:
-    """The distance table of every quiver of a twisted point, in one walk:
-    the seed counted from scratch, every other quiver transported."""
+def point_tables(point: dict[CommutationClass, FoldedQuiver]):
+    """(quiver, table) for every quiver of a twisted point, parents first,
+    in one walk: the seed counted from scratch, every other quiver
+    transported.  Nothing is memoised."""
     for fq, counts in _walk_point(point, _scratch_counts, _transport):
-        tables = fq.source_class._cache.setdefault("distance_table", {})
-        tables.setdefault(fq.coords, _table_of(counts))
+        yield fq, _table_of(counts)
 
 
 def _distance_table(fq: FoldedQuiver) -> dict:
-    """{(k, l): {t: o_t}}, k <= l; memoised per class and folded coordinates.
-
-    A quiver of its twisted point gets its table, with every other quiver
-    of the point, from `_fill_point_tables`; any other quiver, such as
-    one with moved coordinates, from scratch.  Either way a Phi[t] on
-    which `dist` is not constant is an AssertionError.
-    """
-    cls = fq.source_class
-    tables = cls._cache.setdefault("distance_table", {})
-    if fq.coords not in tables:
-        point = twisted_folded_quivers(*fq.folding.source)
-        if point.get(cls) is fq:
-            _fill_point_tables(point)
-        else:
-            tables[fq.coords] = _table_of(_scratch_counts(fq))
-    return tables[fq.coords]
+    """{(k, l): {t: o_t}}, k <= l, of one folded quiver, built from that
+    quiver alone on every call; a Phi[t] on which `dist` is not constant
+    is an AssertionError."""
+    return _table_of(_scratch_counts(fq))
 
 
-def _distance_row(fq: FoldedQuiver, k: int, l: int) -> dict:
-    """{t: o_t} at residues {k, l}; a ValueError for a residue outside 1..n."""
-    letter, n = fq.folding.target
+def _distance_row(table: dict, target: tuple[str, int], k: int, l: int) -> dict:
+    """{t: o_t} at residues {k, l} of a table of the folding onto
+    ``target``; a ValueError for a residue outside 1..n."""
+    letter, n = target
     if not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"residues ({k},{l}) outside 1..{n} of {letter}_{n}")
-    return _distance_table(fq).get((min(k, l), max(k, l)), {})
+    return table.get((min(k, l), max(k, l)), {})
 
 
 def o_t(fq: FoldedQuiver, k: int, l: int, t: int) -> int | None:
     """Common distance on Phi[t]; None when the set is empty."""
-    return _distance_row(fq, k, l).get(t)
+    return _distance_row(_distance_table(fq), fq.folding.target, k, l).get(t)
+
+
+def table_polynomial(
+    table: dict, target: tuple[str, int], k: int, l: int, convention: str
+) -> RootedPolynomial:
+    """The folded distance polynomial at (k, l) of a distance table of the
+    folding onto ``target``, under one sign convention.
+
+    Convention "A" uses factors (z - (-1)^(k+l) q_s^t), convention "D"
+    uses (z - (-q_s)^t); exponents are ceil(o_t / 2).
+    """
+    if convention not in ("A", "D"):
+        raise ValueError("convention must be 'A' or 'D'")
+    factors = []
+    for t, o in _distance_row(table, target, k, l).items():
+        eps = (-1) ** (k + l) if convention == "A" else (-1) ** t
+        factors.extend([(eps, t)] * ceil(o / 2))
+    return RootedPolynomial.from_factors(factors)
 
 
 def distance_polynomial(
     fq: FoldedQuiver, k: int, l: int, convention: str
 ) -> RootedPolynomial:
-    """The folded distance polynomial at (k, l) under one sign convention.
-
-    Convention "A" uses factors (z - (-1)^(k+l) q_s^t), convention "D"
-    uses (z - (-q_s)^t); exponents are ceil(o_t / 2), o_t read from the
-    distance table of the quiver's class.
-    """
-    if convention not in ("A", "D"):
-        raise ValueError("convention must be 'A' or 'D'")
-    factors = []
-    for t, o in _distance_row(fq, k, l).items():
-        eps = (-1) ** (k + l) if convention == "A" else (-1) ** t
-        factors.extend([(eps, t)] * ceil(o / 2))
-    return RootedPolynomial.from_factors(factors)
+    """`table_polynomial` of the quiver's own distance table."""
+    return table_polynomial(_distance_table(fq), fq.folding.target, k, l, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +760,13 @@ def _bad_pair(cls: CommutationClass, a: int, b: int):
         return None  # nothing below: the pair is its own socle
     d, s = _dist_over(cls, below), _unique_simple(cls, below)
     return (a, b, d, s) if d > 2 or s is None else None
+
+
+def point_socle_records(point: dict[CommutationClass, FoldedQuiver]):
+    """(quiver, socle-dist records) for every quiver of a twisted point,
+    parents first, in one walk: the seed checked pair by pair, every
+    other quiver transported."""
+    return _walk_point(point, _scratch_socles, _transport_socles)
 
 
 def _scratch_socles(fq: FoldedQuiver) -> list:

@@ -23,8 +23,10 @@ from arfold.affine import (
     verify_counts,
     verify_den_dist,
     verify_dorey,
+    verify_f4_conjecture,
     verify_minimal_pair_predicate,
 )
+from arfold.cli import verify_socle_dist
 
 SP = SpectralParameter
 
@@ -194,15 +196,20 @@ def test_verify_class_invariance_c3():
     assert rep.ok
 
 
-def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
-    # a point built anew, so none of its polynomials is memoised yet
-    build = lru_cache(maxsize=None)(twisted_folded_quivers.__wrapped__)
-    monkeypatch.setattr(affine, "twisted_folded_quivers", build)
-    monkeypatch.setattr(seqorder, "twisted_folded_quivers", build)
-    calls = []
-    real = affine.distance_polynomial
+def _fresh_distance_memo(monkeypatch):
     monkeypatch.setattr(
-        affine, "distance_polynomial", lambda *args: calls.append(args) or real(*args)
+        affine, "_distance_polynomials",
+        lru_cache(maxsize=None)(affine._distance_polynomials.__wrapped__),
+    )
+
+
+def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
+    # a fresh memo, so none of the point's polynomials is built yet
+    _fresh_distance_memo(monkeypatch)
+    calls = []
+    real = affine.table_polynomial
+    monkeypatch.setattr(
+        affine, "table_polynomial", lambda *args: calls.append(args) or real(*args)
     )
     assert verify_den_dist("C", 4).ok
     first = len(calls)
@@ -210,6 +217,17 @@ def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
     rep = verify_class_invariance("C", 4)
     assert rep.ok and first == rep.checked > 0
     assert calls == []
+
+
+def test_f4_walks_e6_once_for_both_conventions(monkeypatch):
+    _fresh_distance_memo(monkeypatch)
+    seeds = []
+    real = seqorder._scratch_counts
+    monkeypatch.setattr(
+        seqorder, "_scratch_counts", lambda fq: seeds.append(fq) or real(fq)
+    )
+    verify_f4_conjecture()
+    assert len(seeds) == 1 and seeds[0].origin is None
 
 
 def test_verify_dorey_b2():
@@ -266,6 +284,41 @@ DOREY_REPORT_DIGESTS = {
 def test_dorey_report_is_pinned(target, n):
     doc = json.dumps(verify_dorey(target, n).as_dict(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == DOREY_REPORT_DIGESTS[target, n]
+
+
+# sha256 of each distance and socle report's sorted-key JSON: the one walk
+# over a point and the single-quiver tables must leave every report string
+# as it was
+DISTANCE_REPORT_DIGESTS = {
+    ("den-dist", "B3"): "9e4f8546e523e4635704f282bbe51d536c530b380bc84bcece518fa41a087597",
+    ("den-dist", "B4"): "1a450af7c3debb5183a861b331f00b8fd22119d484c1c99816e8b726d6059750",
+    ("den-dist", "C4"): "77693bc509f3a76e2f9ccd0db6a0a47c1af532f267bad2969b60fc4fd8fada70",
+    ("den-dist", "C5"): "fb0f5aa0ad7bbf255c6b398144f83c3d0cd05b512614a9298da34762c3368701",
+    ("den-dist", "C6"): "46ffc32f31daa0f24f631f562dfe5b0eb0a07f35a62285861941b274de1e5541",
+    ("class-invariance", "B3"): "46f865ca7c6939d76f6770defe00dd0df520a2631f3c12edeaa29ee0449dacae",
+    ("class-invariance", "B4"): "9e023771eb3ff0ffa3213dc68fb60f03bd4d0836c90e62be96265311d0c04b0d",
+    ("class-invariance", "C4"): "195b665709aaf6eaaf3fffe66fab57cfff9b5091d18e507d9e098b08c507bf87",
+    ("class-invariance", "C5"): "1957f68c5f7d5810d36ffbd99d4c2af7aad509bf2739f44e5fc56e194cb39223",
+    ("class-invariance", "C6"): "ba8f94df5ac00946e0683491304d8ddef35b27531d1449569ce4c8bf4310951c",
+    ("f4", "F4"): "f2339db6e39d37da1587131d1603e43d24a38a11c993547df20a0a06c498b9da",
+    ("socle-dist", "A5"): "6cc0166d7e0f6ac704b4d32b55bbd24990b2222b15eab637aa866c97b361e834",
+    ("socle-dist", "A7"): "19e2dd2bd5def1ce8099e65d3b2ef23212523c79eba5eb403b8af0deb7dc39ca",
+    ("socle-dist", "D5"): "5a6697e1dae401888d7cf184cb87d02de3d9778f7d722be931d4b65875e95cbc",
+    ("socle-dist", "D6"): "05c9bbd94146c6313e4d8dd415d67a4a305bc0967d662cd25f34446287b1a902",
+}
+DISTANCE_SUITES = {
+    "den-dist": lambda spec: verify_den_dist(spec[0], int(spec[1:])),
+    "class-invariance": lambda spec: verify_class_invariance(spec[0], int(spec[1:])),
+    "f4": lambda spec: verify_f4_conjecture(),
+    "socle-dist": lambda spec: verify_socle_dist(spec[0], int(spec[1:])),
+}
+
+
+@pytest.mark.parametrize("suite, spec", sorted(DISTANCE_REPORT_DIGESTS))
+def test_distance_report_is_pinned(suite, spec):
+    doc = json.dumps(DISTANCE_SUITES[suite](spec).as_dict(), sort_keys=True)
+    digest = hashlib.sha256(doc.encode()).hexdigest()
+    assert digest == DISTANCE_REPORT_DIGESTS[suite, spec]
 
 
 @pytest.mark.parametrize("target, n", [("B", 3), ("C", 4)])

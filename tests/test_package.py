@@ -67,3 +67,17 @@ def test_only_words_runs_the_projection_key_bfs():
     }
     assert callers == {"words.py"}
     assert "side" not in inspect.signature(reflect).parameters
+
+
+def test_distance_reads_take_no_hidden_point_walk():
+    # a quiver's distance table comes from that quiver alone, and the CLI
+    # reads the socle-dist walk through its public name
+    import ast
+
+    src = Path(arfold.__file__).parent
+    assert "twisted_folded_quivers" not in (src / "seqorder.py").read_text()
+    cli = (src / "cli.py").read_text()
+    assert "seqorder._" not in cli
+    for node in ast.walk(ast.parse(cli)):
+        if isinstance(node, ast.ImportFrom) and node.module == "seqorder":
+            assert not any(alias.name.startswith("_") for alias in node.names)

@@ -37,6 +37,8 @@ from arfold.seqorder import (
     o_t,
     pair_below,
     phi_pairs,
+    point_socle_records,
+    point_tables,
     sequence_from_roots,
     sequences_of_weight,
     socle,
@@ -698,7 +700,6 @@ def test_distance_table_is_keyed_by_folded_coordinates():
     cls = min(fqs, key=lambda c: c.canonical_word)
     coords = tuple((r, i, 2 * p) for r, i, p in fqs[cls].coords)
     stretched = replace(fqs[cls], coords=coords)
-    _distance_table(fqs[cls])
     assert _distance_table(stretched) == _table_oracle(stretched)
     assert _distance_table(stretched) != _distance_table(fqs[cls])
 
@@ -709,11 +710,13 @@ def test_distance_table_is_keyed_by_folded_coordinates():
 
 @pytest.fixture
 def fresh_point(monkeypatch):
-    """Twisted points built anew, so no table of theirs is memoised yet;
-    `_distance_table` reads its points from the same builder."""
-    build = lru_cache(maxsize=None)(twisted_folded_quivers.__wrapped__)
-    monkeypatch.setattr(seqorder, "twisted_folded_quivers", build)
-    return build
+    """Twisted points built anew, and a fresh `_distance_polynomials` memo,
+    so no polynomial of these points is memoised yet."""
+    monkeypatch.setattr(
+        affine, "_distance_polynomials",
+        lru_cache(maxsize=None)(affine._distance_polynomials.__wrapped__),
+    )
+    return lru_cache(maxsize=None)(twisted_folded_quivers.__wrapped__)
 
 
 def _scratch_table(fq):
@@ -733,7 +736,7 @@ def _tables_match_scratch(point) -> bool:
     """Every transported table equals the scratch build; False also when
     the transport raises on the way."""
     try:
-        tables = [_distance_table(fq) for fq in point.values()]
+        tables = [table for _, table in point_tables(point)]
     except AssertionError:
         return False
     return tables == [_scratch_table(fq) for fq in point.values()]
@@ -806,8 +809,7 @@ def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
 
     monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
     with pytest.raises(AssertionError, match="not constant on Phi"):
-        for fq in point.values():
-            _distance_table(fq)
+        list(point_tables(point))
 
 
 def test_transport_driving_a_count_negative_raises(fresh_point):
@@ -830,14 +832,42 @@ def test_table_fill_computes_only_the_moved_pairs(fresh_point, monkeypatch):
         return real(cls, a, b)
 
     monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
-    for fq in point.values():
-        _distance_table(fq)
+    list(point_tables(point))
     seed = next(iter(point.values()))
     assert seed.origin is None
     n = seed.rs.num_positive
     assert len(calls) <= len(comparable_pairs(seed.source_class)) + (n - 1) * (
         len(point) - 1
     )
+
+
+def test_a_distance_read_tables_its_own_quiver_alone(monkeypatch):
+    # one dist per comparable pair of the read quiver's class, never a
+    # walk over the other classes of its point
+    point = twisted_folded_quivers("A", 9)
+    seed = next(fq for fq in point.values() if fq.origin is None)
+    calls = []
+    real = seqorder._pair_dist
+
+    def pair_dist(cls, a, b):
+        calls.append(cls)
+        return real(cls, a, b)
+
+    monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
+    distance_polynomial(seed, 1, 1, "A")
+    assert len(calls) == len(comparable_pairs(seed.source_class)) == 730
+    assert set(calls) == {seed.source_class}
+
+
+def test_classes_keep_only_their_order_data():
+    # no distance table or polynomial is stored on a class
+    assert affine.verify_den_dist("C", 5).ok and affine.verify_dorey("B", 4).ok
+    affine.verify_f4_conjecture()
+    assert cli.verify_socle_dist("A", 7).ok
+    sources = [folding_to("C", 5).source, ("E", 6), folding_to("B", 4).source, ("A", 7)]
+    for source in sources:
+        for cls in twisted_folded_quivers(*source):
+            assert set(cls._cache) <= {"below", "letter", "above"}, (cls, set(cls._cache))
 
 
 # ---------------------------------------------------------------------------
@@ -860,16 +890,10 @@ def _scratch_socle_records(cls):
     return out
 
 
-def _socle_walk(point):
-    return seqorder._walk_point(
-        point, seqorder._scratch_socles, seqorder._transport_socles
-    )
-
-
 def _socles_match_scratch(point) -> bool:
     return all(
         sorted(records) == _scratch_socle_records(fq.source_class)
-        for fq, records in _socle_walk(point)
+        for fq, records in point_socle_records(point)
     )
 
 
@@ -882,7 +906,7 @@ def test_transported_socles_equal_scratch_records(fresh_point, tt, rk):
 
 def test_e6_is_the_point_with_socle_records(fresh_point):
     # the only point whose records carry pairs and socles to relabel
-    records = [r for _, recs in _socle_walk(fresh_point("E", 6)) for r in recs]
+    records = [r for _, recs in point_socle_records(fresh_point("E", 6)) for r in recs]
     assert len(records) == 960
     assert sum(s is not None for *_, s in records) > 0
 
