@@ -14,11 +14,11 @@ from itertools import product
 
 from .rootsys import FoldingError, RootSystem
 from .words import (
-    CapExceededError,
     CommutationClass,
     DEFAULT_CAP,
     Word,
     bits,
+    linear_extensions,
     root_sequence,
 )
 
@@ -250,27 +250,10 @@ def read_reduced_words(quiver: ARQuiver, cap: int = DEFAULT_CAP) -> list[Word]:
     residues = quiver.residues()
     verts = sorted(residues)
     pos = {r: k for k, r in enumerate(verts)}
-    after: dict[int, int] = {r: 0 for r in verts}  # vertices that must wait
+    after = [0] * len(verts)  # the vertices each one must wait for
     for a, b in quiver.arrows:
-        after[a] |= 1 << pos[b]  # a can be read only after b
-    out: list[Word] = []
-    word: list[int] = []
-
-    def rec(remaining: list[int], done: int):
-        if not remaining:
-            out.append(tuple(word))
-            if len(out) > cap:
-                raise CapExceededError(f"reading enumeration exceeds cap {cap}")
-            return
-        for k, r in enumerate(remaining):
-            if after[r] & ~done:
-                continue
-            word.append(residues[r])
-            rec(remaining[:k] + remaining[k + 1:], done | (1 << pos[r]))
-            word.pop()
-
-    rec(verts, 0)
-    return out
+        after[pos[a]] |= 1 << pos[b]  # a can be read only after b
+    return linear_extensions(after, [residues[r] for r in verts], cap)
 
 
 def covers(cls: CommutationClass) -> set[tuple[int, int]]:

@@ -5,6 +5,10 @@ ints.  Nodes are labelled 1..rank following the usual conventions:
 type A is the path 1-2-...-n; type D_m is the path 1-...-(m-2) with both
 m-1 and m attached to m-2; type E6 is the path 1-2-3-4-5 with 6 attached
 to 3.
+
+Each printed folding is stated once, as the `Folding` record of
+`folding_to`; `RootSystem.diagram_automorphism` reads its automorphism
+from there, and only the D_4 triality has its own.
 """
 
 from __future__ import annotations
@@ -80,8 +84,10 @@ class Folding:
 
     ``h_dual`` is the dual Coxeter number of the target, ``symmetrizer``
     the diagonal of its symmetrizer by orbit label, ``sign_convention``
-    the sign convention its distance polynomials match, and
-    ``twisted_coxeter_word`` has one source letter per orbit.
+    the sign convention its distance polynomials match,
+    ``twisted_coxeter_word`` has one source letter per orbit, and
+    ``automorphism`` is the diagram automorphism of the source that
+    folds it, with its orbits labelled as the target's nodes.
     """
 
     source: tuple[str, int]
@@ -90,10 +96,11 @@ class Folding:
     symmetrizer: dict[int, int]
     sign_convention: str
     twisted_coxeter_word: tuple[int, ...]
+    automorphism: DiagramAutomorphism
 
     def twisted_longest_word(self) -> tuple[int, ...]:
         """h_dual twisted repetitions of the Coxeter word: a word of w_0."""
-        perm = root_system(*self.source).diagram_automorphism().perm
+        perm = self.automorphism.perm
         word: list[int] = []
         for k in range(self.h_dual):
             word.extend(perm[i] if k % 2 else i for i in self.twisted_coxeter_word)
@@ -106,24 +113,34 @@ def folding_to(letter: str, n: int) -> Folding:
     A FoldingError names the rank when root_system does not support the
     source, before anything is built for it.
     """
+
+    def source(type_tag: str, rank: int) -> tuple[str, int]:
+        try:
+            check_type_rank(type_tag, rank)
+        except UnsupportedTypeError as exc:
+            raise FoldingError(f"no supported folding onto {letter}_{n}: {exc}") from None
+        return type_tag, rank
+
     if letter == "B" and n >= 2:
+        src, m = source("A", 2 * n - 1), 2 * n
+        aut = DiagramAutomorphism({i: m - i for i in range(1, m)}, 2,
+                                  {i: min(i, m - i) for i in range(1, m)})
         sym = {i: 2 if i < n else 1 for i in range(1, n + 1)}
-        folding = Folding(("A", 2 * n - 1), ("B", n), 2 * n - 1, sym, "A",
-                          tuple(range(1, n + 1)))
-    elif letter == "C" and n >= 3:
+        return Folding(src, ("B", n), 2 * n - 1, sym, "A", tuple(range(1, n + 1)), aut)
+    if letter == "C" and n >= 3:
+        src = source("D", n + 1)
+        perm = {i: i for i in range(1, n + 2)}
+        perm[n], perm[n + 1] = n + 1, n
+        aut = DiagramAutomorphism(perm, 2, {i: min(i, n) for i in perm})
         sym = {i: 1 if i < n else 2 for i in range(1, n + 1)}
-        folding = Folding(("D", n + 1), ("C", n), n + 1, sym, "D",
-                          tuple(range(1, n + 1)))
-    elif (letter, n) == ("F", 4):
+        return Folding(src, ("C", n), n + 1, sym, "D", tuple(range(1, n + 1)), aut)
+    if (letter, n) == ("F", 4):
+        # orbit labels as in the folded table: {1,5}->1, {2,4}->2, {3}->3, {6}->4
+        aut = DiagramAutomorphism({1: 5, 5: 1, 2: 4, 4: 2, 3: 3, 6: 6}, 2,
+                                  {1: 1, 5: 1, 2: 2, 4: 2, 3: 3, 6: 4})
         sym = {1: 2, 2: 2, 3: 1, 4: 1}
-        folding = Folding(("E", 6), ("F", 4), 9, sym, "D", (1, 2, 6, 3))
-    else:
-        raise FoldingError(f"no printed folding onto {letter}_{n}")
-    try:
-        check_type_rank(*folding.source)
-    except UnsupportedTypeError as exc:
-        raise FoldingError(f"no supported folding onto {letter}_{n}: {exc}") from None
-    return folding
+        return Folding(("E", 6), ("F", 4), 9, sym, "D", (1, 2, 6, 3), aut)
+    raise FoldingError(f"no printed folding onto {letter}_{n}")
 
 
 def folding_from(type_tag: str, rank: int) -> Folding:
@@ -294,10 +311,9 @@ class RootSystem:
         return self._cache["star"]
 
     def diagram_automorphism(self, triality: bool = False) -> DiagramAutomorphism:
-        """The folding automorphism printed for this type.
-
-        A_{2n-1} -> B_n, D_{n+1} -> C_n, E_6 -> F_4 and, with
-        ``triality``, D_4 -> G_2.
+        """The automorphism of this type's printed folding, that of
+        `folding_from`: A_{2n-1} -> B_n, D_{n+1} -> C_n, E_6 -> F_4 and,
+        with ``triality``, D_4 -> G_2.
         """
         if triality:
             if (self.type_tag, self.rank) != ("D", 4):
@@ -305,26 +321,10 @@ class RootSystem:
             perm = {1: 3, 3: 4, 4: 1, 2: 2}
             labels = {1: 1, 3: 1, 4: 1, 2: 2}
             return DiagramAutomorphism(perm, 3, labels)
-        if self.type_tag == "A":
-            if self.rank % 2 == 0 or self.rank < 3:
-                raise UnsupportedTypeError(
-                    f"A_{self.rank} has no printed folding (need odd rank >= 3)"
-                )
-            m = self.rank + 1  # = 2n
-            perm = {i: m - i for i in self.nodes}
-            labels = {i: min(i, m - i) for i in self.nodes}
-            return DiagramAutomorphism(perm, 2, labels)
-        if self.type_tag == "D":
-            n = self.rank - 1
-            perm = {i: i for i in self.nodes}
-            perm[n], perm[n + 1] = n + 1, n
-            labels = {i: min(i, n) for i in self.nodes}
-            return DiagramAutomorphism(perm, 2, labels)
-        # E_6 -> F_4, orbit labels as in the folded table: {1,5}->1,
-        # {2,4}->2, {3}->3, {6}->4.
-        perm = {1: 5, 5: 1, 2: 4, 4: 2, 3: 3, 6: 6}
-        labels = {1: 1, 5: 1, 2: 2, 4: 2, 3: 3, 6: 4}
-        return DiagramAutomorphism(perm, 2, labels)
+        try:
+            return folding_from(self.type_tag, self.rank).automorphism
+        except FoldingError as exc:
+            raise UnsupportedTypeError(str(exc)) from None
 
     def summing_pairs(self, g: int) -> tuple[tuple[int, int], ...]:
         """The index pairs (a, b), a < b, of positive roots summing to root g.

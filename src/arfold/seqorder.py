@@ -65,7 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import ceil
 
 from .rootsys import Root, RootSystem
@@ -349,7 +349,7 @@ def dist(cls: CommutationClass, m: Sequence) -> int:
 
 def _unique_simple(cls: CommutationClass, under: list[Sequence]) -> Sequence | None:
     """The one simple sequence among ``under``; None for none or several."""
-    simples = [x for x in under if is_simple(cls, x)]
+    simples = list(islice(filter(lambda x: is_simple(cls, x), under), 2))
     return simples[0] if len(simples) == 1 else None
 
 

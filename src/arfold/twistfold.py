@@ -4,7 +4,9 @@ One path builds the folded quiver of every class of a twisted adapted
 point: a seed quiver for the class of the folding's twisted longest
 word, read off its ``Folding`` record, spread to the other classes by
 folded reflections along the cluster-point BFS of ``words``, so a class
-reached again costs only its reflected coordinates.
+reached again costs only its reflected coordinates.  It is the one walk
+of a twisted point: ``words.twisted_adapted_point`` is the set of its
+classes, and its memo is the one memo of the point.
 
 The printed constructions stay as references for it:
 
@@ -197,13 +199,13 @@ def fold(quiver: ARQuiver, cls: CommutationClass) -> FoldedQuiver:
     """Collapse residues to orbits; type A doubles positions to integers."""
     rs = quiver.rs
     folding = folding_from(rs.type_tag, rs.rank)
-    aut = rs.diagram_automorphism()
+    label = folding.automorphism.orbit_label
     scale = _unfolded_scale(rs.type_tag)
     coords = []
     for r, i, p2 in quiver.coords:
         if p2 % scale:
             raise FoldingError("expected integer positions")
-        coords.append((r, aut.orbit_label[i], p2 // scale))
+        coords.append((r, label[i], p2 // scale))
     fq = FoldedQuiver(rs, tuple(sorted(coords)), quiver.arrows, cls, folding)
     fq.by_coord()  # injectivity check
     return fq
@@ -255,8 +257,8 @@ def e6_folded_quiver() -> FoldedQuiver:
 
 def e6_unfolded_step(i: int, j: int) -> int:
     """Doubled step between adjacent E_6 residues: the orbit symmetrizer."""
-    d = folding_from("E", 6).symmetrizer
-    label = root_system("E", 6).diagram_automorphism().orbit_label
+    folding = folding_from("E", 6)
+    d, label = folding.symmetrizer, folding.automorphism.orbit_label
     return 2 * min(d[label[i]], d[label[j]])
 
 
@@ -333,7 +335,7 @@ def _seed(folding: Folding) -> FoldedQuiver:
     xi(label(s)) - 2m.
     """
     rs = root_system(*folding.source)
-    label = rs.diagram_automorphism().orbit_label
+    label = folding.automorphism.orbit_label
     d = folding.symmetrizer
     slot = {label[i]: s for s, i in enumerate(folding.twisted_coxeter_word)}
     xi = {1: 0}

@@ -18,6 +18,9 @@ backwards it gives `above`.  `bits` is the one walk over the set bits
 of a mask.  The canonical word waits each occurrence on the previous
 occurrence of its own letter and of each neighbour, and takes the least
 available letter first.
+`linear_extensions` is the one enumerator of the words of such an
+order: the member words of a class, and the readings of a quiver in
+``arquiver``.
 
 A reflection functor r_i moves the first s_i of a word to the end as
 s_{i*}.  Occurrences of one letter never commute, so the first s_i of
@@ -48,6 +51,11 @@ for b.  r_i changes only the projections at i and i*: `moved_key` drops
 the first letter of each edge at i, which must be i for the class to
 move, and appends i* to each edge at i*.  So a class is canonicalised
 only the first time its key is reached.
+
+`cluster_point` is the set of classes that BFS yields, as for
+`adapted_point`.  A twisted adapted point is walked once, by
+``twistfold.twisted_folded_quivers`` over `cluster_moves`, and
+`twisted_adapted_point` is the set of its classes.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import Root, RootSystem, folding_from, root_system
+from .rootsys import Root, RootSystem, root_system
 
 Word = tuple[int, ...]
 
@@ -106,6 +114,33 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def linear_extensions(before, letter, cap: int = DEFAULT_CAP) -> list[Word]:
+    """The words of the linear extensions of an order on 0..m-1, capped.
+
+    Element v may come only after the elements of the mask before[v], and
+    it reads as letter[v].  Extensions come depth first, the least
+    available element first; more than ``cap`` is a CapExceededError.
+    """
+    out: list[Word] = []
+    prefix: list[int] = []
+
+    def rec(remaining: int, done: int):
+        if not remaining:
+            out.append(tuple(prefix))
+            if len(out) > cap:
+                raise CapExceededError(f"linear extensions exceed cap {cap}")
+            return
+        for v in bits(remaining):
+            if before[v] & ~done:
+                continue
+            prefix.append(letter[v])
+            rec(remaining ^ 1 << v, done | 1 << v)
+            prefix.pop()
+
+    rec((1 << len(before)) - 1, 0)
+    return out
 
 
 def _order_pass(adjacent, idx, word) -> dict[int, int]:
@@ -200,28 +235,7 @@ class CommutationClass:
     def members(self, cap: int = DEFAULT_CAP) -> list[Word]:
         """All member words (linear extensions of the heap), capped."""
         data = self._data()
-        below = data["below"]
-        letter = data["letter"]
-        out: list[Word] = []
-        prefix: list[int] = []
-
-        def rec(remaining: int, done: int):
-            if not remaining:
-                out.append(tuple(prefix))
-                if len(out) > cap:
-                    raise CapExceededError(
-                        f"commutation closure exceeds cap {cap}"
-                    )
-                return
-            for v in bits(remaining):
-                if below[v] & ~done:
-                    continue
-                prefix.append(letter[v])
-                rec(remaining ^ 1 << v, done | 1 << v)
-                prefix.pop()
-
-        rec((1 << self.length) - 1, 0)
-        return out
+        return linear_extensions(data["below"], data["letter"], cap)
 
     def member_count(self, cap: int = DEFAULT_CAP) -> int:
         """Number of member words, via dynamic programming on downsets."""
@@ -446,17 +460,15 @@ def twisted_coxeter_elements(rs: RootSystem, aut) -> list[Word]:
     return sorted(best.values())
 
 
-@lru_cache(maxsize=None)
 def twisted_adapted_point(
     type_tag: str, rank: int
 ) -> frozenset[CommutationClass]:
-    """The foldable cluster point built from a twisted Coxeter element.
+    """The foldable cluster point built from a twisted Coxeter element:
+    the classes of `twistfold.twisted_folded_quivers`, one BFS from the
+    class of the folding's twisted longest word."""
+    from .twistfold import twisted_folded_quivers
 
-    Its class holds the h_dual twisted repetitions of the folding's
-    twisted Coxeter word, which must come out reduced.
-    """
-    word = folding_from(type_tag, rank).twisted_longest_word()
-    return cluster_point(commutation_class(root_system(type_tag, rank), word))
+    return frozenset(twisted_folded_quivers(type_tag, rank))
 
 
 @lru_cache(maxsize=None)

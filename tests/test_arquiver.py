@@ -1,7 +1,7 @@
 import pytest
 
 from arfold.rootsys import root_system
-from arfold.words import commutation_class
+from arfold.words import CapExceededError, commutation_class
 from arfold.arquiver import (
     DynkinQuiver,
     adapted_quiver_of,
@@ -123,6 +123,14 @@ def test_read_reduced_words_equals_commutation_class():
             words = set(read_reduced_words(g))
             cls = commutation_class(rs, adapted_word(q))
             assert words == set(cls.members())
+
+
+def test_read_reduced_words_refuses_past_its_cap():
+    g = gamma_q(EXAMPLE_Q)
+    count = len(read_reduced_words(g))
+    assert len(read_reduced_words(g, cap=count)) == count
+    with pytest.raises(CapExceededError, match=f"exceed cap {count - 1}"):
+        read_reduced_words(g, cap=count - 1)
 
 
 def test_read_single_vertex():

@@ -204,7 +204,7 @@ def test_a_flag_the_suite_does_not_read_is_a_one_line_error(capsys, monkeypatch,
     monkeypatch.setattr(cli, "verify_socle_dist", no_suite)
     values = {"--target": "B", "--n": "2", "--type": "A", "--rank": "3"}
     argv = ["verify", suite]
-    for f in [*(f"--{name}" for name in cli.SUITE_OPTIONS[suite]), flag]:
+    for f in [*(f"--{name}" for name in cli.SUITES[suite][0]), flag]:
         argv += [f, values[f]]
     with pytest.raises(SystemExit) as exc:
         main(argv)

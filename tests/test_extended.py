@@ -1,6 +1,7 @@
 """Checks one rank beyond the stated criteria, as generality insurance."""
 
-from arfold.words import twisted_adapted_point
+from arfold.rootsys import folding_from, root_system
+from arfold.words import cluster_point, commutation_class
 from arfold.twistfold import twisted_folded_quivers
 from arfold.affine import verify_den_dist, verify_dorey
 
@@ -8,7 +9,8 @@ from arfold.affine import verify_den_dist, verify_dorey
 def test_b4_constructions_cover_point():
     fqs = twisted_folded_quivers("A", 7)
     assert len(fqs) == 64
-    assert set(fqs) == set(twisted_adapted_point("A", 7))
+    word = folding_from("A", 7).twisted_longest_word()
+    assert set(fqs) == cluster_point(commutation_class(root_system("A", 7), word))
 
 
 def test_b4_den_dist():

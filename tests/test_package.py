@@ -81,3 +81,24 @@ def test_distance_reads_take_no_hidden_point_walk():
     for node in ast.walk(ast.parse(cli)):
         if isinstance(node, ast.ImportFrom) and node.module == "seqorder":
             assert not any(alias.name.startswith("_") for alias in node.names)
+
+
+def test_each_folding_and_twisted_point_is_stated_once():
+    # a twisted point is the folded quivers' walk: only adapted_point calls
+    # cluster_point; and every diagram automorphism is built in rootsys
+    import ast
+
+    src = Path(arfold.__file__).parent
+    callers = set()
+    for p in src.glob("*.py"):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers.update(
+                    (p.name, fn.name) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "cluster_point"
+                )
+    assert callers == {("words.py", "adapted_point")}
+    built = {p.name for p in src.glob("*.py") if "DiagramAutomorphism(" in p.read_text()}
+    assert built == {"rootsys.py"}

@@ -101,16 +101,39 @@ def test_triality():
         root_system("D", 5).diagram_automorphism(triality=True)
 
 
+FOLDING_TARGETS = (
+    [("B", n) for n in range(2, 9)] + [("C", n) for n in range(3, 9)] + [("F", 4)]
+)
+
+
 def test_automorphism_preserves_cartan_matrix():
+    foldings = [folding_to(*target) for target in FOLDING_TARGETS]
     for rs, aut in [
         (root_system("A", 5), root_system("A", 5).diagram_automorphism()),
         (root_system("D", 5), root_system("D", 5).diagram_automorphism()),
         (root_system("E", 6), root_system("E", 6).diagram_automorphism()),
         (root_system("D", 4), root_system("D", 4).diagram_automorphism(True)),
+        *((root_system(*f.source), f.automorphism) for f in foldings),
     ]:
         for i in rs.nodes:
             for j in rs.nodes:
                 assert rs.cartan[i][j] == rs.cartan[aut.perm[i]][aut.perm[j]]
+    # every folding record folds its source onto the target's nodes 1..n,
+    # one Coxeter-word letter per orbit
+    for f in foldings:
+        nodes, label = list(range(1, f.target[1] + 1)), f.automorphism.orbit_label
+        assert list(f.automorphism.orbit_labels()) == nodes
+        assert sorted(label[i] for i in f.twisted_coxeter_word) == nodes
+        assert len(f.twisted_longest_word()) == root_system(*f.source).num_positive
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("A", r) for r in range(3, 16, 2)] + [("D", r) for r in range(4, 10)] + [("E", 6)],
+    ids=lambda s: f"{s[0]}{s[1]}",
+)
+def test_diagram_automorphism_is_the_folding_record(source):
+    assert root_system(*source).diagram_automorphism() == folding_from(*source).automorphism
 
 
 def test_no_printed_automorphism_for_even_a():

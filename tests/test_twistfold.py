@@ -1,11 +1,12 @@
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
 from arfold import twistfold, words
 from arfold.rootsys import RootSystem, folding_from, root_system
-from arfold.words import commutation_class, twisted_adapted_point
+from arfold.words import cluster_point, commutation_class, twisted_adapted_point
 from arfold.arquiver import (
     DynkinQuiver,
     all_quivers,
@@ -289,7 +290,9 @@ def _seed_class(type_tag, rank):
 
 @pytest.mark.parametrize("source", FOLDING_SOURCES, ids=lambda s: f"{s[0]}{s[1]}")
 def test_folded_quivers_cover_the_twisted_point(source):
-    assert set(twisted_folded_quivers(*source)) == set(twisted_adapted_point(*source))
+    # the walk against the plain cluster point of the seed class
+    assert set(twisted_folded_quivers(*source)) == cluster_point(_seed_class(*source))
+    assert twisted_adapted_point(*source) == cluster_point(_seed_class(*source))
 
 
 @pytest.mark.parametrize(
@@ -348,10 +351,13 @@ def test_a_replaced_quiver_has_no_origin():
     assert "origin" not in repr(fq)
 
 
-@pytest.mark.parametrize("source", [("A", 9), ("D", 7)], ids=lambda s: f"{s[0]}{s[1]}")
+@pytest.mark.parametrize(
+    "source", [("A", 9), ("D", 7), ("E", 6)], ids=lambda s: f"{s[0]}{s[1]}"
+)
 def test_bfs_canonicalises_each_class_once(source, monkeypatch):
     # a class reached again is told apart by its projection key alone:
-    # no canonical word, heap or arrows are built for it
+    # no canonical word, heap or arrows are built for it; and the twisted
+    # point is the folded quivers' walk, not a second one
     calls = Counter()
 
     def counted(name, f):
@@ -362,11 +368,16 @@ def test_bfs_canonicalises_each_class_once(source, monkeypatch):
 
     monkeypatch.setattr(words, "_kahn", counted("_kahn", words._kahn))
     monkeypatch.setattr(twistfold, "_folded", counted("_folded", twistfold._folded))
-    point = twisted_adapted_point.__wrapped__(*source)
+    point = cluster_point(_seed_class(*source))
     assert calls == {"_kahn": len(point)}
     calls.clear()
-    fqs = twisted_folded_quivers.__wrapped__(*source)
-    assert calls == {"_kahn": len(fqs), "_folded": len(fqs)}
+    # the folded quivers' memo, here a cold one, is the twisted point's only one
+    assert not hasattr(twisted_adapted_point, "cache_info")
+    cold = lru_cache(maxsize=None)(twisted_folded_quivers.__wrapped__)
+    monkeypatch.setattr(twistfold, "twisted_folded_quivers", cold)
+    assert twisted_adapted_point(*source) == point
+    fqs = cold(*source)
+    assert calls == {"_kahn": len(point), "_folded": len(point)} and set(fqs) == point
 
 
 @pytest.mark.parametrize("source", [("D", 5), ("A", 7)], ids=lambda s: f"{s[0]}{s[1]}")
@@ -407,7 +418,7 @@ def test_bfs_refuses_a_moving_letter_that_is_not_a_folded_sink(monkeypatch):
 
 def test_a_class_under_a_second_key_is_refused(monkeypatch):
     # a move that never gives an old key again: without the guard the one
-    # BFS would run on for ever under both builders
+    # BFS would run on for ever, bare or building the folded quivers
     moved_key = words.moved_key
 
     def growing(key, *args):
@@ -415,6 +426,7 @@ def test_a_class_under_a_second_key_is_refused(monkeypatch):
         return None if k is None else k + (len(key),)
 
     monkeypatch.setattr(words, "moved_key", growing)
-    for build in (twisted_adapted_point.__wrapped__, twisted_folded_quivers.__wrapped__):
-        with pytest.raises(AssertionError, match="one class under two projection keys"):
-            build("D", 5)
+    with pytest.raises(AssertionError, match="one class under two projection keys"):
+        cluster_point(_seed_class("D", 5))
+    with pytest.raises(AssertionError, match="one class under two projection keys"):
+        twisted_folded_quivers.__wrapped__("D", 5)
