@@ -10,14 +10,15 @@ three min-index branches carry the exponents that the exhaustive
 minimal-pair sweep (and the zero set of the denominator formulas)
 forces.  `verify_dorey` reports the discrepancy rather than hiding it.
 
-Dorey's rule is stated once, as that table.  `_label` is the spectral
-assignment of a folded coordinate, and the coordinate characterization
-of minimal pairs, `minimal_pair_predicate`, is the "validated" table
-read through it: a pair summing to a root is accepted iff the key
+Dorey's rule is stated once, as that table.  `_plain_spectral` is the
+spectral assignment of a folded coordinate as a plain (node, phase,
+exponent) triple, and the coordinate characterization of minimal
+pairs, `minimal_pair_predicate`, is the "validated" table read through
+it: a pair summing to a root is accepted iff the key
 (i, j, k, y/z, x/z) of either ordering is an entry.  Keys are compared
 as plain integer tuples (i, j, k, y/z phase, y/z exponent, x/z phase,
-x/z exponent), made by `_pair_keys` from (node, phase, exponent) labels
-and by `_plain_key` from table entries.
+x/z exponent), made by `_pair_keys` from those triples and by
+`_plain_key` from table entries.
 """
 
 from __future__ import annotations
@@ -147,14 +148,20 @@ def den_dist_extra_factor(target: str, n: int) -> tuple[int, int]:
 # spectral assignments
 
 
-def _label(target: str, i: int, p: int) -> FundamentalModuleLabel:
-    """V(pi_i) at the folded coordinate (i, p): (-1)^i q_s^p for the B
-    target, (-q_s)^p for C."""
+def _plain_spectral(target: str, i: int, p: int) -> tuple[int, int, int]:
+    """(node, phase, exponent) of V(pi_i) at the folded coordinate (i, p):
+    (-1)^i q_s^p for the B target, (-q_s)^p for C."""
     if target == "B":
-        return FundamentalModuleLabel(i, SpectralParameter(2 * i, p))
+        return (i, 2 * i % 4, p)
     if target == "C":
-        return FundamentalModuleLabel(i, SpectralParameter.minus_qs_power(p))
+        return (i, 2 * p % 4, p)
     raise ValueError("spectral assignment is printed for B and C targets only")
+
+
+def _label(target: str, i: int, p: int) -> FundamentalModuleLabel:
+    """`_plain_spectral` as a FundamentalModuleLabel."""
+    node, phase, exp = _plain_spectral(target, i, p)
+    return FundamentalModuleLabel(node, SpectralParameter(phase, exp))
 
 
 def v_assign(fq: FoldedQuiver, root_idx: int) -> FundamentalModuleLabel:
@@ -315,11 +322,6 @@ def _validated_keys(target: str, n: int) -> frozenset:
     return frozenset(_plain_key(e.key()) for e in dorey_triples(target, n))
 
 
-def _plain_label(label: FundamentalModuleLabel) -> tuple[int, int, int]:
-    """(node, phase, exponent) of a label."""
-    return (label.node, label.parameter.phase, label.parameter.exp)
-
-
 def _pair_keys(labels, a, b, g) -> list:
     """The plain Dorey keys of both orderings of the pair {a, b} summing
     to g, from (node, phase, exponent) labels; in each ordering the first
@@ -344,7 +346,7 @@ def minimal_pair_predicate(target: str, n: int, a_coord, b_coord, g_coord) -> bo
     for i, _ in (a_coord, b_coord, g_coord):
         if not 1 <= i <= n:
             raise ValueError(f"residue {i} outside 1..{n} of {target}_{n}")
-    labels = [_plain_label(_label(target, *c)) for c in (a_coord, b_coord, g_coord)]
+    labels = [_plain_spectral(target, *c) for c in (a_coord, b_coord, g_coord)]
     return not keys.isdisjoint(_pair_keys(labels, 0, 1, 2))
 
 
@@ -450,7 +452,7 @@ def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
     point = twisted_folded_quivers(*folding.source)
     for cls in sorted(point, key=lambda c: c.canonical_word):
         coord = point[cls].coord_of()
-        labels = {r: _plain_label(_label(target, *c)) for r, c in coord.items()}
+        labels = {r: _plain_spectral(target, *c) for r, c in coord.items()}
         for g in range(cls.rs.num_positive):
             minimal = set(minimal_pairs_of_root(cls, g))
             for a, b in cls.rs.summing_pairs(g):

@@ -4,6 +4,8 @@ Positions are stored as doubled integers so the half-integer columns of
 the twisted quivers stay exact: a vertex drawn at position p in a figure
 is stored with pos2 = 2p.  Arrows point from a root to the roots it
 covers in the convex order, i.e. towards vertices that are read earlier.
+Gamma_Q is built from its rows of bare cells, labelled with roots by
+`read_root_labels` like the printed constructions.
 """
 
 from __future__ import annotations
@@ -191,35 +193,24 @@ def read_root_labels(rs: RootSystem, cells, step) -> tuple[Word, ARQuiver]:
 
 @lru_cache(maxsize=None)
 def gamma_q(q: DynkinQuiver) -> ARQuiver:
-    """The AR quiver of Q: coordinates by the Coxeter translation rule,
-    with the height function pinned at xi(1) = 0."""
+    """The AR quiver of Q, with the height function pinned at xi(1) = 0.
+
+    Row i holds the positions p = xi(i) - 2m with xi(i*) - h < p <= xi(i),
+    h = 2N / rank the Coxeter number (Hernandez-Leclerc); the rows are
+    labelled by `read_root_labels`.
+    """
     rs = q.rs
     xi = q.height_function()
-    phi = coxeter_element_of(q)
-    phi_roots = root_sequence(rs, phi)
-    coords: dict[int, tuple[int, int]] = {}
-    for i, beta in zip(phi, phi_roots):
-        coords[rs.root_index[beta]] = (i, 2 * xi[i])
-    frontier = list(phi_roots)
-    while frontier:
-        new = []
-        for beta in frontier:
-            img = rs.apply_word(phi, beta)
-            if rs.is_positive(img):
-                r = rs.root_index[img]
-                if r in coords:
-                    raise AssertionError("phi_Q translation revisited a root")
-                i, p2 = coords[rs.root_index[beta]]
-                coords[r] = (i, p2 - 4)
-                new.append(img)
-        frontier = new
-    if len(coords) != rs.num_positive:
-        raise AssertionError("Gamma_Q did not reach every positive root")
-    arrows = arrows_by_step(coords, rs.adjacent, lambda i, j: 2)
-    coord_rows = tuple(
-        sorted((r, i, p2) for r, (i, p2) in coords.items())
-    )
-    return ARQuiver(rs, coord_rows, arrows)
+    star = rs.star()
+    h = 2 * rs.num_positive // rs.rank
+    cells = [
+        (i, 2 * (xi[i] - 2 * m))
+        for i in rs.nodes
+        for m in range((h + xi[i] - xi[star[i]]) // 2)
+    ]
+    if len(cells) != rs.num_positive:
+        raise AssertionError(f"Gamma_Q has {len(cells)} cells, not N = {rs.num_positive}")
+    return read_root_labels(rs, cells, lambda i, j: 2)[1]
 
 
 def reading_vertices(quiver: ARQuiver) -> list[int]:

@@ -6,6 +6,9 @@ type A is the path 1-2-...-n; type D_m is the path 1-...-(m-2) with both
 m-1 and m attached to m-2; type E6 is the path 1-2-3-4-5 with 6 attached
 to 3.
 
+The positive roots, a reduced word of w_0 and the involution i -> i*
+come from one walk from e to w_0 (`RootSystem._walk_longest_element`).
+
 Each printed folding is stated once, as the `Folding` record of
 `folding_to`; `RootSystem.diagram_automorphism` reads its automorphism
 from there, and only the D_4 triality has its own.
@@ -158,8 +161,9 @@ def folding_from(type_tag: str, rank: int) -> Folding:
 class RootSystem:
     """Positive roots, Cartan matrix and Weyl combinatorics for one type.
 
-    Positive roots are enumerated once, ordered by (height, coefficients)
-    so indices are stable across runs.  All state is immutable after
+    One greedy walk of w_0 gives the positive roots, the longest word
+    and i -> i*.  The roots are ordered by (height, coefficients) so
+    indices are stable across runs.  All state is immutable after
     construction, apart from memos filled on first use, which only grow.
     """
 
@@ -179,15 +183,16 @@ class RootSystem:
             i: {j: 2 if i == j else (-1 if j in adj[i] else 0) for j in self.nodes}
             for i in self.nodes
         }
-        self.positive_roots = self._generate_positive_roots()
+        self._longest_word, roots, self._star = self._walk_longest_element()
+        self.positive_roots = tuple(sorted(roots, key=lambda r: (sum(r), r)))
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self.num_positive = len(self.positive_roots)
         self.simple_root_index = {
             i: self.root_index[self.simple_root(i)] for i in self.nodes
         }
-        # memos kept per root system, each filled once: the longest word,
-        # i -> i*, the summing pairs, the reflection permutations, and
-        # seqorder's packed roots and height ranks
+        # memos kept per root system, each filled once: the summing pairs,
+        # the reflection permutations, and seqorder's packed roots and
+        # height ranks
         self._cache: dict = {}
         self._hash = hash((type_tag, rank))
 
@@ -243,72 +248,46 @@ class RootSystem:
     def is_positive(self, v: Root) -> bool:
         return all(c >= 0 for c in v) and any(c > 0 for c in v)
 
-    def _generate_positive_roots(self) -> tuple[Root, ...]:
-        found = {self.simple_root(i) for i in self.nodes}
-        frontier = set(found)
-        while frontier:
-            new = set()
-            for r in frontier:
-                for i in self.nodes:
-                    s = self.reflect(r, i)
-                    if self.is_positive(s) and s not in found:
-                        new.add(s)
-            found |= new
-            frontier = new
-        roots = sorted(found, key=lambda r: (sum(r), r))
-        expected = {
-            "A": rank_count_a,
-            "D": rank_count_d,
-            "E": lambda n: 36,
-        }[self.type_tag](self.rank)
-        if len(roots) != expected:
-            raise AssertionError(
-                f"generated {len(roots)} positive roots, expected {expected}"
-            )
-        return tuple(roots)
+    def _walk_longest_element(self) -> tuple[tuple[int, ...], list[Root], dict[int, int]]:
+        """One greedy walk from e to w_0: (its word, the roots it meets, i*).
 
-    # -- longest element -------------------------------------------------
+        images[j] is w(alpha_j) for the word w read so far.  Each step
+        appends the least i with w(alpha_i) > 0, which lengthens w, and
+        sets w s_i(alpha_j) = w(alpha_j) - a_ij w(alpha_i).  The walk
+        stops when every image is negative, i.e. at w_0; the w(alpha_i)
+        it appends are the positive roots, each once, and it ends at
+        w_0(alpha_j) = -alpha_{j*}.
+        """
+        images = {j: self.simple_root(j) for j in self.nodes}
+        word: list[int] = []
+        roots: list[Root] = []
+        while True:
+            # every image is plus or minus a root: positive iff some c > 0
+            i = next((i for i in self.nodes if max(images[i]) > 0), None)
+            if i is None:
+                break
+            beta = images[i]
+            word.append(i)
+            roots.append(beta)
+            for j in self.adjacent[i]:
+                c = self.cartan[i][j]
+                images[j] = tuple(x - c * y for x, y in zip(images[j], beta))
+            images[i] = tuple(-y for y in beta)
+        star = {}
+        for j, img in images.items():
+            if sorted(img) != [-1] + [0] * (self.rank - 1):
+                raise AssertionError("w_0 image of a simple root is not -simple")
+            star[j] = img.index(-1) + 1
+        return tuple(word), roots, star
 
     def longest_word(self) -> tuple[int, ...]:
-        """Some reduced word for the longest element, deterministic."""
-        if "longest_word" not in self._cache:
-            # images of the simple roots under the product built so far
-            images = [self.simple_root(i) for i in self.nodes]
-            word: list[int] = []
-            while True:
-                for i in self.nodes:
-                    if self.is_positive(images[i - 1]):
-                        break
-                else:
-                    break
-                word.append(i)
-                # right-multiply by s_i: new images w*s_i(alpha_j)
-                si_alpha = [self.reflect(self.simple_root(j), i) for j in self.nodes]
-                images = [
-                    tuple(
-                        sum(images[k][m] * c for k, c in enumerate(v) if c)
-                        for m in range(self.rank)
-                    )
-                    for v in si_alpha
-                ]
-            if len(word) != self.num_positive:
-                raise AssertionError("longest-element search terminated early")
-            self._cache["longest_word"] = tuple(word)
-        return self._cache["longest_word"]
+        """The reduced word of the longest element that the greedy walk
+        reads: at each step the least letter that lengthens."""
+        return self._longest_word
 
     def star(self) -> dict[int, int]:
         """The involution i -> i* with w_0(alpha_i) = -alpha_{i*}."""
-        if "star" not in self._cache:
-            w0 = self.longest_word()
-            star = {}
-            for i in self.nodes:
-                img = self.apply_word(w0, self.simple_root(i))
-                neg = tuple(-c for c in img)
-                if neg not in self.root_index or sum(neg) != 1:
-                    raise AssertionError("w_0 image of a simple root is not -simple")
-                star[i] = neg.index(1) + 1
-            self._cache["star"] = star
-        return self._cache["star"]
+        return self._star
 
     def diagram_automorphism(self, triality: bool = False) -> DiagramAutomorphism:
         """The automorphism of this type's printed folding, that of
@@ -344,14 +323,6 @@ class RootSystem:
                         table[g_ab].append((a, b))
             self._cache["summing_pairs"] = tuple(tuple(pairs) for pairs in table)
         return self._cache["summing_pairs"][g]
-
-
-def rank_count_a(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def rank_count_d(n: int) -> int:
-    return n * (n - 1)
 
 
 def trivial_automorphism(rs: RootSystem) -> DiagramAutomorphism:

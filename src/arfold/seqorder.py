@@ -707,18 +707,22 @@ def _distance_table(fq: FoldedQuiver) -> dict:
     return _table_of(_scratch_counts(fq))
 
 
-def _distance_row(table: dict, target: tuple[str, int], k: int, l: int) -> dict:
-    """{t: o_t} at residues {k, l} of a table of the folding onto
-    ``target``; a ValueError for a residue outside 1..n."""
+def _check_read(target: tuple[str, int], k: int, l: int, convention: str = "A") -> None:
+    """A ValueError for a convention other than "A" or "D", or a residue
+    outside 1..n of ``target``; `o_t` reads no convention and passes the
+    default."""
+    if convention not in ("A", "D"):
+        raise ValueError("convention must be 'A' or 'D'")
     letter, n = target
     if not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"residues ({k},{l}) outside 1..{n} of {letter}_{n}")
-    return table.get((min(k, l), max(k, l)), {})
 
 
 def o_t(fq: FoldedQuiver, k: int, l: int, t: int) -> int | None:
-    """Common distance on Phi[t]; None when the set is empty."""
-    return _distance_row(_distance_table(fq), fq.folding.target, k, l).get(t)
+    """Common distance on Phi[t]; None when the set is empty.  Bad
+    residues are refused before the table is built."""
+    _check_read(fq.folding.target, k, l)
+    return _distance_table(fq).get((min(k, l), max(k, l)), {}).get(t)
 
 
 def table_polynomial(
@@ -730,10 +734,9 @@ def table_polynomial(
     Convention "A" uses factors (z - (-1)^(k+l) q_s^t), convention "D"
     uses (z - (-q_s)^t); exponents are ceil(o_t / 2).
     """
-    if convention not in ("A", "D"):
-        raise ValueError("convention must be 'A' or 'D'")
+    _check_read(target, k, l, convention)
     factors = []
-    for t, o in _distance_row(table, target, k, l).items():
+    for t, o in table.get((min(k, l), max(k, l)), {}).items():
         eps = (-1) ** (k + l) if convention == "A" else (-1) ** t
         factors.extend([(eps, t)] * ceil(o / 2))
     return RootedPolynomial.from_factors(factors)
@@ -742,7 +745,9 @@ def table_polynomial(
 def distance_polynomial(
     fq: FoldedQuiver, k: int, l: int, convention: str
 ) -> RootedPolynomial:
-    """`table_polynomial` of the quiver's own distance table."""
+    """`table_polynomial` of the quiver's own distance table; a bad read
+    is refused before the table is built."""
+    _check_read(fq.folding.target, k, l, convention)
     return table_polynomial(_distance_table(fq), fq.folding.target, k, l, convention)
 
 

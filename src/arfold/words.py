@@ -473,10 +473,11 @@ def twisted_adapted_point(
 
 @lru_cache(maxsize=None)
 def adapted_point(type_tag: str, rank: int) -> frozenset[CommutationClass]:
-    """The cluster point of all classes adapted to Dynkin quivers."""
+    """The cluster point of all classes adapted to Dynkin quivers, walked
+    from the quiver with every edge (a, b) of the diagram as b -> a."""
     from . import arquiver
 
     rs = root_system(type_tag, rank)
-    q = arquiver.all_quivers(rs)[0]
+    q = arquiver.DynkinQuiver(rs, frozenset((b, a) for a, b in rs.edges))
     word = arquiver.adapted_word(q)
     return cluster_point(commutation_class(rs, word))

@@ -340,8 +340,10 @@ def test_an_unrealized_entry_is_named_by_its_ratios(monkeypatch, target, n):
 @pytest.mark.parametrize("target, n", [("B", 3), ("C", 3)])
 def test_dorey_and_predicate_fail_with_two_residues_swapped(monkeypatch, target, n):
     # the whole label moves: a C parameter does not depend on the residue
-    label, swap = affine._label, {1: 2, 2: 1}
-    monkeypatch.setattr(affine, "_label", lambda t, i, p: label(t, swap.get(i, i), p))
+    label, swap = affine._plain_spectral, {1: 2, 2: 1}
+    monkeypatch.setattr(
+        affine, "_plain_spectral", lambda t, i, p: label(t, swap.get(i, i), p)
+    )
     assert not verify_dorey(target, n).ok
     assert not verify_minimal_pair_predicate(target, n).ok
 

@@ -1,12 +1,15 @@
 import pytest
 
+from arfold import arquiver
 from arfold.rootsys import root_system
-from arfold.words import CapExceededError, commutation_class
+from arfold.words import CapExceededError, NotReducedError, commutation_class, root_sequence
 from arfold.arquiver import (
+    ARQuiver,
     DynkinQuiver,
     adapted_quiver_of,
     adapted_word,
     all_quivers,
+    arrows_by_step,
     covers,
     coxeter_element_of,
     gamma_q,
@@ -139,8 +142,68 @@ def test_read_single_vertex():
     assert read_reduced_words(gamma_q(q)) == [(1,)]
 
 
+def translation_oracle(q):
+    """Gamma_Q by the Coxeter translation phi_Q: the roots of the Coxeter
+    word adapted to Q at (i, 2 xi(i)), and phi_Q moving a root one step,
+    4 in doubled positions, to the left while it stays positive."""
+    rs = q.rs
+    xi = q.height_function()
+    phi = coxeter_element_of(q)
+    phi_roots = root_sequence(rs, phi)
+    coords = {rs.root_index[b]: (i, 2 * xi[i]) for i, b in zip(phi, phi_roots)}
+    frontier = phi_roots
+    while frontier:
+        new = []
+        for beta in frontier:
+            img = rs.apply_word(phi, beta)
+            if rs.is_positive(img):
+                r = rs.root_index[img]
+                assert r not in coords, "phi_Q translation revisited a root"
+                i, p2 = coords[rs.root_index[beta]]
+                coords[r] = (i, p2 - 4)
+                new.append(img)
+        frontier = new
+    assert len(coords) == rs.num_positive, "Gamma_Q did not reach every root"
+    arrows = arrows_by_step(coords, rs.adjacent, lambda i, j: 2)
+    return ARQuiver(rs, tuple(sorted((r, *c) for r, c in coords.items())), arrows)
+
+
+# every orientation of these diagrams: 255 + 120 + 32 = 407 quivers
+ORACLE_QUIVERS = [
+    q for tt, ranks in (("A", range(1, 9)), ("D", range(4, 8)), ("E", (6,)))
+    for rk in ranks for q in all_quivers(root_system(tt, rk))
+]
+
+
+def gamma_q_faults(build) -> int:
+    """The quivers of ORACLE_QUIVERS on which ``build`` refuses or differs
+    from the translation oracle."""
+    faults = 0
+    for q in ORACLE_QUIVERS:
+        try:
+            faults += build(q) != translation_oracle(q)
+        except (AssertionError, NotReducedError):
+            faults += 1
+    return faults
+
+
+def test_gamma_q_rows_equal_the_translation_oracle():
+    assert len(ORACLE_QUIVERS) == 407
+    assert gamma_q_faults(gamma_q) == 0
+
+
+@pytest.mark.parametrize("old, new, faults", [
+    # the Coxeter number of type A: right on A, wrong on every D and E quiver
+    ("h = 2 * rs.num_positive // rs.rank", "h = rs.rank + 1", 152),
+    # the row of i ending at xi(i) - h instead of xi(i*) - h
+    ("xi[star[i]]", "xi[i]", 304),
+], ids=["coxeter-number-of-A", "xi-of-i-for-i-star"])
+def test_gamma_q_mutants_fail_the_translation_oracle(recompiled, old, new, faults):
+    assert gamma_q_faults(recompiled(arquiver.gamma_q, old, new)) == faults
+
+
 def test_reading_roots_match_quiver_translation():
-    g = gamma_q(EXAMPLE_Q)
+    g = translation_oracle(EXAMPLE_Q)
     cells = [(i, p2) for _, i, p2 in g.coords]
     word, labelled = read_root_labels(A4, cells, lambda i, j: 2)
     assert labelled == g

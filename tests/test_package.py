@@ -83,22 +83,39 @@ def test_distance_reads_take_no_hidden_point_walk():
             assert not any(alias.name.startswith("_") for alias in node.names)
 
 
-def test_each_folding_and_twisted_point_is_stated_once():
-    # a twisted point is the folded quivers' walk: only adapted_point calls
-    # cluster_point; and every diagram automorphism is built in rootsys
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module, function) for every function of the package that calls
+    ``name``, by plain name or as an attribute."""
     import ast
 
-    src = Path(arfold.__file__).parent
     callers = set()
-    for p in src.glob("*.py"):
+    for p in Path(arfold.__file__).parent.glob("*.py"):
         for fn in ast.walk(ast.parse(p.read_text())):
             if isinstance(fn, ast.FunctionDef):
                 callers.update(
-                    (p.name, fn.name) for node in ast.walk(fn)
+                    (p.stem, fn.name) for node in ast.walk(fn)
                     if isinstance(node, ast.Call)
-                    and getattr(node.func, "id", getattr(node.func, "attr", None))
-                    == "cluster_point"
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
                 )
-    assert callers == {("words.py", "adapted_point")}
+    return callers
+
+
+def test_each_folding_and_twisted_point_is_stated_once():
+    # a twisted point is the folded quivers' walk: only adapted_point calls
+    # cluster_point; and every diagram automorphism is built in rootsys
+    src = Path(arfold.__file__).parent
+    assert _callers("cluster_point") == {("words", "adapted_point")}
     built = {p.name for p in src.glob("*.py") if "DiagramAutomorphism(" in p.read_text()}
     assert built == {"rootsys.py"}
+
+
+def test_root_labels_come_from_few_root_sequence_reads():
+    # the words read a root sequence once per class or word, quivers are
+    # labelled by reading their cells, and gamma_q reads its rows alone
+    callers = _callers("root_sequence")
+    assert callers == {
+        ("words", "_heap"), ("words", "commutation_class"),
+        ("arquiver", "read_root_labels"), ("twistfold", "_seed"),
+        ("seqorder", "position_vector"),
+    }
+    assert ("arquiver", "gamma_q") not in callers

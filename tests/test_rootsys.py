@@ -17,6 +17,61 @@ def interval_root(rs, a, b):
     return tuple(1 if a <= i + 1 <= b else 0 for i in range(rs.rank))
 
 
+def root_system_faults(rs) -> list[str]:
+    """What the definitions say of rs and it does not hold: the positive
+    roots are the reflection closure of the simple roots, of the known
+    count; the longest word takes at each step the least letter that
+    lengthens the prefix, read by `apply_word`, until none does; and
+    w_0(alpha_i) = -alpha_{i*}."""
+    faults = []
+    simple = {rs.simple_root(i) for i in rs.nodes}
+    closure, frontier = set(simple), set(simple)
+    while frontier:
+        frontier = {
+            s for r in frontier for i in rs.nodes
+            if rs.is_positive(s := rs.reflect(r, i)) and s not in closure
+        }
+        closure |= frontier
+    if rs.positive_roots != tuple(sorted(closure, key=lambda r: (sum(r), r))):
+        faults.append("roots")
+    n = rs.rank
+    if rs.num_positive != {"A": n * (n + 1) // 2, "D": n * (n - 1), "E": 36}[rs.type_tag]:
+        faults.append("count")
+    w0, prefix = rs.longest_word(), []
+    while True:
+        lengthening = [
+            i for i in rs.nodes if rs.is_positive(rs.apply_word(prefix, rs.simple_root(i)))
+        ]
+        if not lengthening:
+            break
+        prefix.append(lengthening[0])
+    if tuple(prefix) != w0:
+        faults.append("longest_word")
+    for i in rs.nodes:
+        if rs.apply_word(w0, rs.simple_root(i)) != tuple(-c for c in rs.simple_root(rs.star()[i])):
+            faults.append(f"star {i}")
+    return faults
+
+
+ORACLE_SYSTEMS = [("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 11)] + [("E", 6)]
+
+
+@pytest.mark.parametrize("source", ORACLE_SYSTEMS, ids=lambda s: f"{s[0]}{s[1]}")
+def test_root_system_equals_its_definitions(source):
+    assert root_system_faults(RootSystem(*source)) == []
+
+
+def test_largest_lengthening_letter_fails_the_longest_word_oracle(monkeypatch, recompiled):
+    monkeypatch.setattr(RootSystem, "_walk_longest_element", recompiled(
+        RootSystem._walk_longest_element,
+        "for i in self.nodes if max(images[i]) > 0",
+        "for i in reversed(self.nodes) if max(images[i]) > 0",
+    ))
+    faults = {source: root_system_faults(RootSystem(*source)) for source in ORACLE_SYSTEMS}
+    assert faults.pop(("A", 1)) == []  # one letter: least and largest agree
+    assert all(f == ["longest_word"] for f in faults.values()), faults
+
+
 def test_positive_root_counts():
     assert root_system("A", 4).num_positive == 10
     assert root_system("A", 1).num_positive == 1

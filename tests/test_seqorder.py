@@ -1,5 +1,3 @@
-import inspect
-import textwrap
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -234,24 +232,14 @@ def _undoubled_pair_width(rs):
     return max(rs.positive_roots[-1]).bit_length() + 1
 
 
-def _recompiled(fn, old: str, new: str):
-    """``fn`` compiled anew in its module's namespace, with the one
-    occurrence of ``old`` in its source replaced by ``new``."""
-    src = textwrap.dedent(inspect.getsource(fn))
-    assert src.count(old) == 1, old
-    namespace = dict(fn.__globals__)
-    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
-    return namespace[fn.__name__]
-
-
 @pytest.mark.parametrize("mutant", ["width", "cover", "sort"])
-def test_pair_below_mutants_fail_the_interval_oracle(monkeypatch, mutant):
+def test_pair_below_mutants_fail_the_interval_oracle(monkeypatch, recompiled, mutant):
     if mutant == "width":  # a pair weight overflows its fields
         monkeypatch.setattr(seqorder, "_pair_width", _undoubled_pair_width)
     elif mutant == "sort":
         monkeypatch.setattr(seqorder, "_height_rank", _unsorted_height_rank)
     else:  # the cover misses root k + 1, so live branches are cut
-        monkeypatch.setattr(seqorder, "_packed_partitions", _recompiled(
+        monkeypatch.setattr(seqorder, "_packed_partitions", recompiled(
             seqorder._packed_partitions,
             "uncovered = guard ^ cover[k + 1]",
             "uncovered = guard ^ cover[min(k + 2, len(roots))]",
@@ -1054,8 +1042,7 @@ def test_pair_path_reads_the_masks_and_sweeps_two_or_more(fresh_point, monkeypat
 
 
 ROOT_SYSTEM_MEMOS = {
-    "packed_roots", "reflection_permutation", "height_rank", "longest_word",
-    "star", "summing_pairs",
+    "packed_roots", "reflection_permutation", "height_rank", "summing_pairs",
 }
 
 
@@ -1080,6 +1067,24 @@ def test_distance_polynomial_refuses_residue_outside_diagram():
             distance_polynomial(fq, k, l, "A")
         with pytest.raises(ValueError, match="outside 1..2 of B_2"):
             o_t(fq, k, l, 1)
+
+
+def test_bad_reads_are_refused_before_the_table_is_built(monkeypatch):
+    fqs = twisted_folded_quivers("A", 3)
+    fq = fqs[min(fqs, key=lambda c: c.canonical_word)]
+
+    def no_table(fq):
+        raise AssertionError("distance table built for a bad read")
+
+    monkeypatch.setattr(seqorder, "_scratch_counts", no_table)
+    with pytest.raises(ValueError, match="outside 1..2 of B_2"):
+        distance_polynomial(fq, 1, 3, "A")
+    with pytest.raises(ValueError, match="outside 1..2 of B_2"):
+        o_t(fq, 0, 1, 1)
+    with pytest.raises(ValueError, match="convention must be 'A' or 'D'"):
+        distance_polynomial(fq, 1, 2, "X")
+    with pytest.raises(AssertionError, match="bad read"):
+        o_t(fq, 1, 2, 1)  # a good read does reach the table
 
 
 def test_distance_polynomial_class_invariant_a5():

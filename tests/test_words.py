@@ -241,6 +241,24 @@ def test_cluster_point_counts():
     assert len(twisted_adapted_point("E", 6)) == 32
 
 
+@pytest.mark.parametrize("tt, rk", [("A", 4), ("A", 5), ("D", 5)])
+def test_adapted_point_builds_one_quiver(monkeypatch, tt, rk):
+    # the point is walked from the first orientation of all_quivers,
+    # built directly instead of listing all 2^(rank - 1) of them
+    from arfold import arquiver
+
+    rs = root_system(tt, rk)
+    first = arquiver.all_quivers(rs)[0]
+    want = cluster_point(commutation_class(rs, arquiver.adapted_word(first)))
+
+    def every_orientation(rs):
+        raise AssertionError("adapted_point listed every orientation")
+
+    monkeypatch.setattr(arquiver, "all_quivers", every_orientation)
+    adapted_point.cache_clear()
+    assert adapted_point(tt, rk) == want
+
+
 def test_twisted_point_size_formula():
     # 2^(|I| - |vee|) x |vee| with |vee| the order of the automorphism
     for tt, rk in [("A", 3), ("A", 5), ("D", 4), ("D", 5), ("E", 6)]:
