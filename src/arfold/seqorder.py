@@ -35,29 +35,32 @@ and one above it in the convex order, two mask reads of `below` and
 definitional search over all sequences of the weight is kept as
 `minimal_sequences`, the oracle for `minimal_pairs_of_root` in the tests.
 
+A pair is read once, as (dist, least), from its one `pair_below` list
+and one `_chain_depths` sweep (`_read_below`).  Whatever lies below an
+element of the list also lies below the pair, so the list's minimal
+elements, those at depth 0, are its simple sequences, and the socle is
+the unique one; `is_simple` is not asked.
+
 Distance reads (`distance_polynomial`, `o_t`, `phi_pairs`) take the
 folded quiver alone and read its class from `fq.source_class`.  They
 read the quiver's table, {(k, l): {t: o_t}} with k <= l, o_t the common
 `dist` on Phi[t] (the comparable pairs at residues {k, l} with gap t),
 built from that quiver alone on every call and never memoised;
 `phi_pairs`, Phi[t] by definition, is its oracle in the tests.  The
-suites walk their point once instead (`point_tables`), along the BFS
-tree of its folded reflections, from counts {(k, l, t): (o_t,
-|Phi[t]|)}: the seed's from one `dist` per comparable pair, every
-other class's from its parent's.  A folded reflection at the sink
-alpha_i keeps every other root's coordinates and carries its pairs,
-their order and their `dist` along by s_i; only alpha_i moves, from
-first to last in the convex order.  So a child's counts are its
-parent's without the pairs at alpha_i, plus at most N - 1 new pairs
-below it, each with one `dist`.  `table_polynomial` turns a table into
-a distance polynomial for either reader.
-
-socle-dist walks the same tree with the same helper, `_walk_point`
-(`point_socle_records`).  A class's records are its pairs at dist > 2
-or without a unique socle, each with its `dist` and socle.  The seed's
-are checked pair by pair; a child's are its parent's without the pairs
-at alpha_i, pair and socle relabelled by s_i, plus its own at most
-N - 1 pairs at alpha_i, each checked anew.
+suites walk their point once instead (`_walk_point`), along the BFS
+tree of its folded reflections, with one datum per class: the counts
+{(k, l, t): (o_t, |Phi[t]|)} and the socle-dist records, a class's
+pairs at dist > 2 or without a unique socle, each with its `dist` and
+socle.  The seed's are read pair by pair, every other class's come
+from its parent's.  A folded reflection at the sink alpha_i keeps
+every other root's coordinates and carries its pairs, their order,
+their `dist` and their socles along by s_i; only alpha_i moves, from
+first to last in the convex order.  So a child's datum is its parent's
+without the pairs at alpha_i, relabelled by s_i, plus at most N - 1
+new pairs below alpha_i, each read once.  `point_tables` and
+`point_socle_records` are the two projections of that walk, and
+`table_polynomial` turns a table into a distance polynomial for either
+reader.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from math import ceil
 
 from .rootsys import Root, RootSystem
@@ -325,47 +328,50 @@ def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence
     return depth
 
 
-def _dist_over(cls: CommutationClass, under: list[Sequence]) -> int:
-    """`dist` of a sequence from the list of every sequence below it:
-    0 with none below, 1 with one, else one plus the longest chain."""
+def _read_below(
+    cls: CommutationClass, under: list[Sequence]
+) -> tuple[int, Sequence | None]:
+    """(dist, least) of a sequence from the list of every sequence below it.
+
+    dist is 0 with none below, 1 with one, else one plus the longest
+    chain.  least is the list's one minimal element, None when it has
+    none or several.  Whatever lies below an element of a pair's list
+    also lies below the pair, so there the minimal elements are the
+    simple sequences, and least is the pair's socle.
+    """
     if len(under) < 2:
-        return len(under)
-    return 1 + max(_chain_depths(cls, under).values())
+        return len(under), (under[0] if under else None)
+    depth = _chain_depths(cls, under)
+    least = [x for x, d in depth.items() if not d]
+    return 1 + max(depth.values()), (least[0] if len(least) == 1 else None)
 
 
-def _pair_dist(cls: CommutationClass, a: int, b: int) -> int:
-    """`dist` of the pair {a, b} of distinct root indices."""
-    return _dist_over(cls, pair_below(cls, a, b))
+def _check_sequence(rs: RootSystem, m: Sequence) -> None:
+    """A ValueError unless m has one nonnegative entry per positive root."""
+    if len(m) != rs.num_positive or min(m, default=0) < 0:
+        raise ValueError(
+            f"a sequence has N = {rs.num_positive} nonnegative entries, "
+            f"one per positive root: {m!r}"
+        )
 
 
 def dist(cls: CommutationClass, m: Sequence) -> int:
     """Length of the longest strict chain below m (ending at a simple)."""
-    if is_pair(m):
-        return _pair_dist(cls, *support(m))
     rs = cls.rs
+    _check_sequence(rs, m)
+    if is_pair(m):
+        return _read_below(cls, pair_below(cls, *support(m)))[0]
     seqs = sequences_of_weight(rs, weight_of(rs, m))
-    return _dist_over(cls, [x for x in seqs if class_less(cls, x, m)])
-
-
-def _unique_simple(cls: CommutationClass, under: list[Sequence]) -> Sequence | None:
-    """The one simple sequence among ``under``; None for none or several."""
-    simples = list(islice(filter(lambda x: is_simple(cls, x), under), 2))
-    return simples[0] if len(simples) == 1 else None
-
-
-def _pair_socle(cls: CommutationClass, a: int, b: int) -> Sequence | None:
-    """`socle` of the pair {a, b} of distinct root indices."""
-    below = pair_below(cls, a, b)
-    if not below:
-        return sequence_from_roots(cls.rs, (a, b))
-    return _unique_simple(cls, below)
+    return _read_below(cls, [x for x in seqs if class_less(cls, x, m)])[0]
 
 
 def socle(cls: CommutationClass, m: Sequence) -> Sequence | None:
     """The unique simple sequence weakly below a pair, when it exists."""
+    _check_sequence(cls.rs, m)
     if not is_pair(m):
         raise ValueError("socle is defined for pairs")
-    return _pair_socle(cls, *support(m))
+    below = pair_below(cls, *support(m))
+    return _read_below(cls, below)[1] if below else m
 
 
 def minimal_sequences(cls: CommutationClass, s: Sequence) -> list[Sequence]:
@@ -610,14 +616,28 @@ def _count(counts: dict, key: tuple[int, int, int], d: int) -> None:
     counts[key] = (d, size + 1)
 
 
-def _scratch_counts(fq: FoldedQuiver) -> dict:
-    """The bucket counts of a folded quiver, one `dist` per comparable pair."""
+def _read_pair(data: tuple, cls: CommutationClass, key, a: int, b: int) -> None:
+    """Read the pair {a, b}, a before b, of bucket ``key`` into the data
+    (counts, records): its `dist` joins the bucket counts, and the record
+    (a, b, d, socle), a < b, joins the records when the pair is at dist
+    d > 2 or has no unique socle.  A pair with nothing below it is at
+    dist 0 and is its own socle."""
+    counts, records = data
+    d, least = _read_below(cls, pair_below(cls, a, b))
+    _count(counts, key, d)
+    if d > 2 or (d and least is None):
+        records.append((min(a, b), max(a, b), d, least))
+
+
+def _scratch(fq: FoldedQuiver) -> tuple:
+    """(bucket counts, socle-dist records) of a folded quiver, one reading
+    per comparable pair (an incomparable pair has nothing below it)."""
     cls = fq.source_class
     coord = fq.coord_of()
-    counts: dict = {}
+    data: tuple = ({}, [])
     for a, b in comparable_pairs(cls):
-        _count(counts, _bucket(coord, a, b), _pair_dist(cls, a, b))
-    return counts
+        _read_pair(data, cls, _bucket(coord, a, b), a, b)
+    return data
 
 
 def _pairs_at(fq: FoldedQuiver, r: int) -> list[tuple[tuple[int, int, int], int, int]]:
@@ -630,30 +650,39 @@ def _pairs_at(fq: FoldedQuiver, r: int) -> list[tuple[tuple[int, int, int], int,
     ]
 
 
-def _transport(counts: dict, parent: FoldedQuiver, child: FoldedQuiver, i: int) -> dict:
-    """The child's bucket counts from the parent's, across the folded
-    reflection at the sink alpha_i.
+def _transport(data: tuple, parent: FoldedQuiver, child: FoldedQuiver, i: int) -> tuple:
+    """The child's (bucket counts, socle-dist records) from the parent's,
+    across the folded reflection at the sink alpha_i.
 
     The reflection relabels every other root by s_i at the same residue
     and position, and moves alpha_i from the first place of the convex
     order to the last.  A pair without alpha_i keeps its bucket, its
-    order and its `dist` (s_i maps its partitions onto the relabelled
-    pair's).  So the parent's pairs at alpha_i, all above it, leave the
-    buckets of the parent's coordinates, and the child's pairs at
-    alpha_i, all below it, come in with one `dist` each: at most N - 1.
+    order, its `dist` and its socle relabelled by s_i (s_i maps its
+    partitions onto the relabelled pair's, order kept).  So the parent's
+    pairs at alpha_i, all above it, leave the buckets of the parent's
+    coordinates and the records, and the child's pairs at alpha_i, all
+    below it, are read anew: at most N - 1.
     """
-    r = child.rs.simple_root_index[i]
-    out = dict(counts)
+    counts, records = data
+    rs = child.rs
+    r = rs.simple_root_index[i]
+    perm = rs.reflection_permutation(i)  # an involution
+    counts = dict(counts)
     for key, _, _ in _pairs_at(parent, r):
-        o, size = out.pop(key, (None, 0))
+        o, size = counts.pop(key, (None, 0))
         if size < 1:
             k, l, t = key
             raise AssertionError(f"transport drives |Phi[{t}]| at ({k},{l}) negative")
         if size > 1:
-            out[key] = (o, size - 1)
+            counts[key] = (o, size - 1)
+    out = (counts, [
+        (*sorted((perm[a], perm[b])), d, s and tuple(map(s.__getitem__, perm)))
+        for a, b, d, s in records
+        if r != a and r != b
+    ])
     cls = child.source_class
     for key, a, b in _pairs_at(child, r):
-        _count(out, key, _pair_dist(cls, a, b))
+        _read_pair(out, cls, key, a, b)
     return out
 
 
@@ -665,25 +694,25 @@ def _table_of(counts: dict) -> dict:
     return table
 
 
-def _walk_point(point: dict[CommutationClass, FoldedQuiver], seed, move):
-    """(quiver, data) for every quiver of a twisted point, parents first.
+def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
+    """(quiver, (bucket counts, socle-dist records)) for every quiver of a
+    twisted point, parents first.
 
     The walk follows the BFS tree that the quivers' ``origin`` records:
-    the seed's data is ``seed(fq)``, every other quiver's is
-    ``move(parent_data, parent, fq, i)``, its parent's data carried
-    across the folded reflection at the sink alpha_i.  The point's order
-    puts each parent first, and a class's data is dropped once its last
-    child has it.
+    the seed's data is read pair by pair (`_scratch`), every other
+    quiver's is its parent's carried across the folded reflection at the
+    sink alpha_i (`_transport`).  The point's order puts each parent
+    first, and a class's data is dropped once its last child has it.
     """
     children = Counter(fq.origin[0].source_class for fq in point.values() if fq.origin)
-    live: dict[CommutationClass, object] = {}
+    live: dict[CommutationClass, tuple] = {}
     for cls, fq in point.items():
         if fq.origin is None:
-            data = seed(fq)
+            data = _scratch(fq)
         else:
             parent, i = fq.origin
             up = parent.source_class
-            data = move(live[up], parent, fq, i)
+            data = _transport(live[up], parent, fq, i)
             children[up] -= 1
             if not children[up]:
                 del live[up]
@@ -694,17 +723,24 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver], seed, move):
 
 def point_tables(point: dict[CommutationClass, FoldedQuiver]):
     """(quiver, table) for every quiver of a twisted point, parents first,
-    in one walk: the seed counted from scratch, every other quiver
+    in one walk: the seed read from scratch, every other quiver
     transported.  Nothing is memoised."""
-    for fq, counts in _walk_point(point, _scratch_counts, _transport):
+    for fq, (counts, _) in _walk_point(point):
         yield fq, _table_of(counts)
+
+
+def point_socle_records(point: dict[CommutationClass, FoldedQuiver]):
+    """(quiver, socle-dist records) for every quiver of a twisted point,
+    from the same walk as `point_tables`."""
+    for fq, (_, records) in _walk_point(point):
+        yield fq, records
 
 
 def _distance_table(fq: FoldedQuiver) -> dict:
     """{(k, l): {t: o_t}}, k <= l, of one folded quiver, built from that
     quiver alone on every call; a Phi[t] on which `dist` is not constant
     is an AssertionError."""
-    return _table_of(_scratch_counts(fq))
+    return _table_of(_scratch(fq)[0])
 
 
 def _check_read(target: tuple[str, int], k: int, l: int, convention: str = "A") -> None:
@@ -749,69 +785,3 @@ def distance_polynomial(
     is refused before the table is built."""
     _check_read(fq.folding.target, k, l, convention)
     return table_polynomial(_distance_table(fq), fq.folding.target, k, l, convention)
-
-
-# ---------------------------------------------------------------------------
-# socle-dist records, transported along the same walk
-
-
-def _bad_pair(cls: CommutationClass, a: int, b: int):
-    """(a, b, d, socle), a < b, when the pair {a, b} is at dist d > 2 or
-    has no unique socle; otherwise None.  Both are read from one
-    `pair_below` list."""
-    a, b = min(a, b), max(a, b)
-    below = pair_below(cls, a, b)
-    if not below:
-        return None  # nothing below: the pair is its own socle
-    d, s = _dist_over(cls, below), _unique_simple(cls, below)
-    return (a, b, d, s) if d > 2 or s is None else None
-
-
-def point_socle_records(point: dict[CommutationClass, FoldedQuiver]):
-    """(quiver, socle-dist records) for every quiver of a twisted point,
-    parents first, in one walk: the seed checked pair by pair, every
-    other quiver transported."""
-    return _walk_point(point, _scratch_socles, _transport_socles)
-
-
-def _scratch_socles(fq: FoldedQuiver) -> list:
-    """The socle-dist records of a quiver's class, one check per comparable
-    pair (an incomparable pair has nothing below it)."""
-    cls = fq.source_class
-    return [rec for a, b in comparable_pairs(cls) if (rec := _bad_pair(cls, a, b))]
-
-
-def _permuted(m: Sequence, perm: tuple[int, ...]) -> Sequence:
-    """The sequence m with the multiplicity of each root r moved to perm[r]."""
-    out = [0] * len(m)
-    for r, mult in enumerate(m):
-        out[perm[r]] = mult
-    return tuple(out)
-
-
-def _transport_socles(
-    records: list, parent: FoldedQuiver, child: FoldedQuiver, i: int
-) -> list:
-    """The child's socle-dist records from the parent's, across the folded
-    reflection at the sink alpha_i.
-
-    As for the distance counts, s_i maps the partitions below a pair
-    without alpha_i onto those below the relabelled pair, order kept; so
-    the pair keeps its `dist`, and its socle is the parent's relabelled
-    by s_i.  The parent's records at alpha_i are dropped, and the
-    child's pairs at alpha_i, at most N - 1, are checked anew.
-    """
-    rs = child.rs
-    r = rs.simple_root_index[i]
-    perm = rs.reflection_permutation(i)
-    out = [
-        (*sorted((perm[a], perm[b])), d, None if s is None else _permuted(s, perm))
-        for a, b, d, s in records
-        if r != a and r != b
-    ]
-    cls = child.source_class
-    for _, a, b in _pairs_at(child, r):
-        rec = _bad_pair(cls, a, b)
-        if rec:
-            out.append(rec)
-    return out

@@ -30,7 +30,6 @@ from arfold.twistfold import (
     twisted_folded_quivers,
 )
 from arfold.seqorder import (
-    _pair_socle,
     class_less,
     dist,
     distance_polynomial,
@@ -232,7 +231,7 @@ def test_pair_socle_equals_definitional_socle(tt, rk):
     for cls in twisted_adapted_point(tt, rk):
         for a, b in _pairs(cls.rs):
             p = sequence_from_roots(cls.rs, [a, b])
-            assert _pair_socle(cls, a, b) == _definitional_socle(cls, p, _under(cls, p))
+            assert socle(cls, p) == _definitional_socle(cls, p, _under(cls, p))
 
 
 def test_criterion_8_minimal_sequences_are_summing_pairs():

@@ -222,10 +222,8 @@ def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
 def test_f4_walks_e6_once_for_both_conventions(monkeypatch):
     _fresh_distance_memo(monkeypatch)
     seeds = []
-    real = seqorder._scratch_counts
-    monkeypatch.setattr(
-        seqorder, "_scratch_counts", lambda fq: seeds.append(fq) or real(fq)
-    )
+    real = seqorder._scratch
+    monkeypatch.setattr(seqorder, "_scratch", lambda fq: seeds.append(fq) or real(fq))
     verify_f4_conjecture()
     assert len(seeds) == 1 and seeds[0].origin is None
 

@@ -241,7 +241,10 @@ def test_unwritable_out_is_refused_before_the_suite_runs(tmp_path, capsys, monke
 
 
 def test_socle_dist_fails_when_every_sequence_is_simple(monkeypatch):
-    monkeypatch.setattr(seqorder, "is_simple", lambda cls, m: True)
+    # every sequence of a below-list minimal: each one is at depth 0
+    monkeypatch.setattr(
+        seqorder, "_chain_depths", lambda cls, elems: dict.fromkeys(elems, 0)
+    )
     rep = cli.verify_socle_dist("A", 5)
     assert not rep.ok and rep.mismatches
     word, a, b, d, s = rep.mismatches[0]

@@ -100,6 +100,19 @@ def _callers(name: str) -> set[tuple[str, str]]:
     return callers
 
 
+def test_pairs_are_read_once_along_one_walk():
+    # the suites read socles off the chain sweep, never through
+    # `is_simple`; one transport carries a class's counts and records,
+    # and the walk takes the point alone
+    import inspect
+
+    from arfold.seqorder import _walk_point
+
+    assert _callers("is_simple") == {("seqorder", "minimal_sequences")}
+    assert _callers("_transport") == {("seqorder", "_walk_point")}
+    assert list(inspect.signature(_walk_point).parameters) == ["point"]
+
+
 def test_each_folding_and_twisted_point_is_stated_once():
     # a twisted point is the folded quivers' walk: only adapted_point calls
     # cluster_point; and every diagram automorphism is built in rootsys

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -19,7 +20,7 @@ from arfold.words import (
 from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import (
     _distance_table,
-    _pair_dist,
+    _read_below,
     _less_same_weight,
     _partitions,
     bilex_less_word,
@@ -444,8 +445,9 @@ def test_pair_dist_equals_dist_of_the_pair_sequence(tt, rk):
     rs = cls.rs
     for a, b in combinations(range(rs.num_positive), 2):
         m = sequence_from_roots(rs, [a, b])
-        d = _pair_dist(cls, a, b)
-        assert d == _pair_dist(cls, b, a) == dist(cls, m) == _dist_oracle(cls, m)
+        d = _read_below(cls, pair_below(cls, a, b))[0]
+        assert d == _read_below(cls, pair_below(cls, b, a))[0]
+        assert d == dist(cls, m) == _dist_oracle(cls, m)
 
 
 def _chain_depths_oracle(cls, elems):
@@ -708,14 +710,14 @@ def fresh_point(monkeypatch):
 
 
 def _scratch_table(fq):
-    """{(k, l): {t: o_t}} from `comparable_pairs` and `_pair_dist` alone."""
+    """{(k, l): {t: o_t}} from `comparable_pairs` and `dist` alone."""
     cls = fq.source_class
     coord = fq.coord_of()
     out = {}
     for a, b in comparable_pairs(cls):
         (ia, pa), (ib, pb) = coord[a], coord[b]
         row = out.setdefault((min(ia, ib), max(ia, ib)), {})
-        d = _pair_dist(cls, a, b)
+        d = dist(cls, sequence_from_roots(cls.rs, (a, b)))
         assert row.setdefault(abs(pa - pb), d) == d
     return out
 
@@ -771,6 +773,28 @@ def test_removing_at_the_child_coordinates_fails_the_oracle(fresh_point, monkeyp
     assert not all(_tables_match_scratch(fresh_point(*s)) for s in MUTANT_SOURCES)
 
 
+class _Marked(list):
+    """The `pair_below` list of the one pair a test lies about."""
+
+
+def _lie_about(monkeypatch, lie, change):
+    """Mark the `pair_below` list of the pair ``lie`` = (cls, a, b), a < b,
+    and pass the (dist, least) that `_read_below` reads off a marked list
+    through ``change``."""
+    real_pair_below, real_read = seqorder.pair_below, seqorder._read_below
+
+    def pair_below(cls, a, b):
+        out = real_pair_below(cls, a, b)
+        return _Marked(out) if (cls, min(a, b), max(a, b)) == lie else out
+
+    def read_below(cls, under):
+        got = real_read(cls, under)
+        return change(*got) if isinstance(under, _Marked) else got
+
+    monkeypatch.setattr(seqorder, "pair_below", pair_below)
+    monkeypatch.setattr(seqorder, "_read_below", read_below)
+
+
 def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
     point = fresh_point("A", 7)
     lie = None
@@ -786,16 +810,11 @@ def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
             sizes[key] = sizes.get(key, 0) + 1
         for key, a, b in seqorder._pairs_at(fq, r):
             if sizes[key] > 1:  # Phi[t] has another pair to disagree with
-                lie = (fq.source_class, a, b)
+                lie = (fq.source_class, min(a, b), max(a, b))
                 break
         if lie:
             break
-    real = seqorder._pair_dist
-
-    def pair_dist(cls, a, b):
-        return real(cls, a, b) + ((cls, a, b) == lie)
-
-    monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
+    _lie_about(monkeypatch, lie, lambda d, least: (d + 1, least))
     with pytest.raises(AssertionError, match="not constant on Phi"):
         list(point_tables(point))
 
@@ -805,7 +824,7 @@ def test_transport_driving_a_count_negative_raises(fresh_point):
     child = next(fq for fq in point.values() if fq.origin)
     parent, i = child.origin
     with pytest.raises(AssertionError, match="negative"):
-        seqorder._transport({}, parent, child, i)
+        seqorder._transport(({}, []), parent, child, i)
 
 
 def test_table_fill_computes_only_the_moved_pairs(fresh_point, monkeypatch):
@@ -813,13 +832,13 @@ def test_table_fill_computes_only_the_moved_pairs(fresh_point, monkeypatch):
     # would make some ten times the calls
     point = fresh_point(*folding_to("C", 5).source)
     calls = []
-    real = seqorder._pair_dist
+    real = seqorder._read_below
 
-    def pair_dist(cls, a, b):
-        calls.append((a, b))
-        return real(cls, a, b)
+    def read_below(cls, under):
+        calls.append(cls)
+        return real(cls, under)
 
-    monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
+    monkeypatch.setattr(seqorder, "_read_below", read_below)
     list(point_tables(point))
     seed = next(iter(point.values()))
     assert seed.origin is None
@@ -835,13 +854,13 @@ def test_a_distance_read_tables_its_own_quiver_alone(monkeypatch):
     point = twisted_folded_quivers("A", 9)
     seed = next(fq for fq in point.values() if fq.origin is None)
     calls = []
-    real = seqorder._pair_dist
+    real = seqorder._read_below
 
-    def pair_dist(cls, a, b):
+    def read_below(cls, under):
         calls.append(cls)
-        return real(cls, a, b)
+        return real(cls, under)
 
-    monkeypatch.setattr(seqorder, "_pair_dist", pair_dist)
+    monkeypatch.setattr(seqorder, "_read_below", read_below)
     distance_polynomial(seed, 1, 1, "A")
     assert len(calls) == len(comparable_pairs(seed.source_class)) == 730
     assert set(calls) == {seed.source_class}
@@ -864,24 +883,37 @@ def test_classes_keep_only_their_order_data():
 SOCLE_POINTS = [("A", 5), ("A", 7), ("A", 9), ("D", 5), ("D", 6), ("D", 7), ("E", 6)]
 
 
+def _is_simple_socle(cls, below):
+    """The one simple sequence of a pair's nonempty `pair_below` list, by
+    `is_simple`; None for none or several."""
+    simples = [x for x in below if is_simple(cls, x)]
+    return simples[0] if len(simples) == 1 else None
+
+
 def _scratch_socle_records(cls):
     """(a, b, d, socle), a < b, of every pair at dist > 2 or without a
-    unique socle, over all pairs; `dist` and the socle are both read from
-    the pair's one `pair_below` list."""
+    unique socle, over all pairs; the socle is read by `is_simple`."""
     out = []
     for a, b in combinations(range(cls.rs.num_positive), 2):
         below = pair_below(cls, a, b)
         if below:
-            d, s = seqorder._dist_over(cls, below), seqorder._unique_simple(cls, below)
+            d = dist(cls, sequence_from_roots(cls.rs, (a, b)))
+            s = _is_simple_socle(cls, below)
             if d > 2 or s is None:
                 out.append((a, b, d, s))
     return out
 
 
 def _socles_match_scratch(point) -> bool:
+    """Every transported class's records equal the scratch records; False
+    also when the transport raises on the way."""
+    try:
+        walk = list(point_socle_records(point))
+    except AssertionError:
+        return False
     return all(
         sorted(records) == _scratch_socle_records(fq.source_class)
-        for fq, records in point_socle_records(point)
+        for fq, records in walk
     )
 
 
@@ -899,16 +931,80 @@ def test_e6_is_the_point_with_socle_records(fresh_point):
     assert sum(s is not None for *_, s in records) > 0
 
 
+E6_RECORDS_DIGEST = "9fa2abc23067a4be10864d5d039fc8c4bb06956f8e609b30d81b58dbb60e3e81"
+
+
+def test_e6_walk_records_are_pinned(fresh_point):
+    # each class's sorted records, the classes by canonical word
+    walk = point_socle_records(fresh_point("E", 6))
+    records = sorted((fq.source_class.canonical_word, sorted(r)) for fq, r in walk)
+    assert sum(len(r) for _, r in records) == 960
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == E6_RECORDS_DIGEST
+
+
+def _unique_maximal(cls, under):
+    """`_read_below` reading the unique maximal element as least."""
+    if len(under) < 2:
+        return _read_below(cls, under)
+    depth = seqorder._chain_depths(cls, under)
+    top = [x for x, d in depth.items() if d == max(depth.values())]
+    return 1 + max(depth.values()), (top[0] if len(top) == 1 else None)
+
+
+def _first_minimal(cls, under):
+    """`_read_below` without the uniqueness test: the first minimal element."""
+    if len(under) < 2:
+        return _read_below(cls, under)
+    depth = seqorder._chain_depths(cls, under)
+    return 1 + max(depth.values()), next(x for x, d in depth.items() if not d)
+
+
+def test_least_is_the_is_simple_socle():
+    # on every pair with something below it, of every class of each point,
+    # the least of the below-list is the one simple sequence by
+    # `is_simple`; the oracle tells it from the unique maximal element,
+    # and on E6 from the first minimal one
+    readings = {
+        "least": _read_below, "unique maximal": _unique_maximal,
+        "first minimal": _first_minimal,
+    }
+    misses = {name: Counter() for name in readings}
+    for tt, rk in [("A", 5), ("A", 7), ("D", 5), ("D", 6), ("E", 6)]:
+        for cls in twisted_adapted_point(tt, rk):
+            for a, b in comparable_pairs(cls):
+                below = pair_below(cls, a, b)
+                if below:
+                    want = _is_simple_socle(cls, below)
+                    for name, read in readings.items():
+                        misses[name][tt + str(rk)] += read(cls, below)[1] != want
+    assert sum(misses["least"].values()) == 0
+    assert sum(misses["unique maximal"].values()) == 7904
+    assert +misses["first minimal"] == Counter(E6=128)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [(1, 1), (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1), (), (1, -1, 1, 1, 0, 0)],
+)
+def test_dist_and_socle_refuse_a_malformed_sequence(m):
+    # A3 has N = 6 positive roots
+    cls = commutation_class(root_system("A", 3), (1, 2, 3, 2, 1, 2))
+    for read in (dist, socle):
+        with pytest.raises(ValueError, match="N = 6"):
+            read(cls, m)
+
+
 def _keep_parent_alpha_records(real):
-    def transport(records, parent, child, i):
+    def transport(data, parent, child, i):
         r = child.rs.simple_root_index[i]
         perm = child.rs.reflection_permutation(i)
         kept = [
             (*sorted((perm[a], perm[b])), d, s)
-            for a, b, d, s in records
+            for a, b, d, s in data[1]
             if r in (a, b)
         ]
-        return real(records, parent, child, i) + kept
+        counts, records = real(data, parent, child, i)
+        return counts, records + kept
 
     return transport
 
@@ -916,15 +1012,27 @@ def _keep_parent_alpha_records(real):
 def test_socle_transport_mutants_fail_the_oracle(fresh_point, monkeypatch):
     point = fresh_point("E", 6)
     monkeypatch.setattr(
-        seqorder, "_transport_socles",
-        _keep_parent_alpha_records(seqorder._transport_socles),
+        seqorder, "_transport", _keep_parent_alpha_records(seqorder._transport)
     )
     assert not _socles_match_scratch(point)
 
 
 def test_socle_not_relabelled_fails_the_oracle(fresh_point, monkeypatch):
+    # the carried records keep the parent's socles as they were
     point = fresh_point("E", 6)
-    monkeypatch.setattr(seqorder, "_permuted", lambda m, perm: m)
+    real = seqorder._transport
+
+    def transport(data, parent, child, i):
+        r = child.rs.simple_root_index[i]
+        perm = child.rs.reflection_permutation(i)
+        parents = {
+            tuple(sorted((perm[a], perm[b]))): s
+            for a, b, _, s in data[1] if r not in (a, b)
+        }
+        counts, records = real(data, parent, child, i)
+        return counts, [(a, b, d, parents.get((a, b), s)) for a, b, d, s in records]
+
+    monkeypatch.setattr(seqorder, "_transport", transport)
     assert not _socles_match_scratch(point)
 
 
@@ -935,7 +1043,7 @@ def test_skipping_the_child_pairs_fails_the_socle_oracle(fresh_point, monkeypatc
 
 
 def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
-    """socle-dist A7 with a `_bad_pair` that gives the socle None on one
+    """socle-dist A7 with a `_read_below` that gives the socle None on one
     pair at the moved root of a child class, and ``_pairs_at`` replaced by
     the mutant, if one is given; the report and the record the lie makes."""
     lie = None
@@ -945,20 +1053,13 @@ def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
         cls = fq.source_class
         r = fq.rs.simple_root_index[fq.origin[1]]
         for _, a, b in seqorder._pairs_at(fq, r):
-            d = _pair_dist(cls, a, b)
+            d = dist(cls, sequence_from_roots(cls.rs, (a, b)))
             if d:
                 lie = (cls, min(a, b), max(a, b), d)
                 break
         if lie:
             break
-    real = seqorder._bad_pair
-
-    def bad_pair(cls, a, b):
-        if (cls, min(a, b), max(a, b)) == lie[:3]:
-            return (*lie[1:], None)
-        return real(cls, a, b)
-
-    monkeypatch.setattr(seqorder, "_bad_pair", bad_pair)
+    _lie_about(monkeypatch, lie[:3], lambda d, least: (d, None))
     if mutant_pairs_at:
         monkeypatch.setattr(seqorder, "_pairs_at", mutant_pairs_at)
     monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
@@ -972,21 +1073,24 @@ def test_lying_pair_socle_at_a_moved_root_is_named(fresh_point, monkeypatch):
 
 
 def test_skipping_the_child_pairs_hides_the_lie(fresh_point, monkeypatch):
+    # without the child's pairs at alpha_i the lying pair is never read
+    # and no report names it: the bucket counts, carried in the same walk,
+    # miss those pairs and stop the transport
     skip = _keep_pairs(lambda r, a, b: a == r)
-    rep, record = _socle_report_with_a_lie(fresh_point("A", 7), monkeypatch, skip)
-    assert record not in rep.mismatches
+    with pytest.raises(AssertionError, match="negative"):
+        _socle_report_with_a_lie(fresh_point("A", 7), monkeypatch, skip)
 
 
 def test_socle_dist_checks_only_the_moved_pairs(fresh_point, monkeypatch):
     point = fresh_point("A", 7)
     calls = []
-    real = seqorder._bad_pair
+    real = seqorder._read_below
 
-    def bad_pair(cls, a, b):
-        calls.append((a, b))
-        return real(cls, a, b)
+    def read_below(cls, under):
+        calls.append(cls)
+        return real(cls, under)
 
-    monkeypatch.setattr(seqorder, "_bad_pair", bad_pair)
+    monkeypatch.setattr(seqorder, "_read_below", read_below)
     monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
     rep = cli.verify_socle_dist("A", 7)
     n = root_system("A", 7).num_positive
@@ -996,31 +1100,31 @@ def test_socle_dist_checks_only_the_moved_pairs(fresh_point, monkeypatch):
 
 def test_socle_dist_reads_each_checked_pair_once(fresh_point, monkeypatch):
     # dist and socle come from one `pair_below` list, one
-    # `_packed_partitions` enumeration; the reads `is_simple` makes are of
-    # pairs inside the interval, never of the checked pair itself
+    # `_packed_partitions` enumeration, and one reading of it; no pair
+    # inside the interval is read for its simplicity
     point = fresh_point("A", 7)
-    checking, reads = [None], Counter()
-    real_bad_pair, real_pair_below = seqorder._bad_pair, seqorder.pair_below
+    reads, readings = Counter(), []
+    real_read, real_pair_below = seqorder._read_below, seqorder.pair_below
 
-    def bad_pair(cls, a, b):
-        checking[0] = (cls, min(a, b), max(a, b))
-        return real_bad_pair(cls, a, b)
+    def read_below(cls, under):
+        readings.append(cls)
+        return real_read(cls, under)
 
     def pair_below(cls, a, b):
-        if (cls, min(a, b), max(a, b)) == checking[0]:
-            reads[checking[0]] += 1
+        reads[cls, min(a, b), max(a, b)] += 1
         return real_pair_below(cls, a, b)
 
-    monkeypatch.setattr(seqorder, "_bad_pair", bad_pair)
+    monkeypatch.setattr(seqorder, "_read_below", read_below)
     monkeypatch.setattr(seqorder, "pair_below", pair_below)
     monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
     assert cli.verify_socle_dist("A", 7).ok
     assert reads and max(reads.values()) == 1
+    assert len(readings) == sum(reads.values())
 
 
 def test_pair_path_reads_the_masks_and_sweeps_two_or_more(fresh_point, monkeypatch):
     # `pair_below` lists each interval from the order masks, never through
-    # `CommutationClass.interval`, and `_dist_over` answers 0 or 1
+    # `CommutationClass.interval`, and `_read_below` answers 0 or 1
     # sequences below without the chain sweep
     def interval(cls, a, b):
         raise AssertionError(f"interval({a}, {b}) listed on the pair path")
@@ -1076,7 +1180,7 @@ def test_bad_reads_are_refused_before_the_table_is_built(monkeypatch):
     def no_table(fq):
         raise AssertionError("distance table built for a bad read")
 
-    monkeypatch.setattr(seqorder, "_scratch_counts", no_table)
+    monkeypatch.setattr(seqorder, "_scratch", no_table)
     with pytest.raises(ValueError, match="outside 1..2 of B_2"):
         distance_polynomial(fq, 1, 3, "A")
     with pytest.raises(ValueError, match="outside 1..2 of B_2"):
