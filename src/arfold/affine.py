@@ -385,18 +385,22 @@ def _distance_polynomials(target: tuple[str, int], conventions: tuple[str, ...])
     ``target`` under each convention, times the diagonal factor at k = l.
 
     One `point_tables` walk over the point builds every convention's
-    polynomials as each class arrives; memoised per point and conventions.
-    Callers must not change it.
+    polynomials as each class arrives, once per distinct table row; memoised
+    per point and conventions.  Callers must not change it.
     """
     _, n = target
     extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
     keys = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
     polys = {conv: {key: {} for key in keys} for conv in conventions}
+    by_row = {}
     for fq, table in point_tables(twisted_folded_quivers(*folding_to(*target).source)):
         for conv, by_key in polys.items():
             for k, l in keys:
-                poly = table_polynomial(table, target, k, l, conv)
-                by_key[k, l][fq.source_class] = poly * extra if k == l else poly
+                row = (conv, k, l, tuple(sorted(table.get((k, l), {}).items())))
+                if row not in by_row:
+                    poly = table_polynomial(table, target, k, l, conv)
+                    by_row[row] = poly * extra if k == l else poly
+                by_key[k, l][fq.source_class] = by_row[row]
     for by_key in polys.values():
         for key, by_class in by_key.items():
             order = sorted(by_class, key=lambda c: c.canonical_word)

@@ -5,12 +5,12 @@ the root system's canonical root order, never by word position).  The
 class order m < m' tests the bi-lexicographic condition under every
 member word; because member words are exactly the linear extensions of
 the convex order, this reduces to a condition on the extremal elements
-of the difference support, which is what `class_less` implements.  The
-definitional word-by-word test is kept as `bilex_less_word` and serves
-as the oracle in the test suite.  The canonical word is a member word,
-so sorting sequences by their multiplicities along it extends the class
-order: `dist` reads its longest chains in one sweep over that sort
-(`_chain_depths`), each sequence compared only with those before it.
+of the difference support, which is what `class_less` implements; the
+definitional word-by-word test is its oracle in the test suite.  The
+canonical word is a member word, so sorting sequences by their
+multiplicities along it extends the class order: `dist` reads its
+longest chains in one sweep over that sort (`_chain_depths`), each
+sequence compared only with those before it.
 `sequences_of_weight` lists every sequence of a weight up to height
 `MAX_WEIGHT_HEIGHT` and refuses a heavier one.
 
@@ -72,7 +72,7 @@ from itertools import combinations, permutations
 from math import ceil
 
 from .rootsys import Root, RootSystem
-from .words import CommutationClass, Word, bits
+from .words import CommutationClass, bits
 from .twistfold import FoldedQuiver
 
 Sequence = tuple[int, ...]  # multiplicity per positive-root index
@@ -235,24 +235,6 @@ def _packed_partitions(rs: RootSystem, packing, w: int, mask: int) -> list[Seque
 
 # ---------------------------------------------------------------------------
 # orders
-
-
-def position_vector(cls: CommutationClass, word: Word, m: Sequence) -> Sequence:
-    """Multiplicities listed in the total order of one member word."""
-    from .words import root_sequence
-
-    rs = cls.rs
-    return tuple(m[rs.root_index[b]] for b in root_sequence(rs, word))
-
-
-def bilex_less_word(cls: CommutationClass, word: Word, m: Sequence, mp: Sequence) -> bool:
-    """The bi-lexicographic order under one member word (definitional)."""
-    a = position_vector(cls, word, m)
-    b = position_vector(cls, word, mp)
-    if a == b:
-        return False
-    diff = [k for k in range(len(a)) if a[k] != b[k]]
-    return a[diff[0]] < b[diff[0]] and a[diff[-1]] < b[diff[-1]]
 
 
 def class_less(cls: CommutationClass, m: Sequence, mp: Sequence) -> bool:

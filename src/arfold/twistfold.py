@@ -40,10 +40,10 @@ from .rootsys import (
 from .words import (
     CommutationClass,
     Word,
+    _by_occurrence,
     cluster_moves,
     commutation_class,
     reflect,
-    root_sequence,
 )
 from .arquiver import (
     ARQuiver,
@@ -255,27 +255,6 @@ def e6_folded_quiver() -> FoldedQuiver:
     return _folded(folding, coords, cls)
 
 
-def e6_unfolded_step(i: int, j: int) -> int:
-    """Doubled step between adjacent E_6 residues: the orbit symmetrizer."""
-    folding = folding_from("E", 6)
-    d, label = folding.symmetrizer, folding.automorphism.orbit_label
-    return 2 * min(d[label[i]], d[label[j]])
-
-
-@lru_cache(maxsize=None)
-def e6_unfolded_quiver() -> ARQuiver:
-    """The printed unfolded companion table, stored as an ARQuiver."""
-    rs = root_system("E", 6)
-    rows = _load_table("e6_unfolded.txt")
-    coords = {rs.root_index[root]: (res, 2 * pos) for res, pos, root in rows}
-    arrows = arrows_by_step(coords, rs.adjacent, e6_unfolded_step)
-    return ARQuiver(rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows)
-
-
-def e6_folded_r1_table() -> list[tuple[int, int, Root]]:
-    return _load_table("e6_folded_r1.txt")
-
-
 def folded_sinks(fq: FoldedQuiver) -> list[int]:
     """Nodes i of the source diagram whose alpha_i vertex has no out-arrow."""
     rs = fq.rs
@@ -344,11 +323,12 @@ def _seed(folding: Folding) -> FoldedQuiver:
         xi[j + 1] = xi[j] - step if slot[j + 1] > slot[j] else xi[j] + step
     word = folding.twisted_longest_word()
     width = len(slot)
+    cls = commutation_class(rs, word)
     coords = {}
-    for k, beta in enumerate(root_sequence(rs, word)):
+    for k, r in enumerate(_by_occurrence(cls.canonical_word, cls.roots(), word)):
         res = label[word[k]]
-        coords[rs.root_index[beta]] = (res, xi[res] - 2 * (k // width))
-    return _folded(folding, coords, commutation_class(rs, word))
+        coords[r] = (res, xi[res] - 2 * (k // width))
+    return _folded(folding, coords, cls)
 
 
 def _assert_coords_shift_equal(
@@ -361,12 +341,6 @@ def _assert_coords_shift_equal(
     residues_differ = any(cb[r][0] != ca[r][0] for r in ca)
     if residues_differ or len(offsets) != 1:
         raise AssertionError("same class, incompatible folded quivers")
-
-
-def _assert_shift_equal(a: FoldedQuiver, b: FoldedQuiver) -> None:
-    _assert_coords_shift_equal(a.coord_of(), b.coord_of())
-    if a.arrows != b.arrows:
-        raise AssertionError("same class, different folded arrows")
 
 
 @lru_cache(maxsize=None)

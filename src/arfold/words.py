@@ -7,20 +7,22 @@ root), and the member words are exactly the linear extensions of the
 partial order generated by non-commuting occurrences.  That partial
 order is the convex order of the class.
 
-Each is read from a word in one pass, linear in its length times the
-number of neighbours of a node.  Occurrences of one letter never
-commute, so the last occurrence of each letter so far dominates the
-earlier ones: the heap keeps, per letter, that occurrence together with
-everything below it, and a new occurrence of i sits above the entries of
-i and of its neighbours.  That pass, `_order_pass`, is the one builder
-of order masks: read along the canonical word it gives `below`, read
-backwards it gives `above`.  `bits` is the one walk over the set bits
-of a mask.  The canonical word waits each occurrence on the previous
-occurrence of its own letter and of each neighbour, and takes the least
-available letter first.
-`linear_extensions` is the one enumerator of the words of such an
-order: the member words of a class, and the readings of a quiver in
-``arquiver``.
+Its roots are read once per point: `root_sequence` runs where a word
+enters, in `commutation_class`, and a class from `reflect` reads its
+roots off its parent's.  The moved word u v i* of [u i v] has the roots
+s_i of those of u v, then alpha_i, and since occurrences of one letter
+never commute, the m-th occurrence of a letter is one heap element in
+every member word.  The order masks are then one pass, `_order_pass`,
+linear in the length times the number of neighbours of a node: per
+letter it keeps the last occurrence so far with everything below it,
+and a new occurrence of i sits above the entries of i and of its
+neighbours.  Read along the canonical word it gives `below`, read
+backwards `above`.  `bits` is the one walk over the set bits of a mask.
+The canonical word waits each occurrence on the previous occurrence of
+its own letter and of each neighbour, and takes the least available
+letter first.  `linear_extensions` is the one enumerator of the words
+of such an order: the member words of a class, and the readings of a
+quiver in ``arquiver``.
 
 A reflection functor r_i moves the first s_i of a word to the end as
 s_{i*}.  Occurrences of one letter never commute, so the first s_i of
@@ -162,15 +164,21 @@ def _order_pass(adjacent, idx, word) -> dict[int, int]:
     return masks
 
 
-def _heap(rs: RootSystem, word: Word) -> tuple[dict[int, int], dict[int, int]]:
-    """The heap of a reduced word as (below, letter), keyed by root index.
+def _by_occurrence(word: Word, idx, target: Word) -> tuple[int, ...]:
+    """The roots ``idx`` along ``word`` listed along ``target``, another
+    member word of the class: an occurrence is one heap element in both."""
+    occ: dict[int, list[int]] = {}
+    for i, r in zip(word[::-1], idx[::-1]):
+        occ.setdefault(i, []).append(r)
+    return tuple([occ[i].pop() for i in target])
 
-    below[r] has bit r' set iff root r' comes strictly before r in every
-    member word of the class of ``word``; letter[r] is the letter whose
-    occurrence gives root r.  Every member word gives the same heap.
-    """
-    idx = [rs.root_index[b] for b in root_sequence(rs, word)]
-    return _order_pass(rs.adjacent, idx, word), dict(zip(idx, word))
+
+def _moved_roots(rs: RootSystem, word: Word, idx, i: int) -> tuple[Word, list[int]]:
+    """r_i's moved word u v i* of ``word`` = u i v, with its roots from the
+    roots ``idx`` of ``word``: s_i of those of u v, then alpha_i."""
+    k, perm = word.index(i), rs.reflection_permutation(i)
+    moved = [perm[r] for r in idx[:k] + idx[k + 1:]] + [rs.simple_root_index[i]]
+    return word[:k] + word[k + 1:] + (rs.star()[i],), moved
 
 
 @dataclass(frozen=True)
@@ -178,7 +186,8 @@ class CommutationClass:
     """A commutation class of reduced words of w_0, canonically keyed.
 
     Two classes are equal when their root systems have the same type and
-    rank and their canonical words agree.
+    rank and their canonical words agree.  Roots are read once per point:
+    a class from `reflect` reads its roots off its parent's by occurrence.
     """
 
     rs: RootSystem
@@ -187,10 +196,32 @@ class CommutationClass:
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
 
+    def roots(self) -> tuple[int, ...]:
+        """The root indices along the canonical word.  A class from `reflect`
+        reads them off its parent's by occurrence: the links are followed up
+        without recursion, and each class on the way keeps its roots in
+        place of its link.  A class built directly reads `root_sequence`."""
+        chain, c = [], self
+        while "link" in c._cache:
+            chain.append(c)
+            c = c._cache["link"][0]
+        roots = c._cache.get("roots") or tuple(c._cache.get("below", ()))
+        if not roots:
+            roots = c._cache["roots"] = tuple(
+                c.rs.root_index[b] for b in root_sequence(c.rs, c.canonical_word))
+        for c in reversed(chain):
+            parent, i = c._cache.pop("link")
+            moved = _moved_roots(c.rs, parent.canonical_word, roots, i)
+            roots = c._cache["roots"] = _by_occurrence(*moved, c.canonical_word)
+        return roots
+
     def _data(self):
         cache = self._cache
         if "below" not in cache:
-            cache["below"], cache["letter"] = _heap(self.rs, self.canonical_word)
+            idx, word = self.roots(), self.canonical_word
+            del cache["roots"]
+            cache["below"] = _order_pass(self.rs.adjacent, idx, word)
+            cache["letter"] = dict(zip(idx, word))
         return cache
 
     @property
@@ -304,19 +335,17 @@ def commutation_class(rs: RootSystem, word: Word) -> CommutationClass:
             f"word of length {len(word)} is not a reduced word of w_0 "
             f"(need {rs.num_positive} letters)"
         )
-    root_sequence(rs, word)  # refuses a word that is not reduced
-    return CommutationClass(rs, _kahn(rs, word))
+    idx = [rs.root_index[b] for b in root_sequence(rs, word)]  # refuses a non-reduced word
+    cls = CommutationClass(rs, _kahn(rs, word))
+    cls._cache["roots"] = _by_occurrence(word, idx, cls.canonical_word)
+    return cls
 
 
 def reflect(cls: CommutationClass, i: int) -> CommutationClass:
-    """The reflection functor r_i; returns the input class at a fixed point.
-
-    Moves the first s_i of the canonical word to the end as s_{i*}.  It
-    moves iff the letters passed all commute with i, i.e. iff some member
-    word starts with s_i.  Since s_i w_0 = w_0 s_{i*}, the moved word is
-    again a reduced word of w_0, so it is canonicalised without the
-    reducedness check.
-    """
+    """The reflection functor r_i, or the input class at a fixed point:
+    the class of the canonical word with its first s_i moved to the end
+    as s_{i*}, canonicalised unchecked, with the link (cls, i) for its
+    roots."""
     rs = cls.rs
     if i not in rs.nodes:
         raise ValueError(f"letter {i!r} outside the index set of {rs}")
@@ -324,7 +353,9 @@ def reflect(cls: CommutationClass, i: int) -> CommutationClass:
     k = word.index(i)
     if any(rs.cartan[j][i] for j in word[:k]):
         return cls
-    return CommutationClass(rs, _kahn(rs, word[:k] + word[k + 1:] + (rs.star()[i],)))
+    out = CommutationClass(rs, _kahn(rs, word[:k] + word[k + 1:] + (rs.star()[i],)))
+    out._cache["link"] = (cls, i)
+    return out
 
 
 Key = tuple[int, ...]

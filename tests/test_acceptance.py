@@ -22,8 +22,8 @@ from arfold.words import (
 )
 from arfold.arquiver import DynkinQuiver, gamma_q, read_reduced_words
 from arfold.twistfold import (
+    _load_table,
     e6_folded_quiver,
-    e6_folded_r1_table,
     folded_reflection,
     twist_from_d,
     twist_quiver_from_a,
@@ -282,7 +282,7 @@ def test_criterion_10_e6_f4_exceptional():
     ok &= labels[(1, 20)] == (1, 0, 0, 0, 0, 0)
 
     r1 = folded_reflection(fq, 1)
-    want = {(res, pos): root for res, pos, root in e6_folded_r1_table()}
+    want = {(res, pos): root for res, pos, root in _load_table("e6_folded_r1.txt")}
     got = {(res, pos): rs.positive_roots[r] for r, res, pos in r1.coords}
     ok &= got == want
 

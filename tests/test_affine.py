@@ -204,7 +204,8 @@ def _fresh_distance_memo(monkeypatch):
 
 
 def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
-    # a fresh memo, so none of the point's polynomials is built yet
+    # a fresh memo, so none of the point's polynomials is built yet; each
+    # is built once per distinct row of the point's tables, and shared
     _fresh_distance_memo(monkeypatch)
     calls = []
     real = affine.table_polynomial
@@ -212,10 +213,21 @@ def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
         affine, "table_polynomial", lambda *args: calls.append(args) or real(*args)
     )
     assert verify_den_dist("C", 4).ok
-    first = len(calls)
+    folding = affine.folding_to("C", 4)
+
+    def row(table, k, l):
+        return k, l, tuple(sorted(table.get((k, l), {}).items()))
+
+    rows = {
+        row(table, k, l)
+        for _, table in seqorder.point_tables(twisted_folded_quivers(*folding.source))
+        for k in range(1, 5) for l in range(k, 5)
+    }
+    assert sorted(row(table, k, l) for table, _, k, l, _ in calls) == sorted(rows)
+    assert {conv for *_, conv in calls} == {folding.sign_convention}
     calls.clear()
     rep = verify_class_invariance("C", 4)
-    assert rep.ok and first == rep.checked > 0
+    assert rep.ok and rep.checked > len(rows) > 0
     assert calls == []
 
 

@@ -123,12 +123,12 @@ def test_each_folding_and_twisted_point_is_stated_once():
 
 
 def test_root_labels_come_from_few_root_sequence_reads():
-    # the words read a root sequence once per class or word, quivers are
-    # labelled by reading their cells, and gamma_q reads its rows alone
+    # a class reads a root sequence where its word enters, or once when it
+    # is built directly; a reflected class and the folded seed read their
+    # roots off a class's; quivers are labelled by reading their cells, and
+    # gamma_q reads its rows alone
     callers = _callers("root_sequence")
     assert callers == {
-        ("words", "_heap"), ("words", "commutation_class"),
-        ("arquiver", "read_root_labels"), ("twistfold", "_seed"),
-        ("seqorder", "position_vector"),
+        ("words", "commutation_class"), ("words", "roots"), ("arquiver", "read_root_labels"),
     }
     assert ("arquiver", "gamma_q") not in callers

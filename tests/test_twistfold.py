@@ -8,18 +8,18 @@ from arfold import twistfold, words
 from arfold.rootsys import RootSystem, folding_from, root_system
 from arfold.words import cluster_point, commutation_class, twisted_adapted_point
 from arfold.arquiver import (
+    ARQuiver,
     DynkinQuiver,
     all_quivers,
+    arrows_by_step,
     hasse_quiver,
     read_reduced_words,
 )
 from arfold.twistfold import (
     FoldingError,
-    _assert_shift_equal,
+    _assert_coords_shift_equal,
+    _load_table,
     e6_folded_quiver,
-    e6_folded_r1_table,
-    e6_unfolded_quiver,
-    e6_unfolded_step,
     fold,
     folded_reflection,
     folded_sinks,
@@ -192,13 +192,30 @@ def test_e6_folded_fixture_table():
     assert labels[(4, 18)] == (0, 0, 0, 0, 0, 1)
 
 
+def _e6_unfolded_step(i, j):
+    """Doubled step between adjacent E_6 residues: the orbit symmetrizer."""
+    folding = folding_from("E", 6)
+    d, label = folding.symmetrizer, folding.automorphism.orbit_label
+    return 2 * min(d[label[i]], d[label[j]])
+
+
+@lru_cache(maxsize=None)
+def _e6_unfolded_quiver():
+    """The printed unfolded companion table, stored as an ARQuiver."""
+    rs = root_system("E", 6)
+    rows = _load_table("e6_unfolded.txt")
+    coords = {rs.root_index[root]: (res, 2 * pos) for res, pos, root in rows}
+    arrows = arrows_by_step(coords, rs.adjacent, _e6_unfolded_step)
+    return ARQuiver(rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows)
+
+
 def test_e6_unfolded_reading_consistency():
     rs = root_system("E", 6)
-    uq = e6_unfolded_quiver()
+    uq = _e6_unfolded_quiver()
     from arfold.arquiver import read_root_labels
 
     cells = [(i, p2) for _, i, p2 in uq.coords]
-    word, labelled = read_root_labels(rs, cells, e6_unfolded_step)
+    word, labelled = read_root_labels(rs, cells, _e6_unfolded_step)
     assert labelled == uq
     base = folding_from("E", 6).twisted_longest_word()
     assert commutation_class(rs, word) == commutation_class(rs, base)
@@ -207,7 +224,7 @@ def test_e6_unfolded_reading_consistency():
 def test_e6_fold_of_unfolded_is_folded_fixture():
     rs = root_system("E", 6)
     cls = commutation_class(rs, folding_from("E", 6).twisted_longest_word())
-    ff = fold(e6_unfolded_quiver(), cls)
+    ff = fold(_e6_unfolded_quiver(), cls)
     fq = e6_folded_quiver()
     assert set(ff.coords) == set(fq.coords)
     assert ff.arrows == fq.arrows
@@ -217,7 +234,7 @@ def test_e6_folded_reflection_r1_printed():
     rs = root_system("E", 6)
     fq = e6_folded_quiver()
     r1 = folded_reflection(fq, 1)
-    want = {(res, pos): root for res, pos, root in e6_folded_r1_table()}
+    want = {(res, pos): root for res, pos, root in _load_table("e6_folded_r1.txt")}
     got = {(res, pos): rs.positive_roots[r] for r, res, pos in r1.coords}
     assert got == want
     # the moved vertex keeps its label and lands 18 to the left
@@ -293,6 +310,14 @@ def test_folded_quivers_cover_the_twisted_point(source):
     # the walk against the plain cluster point of the seed class
     assert set(twisted_folded_quivers(*source)) == cluster_point(_seed_class(*source))
     assert twisted_adapted_point(*source) == cluster_point(_seed_class(*source))
+
+
+def _assert_shift_equal(a, b):
+    """Two folded quivers of one class: one global position shift apart,
+    with the same arrows."""
+    _assert_coords_shift_equal(a.coord_of(), b.coord_of())
+    if a.arrows != b.arrows:
+        raise AssertionError("same class, different folded arrows")
 
 
 @pytest.mark.parametrize(
@@ -378,6 +403,26 @@ def test_bfs_canonicalises_each_class_once(source, monkeypatch):
     assert twisted_adapted_point(*source) == point
     fqs = cold(*source)
     assert calls == {"_kahn": len(point), "_folded": len(point)} and set(fqs) == point
+
+
+@pytest.mark.parametrize("suite", ["socle-dist A7", "dorey B4"])
+def test_root_sequence_runs_once_per_point(suite, monkeypatch):
+    # with cold caches a suite reads one root sequence per point, the
+    # seed's: every other class reads its roots off its parent's
+    from arfold import affine, arquiver, cli
+
+    cold = lru_cache(maxsize=None)(twisted_folded_quivers.__wrapped__)
+    for module in (twistfold, affine, cli):
+        monkeypatch.setattr(module, "twisted_folded_quivers", cold)
+    calls = []
+    real = words.root_sequence
+    for module in (words, arquiver):
+        monkeypatch.setattr(module, "root_sequence", lambda *args: calls.append(args) or real(*args))
+    if suite == "dorey B4":
+        assert affine.verify_dorey("B", 4).ok
+    else:
+        assert cli.verify_socle_dist("A", 7).ok
+    assert cold.cache_info().currsize == 1 and len(calls) == 1
 
 
 @pytest.mark.parametrize("source", [("D", 5), ("A", 7)], ids=lambda s: f"{s[0]}{s[1]}")

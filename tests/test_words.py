@@ -3,11 +3,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arfold import words as words_module
 from arfold.rootsys import root_system, trivial_automorphism
+from arfold.twistfold import twisted_folded_quivers
 from arfold.words import (
     CapExceededError,
-    _heap,
     _kahn,
+    _order_pass,
     NotReducedError,
     adapted_point,
     cluster_moves,
@@ -208,6 +210,71 @@ def test_reflect_moves_to_a_reduced_word_of_its_class(tt, rk):
             assert len(root_sequence(rs, moved)) == rs.num_positive
             assert reflect(cls, i) == commutation_class(rs, moved)
     assert moves
+
+
+def _heap(rs, word):
+    """The heap of a reduced word from scratch as (below, letter), keyed by
+    root index: its `root_sequence`, then one `_order_pass` along it."""
+    idx = [rs.root_index[b] for b in root_sequence(rs, word)]
+    return _order_pass(rs.adjacent, idx, word), dict(zip(idx, word))
+
+
+def _transport_mismatches(point):
+    """The classes of ``point`` whose below, letter or above differ from
+    `_heap` from scratch on the canonical word, in value or in order; a
+    read that raises is a mismatch too."""
+    bad = []
+    for cls in point:
+        rs, word = cls.rs, cls.canonical_word
+        below, letter = _heap(rs, word)
+        above = _order_pass(rs.adjacent, list(below)[::-1], word[::-1])
+        want = (list(below.items()), letter, [above[r] for r in range(cls.length)])
+        try:
+            got = (list(cls.below().items()), cls._cache["letter"], cls.above())
+        except (KeyError, IndexError):
+            got = None
+        if got != want:
+            bad.append(cls)
+    return bad
+
+
+@pytest.mark.parametrize("tt, rk", [
+    ("A", 5), ("A", 7), ("A", 9), ("A", 11), ("D", 5), ("D", 6), ("D", 7), ("E", 6),
+])
+def test_transported_order_equals_heap_from_scratch(tt, rk):
+    # a point built anew: every class but the seed reads its roots off its
+    # parent's, and its cache holds the order alone once it is read
+    point = twisted_folded_quivers.__wrapped__(tt, rk)
+    assert sum("link" in cls._cache for cls in point) == len(point) - 1
+    assert _transport_mismatches(point) == []
+    assert all(set(cls._cache) == {"below", "letter", "above"} for cls in point)
+
+
+@pytest.mark.parametrize("old, new", [
+    # relabel by the permutation of another letter
+    ("rs.reflection_permutation(i)", "rs.reflection_permutation(i % rs.rank + 1)"),
+    # leave the first i-occurrence in place: alpha_i is not dropped
+    ("idx[:k] + idx[k + 1:]", "idx"),
+], ids=["other-letter", "alpha-kept"])
+def test_root_transport_mutants_fail_the_oracle(monkeypatch, recompiled, old, new):
+    monkeypatch.setattr(words_module, "_moved_roots", recompiled(words_module._moved_roots, old, new))
+    for source in [("A", 5), ("D", 5)]:
+        assert _transport_mismatches(twisted_folded_quivers.__wrapped__(*source))
+
+
+def test_a_long_chain_of_moves_reads_its_roots_without_recursion():
+    # the links are followed up one by one, so a chain deeper than the
+    # recursion limit resolves; each class on it keeps its roots, not its link
+    import sys
+
+    rs = root_system("A", 5)
+    chain = [commutation_class(rs, rs.longest_word())]
+    while len(chain) <= max(1_500, sys.getrecursionlimit()):
+        chain.append(reflect(chain[-1], chain[-1].canonical_word[0]))
+    last = chain[-1]
+    assert last.below() == _heap(rs, last.canonical_word)[0]
+    assert list(last.below()) == [rs.root_index[b] for b in root_sequence(rs, last.canonical_word)]
+    assert all(set(c._cache) == {"roots"} for c in chain[:-1])
 
 
 def test_heap_is_the_same_for_every_member_word():
