@@ -81,10 +81,18 @@ class FundamentalModuleLabel:
 # denominator formulas
 
 
+def _check_rank(target: str, n: int) -> None:
+    """A ValueError for a B or C target of a rank no folding reaches."""
+    least = {"B": 2, "C": 3}.get(target, 0)
+    if n < least:
+        raise ValueError(f"{target} target needs n >= {least}")
+
+
 def denominator(target: str, n: int, k: int, l: int) -> RootedPolynomial:
     """The printed denominator of the (k, l) fundamental R-matrix."""
     if target == "F":
         return f4_denominator(k, l)
+    _check_rank(target, n)
     if not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"indices ({k},{l}) out of range for rank {n}")
     if target == "B":
@@ -222,11 +230,10 @@ def dorey_triples(target: str, n: int, convention: str = "validated") -> list[Do
     """
     if convention not in ("printed", "validated"):
         raise ValueError("convention must be 'printed' or 'validated'")
+    _check_rank(target, n)
     out: list[DoreyEntry] = []
     sp = SpectralParameter
     if target == "B":
-        if n < 2:
-            raise ValueError("B target needs n >= 2")
         for l in range(1, n):
             for k in range(1, l + 1):
                 for i in range(1, l + 1):
@@ -270,8 +277,6 @@ def dorey_triples(target: str, n: int, convention: str = "validated") -> list[Do
                     sp(2 * (s + n), -e), sp(0, 4 * s), "B(ii) s=j"))
         return out
     if target == "C":
-        if n < 3:
-            raise ValueError("C target needs n >= 3")
         for l in range(1, n + 1):
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
@@ -414,13 +419,13 @@ def verify_den_dist(target: str, n: int) -> Report:
     conv = folding.sign_convention
     polys = _distance_polynomials(folding.target, (conv,))[conv]
     rep = Report(f"den-dist {target} n={n}", 0)
+    dens = {key: denominator(target, n, *key) for key in polys}
     for cls in polys[1, 1]:
-        for (k, l), by_class in polys.items():
-            den = denominator(target, n, k, l)
+        for key, by_class in polys.items():
             rep.checked += 1
-            if by_class[cls] != den:
+            if by_class[cls] != dens[key]:
                 rep.mismatches.append(
-                    (cls.canonical_word, (k, l), str(by_class[cls]), str(den))
+                    (cls.canonical_word, key, str(by_class[cls]), str(dens[key]))
                 )
     return rep
 

@@ -251,7 +251,7 @@ def covers(cls: CommutationClass) -> set[tuple[int, int]]:
     """Cover relations (a, b): a before b with nothing strictly between."""
     above = cls.above()
     return {
-        (a, b) for b, mask in cls.below().items() for a in bits(mask)
+        (a, b) for b, mask in enumerate(cls.below()) for a in bits(mask)
         if not mask & above[a]
     }
 
@@ -274,10 +274,10 @@ def hasse_quiver(cls: CommutationClass, quiver: ARQuiver | None = None) -> ARQui
         return ARQuiver(cls.rs, quiver.coords, arrows)
     below = cls.below()
     depth = {}
-    for r, mask in below.items():  # canonical-word order: a member word
-        depth[r] = 1 + max((depth[a] for a in bits(mask)), default=-1)
+    for r in cls.roots():  # canonical-word order: a member word
+        depth[r] = 1 + max((depth[a] for a in bits(below[r])), default=-1)
     top = max(depth.values(), default=0)
     coords = tuple(
-        sorted((r, cls.letter_of(r), 2 * (top - depth[r])) for r in below)
+        sorted((r, cls.letter_of(r), 2 * (top - depth[r])) for r in depth)
     )
     return ARQuiver(cls.rs, coords, arrows)

@@ -90,6 +90,8 @@ def quiver_from_json(doc: dict) -> ARQuiver:
     missing = [k for k in ("type", "rank", "vertices", "arrows") if k not in doc]
     if missing:
         raise ValueError(f"document lacks {missing}")
+    if (denominator := doc.get("position_denominator")) != 2:
+        raise ValueError(f"position_denominator must be 2, not {denominator!r}")
     check_type_rank(doc["type"], doc["rank"])
     for key in ("vertices", "arrows"):
         if not isinstance(doc[key], list):

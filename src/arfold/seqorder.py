@@ -299,7 +299,7 @@ def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence
     Sorted along the canonical word, every element comes after the
     elements below it, so one sweep compares each pair once.
     """
-    order = list(cls.below())  # root indices in canonical-word order
+    order = cls.roots()
     elems = sorted(elems, key=lambda m: [m[r] for r in order])
     depth: dict[Sequence, int] = {}
     for k, y in enumerate(elems):
@@ -566,7 +566,8 @@ def factor_minus_qs_power(a: int) -> tuple[int, int]:
 
 
 def comparable_pairs(cls: CommutationClass) -> list[tuple[int, int]]:
-    return [(a, b) for b, mask in cls.below().items() for a in bits(mask)]
+    below = cls.below()
+    return [(a, b) for b in cls.roots() for a in bits(below[b])]
 
 
 def phi_pairs(fq: FoldedQuiver, k: int, l: int, t: int) -> list[tuple[int, int]]:
@@ -680,21 +681,21 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
     """(quiver, (bucket counts, socle-dist records)) for every quiver of a
     twisted point, parents first.
 
-    The walk follows the BFS tree that the quivers' ``origin`` records:
-    the seed's data is read pair by pair (`_scratch`), every other
-    quiver's is its parent's carried across the folded reflection at the
-    sink alpha_i (`_transport`).  The point's order puts each parent
-    first, and a class's data is dropped once its last child has it.
+    The walk follows the BFS tree of the classes' ``parent``, (up, i): the
+    seed's data is read pair by pair (`_scratch`), every other quiver's is
+    its parent's, that of ``point[up]``, carried across the folded
+    reflection at the sink alpha_i (`_transport`).  The point's order puts
+    each parent first, and a class's data is dropped once its last child
+    has it.
     """
-    children = Counter(fq.origin[0].source_class for fq in point.values() if fq.origin)
+    children = Counter(cls.parent[0] for cls in point if cls.parent)
     live: dict[CommutationClass, tuple] = {}
     for cls, fq in point.items():
-        if fq.origin is None:
+        if cls.parent is None:
             data = _scratch(fq)
         else:
-            parent, i = fq.origin
-            up = parent.source_class
-            data = _transport(live[up], parent, fq, i)
+            up, i = cls.parent
+            data = _transport(live[up], point[up], fq, i)
             children[up] -= 1
             if not children[up]:
                 del live[up]

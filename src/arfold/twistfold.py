@@ -65,10 +65,9 @@ def _unfolded_scale(type_tag: str) -> int:
 class FoldedQuiver:
     """An AR quiver with residues collapsed to automorphism orbits.
 
-    ``folding`` is the record it was folded by.  ``origin`` is the
-    (parent quiver, letter i) whose folded reflection made it, and None
-    for a quiver built otherwise, ``dataclasses.replace`` included.
-    Neither takes part in equality or hashing.
+    ``folding`` is the record it was folded by; it takes no part in
+    equality or hashing.  The move that made a quiver is its class's
+    ``parent``.
     """
 
     rs: RootSystem
@@ -76,9 +75,6 @@ class FoldedQuiver:
     arrows: frozenset[tuple[int, int]]
     source_class: CommutationClass
     folding: Folding = field(compare=False)
-    origin: tuple[FoldedQuiver, int] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def coord_of(self) -> dict[int, tuple[int, int]]:
         return {r: (i, p) for r, i, p in self.coords}
@@ -277,11 +273,8 @@ def _reflected_coords(fq: FoldedQuiver, i: int) -> dict[int, tuple[int, int]]:
 
 def _moved(fq: FoldedQuiver, i: int, cls: CommutationClass) -> FoldedQuiver:
     """The folded quiver of ``cls`` = r_i of ``fq``'s class: the
-    coordinates of `_reflected_coords` with their arrows, recording
-    (fq, i) as its ``origin``."""
-    out = _folded(fq.folding, _reflected_coords(fq, i), cls)
-    object.__setattr__(out, "origin", (fq, i))
-    return out
+    coordinates of `_reflected_coords` with their arrows."""
+    return _folded(fq.folding, _reflected_coords(fq, i), cls)
 
 
 def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
@@ -353,9 +346,10 @@ def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, F
     reflection of its parent at alpha_i (`_moved`).  A class reached
     again must agree up to a global position shift; arrows are a
     function of the coordinates and a shift keeps them, so a revisit
-    compares its reflected coordinates alone.  The first quiver reached
-    is kept, so each ``origin`` is an edge of the BFS tree and the
-    insertion order puts every parent before its children.
+    compares its reflected coordinates alone.  The first class reached
+    is kept, so each key's ``parent`` is an edge of the BFS tree, its
+    quiver this dict's entry, and the insertion order puts every parent
+    before its children.
     """
     start = _seed(folding_from(type_tag, rank))
     found = {start.source_class: start}

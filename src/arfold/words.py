@@ -7,17 +7,18 @@ root), and the member words are exactly the linear extensions of the
 partial order generated by non-commuting occurrences.  That partial
 order is the convex order of the class.
 
-Its roots are read once per point: `root_sequence` runs where a word
-enters, in `commutation_class`, and a class from `reflect` reads its
+Its roots, listed along the canonical word by `roots`, are read once per
+point: `root_sequence` runs where a word enters, in `commutation_class`,
+and a class from `reflect` keeps its move (parent, i) and reads its
 roots off its parent's.  The moved word u v i* of [u i v] has the roots
 s_i of those of u v, then alpha_i, and since occurrences of one letter
 never commute, the m-th occurrence of a letter is one heap element in
-every member word.  The order masks are then one pass, `_order_pass`,
-linear in the length times the number of neighbours of a node: per
-letter it keeps the last occurrence so far with everything below it,
-and a new occurrence of i sits above the entries of i and of its
+every member word.  The order masks are then one pass, `_order_pass`:
+per letter it keeps the last occurrence so far with everything below
+it, and a new occurrence of i sits above the entries of i and of its
 neighbours.  Read along the canonical word it gives `below`, read
-backwards `above`.  `bits` is the one walk over the set bits of a mask.
+backwards `above`; masks and letters are lists indexed by root.  `bits`
+is the one walk over the set bits of a mask.
 The canonical word waits each occurrence on the previous occurrence of
 its own letter and of each neighbour, and takes the least available
 letter first.  `linear_extensions` is the one enumerator of the words
@@ -63,7 +64,7 @@ only the first time its key is reached.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rootsys import Root, RootSystem, root_system
@@ -145,14 +146,14 @@ def linear_extensions(before, letter, cap: int = DEFAULT_CAP) -> list[Word]:
     return out
 
 
-def _order_pass(adjacent, idx, word) -> dict[int, int]:
-    """{r: mask of the roots before r in the order}, read along ``word``.
+def _order_pass(adjacent, idx, word) -> list[int]:
+    """Masks indexed by root r of the roots before r, read along ``word``.
 
     idx[k] is the root of the occurrence word[k].  Read forwards, bit r'
     of the mask of r is set iff r' comes before r in every member word;
-    read backwards, iff r' comes after r.  The dict follows ``idx``.
+    read backwards, iff r' comes after r.
     """
-    masks: dict[int, int] = {}
+    masks = [0] * len(idx)
     # upto[i]: the last occurrence of letter i so far and everything before it
     upto: dict[int, int] = {}
     for r, i in zip(idx, word):
@@ -186,31 +187,34 @@ class CommutationClass:
     """A commutation class of reduced words of w_0, canonically keyed.
 
     Two classes are equal when their root systems have the same type and
-    rank and their canonical words agree.  Roots are read once per point:
-    a class from `reflect` reads its roots off its parent's by occurrence.
+    rank and their canonical words agree.  ``parent`` is the move that
+    made the class, (class, i) for `reflect` at letter i, and None for a
+    class built otherwise; it takes no part in equality, hashing or repr.
     """
 
     rs: RootSystem
     canonical_word: Word
+    parent: tuple[CommutationClass, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
 
     def roots(self) -> tuple[int, ...]:
-        """The root indices along the canonical word.  A class from `reflect`
-        reads them off its parent's by occurrence: the links are followed up
-        without recursion, and each class on the way keeps its roots in
-        place of its link.  A class built directly reads `root_sequence`."""
+        """The root indices along the canonical word: the canonical-word
+        order of the roots.  A moved class reads them off its parent's by
+        occurrence; the parents are followed up without recursion to the
+        first class with roots, and each class on the way keeps its own.
+        A class without roots or parent reads `root_sequence`."""
         chain, c = [], self
-        while "link" in c._cache:
+        while "roots" not in c._cache and c.parent:
             chain.append(c)
-            c = c._cache["link"][0]
-        roots = c._cache.get("roots") or tuple(c._cache.get("below", ()))
-        if not roots:
+            c = c.parent[0]
+        roots = c._cache.get("roots")
+        if roots is None:
             roots = c._cache["roots"] = tuple(
                 c.rs.root_index[b] for b in root_sequence(c.rs, c.canonical_word))
         for c in reversed(chain):
-            parent, i = c._cache.pop("link")
+            parent, i = c.parent
             moved = _moved_roots(c.rs, parent.canonical_word, roots, i)
             roots = c._cache["roots"] = _by_occurrence(*moved, c.canonical_word)
         return roots
@@ -219,9 +223,8 @@ class CommutationClass:
         cache = self._cache
         if "below" not in cache:
             idx, word = self.roots(), self.canonical_word
-            del cache["roots"]
             cache["below"] = _order_pass(self.rs.adjacent, idx, word)
-            cache["letter"] = dict(zip(idx, word))
+            cache["letter"] = [i for _, i in sorted(zip(idx, word))]
         return cache
 
     @property
@@ -231,8 +234,8 @@ class CommutationClass:
     def letter_of(self, root_idx: int) -> int:
         return self._data()["letter"][root_idx]
 
-    def below(self) -> dict[int, int]:
-        """Strict convex-order bitmasks: bit r' of below[r] iff r' < r."""
+    def below(self) -> list[int]:
+        """Strict convex-order bitmasks by root: bit r' of below[r] iff r' < r."""
         return self._data()["below"]
 
     def precedes(self, a: int, b: int) -> bool:
@@ -243,25 +246,23 @@ class CommutationClass:
         return self.precedes(a, b) or self.precedes(b, a)
 
     def above(self) -> list[int]:
-        """Strict convex-order bitmasks: bit r' of above[r] iff r < r'.
+        """Strict convex-order bitmasks by root: bit r' of above[r] iff r < r'.
 
         The heap pass of `below`, run backwards over the canonical word;
         built on the first interval query.
         """
         cache = self._cache
         if "above" not in cache:
-            masks = _order_pass(
-                self.rs.adjacent, list(self.below())[::-1], self.canonical_word[::-1]
+            cache["above"] = _order_pass(
+                self.rs.adjacent, self.roots()[::-1], self.canonical_word[::-1]
             )
-            cache["above"] = [masks[r] for r in range(self.length)]
         return cache["above"]
 
     def interval(self, a: int, b: int) -> list[int]:
         """Root indices strictly between a and b in the convex order: the
         bits of above[a] & below[b], listed in canonical-word order."""
-        below = self.below()
-        mask = self.above()[a] & below[b]
-        return [r for r in below if mask >> r & 1]
+        mask = self.above()[a] & self.below()[b]
+        return [r for r in self.roots() if mask >> r & 1]
 
     def members(self, cap: int = DEFAULT_CAP) -> list[Word]:
         """All member words (linear extensions of the heap), capped."""
@@ -344,8 +345,7 @@ def commutation_class(rs: RootSystem, word: Word) -> CommutationClass:
 def reflect(cls: CommutationClass, i: int) -> CommutationClass:
     """The reflection functor r_i, or the input class at a fixed point:
     the class of the canonical word with its first s_i moved to the end
-    as s_{i*}, canonicalised unchecked, with the link (cls, i) for its
-    roots."""
+    as s_{i*}, canonicalised unchecked, with (cls, i) as its parent."""
     rs = cls.rs
     if i not in rs.nodes:
         raise ValueError(f"letter {i!r} outside the index set of {rs}")
@@ -353,9 +353,7 @@ def reflect(cls: CommutationClass, i: int) -> CommutationClass:
     k = word.index(i)
     if any(rs.cartan[j][i] for j in word[:k]):
         return cls
-    out = CommutationClass(rs, _kahn(rs, word[:k] + word[k + 1:] + (rs.star()[i],)))
-    out._cache["link"] = (cls, i)
-    return out
+    return CommutationClass(rs, _kahn(rs, word[:k] + word[k + 1:] + (rs.star()[i],)), (cls, i))
 
 
 Key = tuple[int, ...]

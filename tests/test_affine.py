@@ -57,6 +57,19 @@ def test_denominator_b2_examples():
     )
 
 
+@pytest.mark.parametrize("target, n, message", [
+    ("B", 1, "B target needs n >= 2"), ("C", 2, "C target needs n >= 3"),
+])
+def test_denominator_and_dorey_refuse_a_target_without_a_folding(target, n, message):
+    # B_1 and C_2 have no folding; both printed tables refuse them alike
+    with pytest.raises(FoldingError):
+        affine.folding_to(target, n)
+    with pytest.raises(ValueError, match=message):
+        denominator(target, n, 1, 1)
+    with pytest.raises(ValueError, match=message):
+        dorey_triples(target, n)
+
+
 def test_denominator_f4_example():
     assert denominator("F", 4, 4, 4) == RootedPolynomial.from_factors(
         [(1, 2), (1, 8), (1, 12), (1, 18)]
@@ -231,13 +244,25 @@ def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
     assert calls == []
 
 
+def test_den_dist_builds_each_denominator_once(monkeypatch):
+    # one printed denominator per (k, l), not one per class and key
+    calls = []
+    real = affine.denominator
+    monkeypatch.setattr(
+        affine, "denominator", lambda *args: calls.append(args) or real(*args)
+    )
+    rep = verify_den_dist("C", 5)
+    assert rep.ok and rep.checked == 480
+    assert sorted(calls) == [("C", 5, k, l) for k in range(1, 6) for l in range(k, 6)]
+
+
 def test_f4_walks_e6_once_for_both_conventions(monkeypatch):
     _fresh_distance_memo(monkeypatch)
     seeds = []
     real = seqorder._scratch
     monkeypatch.setattr(seqorder, "_scratch", lambda fq: seeds.append(fq) or real(fq))
     verify_f4_conjecture()
-    assert len(seeds) == 1 and seeds[0].origin is None
+    assert len(seeds) == 1 and seeds[0].source_class.parent is None
 
 
 def test_verify_dorey_b2():

@@ -348,10 +348,14 @@ def _a5_doc():
     (lambda d: [d], "document must be a dict"),
     (lambda d: d.update(vertices=5), "vertices must be a list"),
     (lambda d: d.update(arrows=5), "arrows must be a list"),
+    (lambda d: d.update(position_denominator=7), "position_denominator must be 2, not 7"),
+    (lambda d: operator.delitem(d, "position_denominator"),
+     "position_denominator must be 2, not None"),
 ], ids=["unknown-root", "missing-residue", "residue-out-of-range", "repeated-root",
         "arrow-out-of-range", "negative-arrow", "arrow-triple", "no-vertices",
         "string-rank", "bool-rank", "huge-rank", "zero-rank", "unknown-type",
-        "unhashable-type", "not-a-dict", "vertices-not-a-list", "arrows-not-a-list"])
+        "unhashable-type", "not-a-dict", "vertices-not-a-list", "arrows-not-a-list",
+        "other-denominator", "no-denominator"])
 def test_quiver_from_json_names_the_bad_entry(mutate, names):
     # a mutation edits the document in place or returns a replacement
     doc = _a5_doc()

@@ -132,3 +132,33 @@ def test_root_labels_come_from_few_root_sequence_reads():
         ("words", "commutation_class"), ("words", "roots"), ("arquiver", "read_root_labels"),
     }
     assert ("arquiver", "gamma_q") not in callers
+
+
+def test_each_move_and_class_order_is_stored_once():
+    # the move that made a class is its `parent` alone, and the masks are
+    # lists indexed by root, so no reader takes an order from their keys
+    import ast
+
+    src = Path(arfold.__file__).parent
+    texts = {p.stem: p.read_text() for p in src.glob("*.py")}
+    assert not [m for m, text in texts.items() if "origin" in text or '"link"' in text]
+    setattr_in, walk_attrs, below_reads = set(), set(), []
+    for module, text in texts.items():
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and fn.name == "_walk_point":
+                    walk_attrs.add(node.attr)
+                if not isinstance(node, ast.Call):
+                    continue
+                if ast.unparse(node.func) == "object.__setattr__":
+                    setattr_in.add(fn.name)
+                inner = node.args[0] if getattr(node.func, "id", None) == "list" else (
+                    getattr(node.func, "value", None) if getattr(node.func, "attr", None)
+                    in ("items", "keys") else None)
+                if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "below":
+                    below_reads.append((module, fn.name, ast.unparse(node)))
+    assert setattr_in == {"__post_init__"}
+    assert "parent" in walk_attrs
+    assert below_reads == []

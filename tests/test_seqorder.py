@@ -294,12 +294,12 @@ def test_pair_below_returns_a_fresh_list():
 def test_interval_is_the_bits_of_above_and_below():
     for tt, rk in [("A", 5), ("D", 5), ("E", 6)]:
         for cls in twisted_adapted_point(tt, rk):
-            above, below = cls.above(), cls.below()
-            for a in below:
-                assert above[a] == sum(1 << r for r in below if cls.precedes(a, r))
-                for b in below:
+            above, below, order = cls.above(), cls.below(), cls.roots()
+            for a in order:
+                assert above[a] == sum(1 << r for r in order if cls.precedes(a, r))
+                for b in order:
                     mask = above[a] & below[b]
-                    assert cls.interval(a, b) == [r for r in below if mask >> r & 1]
+                    assert cls.interval(a, b) == [r for r in order if mask >> r & 1]
 
 
 def test_simple_singleton_and_multiple():
@@ -808,9 +808,9 @@ def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
     point = fresh_point("A", 7)
     lie = None
     for fq in point.values():
-        if fq.origin is None:
+        if fq.source_class.parent is None:
             continue
-        _, i = fq.origin
+        _, i = fq.source_class.parent
         r = fq.rs.simple_root_index[i]
         sizes = {}
         coord = fq.coord_of()
@@ -830,8 +830,9 @@ def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
 
 def test_transport_driving_a_count_negative_raises(fresh_point):
     point = fresh_point("D", 4)
-    child = next(fq for fq in point.values() if fq.origin)
-    parent, i = child.origin
+    child = next(fq for cls, fq in point.items() if cls.parent)
+    up, i = child.source_class.parent
+    parent = point[up]
     with pytest.raises(AssertionError, match="negative"):
         seqorder._transport(({}, []), parent, child, i)
 
@@ -850,7 +851,7 @@ def test_table_fill_computes_only_the_moved_pairs(fresh_point, monkeypatch):
     monkeypatch.setattr(seqorder, "_read_below", read_below)
     list(point_tables(point))
     seed = next(iter(point.values()))
-    assert seed.origin is None
+    assert seed.source_class.parent is None
     n = seed.rs.num_positive
     assert len(calls) <= len(comparable_pairs(seed.source_class)) + (n - 1) * (
         len(point) - 1
@@ -861,7 +862,7 @@ def test_a_distance_read_tables_its_own_quiver_alone(monkeypatch):
     # one dist per comparable pair of the read quiver's class, never a
     # walk over the other classes of its point
     point = twisted_folded_quivers("A", 9)
-    seed = next(fq for fq in point.values() if fq.origin is None)
+    seed = next(fq for cls, fq in point.items() if cls.parent is None)
     calls = []
     real = seqorder._read_below
 
@@ -876,16 +877,16 @@ def test_a_distance_read_tables_its_own_quiver_alone(monkeypatch):
 
 
 def test_classes_keep_only_their_order_data():
-    # no distance table or polynomial is stored on a class
+    # no distance table or polynomial is stored on a class, only its roots
+    # and the order masks and letters read off them
     assert affine.verify_den_dist("C", 5).ok and affine.verify_dorey("B", 4).ok
     affine.verify_f4_conjecture()
     assert cli.verify_socle_dist("A", 7).ok
     sources = [folding_to("C", 5).source, ("E", 6), folding_to("B", 4).source, ("A", 7)]
     for source in sources:
         for cls in twisted_folded_quivers(*source):
-            # no root link or root list outlives the masks
-            assert {"below", "letter"} <= set(cls._cache) <= {"below", "letter", "above"}, (
-                cls, set(cls._cache))
+            assert {"roots", "below", "letter"} <= set(cls._cache) <= {
+                "roots", "below", "letter", "above"}, (cls, set(cls._cache))
 
 
 # ---------------------------------------------------------------------------
@@ -1059,10 +1060,10 @@ def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
     the mutant, if one is given; the report and the record the lie makes."""
     lie = None
     for fq in point.values():
-        if fq.origin is None:
-            continue
         cls = fq.source_class
-        r = fq.rs.simple_root_index[fq.origin[1]]
+        if cls.parent is None:
+            continue
+        r = fq.rs.simple_root_index[cls.parent[1]]
         for _, a, b in seqorder._pairs_at(fq, r):
             d = dist(cls, sequence_from_roots(cls.rs, (a, b)))
             if d:

@@ -356,24 +356,17 @@ def test_e6_seed_is_the_printed_table_shifted():
 def test_recorded_bfs_edges_replay(source):
     point = twisted_folded_quivers(*source)
     order = {cls: k for k, cls in enumerate(point)}
-    seed, *rest = point.values()
-    assert seed.origin is None and seed.source_class == _seed_class(*source)
-    for fq in rest:
-        parent, i = fq.origin
-        assert point[parent.source_class] is parent
-        assert order[parent.source_class] < order[fq.source_class]
+    seed, *rest = point
+    assert seed.parent is None and seed == _seed_class(*source)
+    for cls in rest:
+        up, i = cls.parent
+        assert order[up] < order[cls]
+        parent, fq = point[up], point[cls]
+        assert parent.source_class is up and fq.source_class is cls
         replay = folded_reflection(parent, i)
         assert replay.coords == fq.coords
         assert replay.arrows == fq.arrows
         assert replay.source_class == fq.source_class
-
-
-def test_a_replaced_quiver_has_no_origin():
-    point = twisted_folded_quivers("A", 5)
-    fq = next(fq for fq in point.values() if fq.origin)
-    copy = replace(fq, coords=fq.coords)
-    assert copy.origin is None and copy == fq
-    assert "origin" not in repr(fq)
 
 
 @pytest.mark.parametrize(

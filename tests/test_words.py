@@ -8,9 +8,11 @@ from arfold.rootsys import root_system, trivial_automorphism
 from arfold.twistfold import twisted_folded_quivers
 from arfold.words import (
     CapExceededError,
+    CommutationClass,
     _kahn,
     _order_pass,
     NotReducedError,
+    bits,
     adapted_point,
     cluster_moves,
     cluster_point,
@@ -213,27 +215,41 @@ def test_reflect_moves_to_a_reduced_word_of_its_class(tt, rk):
 
 
 def _heap(rs, word):
-    """The heap of a reduced word from scratch as (below, letter), keyed by
-    root index: its `root_sequence`, then one `_order_pass` along it."""
+    """The heap of a reduced word from scratch as (roots, below, letter,
+    above): its `root_sequence`, then `_order_pass` over the word's
+    positions along it and back, each order a dict keyed by root index.
+    The word need not be a word of w_0."""
     idx = [rs.root_index[b] for b in root_sequence(rs, word)]
-    return _order_pass(rs.adjacent, idx, word), dict(zip(idx, word))
+
+    def by_root(masks):
+        return {idx[k]: sum(1 << idx[j] for j in bits(m)) for k, m in enumerate(masks)}
+
+    pos = range(len(word))
+    return (idx, by_root(_order_pass(rs.adjacent, pos, word)), dict(zip(idx, word)),
+            by_root(_order_pass(rs.adjacent, pos[::-1], word[::-1])))
+
+
+def _class_heap(cls):
+    """`_heap`'s four orders as the class reads them: `roots`, then
+    `below`, `letter_of` and `above` at every root."""
+    roots = list(cls.roots())
+    below, above = cls.below(), cls.above()
+    return (roots, {r: below[r] for r in range(cls.length)},
+            {r: cls.letter_of(r) for r in range(cls.length)},
+            {r: above[r] for r in range(cls.length)})
 
 
 def _transport_mismatches(point):
-    """The classes of ``point`` whose below, letter or above differ from
-    `_heap` from scratch on the canonical word, in value or in order; a
-    read that raises is a mismatch too."""
+    """The classes of ``point`` whose roots, below, letter or above differ
+    from `_heap` from scratch on the canonical word; a read that raises
+    is a mismatch too."""
     bad = []
     for cls in point:
-        rs, word = cls.rs, cls.canonical_word
-        below, letter = _heap(rs, word)
-        above = _order_pass(rs.adjacent, list(below)[::-1], word[::-1])
-        want = (list(below.items()), letter, [above[r] for r in range(cls.length)])
         try:
-            got = (list(cls.below().items()), cls._cache["letter"], cls.above())
+            got = _class_heap(cls)
         except (KeyError, IndexError):
             got = None
-        if got != want:
+        if got != _heap(cls.rs, cls.canonical_word):
             bad.append(cls)
     return bad
 
@@ -243,11 +259,13 @@ def _transport_mismatches(point):
 ])
 def test_transported_order_equals_heap_from_scratch(tt, rk):
     # a point built anew: every class but the seed reads its roots off its
-    # parent's, and its cache holds the order alone once it is read
+    # parent's, and its masks and letters are lists indexed by root
     point = twisted_folded_quivers.__wrapped__(tt, rk)
-    assert sum("link" in cls._cache for cls in point) == len(point) - 1
+    assert sum(cls.parent is not None for cls in point) == len(point) - 1
     assert _transport_mismatches(point) == []
-    assert all(set(cls._cache) == {"below", "letter", "above"} for cls in point)
+    for cls in point:
+        assert set(cls._cache) == {"roots", "below", "letter", "above"}
+        assert all(type(cls._cache[k]) is list for k in ("below", "letter", "above"))
 
 
 @pytest.mark.parametrize("old, new", [
@@ -263,8 +281,8 @@ def test_root_transport_mutants_fail_the_oracle(monkeypatch, recompiled, old, ne
 
 
 def test_a_long_chain_of_moves_reads_its_roots_without_recursion():
-    # the links are followed up one by one, so a chain deeper than the
-    # recursion limit resolves; each class on it keeps its roots, not its link
+    # the parents are followed up one by one, so a chain deeper than the
+    # recursion limit resolves; each class on it keeps its roots
     import sys
 
     rs = root_system("A", 5)
@@ -272,9 +290,20 @@ def test_a_long_chain_of_moves_reads_its_roots_without_recursion():
     while len(chain) <= max(1_500, sys.getrecursionlimit()):
         chain.append(reflect(chain[-1], chain[-1].canonical_word[0]))
     last = chain[-1]
-    assert last.below() == _heap(rs, last.canonical_word)[0]
-    assert list(last.below()) == [rs.root_index[b] for b in root_sequence(rs, last.canonical_word)]
+    assert _class_heap(last) == _heap(rs, last.canonical_word)
     assert all(set(c._cache) == {"roots"} for c in chain[:-1])
+    assert all(c.parent == (p, p.canonical_word[0]) for p, c in zip(chain, chain[1:]))
+
+
+def test_parent_takes_no_part_in_equality_hash_or_repr():
+    rs = root_system("A", 5)
+    seed = commutation_class(rs, rs.longest_word())
+    moved = reflect(seed, seed.canonical_word[0])
+    plain = CommutationClass(rs, moved.canonical_word)
+    assert moved.parent == (seed, seed.canonical_word[0]) and plain.parent is None
+    assert moved == plain and hash(moved) == hash(plain)
+    assert repr(moved) == repr(plain) and "parent" not in repr(moved)
+    assert {moved: 1}[plain] == 1
 
 
 def test_heap_is_the_same_for_every_member_word():
@@ -282,19 +311,18 @@ def test_heap_is_the_same_for_every_member_word():
                          ("D", 4, root_system("D", 4).longest_word())]:
         rs = root_system(tt, rk)
         cls = commutation_class(rs, word)
-        below = cls.below()
-        letter = {r: cls.letter_of(r) for r in below}
+        _, below, letter, above = _class_heap(cls)
         members = cls.members()
         assert len(members) > 1
         for w in members:
-            assert _heap(rs, w) == (below, letter)
+            assert _heap(rs, w)[1:] == (below, letter, above)
 
 
 @pytest.mark.parametrize("tt, rk", [("A", 9), ("D", 7), ("E", 6)])
 def test_above_is_the_transpose_of_below(tt, rk):
     for cls in twisted_adapted_point(tt, rk):
         transpose = [0] * cls.length
-        for r, mask in cls.below().items():
+        for r, mask in enumerate(cls.below()):
             for r2 in range(cls.length):
                 if mask >> r2 & 1:
                     transpose[r2] |= 1 << r
@@ -458,7 +486,7 @@ def test_root_sequence_equals_prefix_oracle(case):
     expected = _outcome(_root_sequence_oracle, rs, word)
     assert _outcome(root_sequence, rs, word) == expected
     if isinstance(expected, list):
-        assert _heap(rs, word) == _heap_oracle(rs, word)
+        assert _heap(rs, word)[1:3] == _heap_oracle(rs, word)
 
 
 @pytest.mark.parametrize("tt, rk, point", [
@@ -469,7 +497,7 @@ def test_heap_equals_pairwise_oracle_on_every_member_word(tt, rk, point):
     rs = root_system(tt, rk)
     for cls in point(tt, rk):
         for w in cls.members():
-            assert _heap(rs, w) == _heap_oracle(rs, w)
+            assert _heap(rs, w)[1:3] == _heap_oracle(rs, w)
 
 
 @pytest.mark.parametrize("tt, rk, point", [
@@ -498,7 +526,7 @@ def test_commutation_class_refuses_full_length_non_reduced_word(tt, rk):
 @pytest.mark.parametrize("tt, rk", [("A", 5), ("D", 5)])
 def test_interval_equals_precedes_definition(tt, rk):
     for cls in twisted_adapted_point(tt, rk):
-        roots = list(cls.below())
+        roots = cls.roots()
         for a in roots:
             for b in roots:
                 expected = [r for r in roots if cls.precedes(a, b)
