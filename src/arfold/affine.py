@@ -174,7 +174,7 @@ def _label(target: str, i: int, p: int) -> FundamentalModuleLabel:
 
 def v_assign(fq: FoldedQuiver, root_idx: int) -> FundamentalModuleLabel:
     """V(pi_i) with parameter read off the folded coordinate of a root."""
-    return _label(fq.folding.target[0], *fq.coord_of()[root_idx])
+    return _label(fq.folding.target[0], *fq.cells[root_idx])
 
 
 def v_untwisted_twisted(q: DynkinQuiver, beta, t: int) -> FundamentalModuleLabel:
@@ -308,7 +308,7 @@ def minimal_pair_coordinates(
     g = gamma if isinstance(gamma, int) else fq.rs.root_index.get(tuple(gamma))
     if g is None:
         raise ValueError(f"{tuple(gamma)} is not a positive root of {fq.rs}")
-    coord = fq.coord_of()
+    coord = fq.cells
     return [
         (coord[a], coord[b], coord[g])
         for a, b in minimal_pairs_of_root(fq.source_class, g)
@@ -460,8 +460,8 @@ def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
     realized: set = set()
     point = twisted_folded_quivers(*folding.source)
     for cls in sorted(point, key=lambda c: c.canonical_word):
-        coord = point[cls].coord_of()
-        labels = {r: _plain_spectral(target, *c) for r, c in coord.items()}
+        coord = point[cls].cells
+        labels = [_plain_spectral(target, *c) for c in coord]
         for g in range(cls.rs.num_positive):
             minimal = set(minimal_pairs_of_root(cls, g))
             for a, b in cls.rs.summing_pairs(g):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from .rootsys import (
     UnsupportedTypeError,
     check_type_rank,
+    folding_from,
     folding_to,
     root_system,
 )
@@ -50,9 +51,10 @@ def _resolve_quiver(rs, cls):
         g = gamma_q(q)
         return hasse_quiver(cls, g), "adapted"
     try:
-        folded = twisted_folded_quivers(rs.type_tag, rs.rank)
+        folding_from(rs.type_tag, rs.rank)
     except FoldingError:
-        folded = {}
+        return hasse_quiver(cls), "layered"
+    folded = twisted_folded_quivers(rs.type_tag, rs.rank)  # its errors propagate
     if cls in folded:
         return hasse_quiver(cls, folded[cls].unfolded()), "twisted"
     return hasse_quiver(cls), "layered"

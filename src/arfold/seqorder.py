@@ -572,7 +572,7 @@ def comparable_pairs(cls: CommutationClass) -> list[tuple[int, int]]:
 
 def phi_pairs(fq: FoldedQuiver, k: int, l: int, t: int) -> list[tuple[int, int]]:
     """Phi[t] by definition: comparable pairs at residues {k, l}, gap t."""
-    coord = fq.coord_of()
+    coord = fq.cells
     out = []
     for a, b in comparable_pairs(fq.source_class):
         (ia, pa), (ib, pb) = coord[a], coord[b]
@@ -616,7 +616,7 @@ def _scratch(fq: FoldedQuiver) -> tuple:
     """(bucket counts, socle-dist records) of a folded quiver, one reading
     per comparable pair (an incomparable pair has nothing below it)."""
     cls = fq.source_class
-    coord = fq.coord_of()
+    coord = fq.cells
     data: tuple = ({}, [])
     for a, b in comparable_pairs(cls):
         _read_pair(data, cls, _bucket(coord, a, b), a, b)
@@ -627,7 +627,7 @@ def _pairs_at(fq: FoldedQuiver, r: int) -> list[tuple[tuple[int, int, int], int,
     """(bucket, a, b) for each comparable pair {a, b} of the quiver's class
     that contains the root r, a before b."""
     cls = fq.source_class
-    coord = fq.coord_of()
+    coord = fq.cells
     return [(_bucket(coord, a, r), a, r) for a in bits(cls.below()[r])] + [
         (_bucket(coord, r, b), r, b) for b in bits(cls.above()[r])
     ]

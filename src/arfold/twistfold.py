@@ -18,9 +18,11 @@ The printed constructions stay as references for it:
 
 ``fold`` collapses their residues to orbits.
 
-Folded coordinates are plain integers: for a type-A source they are the
-doubled half-integer positions, otherwise positions are kept as they
-are.
+A folded quiver stores its coordinates alone, one (orbit residue,
+position) cell per root; its sinks and, on demand, its arrows are read
+off them.  Folded coordinates are plain integers: for a type-A source
+they are the doubled half-integer positions, otherwise positions are
+kept as they are.
 """
 
 from __future__ import annotations
@@ -65,37 +67,43 @@ def _unfolded_scale(type_tag: str) -> int:
 class FoldedQuiver:
     """An AR quiver with residues collapsed to automorphism orbits.
 
-    ``folding`` is the record it was folded by; it takes no part in
-    equality or hashing.  The move that made a quiver is its class's
-    ``parent``.
+    ``cells`` holds one (orbit residue, position) per root, indexed by
+    root index; colliding cells are a FoldingError.  The arrows are not
+    stored: `arrows` reads them off the cells.  ``folding`` is the record
+    it was folded by; it takes no part in equality or hashing.  The move
+    that made a quiver is its class's ``parent``.
     """
 
     rs: RootSystem
-    coords: tuple[tuple[int, int, int], ...]  # (root_idx, orbit_residue, position)
-    arrows: frozenset[tuple[int, int]]
+    cells: tuple[tuple[int, int], ...]
     source_class: CommutationClass
     folding: Folding = field(compare=False)
 
-    def coord_of(self) -> dict[int, tuple[int, int]]:
-        return {r: (i, p) for r, i, p in self.coords}
+    def __post_init__(self):
+        if len(set(self.cells)) != len(self.cells):
+            raise FoldingError("coordinates collide")
 
     def by_coord(self) -> dict[tuple[int, int], int]:
-        out = {(i, p): r for r, i, p in self.coords}
-        if len(out) != len(self.coords):
-            raise FoldingError("folded coordinates collide")
-        return out
+        return {c: r for r, c in enumerate(self.cells)}
 
     def root_labels(self) -> dict[tuple[int, int], Root]:
-        rs = self.rs
-        return {(i, p): rs.positive_roots[r] for r, i, p in self.coords}
+        roots = self.rs.positive_roots
+        return {c: roots[r] for r, c in enumerate(self.cells)}
+
+    def arrows(self) -> frozenset[tuple[int, int]]:
+        """Arrows along the folded diagram, the path 1..n, each stepping
+        min(d_i, d_j) ahead, d the folding's symmetrizer."""
+        d = self.folding.symmetrizer
+        adjacent = {i: [j for j in (i - 1, i + 1) if j in d] for i in d}
+        return arrows_by_step(dict(enumerate(self.cells)), adjacent, lambda i, j: min(d[i], d[j]))
 
     def unfolded(self) -> ARQuiver:
         """The same quiver with the residues of the source class and
         doubled unfolded positions."""
         scale = _unfolded_scale(self.rs.type_tag)
         letter_of = self.source_class.letter_of
-        coords = tuple((r, letter_of(r), scale * p) for r, _, p in self.coords)
-        return ARQuiver(self.rs, coords, self.arrows)
+        coords = tuple((r, letter_of(r), scale * p) for r, (_, p) in enumerate(self.cells))
+        return ARQuiver(self.rs, coords, self.arrows())
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +205,12 @@ def fold(quiver: ARQuiver, cls: CommutationClass) -> FoldedQuiver:
     folding = folding_from(rs.type_tag, rs.rank)
     label = folding.automorphism.orbit_label
     scale = _unfolded_scale(rs.type_tag)
-    coords = []
+    cells = [None] * rs.num_positive
     for r, i, p2 in quiver.coords:
         if p2 % scale:
             raise FoldingError("expected integer positions")
-        coords.append((r, label[i], p2 // scale))
-    fq = FoldedQuiver(rs, tuple(sorted(coords)), quiver.arrows, cls, folding)
-    fq.by_coord()  # injectivity check
-    return fq
+        cells[r] = (label[i], p2 // scale)
+    return FoldedQuiver(rs, tuple(cells), cls, folding)
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +229,10 @@ def _load_table(name: str) -> list[tuple[int, int, Root]]:
     return out
 
 
-def _folded(
-    folding: Folding, coords: dict[int, tuple[int, int]], cls: CommutationClass
-) -> FoldedQuiver:
-    """The folded quiver on {root index: (orbit residue, position)}.
-
-    Arrows run along the folded diagram, the path 1..n, and step
-    min(d_i, d_j) ahead, d the folding's symmetrizer.
-    """
-    d = folding.symmetrizer
-    adjacent = {i: [j for j in (i - 1, i + 1) if j in d] for i in d}
-    arrows = arrows_by_step(coords, adjacent, lambda i, j: min(d[i], d[j]))
-    return FoldedQuiver(
-        cls.rs, tuple(sorted((r, i, p) for r, (i, p) in coords.items())), arrows, cls,
-        folding,
-    )
+def _folded(folding: Folding, cells: list, cls: CommutationClass) -> FoldedQuiver:
+    """The folded quiver of ``cls`` on its (orbit residue, position) cells,
+    indexed by root index; no arrows are built."""
+    return FoldedQuiver(cls.rs, tuple(cells), cls, folding)
 
 
 @lru_cache(maxsize=None)
@@ -246,34 +241,42 @@ def e6_folded_quiver() -> FoldedQuiver:
     rs = root_system("E", 6)
     folding = folding_from("E", 6)
     cls = commutation_class(rs, folding.twisted_longest_word())
-    rows = _load_table("e6_folded.txt")
-    coords = {rs.root_index[root]: (res, pos) for res, pos, root in rows}
-    return _folded(folding, coords, cls)
+    cells = [None] * rs.num_positive
+    for res, pos, root in _load_table("e6_folded.txt"):
+        cells[rs.root_index[root]] = (res, pos)
+    return _folded(folding, cells, cls)
 
 
 def folded_sinks(fq: FoldedQuiver) -> list[int]:
-    """Nodes i of the source diagram whose alpha_i vertex has no out-arrow."""
-    rs = fq.rs
-    tails = {a for a, _ in fq.arrows}
-    return [i for i in rs.nodes if rs.simple_root_index[i] not in tails]
+    """Nodes i of the source diagram whose alpha_i vertex has no out-arrow,
+    read off the cells: no cell at (j, p + min(d_res, d_j)) for a folded
+    neighbour j of the residue res of alpha_i's cell (res, p)."""
+    rs, cells, d = fq.rs, fq.cells, fq.folding.symmetrizer
+    taken = set(cells)
+    out = []
+    for i in rs.nodes:
+        res, p = cells[rs.simple_root_index[i]]
+        if not any((j, p + min(d[res], d[j])) in taken for j in (res - 1, res + 1) if j in d):
+            out.append(i)
+    return out
 
 
-def _reflected_coords(fq: FoldedQuiver, i: int) -> dict[int, tuple[int, int]]:
-    """The coordinates of the folded reflection of ``fq`` at alpha_i:
-    every other label reflected by s_i, a permutation of the positive
-    roots other than alpha_i, and the alpha_i vertex moved 2 h_dual to
-    the left."""
-    perm = fq.rs.reflection_permutation(i)  # alpha_i stays in place
-    coords = {perm[r]: (res, pos) for r, res, pos in fq.coords}
+def _reflected_coords(fq: FoldedQuiver, i: int) -> list[tuple[int, int]]:
+    """The cells of the folded reflection of ``fq`` at alpha_i: every
+    other label reflected by s_i, a permutation of the positive roots
+    other than alpha_i, and the alpha_i vertex moved 2 h_dual to the
+    left."""
+    cells = fq.cells
+    out = [cells[r] for r in fq.rs.reflection_permutation(i)]  # an involution
     r_i = fq.rs.simple_root_index[i]
-    res, pos = coords[r_i]
-    coords[r_i] = (res, pos - 2 * fq.folding.h_dual)
-    return coords
+    res, pos = out[r_i]
+    out[r_i] = (res, pos - 2 * fq.folding.h_dual)
+    return out
 
 
 def _moved(fq: FoldedQuiver, i: int, cls: CommutationClass) -> FoldedQuiver:
-    """The folded quiver of ``cls`` = r_i of ``fq``'s class: the
-    coordinates of `_reflected_coords` with their arrows."""
+    """The folded quiver of ``cls`` = r_i of ``fq``'s class, on the cells
+    of `_reflected_coords`."""
     return _folded(fq.folding, _reflected_coords(fq, i), cls)
 
 
@@ -286,10 +289,7 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     rs = fq.rs
     if i not in rs.nodes:
         raise ValueError(f"letter {i!r} outside the index set of {rs}")
-    r_i = rs.simple_root_index[i]
-    if r_i not in fq.coord_of():
-        raise FoldingError(f"alpha_{i} is not a vertex of this quiver")
-    if any(a == r_i for a, _ in fq.arrows):
+    if i not in folded_sinks(fq):
         raise FoldingError(f"alpha_{i} is not a sink of the folded quiver")
     new_cls = reflect(fq.source_class, i)
     if new_cls == fq.source_class:
@@ -317,22 +317,18 @@ def _seed(folding: Folding) -> FoldedQuiver:
     word = folding.twisted_longest_word()
     width = len(slot)
     cls = commutation_class(rs, word)
-    coords = {}
+    cells = [None] * rs.num_positive
     for k, r in enumerate(_by_occurrence(cls.canonical_word, cls.roots(), word)):
         res = label[word[k]]
-        coords[r] = (res, xi[res] - 2 * (k // width))
-    return _folded(folding, coords, cls)
+        cells[r] = (res, xi[res] - 2 * (k // width))
+    return _folded(folding, cells, cls)
 
 
-def _assert_coords_shift_equal(
-    ca: dict[int, tuple[int, int]], cb: dict[int, tuple[int, int]]
-) -> None:
-    """Same vertices, same residues and one global position offset."""
-    if set(ca) != set(cb):
-        raise AssertionError("same class, different folded vertex sets")
-    offsets = {cb[r][1] - ca[r][1] for r in ca}
-    residues_differ = any(cb[r][0] != ca[r][0] for r in ca)
-    if residues_differ or len(offsets) != 1:
+def _assert_coords_shift_equal(ca, cb) -> None:
+    """Two cell sequences of one root system, indexed by root: every cell
+    keeps its residue and moves by one global position offset."""
+    moves = {(rb - ra, pb - pa) for (ra, pa), (rb, pb) in zip(ca, cb)}
+    if len(moves) != 1 or moves.pop()[0]:
         raise AssertionError("same class, incompatible folded quivers")
 
 
@@ -341,15 +337,15 @@ def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, F
     """Folded quivers for every class of the twisted adapted point.
 
     Reads the BFS of `words.cluster_moves` from the seed's class: the
-    folded sinks of each class's quiver must be the letters that move
-    the class, and a class reached first by r_i gets the folded
-    reflection of its parent at alpha_i (`_moved`).  A class reached
-    again must agree up to a global position shift; arrows are a
-    function of the coordinates and a shift keeps them, so a revisit
-    compares its reflected coordinates alone.  The first class reached
-    is kept, so each key's ``parent`` is an edge of the BFS tree, its
-    quiver this dict's entry, and the insertion order puts every parent
-    before its children.
+    folded sinks of each class's quiver, read off its cells, must be the
+    letters that move the class, and a class reached first by r_i gets
+    the folded reflection of its parent at alpha_i (`_moved`).  No arrows
+    are built: they are a function of the cells, and a shift keeps them,
+    so a class reached again must agree with its first quiver cell by
+    cell up to one global position shift.  The first class reached is
+    kept, so each key's ``parent`` is an edge of the BFS tree, its quiver
+    this dict's entry, and the insertion order puts every parent before
+    its children.
     """
     start = _seed(folding_from(type_tag, rank))
     found = {start.source_class: start}
@@ -367,5 +363,5 @@ def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, F
             if new:
                 found[d] = _moved(fq, i, d)
             else:
-                _assert_coords_shift_equal(found[d].coord_of(), _reflected_coords(fq, i))
+                _assert_coords_shift_equal(found[d].cells, _reflected_coords(fq, i))
     return found

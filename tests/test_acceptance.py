@@ -276,14 +276,14 @@ def test_criterion_10_e6_f4_exceptional():
     t0 = time.time()
     rs = root_system("E", 6)
     fq = e6_folded_quiver()
-    ok = len(fq.coords) == 36
+    ok = len(fq.cells) == 36
     labels = fq.root_labels()
     ok &= labels[(1, 4)] == (0, 0, 1, 1, 1, 0)
     ok &= labels[(1, 20)] == (1, 0, 0, 0, 0, 0)
 
     r1 = folded_reflection(fq, 1)
     want = {(res, pos): root for res, pos, root in _load_table("e6_folded_r1.txt")}
-    got = {(res, pos): rs.positive_roots[r] for r, res, pos in r1.coords}
+    got = {(res, pos): rs.positive_roots[r] for r, (res, pos) in enumerate(r1.cells)}
     ok &= got == want
 
     rep = verify_f4_conjecture()

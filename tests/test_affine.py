@@ -102,15 +102,14 @@ def test_v_assign_spec_examples():
     # B target, folded coordinate (3,4) -> node 3, (-1)^3 qs^4
     fqs = twisted_folded_quivers("A", 5)
     cls, fq = sorted(fqs.items(), key=lambda kv: kv[0].canonical_word)[0]
-    coord = fq.coord_of()
-    for r, (i, p) in coord.items():
+    for r, (i, p) in enumerate(fq.cells):
         lab = v_assign(fq, r)
         assert lab.node == i
         assert lab.parameter == SP(2 * i, p)
     # C target: (-qs)^p
     fqs = twisted_folded_quivers("D", 4)
     cls, fq = sorted(fqs.items(), key=lambda kv: kv[0].canonical_word)[0]
-    for r, (i, p) in fq.coord_of().items():
+    for r, (i, p) in enumerate(fq.cells):
         lab = v_assign(fq, r)
         assert lab.node == i and lab.parameter == SP.minus_qs_power(p)
 
@@ -119,7 +118,7 @@ def test_v_assign_injective_on_classes():
     fqs = twisted_folded_quivers("A", 5)
     for cls, fq in fqs.items():
         labels = {(v_assign(fq, r).node, v_assign(fq, r).parameter)
-                  for r, _, _ in fq.coords}
+                  for r in range(len(fq.cells))}
         assert len(labels) == 15
 
 
@@ -405,7 +404,7 @@ def test_minimal_pair_coordinates_op():
     rs = cls.rs
     # a simple root has no minimal pairs
     assert minimal_pair_coordinates(fq, rs.simple_root(1)) == []
-    coord = fq.coord_of()
+    coord = fq.cells
     seen = 0
     for g in range(rs.num_positive):
         for (ip, jq, kr) in minimal_pair_coordinates(fq, g):

@@ -1,14 +1,16 @@
+import hashlib
 import json
 import operator
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfold import affine, cli, seqorder
+from arfold import affine, cli, seqorder, twistfold
 from arfold.arquiver import all_quivers, gamma_q
 from arfold.cli import main, quiver_from_json, quiver_to_json
 from arfold.rootsys import root_system
@@ -16,6 +18,8 @@ from arfold.words import commutation_class
 
 # a class of A_4 that is neither adapted nor twisted (A_4 has no folding)
 A4_LAYERED_WORD = "1,2,1,3,2,4,3,2,1,2"
+# the seed class of the twisted point of A_5, its twisted longest word
+A5_TWISTED_WORD = "1,2,1,3,5,4,3,2,1,3,5,4,3,2,3"
 
 
 def run(capsys, *argv):
@@ -313,7 +317,72 @@ def test_quiver_twisted_construction_errors_propagate(monkeypatch):
 
     monkeypatch.setattr(cli, "twisted_folded_quivers", broken)
     with pytest.raises(AssertionError, match="construction is broken"):
-        main(["quiver", "--type", "A", "--rank", "4", "--class", A4_LAYERED_WORD])
+        main(["quiver", "--type", "A", "--rank", "5", "--class", A5_TWISTED_WORD])
+
+
+def test_quiver_twisted_walk_errors_are_not_a_missing_folding(monkeypatch, capsys):
+    # a FoldingError raised inside the walk, here a moving letter that is
+    # no folded sink, is an error: not a type without a folding, drawn layered
+    sinks = twistfold.folded_sinks
+    monkeypatch.setattr(twistfold, "folded_sinks", lambda fq: sinks(fq)[1:])
+    cold = lru_cache(maxsize=None)(twistfold.twisted_folded_quivers.__wrapped__)
+    monkeypatch.setattr(cli, "twisted_folded_quivers", cold)
+    with pytest.raises(SystemExit) as exc:
+        main(["quiver", "--type", "A", "--rank", "5", "--class", A5_TWISTED_WORD,
+              "--format", "dot"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("arfold: error: ")
+
+
+# sha256 of `arfold quiver` output for the seed class and the class r_1
+# moves it to, the first two classes of each twisted point
+TWISTED_RENDERINGS = {
+    ("A", 5, A5_TWISTED_WORD): (
+        "3e8f78f1165111be7341bc2af7b8636845c19f85e9840799b4a7ea9630a7473d",
+        "c8f1c6881dc2e158599de9c995762b8b5217ce6137d9a31c842ae5bcfc864d11",
+        "c9b41fe720ef9a038ebe099e05c6bb8e8c27a37f3333695edf49fa76ef8d1a72",
+    ),
+    ("A", 5, "2,1,3,5,4,3,2,1,3,5,4,3,2,3,5"): (
+        "017052ff97269b51da4b518c0042d695b43fe3ccda6bdd8ce80f69be4c563ef7",
+        "8b3335c4aa5f18aa1b419f6d0a11c79778e62d3d5ad85ad75427b754b9bd70d8",
+        "54660809e7a00f2d20edbdbae3a92902753b360989008ff9b66d8da33ed3bec7",
+    ),
+    ("D", 5, "1,2,1,3,2,1,4,3,2,1,5,3,2,1,4,3,2,5,3,4"): (
+        "d74a92262f025918fdb20769cc0ce7474e6e01eb03ad2b5f00ae312f4d71d04c",
+        "a6e3bb09a5fba6fb9d813168fd37117ae8a66babcbf925a75ac3fd06df70c391",
+        "594f36dee9c038240d42a35d4b6887a12e837eca3a8a4afaf5cc259f397c463e",
+    ),
+    ("D", 5, "2,1,3,2,1,4,3,2,1,5,3,2,1,4,3,2,1,5,3,4"): (
+        "5e0f3663aa2fda179041419423b1e1f29e1d10bc8b37bbbfa2c01995014e19aa",
+        "6de738c65cb854919fffefcb1125b9b4f4b46fcca6d1f5441d70033c0a3f7599",
+        "333f16943b9d961a3ed3c34a2a96fb1b1645b6ae54142a689767bfb74d78e240",
+    ),
+    ("E", 6, "1,2,1,5,6,3,4,5,6,3,2,1,6,3,4,5,6,3,2,1,6,3,4,5,6,3,2,1,6,3,4,6,3,2,6,3"): (
+        "5e12b23adfe0c8480326816e1990c6e3694b4a1fd301a42b4efa9902a4f4e451",
+        "93f9b79a327da78dc3b4069196648c4330b5cf09f637fb90f38d74feb75067c2",
+        "88128499f6a0d2722516bd4f33b33ccd0bb97da27d1c0b04ffc10bc6fddacb1a",
+    ),
+    ("E", 6, "2,1,5,6,3,4,5,6,3,2,1,6,3,4,5,6,3,2,1,6,3,4,5,6,3,2,1,6,3,4,5,6,3,2,6,3"): (
+        "8a20655c12d86e729f119ca901cbf12ea6de257e4edfb74681f1d7fb8f79e7d2",
+        "736d44257c76788e2226b18fce0d34b38d9741cb5b9ccbee20640505aa7ddc0a",
+        "0d7099eb3d7386072fc23a83c4b5c739e2ba3db57a715382665867227d21c62b",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "ascii"])
+@pytest.mark.parametrize(
+    "key", TWISTED_RENDERINGS, ids=lambda k: f"{k[0]}{k[1]}-{k[2].split(',')[0]}"
+)
+def test_twisted_renderings_are_pinned(capsys, key, fmt):
+    # the one production reader of a folded quiver's arrows: `unfolded`
+    type_tag, rank, word = key
+    code, out = run(capsys, "quiver", "--type", type_tag, "--rank", str(rank),
+                    "--class", word, "--format", fmt)
+    assert code == 0
+    assert (fmt != "json") or json.loads(out)["layout"] == "twisted"
+    want = TWISTED_RENDERINGS[key][("json", "dot", "ascii").index(fmt)]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_quiver_class_errors_propagate(monkeypatch):

@@ -162,3 +162,30 @@ def test_each_move_and_class_order_is_stored_once():
     assert setattr_in == {"__post_init__"}
     assert "parent" in walk_attrs
     assert below_reads == []
+
+
+def test_folded_quivers_store_coordinates_alone(monkeypatch):
+    # one (residue, position) cell per root and no arrows: neither the
+    # walk nor a suite builds them, and no module reads a folded quiver's
+    # coordinates through a dict
+    from dataclasses import fields
+    from functools import lru_cache
+
+    from arfold import affine, arquiver, twistfold
+    from arfold.twistfold import FoldedQuiver
+
+    assert [f.name for f in fields(FoldedQuiver)] == ["rs", "cells", "source_class", "folding"]
+    assert not hasattr(FoldedQuiver, "coord_of")
+    assert _callers("coord_of") == {("affine", "v_untwisted_twisted")}  # of gamma_q
+    calls = []
+    real = arquiver.arrows_by_step
+    for module in (arquiver, twistfold):
+        monkeypatch.setattr(module, "arrows_by_step", lambda *a: calls.append(a) or real(*a))
+    cold = lru_cache(maxsize=None)(twistfold.twisted_folded_quivers.__wrapped__)
+    for module in (twistfold, affine):
+        monkeypatch.setattr(module, "twisted_folded_quivers", cold)
+    polys = lru_cache(maxsize=None)(affine._distance_polynomials.__wrapped__)
+    monkeypatch.setattr(affine, "_distance_polynomials", polys)
+    assert len(cold("A", 9)) == 256
+    assert affine.verify_den_dist("C", 5).ok
+    assert cold.cache_info().currsize == 2 and calls == []

@@ -669,7 +669,7 @@ def _table_oracle(fq):
     """{(k, l): {t: o_t}} from the definitional phi_pairs, k <= l in 1..n."""
     cls = fq.source_class
     _, n = fq.folding.target
-    gaps = {abs(p - q) for _, _, p in fq.coords for _, _, q in fq.coords}
+    gaps = {abs(p - q) for _, p in fq.cells for _, q in fq.cells}
     out = {}
     for k in range(1, n + 1):
         for l in range(k, n + 1):
@@ -697,8 +697,8 @@ def test_distance_table_equals_phi_pairs_oracle_first_e6_class():
 def test_distance_table_is_keyed_by_folded_coordinates():
     fqs = twisted_folded_quivers("A", 5)
     cls = min(fqs, key=lambda c: c.canonical_word)
-    coords = tuple((r, i, 2 * p) for r, i, p in fqs[cls].coords)
-    stretched = replace(fqs[cls], coords=coords)
+    cells = tuple((i, 2 * p) for i, p in fqs[cls].cells)
+    stretched = replace(fqs[cls], cells=cells)
     assert _distance_table(stretched) == _table_oracle(stretched)
     assert _distance_table(stretched) != _distance_table(fqs[cls])
 
@@ -721,7 +721,7 @@ def fresh_point(monkeypatch):
 def _scratch_table(fq):
     """{(k, l): {t: o_t}} from `comparable_pairs` and `dist` alone."""
     cls = fq.source_class
-    coord = fq.coord_of()
+    coord = fq.cells
     out = {}
     for a, b in comparable_pairs(cls):
         (ia, pa), (ib, pb) = coord[a], coord[b]
@@ -776,7 +776,7 @@ def test_removing_at_the_child_coordinates_fails_the_oracle(fresh_point, monkeyp
     real = seqorder._transport
 
     def transport(counts, parent, child, i):
-        return real(counts, replace(parent, coords=child.coords), child, i)
+        return real(counts, replace(parent, cells=child.cells), child, i)
 
     monkeypatch.setattr(seqorder, "_transport", transport)
     assert not all(_tables_match_scratch(fresh_point(*s)) for s in MUTANT_SOURCES)
@@ -813,7 +813,7 @@ def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
         _, i = fq.source_class.parent
         r = fq.rs.simple_root_index[i]
         sizes = {}
-        coord = fq.coord_of()
+        coord = fq.cells
         for a, b in comparable_pairs(fq.source_class):
             key = seqorder._bucket(coord, a, b)
             sizes[key] = sizes.get(key, 0) + 1

@@ -140,15 +140,14 @@ def test_hasse_agreement_all_twisted_quivers():
 
 def test_fold_injective_all_a5_classes():
     for cls, fq in twisted_folded_quivers("A", 5).items():
-        fq.by_coord()  # raises on collision
-        assert len(fq.coords) == 15
+        assert len(fq.by_coord()) == len(fq.cells) == 15
 
 
 def test_fold_printed_folded_positions():
     cls, qu = twist_quiver_from_a(EXAMPLE_Q, ">")
     fq = fold(qu, cls)
     rows = {}
-    for _, i, p in fq.coords:
+    for i, p in fq.cells:
         rows.setdefault(i, set()).add(p)
     assert rows == {
         1: {-6, -4, -2, 0, 2},
@@ -161,7 +160,7 @@ def test_fold_printed_d5():
     cls, qu = twist_from_d(EXAMPLE_Q, 4)
     fq = fold(qu, cls)
     rows = {}
-    for _, i, p in fq.coords:
+    for i, p in fq.cells:
         rows.setdefault(i, set()).add(p)
     assert rows[4] == {-7, -5, -3, -1, 1}  # fork rows merge
     assert rows[1] == {-8, -6, -4, -2, 0}
@@ -184,7 +183,7 @@ def test_fold_rejects_non_twisted():
 def test_e6_folded_fixture_table():
     rs = root_system("E", 6)
     fq = e6_folded_quiver()
-    assert len(fq.coords) == 36
+    assert len(fq.cells) == 36
     labels = fq.root_labels()
     assert labels[(1, 4)] == (0, 0, 1, 1, 1, 0)
     assert labels[(1, 20)] == (1, 0, 0, 0, 0, 0)
@@ -226,8 +225,8 @@ def test_e6_fold_of_unfolded_is_folded_fixture():
     cls = commutation_class(rs, folding_from("E", 6).twisted_longest_word())
     ff = fold(_e6_unfolded_quiver(), cls)
     fq = e6_folded_quiver()
-    assert set(ff.coords) == set(fq.coords)
-    assert ff.arrows == fq.arrows
+    assert ff.cells == fq.cells
+    assert fq.arrows() == ff.arrows() == _e6_unfolded_quiver().arrows
 
 
 def test_e6_folded_reflection_r1_printed():
@@ -235,10 +234,45 @@ def test_e6_folded_reflection_r1_printed():
     fq = e6_folded_quiver()
     r1 = folded_reflection(fq, 1)
     want = {(res, pos): root for res, pos, root in _load_table("e6_folded_r1.txt")}
-    got = {(res, pos): rs.positive_roots[r] for r, res, pos in r1.coords}
+    got = {(res, pos): rs.positive_roots[r] for r, (res, pos) in enumerate(r1.cells)}
     assert got == want
     # the moved vertex keeps its label and lands 18 to the left
     assert got[(1, 2)] == rs.simple_root(1)
+
+
+SINK_SOURCES = (
+    [("A", r) for r in (5, 7, 9, 11)] + [("D", r) for r in (5, 6, 7, 8)] + [("E", 6)]
+)
+
+
+def _arrow_sinks(fq):
+    """The folded sinks by definition: alpha_i has no out-arrow."""
+    tails = {a for a, _ in fq.arrows()}
+    return [i for i in fq.rs.nodes if fq.rs.simple_root_index[i] not in tails]
+
+
+@pytest.mark.parametrize("source", SINK_SOURCES, ids=lambda s: f"{s[0]}{s[1]}")
+def test_folded_sinks_equal_the_arrow_oracle(source):
+    for fq in twisted_folded_quivers(*source).values():
+        assert folded_sinks(fq) == _arrow_sinks(fq)
+
+
+def test_a_sink_test_with_the_wrong_step_fails_the_oracle(recompiled):
+    mutant = recompiled(folded_sinks, "min(d[res], d[j])", "max(d[res], d[j])")
+    for source in (("A", 5), ("D", 5)):
+        fqs = twisted_folded_quivers(*source).values()
+        assert any(mutant(fq) != _arrow_sinks(fq) for fq in fqs)
+
+
+def test_colliding_cells_are_refused():
+    # every way to build a folded quiver passes the one collision check
+    fq = e6_folded_quiver()
+    cells = list(fq.cells)
+    cells[1] = cells[0]
+    with pytest.raises(FoldingError, match="coordinates collide"):
+        replace(fq, cells=tuple(cells))
+    with pytest.raises(FoldingError, match="coordinates collide"):
+        twistfold._folded(fq.folding, cells, fq.source_class)
 
 
 def test_e6_reflection_requires_sink():
@@ -262,14 +296,17 @@ def test_e6_reflection_preserves_labels_up_to_s1():
     rs = root_system("E", 6)
     fq = e6_folded_quiver()
     r1 = folded_reflection(fq, 1)
-    before = sorted(r for r, _, _ in fq.coords)
-    after = sorted(r for r, _, _ in r1.coords)
-    reflected = sorted(
+    before = list(range(len(fq.cells)))
+    after = list(range(len(r1.cells)))
+    image = [
         r if rs.positive_roots[r] == rs.simple_root(1)
         else rs.root_index[rs.reflect(rs.positive_roots[r], 1)]
         for r in before
-    )
-    assert after == reflected == before  # same multiset: a permutation
+    ]
+    assert after == sorted(image) == before  # same multiset: a permutation
+    # every other vertex keeps its cell and takes the s_1-reflected label
+    r_1 = rs.simple_root_index[1]
+    assert all(r1.cells[image[r]] == fq.cells[r] for r in before if r != r_1)
 
 
 def test_e6_transport_reaches_all_classes():
@@ -277,8 +314,7 @@ def test_e6_transport_reaches_all_classes():
     assert len(by_class) == 32
     assert set(by_class) == set(twisted_adapted_point("E", 6))
     for cls, fq in by_class.items():
-        assert len(fq.coords) == 36
-        fq.by_coord()
+        assert len(fq.by_coord()) == len(fq.cells) == 36
 
 
 def test_e6_hasse_agreement_all_classes():
@@ -312,14 +348,6 @@ def test_folded_quivers_cover_the_twisted_point(source):
     assert twisted_adapted_point(*source) == cluster_point(_seed_class(*source))
 
 
-def _assert_shift_equal(a, b):
-    """Two folded quivers of one class: one global position shift apart,
-    with the same arrows."""
-    _assert_coords_shift_equal(a.coord_of(), b.coord_of())
-    if a.arrows != b.arrows:
-        raise AssertionError("same class, different folded arrows")
-
-
 @pytest.mark.parametrize(
     "source", [("A", 3), ("A", 5), ("A", 7), ("D", 4), ("D", 5), ("D", 6)],
     ids=lambda s: f"{s[0]}{s[1]}",
@@ -336,16 +364,16 @@ def test_folded_quivers_equal_folded_constructions_up_to_shift(source):
     seed = _seed_class(tt, rk)
     for cls, quiver in built:
         ref = fold(quiver, cls)
-        _assert_shift_equal(ref, fqs[cls])  # residues, arrows, one shift
-        a, b = ref.coord_of(), fqs[cls].coord_of()
-        (shift,) = {b[r][1] - a[r][1] for r in a}
+        _assert_coords_shift_equal(ref.cells, fqs[cls].cells)  # residues, one shift
+        assert fqs[cls].arrows() == quiver.arrows  # the construction's own arrows
+        (shift,) = {q - p for (_, p), (_, q) in zip(ref.cells, fqs[cls].cells)}
         assert shift == 0 or cls != seed
 
 
 def test_e6_seed_is_the_printed_table_shifted():
     seed = twisted_folded_quivers("E", 6)[_seed_class("E", 6)]
-    moved = tuple((r, i, p + 20) for r, i, p in seed.coords)
-    assert replace(seed, coords=moved) == e6_folded_quiver()
+    moved = tuple((i, p + 20) for i, p in seed.cells)
+    assert replace(seed, cells=moved) == e6_folded_quiver()
 
 
 @pytest.mark.parametrize(
@@ -364,8 +392,8 @@ def test_recorded_bfs_edges_replay(source):
         parent, fq = point[up], point[cls]
         assert parent.source_class is up and fq.source_class is cls
         replay = folded_reflection(parent, i)
-        assert replay.coords == fq.coords
-        assert replay.arrows == fq.arrows
+        assert replay.cells == fq.cells
+        assert replay.arrows() == fq.arrows()
         assert replay.source_class == fq.source_class
 
 
