@@ -172,16 +172,24 @@ def _label(target: str, i: int, p: int) -> FundamentalModuleLabel:
     return FundamentalModuleLabel(node, SpectralParameter(phase, exp))
 
 
+def _root_index(rs, gamma) -> int:
+    """The index of a positive root of ``rs`` named by its index or by its
+    coefficients; anything naming no positive root is a ValueError."""
+    g = gamma if isinstance(gamma, int) else rs.root_index.get(tuple(gamma))
+    if g is None or not 0 <= g < rs.num_positive:
+        raise ValueError(f"{gamma!r} is not a positive root of {rs}")
+    return g
+
+
 def v_assign(fq: FoldedQuiver, root_idx: int) -> FundamentalModuleLabel:
     """V(pi_i) with parameter read off the folded coordinate of a root."""
-    return _label(fq.folding.target[0], *fq.cells[root_idx])
+    return _label(fq.folding.target[0], *fq.cells[_root_index(fq.rs, root_idx)])
 
 
 def v_untwisted_twisted(q: DynkinQuiver, beta, t: int) -> FundamentalModuleLabel:
     """V^(1) and V^(2) labels for a root of an adapted class of type A/D."""
     rs = q.rs
-    r = beta if isinstance(beta, int) else rs.root_index[tuple(beta)]
-    i, p2 = gamma_q(q).coord_of()[r]
+    i, p2 = gamma_q(q).coord_of()[_root_index(rs, beta)]
     if p2 % 2:
         raise AssertionError("Gamma_Q positions must be integers")
     p = p2 // 2
@@ -305,9 +313,7 @@ def minimal_pair_coordinates(
     of a positive root in the quiver's class, the pair ordered by the
     convex order.  A root index or tuple naming no positive root is a
     ValueError."""
-    g = gamma if isinstance(gamma, int) else fq.rs.root_index.get(tuple(gamma))
-    if g is None:
-        raise ValueError(f"{tuple(gamma)} is not a positive root of {fq.rs}")
+    g = _root_index(fq.rs, gamma)
     coord = fq.cells
     return [
         (coord[a], coord[b], coord[g])

@@ -87,19 +87,6 @@ def all_quivers(rs: RootSystem) -> list[DynkinQuiver]:
     return out
 
 
-def coxeter_element_of(q: DynkinQuiver) -> Word:
-    """The unique Coxeter word adapted to Q, by peeling sinks."""
-    word = []
-    cur = q
-    remaining = set(q.rs.nodes)
-    while remaining:
-        i = min(j for j in remaining if cur.is_sink(j))
-        word.append(i)
-        cur = cur.reflect(i)
-        remaining.discard(i)
-    return tuple(word)
-
-
 @dataclass(frozen=True)
 class ARQuiver:
     """A quiver on the positive roots with (residue, position) coordinates."""

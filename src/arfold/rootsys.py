@@ -11,7 +11,7 @@ come from one walk from e to w_0 (`RootSystem._walk_longest_element`).
 
 Each printed folding is stated once, as the `Folding` record of
 `folding_to`; `RootSystem.diagram_automorphism` reads its automorphism
-from there, and only the D_4 triality has its own.
+from there.
 """
 
 from __future__ import annotations
@@ -67,18 +67,7 @@ class DiagramAutomorphism:
     """
 
     perm: dict[int, int]
-    order: int
     orbit_label: dict[int, int]
-
-    def orbit_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.orbit_label.values())))
-
-    def orbit(self, i: int) -> frozenset[int]:
-        members, j = set(), i
-        while j not in members:
-            members.add(j)
-            j = self.perm[j]
-        return frozenset(members)
 
 
 @dataclass(frozen=True)
@@ -110,52 +99,62 @@ class Folding:
         return tuple(word)
 
 
+def _printed_source(letter: str, n: int) -> tuple[str, int] | None:
+    """The source of the printed folding onto letter_n, or None if no
+    printed folding reaches letter_n."""
+    if letter == "B" and n >= 2:
+        return "A", 2 * n - 1
+    if letter == "C" and n >= 3:
+        return "D", n + 1
+    if (letter, n) == ("F", 4):
+        return "E", 6
+    return None
+
+
 def folding_to(letter: str, n: int) -> Folding:
     """The folding A_{2n-1} -> B_n, D_{n+1} -> C_n or E_6 -> F_4.
 
     A FoldingError names the rank when root_system does not support the
     source, before anything is built for it.
     """
-
-    def source(type_tag: str, rank: int) -> tuple[str, int]:
-        try:
-            check_type_rank(type_tag, rank)
-        except UnsupportedTypeError as exc:
-            raise FoldingError(f"no supported folding onto {letter}_{n}: {exc}") from None
-        return type_tag, rank
-
-    if letter == "B" and n >= 2:
-        src, m = source("A", 2 * n - 1), 2 * n
-        aut = DiagramAutomorphism({i: m - i for i in range(1, m)}, 2,
+    src = _printed_source(letter, n)
+    if src is None:
+        raise FoldingError(f"no printed folding onto {letter}_{n}")
+    try:
+        check_type_rank(*src)
+    except UnsupportedTypeError as exc:
+        raise FoldingError(f"no supported folding onto {letter}_{n}: {exc}") from None
+    if letter == "B":
+        m = 2 * n
+        aut = DiagramAutomorphism({i: m - i for i in range(1, m)},
                                   {i: min(i, m - i) for i in range(1, m)})
         sym = {i: 2 if i < n else 1 for i in range(1, n + 1)}
         return Folding(src, ("B", n), 2 * n - 1, sym, "A", tuple(range(1, n + 1)), aut)
-    if letter == "C" and n >= 3:
-        src = source("D", n + 1)
+    if letter == "C":
         perm = {i: i for i in range(1, n + 2)}
         perm[n], perm[n + 1] = n + 1, n
-        aut = DiagramAutomorphism(perm, 2, {i: min(i, n) for i in perm})
+        aut = DiagramAutomorphism(perm, {i: min(i, n) for i in perm})
         sym = {i: 1 if i < n else 2 for i in range(1, n + 1)}
         return Folding(src, ("C", n), n + 1, sym, "D", tuple(range(1, n + 1)), aut)
-    if (letter, n) == ("F", 4):
-        # orbit labels as in the folded table: {1,5}->1, {2,4}->2, {3}->3, {6}->4
-        aut = DiagramAutomorphism({1: 5, 5: 1, 2: 4, 4: 2, 3: 3, 6: 6}, 2,
-                                  {1: 1, 5: 1, 2: 2, 4: 2, 3: 3, 6: 4})
-        sym = {1: 2, 2: 2, 3: 1, 4: 1}
-        return Folding(("E", 6), ("F", 4), 9, sym, "D", (1, 2, 6, 3), aut)
-    raise FoldingError(f"no printed folding onto {letter}_{n}")
+    # orbit labels as in the folded table: {1,5}->1, {2,4}->2, {3}->3, {6}->4
+    aut = DiagramAutomorphism({1: 5, 5: 1, 2: 4, 4: 2, 3: 3, 6: 6},
+                              {1: 1, 5: 1, 2: 2, 4: 2, 3: 3, 6: 4})
+    sym = {1: 2, 2: 2, 3: 1, 4: 1}
+    return Folding(src, ("F", 4), 9, sym, "D", (1, 2, 6, 3), aut)
 
 
 def folding_from(type_tag: str, rank: int) -> Folding:
-    """The printed folding whose source is type_tag of this rank."""
+    """The printed folding whose source is type_tag of this rank.
+
+    A source that no printed folding reaches is a FoldingError saying so;
+    a printed folding whose source rank root_system does not support
+    raises `folding_to`'s error, which names that rank.
+    """
     targets = {"A": ("B", (rank + 1) // 2), "D": ("C", rank - 1), "E": ("F", 4)}
-    try:
-        folding = folding_to(*targets[type_tag])
-    except (KeyError, FoldingError):
-        folding = None
-    if folding is None or folding.source != (type_tag, rank):
+    target = targets.get(type_tag)
+    if target is None or _printed_source(*target) != (type_tag, rank):
         raise FoldingError(f"{type_tag}_{rank} has no printed folding")
-    return folding
+    return folding_to(*target)
 
 
 class RootSystem:
@@ -289,17 +288,10 @@ class RootSystem:
         """The involution i -> i* with w_0(alpha_i) = -alpha_{i*}."""
         return self._star
 
-    def diagram_automorphism(self, triality: bool = False) -> DiagramAutomorphism:
+    def diagram_automorphism(self) -> DiagramAutomorphism:
         """The automorphism of this type's printed folding, that of
-        `folding_from`: A_{2n-1} -> B_n, D_{n+1} -> C_n, E_6 -> F_4 and,
-        with ``triality``, D_4 -> G_2.
+        `folding_from`: A_{2n-1} -> B_n, D_{n+1} -> C_n or E_6 -> F_4.
         """
-        if triality:
-            if (self.type_tag, self.rank) != ("D", 4):
-                raise UnsupportedTypeError("triality only exists for D_4")
-            perm = {1: 3, 3: 4, 4: 1, 2: 2}
-            labels = {1: 1, 3: 1, 4: 1, 2: 2}
-            return DiagramAutomorphism(perm, 3, labels)
         try:
             return folding_from(self.type_tag, self.rank).automorphism
         except FoldingError as exc:
@@ -323,11 +315,6 @@ class RootSystem:
                         table[g_ab].append((a, b))
             self._cache["summing_pairs"] = tuple(tuple(pairs) for pairs in table)
         return self._cache["summing_pairs"][g]
-
-
-def trivial_automorphism(rs: RootSystem) -> DiagramAutomorphism:
-    ident = {i: i for i in rs.nodes}
-    return DiagramAutomorphism(ident, 1, dict(ident))
 
 
 @lru_cache(maxsize=None)

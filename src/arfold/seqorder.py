@@ -68,7 +68,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import ceil
 
 from .rootsys import Root, RootSystem
@@ -403,115 +403,6 @@ def minimal_pairs_of_root(cls: CommutationClass, gamma: int) -> list[tuple[int, 
         ):
             out.append((b, a) if cls.precedes(b, a) else (a, b))
     return sorted(out)
-
-
-@dataclass(frozen=True)
-class CoverClassification:
-    """A maximal sequence below a pair, tagged by the printed trichotomy."""
-
-    pair: tuple[int, int]
-    cover: Sequence
-    case: int  # 1 = summed root, 2 = triple, 3 = pair
-    details: tuple[tuple[str, bool], ...] = ()
-
-
-def classify_cover(cls: CommutationClass, m: Sequence) -> list[CoverClassification]:
-    """Classify the maximal sequences below a pair of positive distance."""
-    rs = cls.rs
-    if not is_pair(m):
-        raise ValueError("cover classification applies to pairs")
-    a, b = support(m)
-    if cls.precedes(b, a):
-        a, b = b, a
-    below = pair_below(cls, a, b)
-    if not below:
-        raise ValueError("pair has distance 0")
-    covers = [
-        x for x in below if not any(y != x and class_less(cls, x, y) for y in below)
-    ]
-    out = []
-    for cov in covers:
-        size = sum(cov)
-        supp = support(cov)
-        if size == 1:
-            details = (
-                ("pair_is_minimal_pair_of_sum",
-                 _pair_is_minimal_of(cls, a, b, supp[0])),
-            )
-            out.append(CoverClassification((a, b), cov, 1, details))
-        elif size == 3 and len(supp) == 3:
-            details = _triple_conditions(cls, a, b, supp)
-            out.append(CoverClassification((a, b), cov, 2, details))
-        elif size == 2:
-            details = _pair_cover_conditions(cls, a, b, supp)
-            out.append(CoverClassification((a, b), cov, 3, details))
-        else:
-            out.append(CoverClassification((a, b), cov, 0))
-    return out
-
-
-def _pair_is_minimal_of(cls: CommutationClass, a: int, b: int, g: int) -> bool:
-    return tuple(sorted((a, b))) in {
-        tuple(sorted(p)) for p in minimal_pairs_of_root(cls, g)
-    }
-
-
-def _triple_conditions(cls, a, b, supp):
-    """Conditions (i)-(iv) for the triple case, tried over assignments."""
-    rs = cls.rs
-    alpha, beta = rs.positive_roots[a], rs.positive_roots[b]
-    sum_not_root = tuple(x + y for x, y in zip(alpha, beta)) not in rs.root_index
-
-    def minus(u, v):
-        return tuple(x - y for x, y in zip(u, v))
-
-    for mu, nu, eta in permutations(supp):
-        mv, nv, ev = (rs.positive_roots[r] for r in (mu, nu, eta))
-        mn = tuple(x + y for x, y in zip(mv, nv))
-        if mn not in rs.root_index:
-            continue
-        am, bn = minus(alpha, mv), minus(beta, nv)
-        if am not in rs.root_index or bn not in rs.root_index:
-            continue
-        cond_i = _pair_is_minimal_of(cls, mu, nu, rs.root_index[mn])
-        cond_ii = not cls.comparable(eta, mu) and not cls.comparable(eta, nu)
-        cond_iii = (
-            tuple(x + y for x, y in zip(am, bn)) == ev
-            and _pair_is_minimal_of(
-                cls, rs.root_index[am], rs.root_index[bn], eta
-            )
-        )
-        cond_iv = _pair_is_minimal_of(
-            cls, rs.root_index[am], mu, a
-        ) and _pair_is_minimal_of(cls, nu, rs.root_index[bn], b)
-        if cond_i and cond_ii and cond_iii and cond_iv:
-            return (
-                ("sum_not_root", sum_not_root),
-                ("i", True),
-                ("ii", True),
-                ("iii", True),
-                ("iv", True),
-            )
-    return (("sum_not_root", sum_not_root), ("conditions", False))
-
-
-def _pair_cover_conditions(cls, a, b, supp):
-    """Root-difference conditions for the pair case of the trichotomy."""
-    rs = cls.rs
-    alpha, beta = rs.positive_roots[a], rs.positive_roots[b]
-
-    def diff_in_phi(u, v):
-        d = tuple(x - y for x, y in zip(u, v))
-        return d in rs.root_index
-
-    # a cover 2 * root has one support root r: both orderings are (r, r)
-    for ap, bp in ((supp[0], supp[-1]), (supp[-1], supp[0])):
-        av, bv = rs.positive_roots[ap], rs.positive_roots[bp]
-        fwd = diff_in_phi(av, alpha) and diff_in_phi(beta, bv)
-        bwd = diff_in_phi(alpha, av) and diff_in_phi(bv, beta)
-        if fwd or bwd:
-            return (("forward", fwd), ("backward", bwd))
-    return (("forward", False), ("backward", False))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ The printed constructions stay as references for it:
 * the insertion construction A_{2n-2} -> A_{2n-1}, which adds a new row
   of residue-n vertices at half-integer positions,
 * the doubling construction A_n -> D_{n+1}, which glues an upside-down
-  copy of Gamma_Q to its left and alternates the fork residues,
-* the E_6 tables shipped as fixtures;
+  copy of Gamma_Q to its left and alternates the fork residues;
 
-``fold`` collapses their residues to orbits.
+``fold`` collapses their residues to orbits.  The printed E_6 tables
+are test fixtures.
 
 A folded quiver stores its coordinates alone, one (orbit residue,
 position) cell per root; its sinks and, on demand, its arrows are read
@@ -29,12 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 
 from .rootsys import (
     Folding,
     FoldingError,
-    Root,
     RootSystem,
     folding_from,
     root_system,
@@ -82,13 +80,6 @@ class FoldedQuiver:
     def __post_init__(self):
         if len(set(self.cells)) != len(self.cells):
             raise FoldingError("coordinates collide")
-
-    def by_coord(self) -> dict[tuple[int, int], int]:
-        return {c: r for r, c in enumerate(self.cells)}
-
-    def root_labels(self) -> dict[tuple[int, int], Root]:
-        roots = self.rs.positive_roots
-        return {c: roots[r] for r, c in enumerate(self.cells)}
 
     def arrows(self) -> frozenset[tuple[int, int]]:
         """Arrows along the folded diagram, the path 1..n, each stepping
@@ -214,37 +205,7 @@ def fold(quiver: ARQuiver, cls: CommutationClass) -> FoldedQuiver:
 
 
 # ---------------------------------------------------------------------------
-# E_6 fixtures and the folded reflection algorithm
-
-
-def _load_table(name: str) -> list[tuple[int, int, Root]]:
-    out = []
-    text = resources.files("arfold.data").joinpath(name).read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        res, pos, digits = line.split()
-        out.append((int(res), int(pos), tuple(int(c) for c in digits)))
-    return out
-
-
-def _folded(folding: Folding, cells: list, cls: CommutationClass) -> FoldedQuiver:
-    """The folded quiver of ``cls`` on its (orbit residue, position) cells,
-    indexed by root index; no arrows are built."""
-    return FoldedQuiver(cls.rs, tuple(cells), cls, folding)
-
-
-@lru_cache(maxsize=None)
-def e6_folded_quiver() -> FoldedQuiver:
-    """The printed 36-vertex folded quiver of E_6."""
-    rs = root_system("E", 6)
-    folding = folding_from("E", 6)
-    cls = commutation_class(rs, folding.twisted_longest_word())
-    cells = [None] * rs.num_positive
-    for res, pos, root in _load_table("e6_folded.txt"):
-        cells[rs.root_index[root]] = (res, pos)
-    return _folded(folding, cells, cls)
+# the folded reflection algorithm
 
 
 def folded_sinks(fq: FoldedQuiver) -> list[int]:
@@ -277,7 +238,7 @@ def _reflected_coords(fq: FoldedQuiver, i: int) -> list[tuple[int, int]]:
 def _moved(fq: FoldedQuiver, i: int, cls: CommutationClass) -> FoldedQuiver:
     """The folded quiver of ``cls`` = r_i of ``fq``'s class, on the cells
     of `_reflected_coords`."""
-    return _folded(fq.folding, _reflected_coords(fq, i), cls)
+    return FoldedQuiver(cls.rs, tuple(_reflected_coords(fq, i)), cls, fq.folding)
 
 
 def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
@@ -321,7 +282,7 @@ def _seed(folding: Folding) -> FoldedQuiver:
     for k, r in enumerate(_by_occurrence(cls.canonical_word, cls.roots(), word)):
         res = label[word[k]]
         cells[r] = (res, xi[res] - 2 * (k // width))
-    return _folded(folding, cells, cls)
+    return FoldedQuiver(rs, tuple(cells), cls, folding)
 
 
 def _assert_coords_shift_equal(ca, cb) -> None:

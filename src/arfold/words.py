@@ -31,7 +31,7 @@ every member word is the same heap element, and it can start a member
 word iff the letters before it in the canonical word all commute with i.
 The moved word needs no new check: s_i w_0 = w_0 s_{i*}, so it is a
 reduced word of w_0 again.  Reducedness is checked only where a word
-enters: `commutation_class`, and so `contains`, the seeds of the cluster
+enters: `commutation_class`, and so the seeds of the cluster
 points and the CLI's ``--class``.
 
 The r_i alone reach the whole cluster point, the closure under r_i and
@@ -269,35 +269,6 @@ class CommutationClass:
         data = self._data()
         return linear_extensions(data["below"], data["letter"], cap)
 
-    def member_count(self, cap: int = DEFAULT_CAP) -> int:
-        """Number of member words, via dynamic programming on downsets."""
-        below = self.below()
-        all_mask = (1 << self.length) - 1
-        counts = {0: 1}
-        frontier = [0]
-        total_states = 0
-        while frontier:
-            new: dict[int, int] = {}
-            for dn in frontier:
-                c = counts[dn]
-                for v in bits(all_mask & ~dn):
-                    if below[v] & ~dn:
-                        continue
-                    nxt = dn | 1 << v
-                    new[nxt] = new.get(nxt, 0) + c
-            total_states += len(new)
-            if total_states > cap:
-                raise CapExceededError(f"downset count exceeds cap {cap}")
-            counts.update(new)
-            frontier = list(new)
-        return counts[all_mask]
-
-    def contains(self, word: Word) -> bool:
-        try:
-            return commutation_class(self.rs, word) == self
-        except NotReducedError:
-            return False
-
 
 def _kahn(rs: RootSystem, word: Word) -> Word:
     """Lexicographically least member of the class of a reduced word, by
@@ -439,54 +410,6 @@ def cluster_moves(cls: CommutationClass):
 def cluster_point(cls: CommutationClass) -> frozenset[CommutationClass]:
     """The cluster point of a class: the classes `cluster_moves` reaches."""
     return frozenset(c for c, _ in cluster_moves(cls))
-
-
-def coxeter_composition(
-    point: frozenset[CommutationClass] | CommutationClass, aut
-) -> tuple[int, ...]:
-    """Letter counts per orbit of the automorphism, one entry per label.
-
-    The counts are the same for every member word of every class of a
-    cluster point; this is validated across the classes given.
-    """
-    classes = [point] if isinstance(point, CommutationClass) else sorted(
-        point, key=lambda c: c.canonical_word
-    )
-    comps = set()
-    for c in classes:
-        counts: dict[int, int] = {}
-        for i in c.canonical_word:
-            lab = aut.orbit_label[i]
-            counts[lab] = counts.get(lab, 0) + 1
-        comps.add(tuple(counts.get(lab, 0) for lab in aut.orbit_labels()))
-    if len(comps) != 1:
-        raise AssertionError("Coxeter composition differs across the cluster point")
-    return comps.pop()
-
-
-def is_foldable(point, aut) -> bool:
-    comp = coxeter_composition(point, aut)
-    return len(set(comp)) == 1
-
-
-def twisted_coxeter_elements(rs: RootSystem, aut) -> list[Word]:
-    """All twisted Coxeter words: one reflection per orbit, in any order.
-
-    Words giving the same group element are deduplicated; the
-    lexicographically least word represents each element.
-    """
-    from itertools import permutations, product
-
-    orbits = sorted({tuple(sorted(aut.orbit(i))) for i in rs.nodes})
-    best: dict[tuple[Root, ...], Word] = {}
-    for choice in product(*orbits):
-        for order in permutations(choice):
-            key = tuple(
-                rs.apply_word(order, rs.simple_root(j)) for j in rs.nodes
-            )
-            if key not in best or order < best[key]:
-                best[key] = order
-    return sorted(best.values())
 
 
 def twisted_adapted_point(

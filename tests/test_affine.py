@@ -6,7 +6,7 @@ import pytest
 
 from arfold import affine, seqorder
 from arfold.rootsys import FoldingError, root_system
-from arfold.arquiver import DynkinQuiver, gamma_q
+from arfold.arquiver import DynkinQuiver, all_quivers, gamma_q
 from arfold.twistfold import twisted_folded_quivers
 from arfold.seqorder import RootedPolynomial
 from arfold.affine import (
@@ -388,8 +388,13 @@ def test_dorey_and_predicate_fail_with_two_residues_swapped(monkeypatch, target,
     (lambda fq: fq.rs.summing_pairs(-1), "-1 "),
     (lambda fq: minimal_pair_coordinates(fq, 99), "99 "),
     (lambda fq: minimal_pair_coordinates(fq, (5, 5, 5)), r"\(5, 5, 5\) "),
+    (lambda fq: v_assign(fq, -1), "-1 "),
+    (lambda fq: v_assign(fq, 99), "99 "),
+    (lambda fq: v_untwisted_twisted(all_quivers(fq.rs)[0], (5, 5, 5), 1), r"\(5, 5, 5\) "),
+    (lambda fq: v_untwisted_twisted(all_quivers(fq.rs)[0], 99, 1), "99 "),
 ], ids=["pairs-of-root-negative", "pairs-of-root-too-big", "summing-pairs-negative",
-        "coordinates-index", "coordinates-tuple"])
+        "coordinates-index", "coordinates-tuple", "v-assign-negative", "v-assign-too-big",
+        "untwisted-twisted-tuple", "untwisted-twisted-index"])
 def test_a_bad_root_is_refused(call, named):
     fqs = twisted_folded_quivers("A", 5)
     fq = fqs[min(fqs, key=lambda c: c.canonical_word)]

@@ -11,12 +11,13 @@ from arfold.arquiver import (
     all_quivers,
     arrows_by_step,
     covers,
-    coxeter_element_of,
     gamma_q,
     hasse_quiver,
     read_reduced_words,
     read_root_labels,
 )
+
+from oracles import coxeter_element_of
 
 A4 = root_system("A", 4)
 EXAMPLE_Q = DynkinQuiver(A4, frozenset({(2, 1), (2, 3), (3, 4)}))

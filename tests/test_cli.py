@@ -163,6 +163,8 @@ def test_verify_needs_target(capsys):
      "rank 3 of type D is not supported"),
     (["verify", "socle-dist", "--type", "A", "--rank", "4"],
      "A_4 has no printed folding"),
+    (["verify", "socle-dist", "--type", "A", "--rank", "99"],
+     "rank 99 of type A is not supported"),
     (["verify", "den-dist", "--target", "B", "--n", "1"],
      "no printed folding onto B_1"),
     (["verify", "dorey", "--target", "B", "--n", "1"],
@@ -180,7 +182,8 @@ def test_verify_needs_target(capsys):
     (["verify", "dorey", "--target", "B"], "suite 'dorey' needs --n"),
     (["verify", "socle-dist"], "suite 'socle-dist' needs --type"),
     (["verify", "socle-dist", "--type", "D"], "suite 'socle-dist' needs --rank"),
-], ids=["classes-no-folding", "classes-bad-rank", "socle-dist", "den-dist", "dorey",
+], ids=["classes-no-folding", "classes-bad-rank", "socle-dist", "socle-dist-rank",
+        "den-dist", "dorey",
         "socle-dist-e", "quiver-unparsable", "quiver-not-reduced",
         "quiver-letter-outside", "quiver-wrong-length", "verify-needs-n",
         "socle-dist-needs-type", "socle-dist-needs-rank"])

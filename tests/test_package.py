@@ -8,7 +8,8 @@ from pathlib import Path
 import arfold
 import arfold.cli
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.json"
 
 
 def test_all_lists_every_public_import():
@@ -32,6 +33,18 @@ def test_benchmark_tracer_contract():
     modules = sorted(p.name for p in Path(arfold.__file__).parent.glob("*.py"))
     assert len(modules) == 8, modules
     assert arfold.cli.verify_socle_dist("A", 3, jobs=1).ok
+
+
+def test_readme_entry_points_run():
+    # the README's first python block runs as printed in a fresh
+    # interpreter, so it names no moved or missing function
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_import_needs_only_the_standard_library():
@@ -189,3 +202,18 @@ def test_folded_quivers_store_coordinates_alone(monkeypatch):
     assert len(cold("A", 9)) == 256
     assert affine.verify_den_dist("C", 5).ok
     assert cold.cache_info().currsize == 2 and calls == []
+
+
+def test_test_oracles_live_in_the_tests():
+    # references the tests compare against, and their printed tables, are
+    # test code: the package neither exports, defines nor calls them
+    oracles = (
+        "classify_cover", "coxeter_composition", "coxeter_element_of",
+        "e6_folded_quiver", "is_foldable", "twisted_coxeter_elements",
+    )
+    src = Path(arfold.__file__).parent
+    modules = [getattr(arfold, p.stem) for p in src.glob("*.py") if p.stem != "__init__"]
+    assert not set(oracles) & set(arfold.__all__)
+    assert not [(m.__name__, name) for m in modules for name in oracles if hasattr(m, name)]
+    assert not [name for name in oracles if _callers(name)]
+    assert not (src / "data").exists()

@@ -24,7 +24,6 @@ from arfold.seqorder import (
     _less_same_weight,
     _partitions,
     class_less,
-    classify_cover,
     comparable_pairs,
     dist,
     distance_polynomial,
@@ -43,6 +42,8 @@ from arfold.seqorder import (
     support,
     weight_of,
 )
+
+from oracles import classify_cover
 
 
 def seq(rs, *roots):
