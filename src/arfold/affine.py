@@ -404,7 +404,8 @@ def _distance_polynomials(target: tuple[str, int], conventions: tuple[str, ...])
     keys = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
     polys = {conv: {key: {} for key in keys} for conv in conventions}
     by_row = {}
-    for fq, table in point_tables(twisted_folded_quivers(*folding_to(*target).source)):
+    point = twisted_folded_quivers(*folding_to(*target).source)
+    for fq, table in point_tables(point):
         for conv, by_key in polys.items():
             for k, l in keys:
                 row = (conv, k, l, tuple(sorted(table.get((k, l), {}).items())))
@@ -412,9 +413,9 @@ def _distance_polynomials(target: tuple[str, int], conventions: tuple[str, ...])
                     poly = table_polynomial(table, target, k, l, conv)
                     by_row[row] = poly * extra if k == l else poly
                 by_key[k, l][fq.source_class] = by_row[row]
+    order = sorted(point, key=lambda c: c.canonical_word)
     for by_key in polys.values():
         for key, by_class in by_key.items():
-            order = sorted(by_class, key=lambda c: c.canonical_word)
             by_key[key] = {c: by_class[c] for c in order}
     return polys
 

@@ -244,9 +244,6 @@ class RootSystem:
             v = self.reflect(v, i)
         return v
 
-    def is_positive(self, v: Root) -> bool:
-        return all(c >= 0 for c in v) and any(c > 0 for c in v)
-
     def _walk_longest_element(self) -> tuple[tuple[int, ...], list[Root], dict[int, int]]:
         """One greedy walk from e to w_0: (its word, the roots it meets, i*).
 
@@ -304,7 +301,7 @@ class RootSystem:
         An index outside 0..N-1 is a ValueError.
         """
         if not 0 <= g < self.num_positive:
-            raise ValueError(f"{g!r} is not a positive-root index of {self}")
+            raise ValueError(f"{g!r} is not a positive root of {self}")
         if "summing_pairs" not in self._cache:
             table: list[list[tuple[int, int]]] = [[] for _ in self.positive_roots]
             roots, index = self.positive_roots, self.root_index

@@ -57,10 +57,22 @@ every other root's coordinates and carries its pairs, their order,
 their `dist` and their socles along by s_i; only alpha_i moves, from
 first to last in the convex order.  So a child's datum is its parent's
 without the pairs at alpha_i, relabelled by s_i, plus at most N - 1
-new pairs below alpha_i, each read once.  `point_tables` and
-`point_socle_records` are the two projections of that walk, and
-`table_polynomial` turns a table into a distance polynomial for either
-reader.
+new pairs below alpha_i, each read once.
+
+A twisted point is closed under the mirror c -> c^v, c^v the class of
+the reversed, starred canonical word i_N* ... i_1*.  That word is a
+reduced word of w_0 with the roots of c in reverse order, so the convex
+order of c^v is that of c reversed, and the class order, which tests
+the extremal elements of a difference support at both ends, is the
+same for both: every pair's `dist` and socle agree.  The cells of c^v
+keep every residue and map each position p to C - p, one C per pair, so
+every bucket (k, l, t) agrees too, and c^v's datum is c's.  The walk
+finds c^v by projection key (`words.mirror_classes`), checks that its
+cells mirror c's (`_assert_mirrored`, an AssertionError naming the
+class), reads only the first class of each pair and hands the second
+the same datum objects.  `point_tables` and `point_socle_records` are
+the two projections of that walk, and `table_polynomial` turns a table
+into a distance polynomial for either reader.
 """
 
 from __future__ import annotations
@@ -72,7 +84,7 @@ from itertools import combinations
 from math import ceil
 
 from .rootsys import Root, RootSystem
-from .words import CommutationClass, bits
+from .words import CommutationClass, bits, mirror_classes
 from .twistfold import FoldedQuiver
 
 Sequence = tuple[int, ...]  # multiplicity per positive-root index
@@ -568,25 +580,56 @@ def _table_of(counts: dict) -> dict:
     return table
 
 
+def _assert_mirrored(fq: FoldedQuiver, mirror: FoldedQuiver) -> None:
+    """The cells of a class and of its mirror, indexed by root: every root
+    keeps its residue, and its two positions p, p' have one sum p + p'."""
+    moves = {(rm - rc, pc + pm) for (rc, pc), (rm, pm) in zip(fq.cells, mirror.cells)}
+    if len(moves) != 1 or moves.pop()[0]:
+        raise AssertionError(
+            f"class {fq.source_class.canonical_word} and its mirror "
+            f"{mirror.source_class.canonical_word} have unmirrored cells"
+        )
+
+
 def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
     """(quiver, (bucket counts, socle-dist records)) for every quiver of a
     twisted point, parents first.
 
-    The walk follows the BFS tree of the classes' ``parent``, (up, i): the
-    seed's data is read pair by pair (`_scratch`), every other quiver's is
-    its parent's, that of ``point[up]``, carried across the folded
-    reflection at the sink alpha_i (`_transport`).  The point's order puts
-    each parent first, and a class's data is dropped once its last child
-    has it.
+    The point is closed under the mirror c -> c^v (`mirror_classes`):
+    c^v has c's roots in reverse convex order, and its cells keep every
+    residue and map each position p to C - p, one C per pair, which the
+    walk checks for every class before it reads (`_assert_mirrored`; a
+    class that is its own mirror fails it).  The class order tests the
+    extremal elements of a difference support at both ends, so it is the
+    same for c and c^v, and so are every pair's `dist`, socle and bucket
+    (k, l, t): c^v's datum is c's.  So only the first class of each pair
+    is read, and the second gets the same datum objects, held until it
+    comes.
+
+    A class is read along the BFS tree of the classes' ``parent``,
+    (up, i): the seed's data pair by pair (`_scratch`), every other
+    class's its parent's, that of ``point[up]``, carried across the
+    folded reflection at the sink alpha_i (`_transport`).  The point's
+    order puts each parent first, and a class's data is dropped once its
+    last child has come.
     """
+    mirror = mirror_classes(point)
+    for cls, other in mirror.items():
+        _assert_mirrored(point[cls], point[other])
     children = Counter(cls.parent[0] for cls in point if cls.parent)
     live: dict[CommutationClass, tuple] = {}
+    held: dict[CommutationClass, tuple] = {}  # a read datum, under the mirror to come
     for cls, fq in point.items():
-        if cls.parent is None:
-            data = _scratch(fq)
-        else:
-            up, i = cls.parent
-            data = _transport(live[up], point[up], fq, i)
+        data = held.pop(cls, None)
+        if data is None:
+            if cls.parent is None:
+                data = _scratch(fq)
+            else:
+                up, i = cls.parent
+                data = _transport(live[up], point[up], fq, i)
+            held[mirror[cls]] = data
+        if cls.parent:
+            up = cls.parent[0]
             children[up] -= 1
             if not children[up]:
                 del live[up]
@@ -597,8 +640,9 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
 
 def point_tables(point: dict[CommutationClass, FoldedQuiver]):
     """(quiver, table) for every quiver of a twisted point, parents first,
-    in one walk: the seed read from scratch, every other quiver
-    transported.  Nothing is memoised."""
+    in one walk: the seed read from scratch, the first class of every
+    other mirror pair transported, its mirror given the same datum.
+    Nothing is memoised."""
     for fq, (counts, _) in _walk_point(point):
         yield fq, _table_of(counts)
 

@@ -55,6 +55,12 @@ the first letter of each edge at i, which must be i for the class to
 move, and appends i* to each edge at i*.  So a class is canonicalised
 only the first time its key is reached.
 
+The mirror c^v of a class c is the class of the reversed, starred
+canonical word i_N* ... i_1* (`mirror_word`): s_{i*} = w_0 s_i w_0, so
+it is a reduced word of w_0 whose k-th root is the (N + 1 - k)-th root
+of c.  `mirror_classes` pairs the classes of a set closed under it by
+the projection key of that word, with no canonicalisation.
+
 `cluster_point` is the set of classes that BFS yields, as for
 `adapted_point`.  A twisted adapted point is walked once, by
 ``twistfold.twisted_folded_quivers`` over `cluster_moves`, and
@@ -227,10 +233,6 @@ class CommutationClass:
             cache["letter"] = [i for _, i in sorted(zip(idx, word))]
         return cache
 
-    @property
-    def length(self) -> int:
-        return len(self.canonical_word)
-
     def letter_of(self, root_idx: int) -> int:
         return self._data()["letter"][root_idx]
 
@@ -241,9 +243,6 @@ class CommutationClass:
     def precedes(self, a: int, b: int) -> bool:
         """True iff root a comes before root b in every member word."""
         return bool(self.below()[b] >> a & 1)
-
-    def comparable(self, a: int, b: int) -> bool:
-        return self.precedes(a, b) or self.precedes(b, a)
 
     def above(self) -> list[int]:
         """Strict convex-order bitmasks by root: bit r' of above[r] iff r < r'.
@@ -257,12 +256,6 @@ class CommutationClass:
                 self.rs.adjacent, self.roots()[::-1], self.canonical_word[::-1]
             )
         return cache["above"]
-
-    def interval(self, a: int, b: int) -> list[int]:
-        """Root indices strictly between a and b in the convex order: the
-        bits of above[a] & below[b], listed in canonical-word order."""
-        mask = self.above()[a] & self.below()[b]
-        return [r for r in self.roots() if mask >> r & 1]
 
     def members(self, cap: int = DEFAULT_CAP) -> list[Word]:
         """All member words (linear extensions of the heap), capped."""
@@ -405,6 +398,35 @@ def cluster_moves(cls: CommutationClass):
                 queue.append((k, d))
             moves.append((i, d, new))
         yield c, moves
+
+
+def mirror_word(rs: RootSystem, word: Word) -> Word:
+    """i_N* ... i_1*, the reversed, starred word of i_1 ... i_N."""
+    star = rs.star()
+    return tuple(star[i] for i in reversed(word))
+
+
+def mirror_classes(classes) -> dict[CommutationClass, CommutationClass]:
+    """{c: c^v} over classes of one root system closed under the mirror.
+
+    c^v is the class of `mirror_word` of c's canonical word, a reduced
+    word of w_0 with c's roots in reverse order.  It is found by the
+    projection key of that word among the classes' keys, never
+    canonicalised; a class whose mirror is not among them is an
+    AssertionError naming it.
+    """
+    rs = next(iter(classes)).rs
+    by_key = {projection_key(rs, c.canonical_word): c for c in classes}
+    out: dict[CommutationClass, CommutationClass] = {}
+    for c in classes:
+        if c in out:
+            continue
+        mirror = by_key.get(projection_key(rs, mirror_word(rs, c.canonical_word)))
+        if mirror is None:
+            raise AssertionError(
+                f"the mirror of class {c.canonical_word} is not among the classes")
+        out[c], out[mirror] = mirror, c
+    return out
 
 
 def cluster_point(cls: CommutationClass) -> frozenset[CommutationClass]:

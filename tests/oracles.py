@@ -1,7 +1,7 @@
-"""References and printed fixtures that the tests compare against: the
-cover trichotomy, the E_6 folded quiver of the printed table (with the
-tables in ``tests/data``), Coxeter compositions and words.  No suite or
-CLI path runs them."""
+"""References and printed fixtures that the tests compare against: small
+reads of classes and roots, the cover trichotomy, the E_6 folded quiver
+of the printed table (with the tables in ``tests/data``), Coxeter
+compositions and words.  No suite or CLI path runs them."""
 
 from __future__ import annotations
 
@@ -24,6 +24,28 @@ from arfold.seqorder import (
 )
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def is_positive(v: Root) -> bool:
+    """A root's coefficients are all nonnegative and not all zero."""
+    return all(c >= 0 for c in v) and any(c > 0 for c in v)
+
+
+def length(cls: CommutationClass) -> int:
+    """The number of letters of the class's words: N."""
+    return len(cls.canonical_word)
+
+
+def comparable(cls: CommutationClass, a: int, b: int) -> bool:
+    """Root a comes before root b, or b before a, in every member word."""
+    return cls.precedes(a, b) or cls.precedes(b, a)
+
+
+def interval(cls: CommutationClass, a: int, b: int) -> list[int]:
+    """Root indices strictly between a and b in the convex order: the
+    bits of above[a] & below[b], listed in canonical-word order."""
+    mask = cls.above()[a] & cls.below()[b]
+    return [r for r in cls.roots() if mask >> r & 1]
 
 
 def root_labels(fq: FoldedQuiver) -> dict[tuple[int, int], Root]:
@@ -104,7 +126,7 @@ def _triple_conditions(cls, a, b, supp):
         if am not in rs.root_index or bn not in rs.root_index:
             continue
         cond_i = _pair_is_minimal_of(cls, mu, nu, rs.root_index[mn])
-        cond_ii = not cls.comparable(eta, mu) and not cls.comparable(eta, nu)
+        cond_ii = not comparable(cls, eta, mu) and not comparable(cls, eta, nu)
         cond_iii = (
             tuple(x + y for x, y in zip(am, bn)) == ev
             and _pair_is_minimal_of(

@@ -399,7 +399,7 @@ def test_a_bad_root_is_refused(call, named):
     fqs = twisted_folded_quivers("A", 5)
     fq = fqs[min(fqs, key=lambda c: c.canonical_word)]
     for _ in range(2):  # refused on every call, not only the first
-        with pytest.raises(ValueError, match=named + "is not a positive.root"):
+        with pytest.raises(ValueError, match=named + "is not a positive root of "):
             call(fq)
 
 

@@ -17,7 +17,7 @@ from arfold.arquiver import (
     read_root_labels,
 )
 
-from oracles import coxeter_element_of
+from oracles import coxeter_element_of, is_positive, length
 
 A4 = root_system("A", 4)
 EXAMPLE_Q = DynkinQuiver(A4, frozenset({(2, 1), (2, 3), (3, 4)}))
@@ -157,7 +157,7 @@ def translation_oracle(q):
         new = []
         for beta in frontier:
             img = rs.apply_word(phi, beta)
-            if rs.is_positive(img):
+            if is_positive(img):
                 r = rs.root_index[img]
                 assert r not in coords, "phi_Q translation revisited a root"
                 i, p2 = coords[rs.root_index[beta]]
@@ -272,7 +272,7 @@ def _all_classes(rs):
             return
         for i in rs.nodes:
             b = rs.apply_word(prefix, rs.simple_root(i))
-            if rs.is_positive(b):
+            if is_positive(b):
                 prefix.append(i)
                 rec(prefix)
                 prefix.pop()
@@ -330,5 +330,5 @@ def test_covers_are_transitive_reduction():
     cov = covers(cls)
     for a, b in cov:
         assert below[b] >> a & 1
-        for c in range(cls.length):
+        for c in range(length(cls)):
             assert not (below[b] >> c & 1 and below[c] >> a & 1)

@@ -217,3 +217,6 @@ def test_test_oracles_live_in_the_tests():
     assert not [(m.__name__, name) for m in modules for name in oracles if hasattr(m, name)]
     assert not [name for name in oracles if _callers(name)]
     assert not (src / "data").exists()
+    moved = ("interval", "comparable", "length")
+    assert not [n for n in moved if hasattr(arfold.CommutationClass, n)]
+    assert not hasattr(arfold.RootSystem, "is_positive")

@@ -10,6 +10,8 @@ from arfold.rootsys import (
 )
 from arfold.words import commutation_class, root_sequence
 
+from oracles import is_positive
+
 
 def interval_root(rs, a, b):
     return tuple(1 if a <= i + 1 <= b else 0 for i in range(rs.rank))
@@ -27,7 +29,7 @@ def root_system_faults(rs) -> list[str]:
     while frontier:
         frontier = {
             s for r in frontier for i in rs.nodes
-            if rs.is_positive(s := rs.reflect(r, i)) and s not in closure
+            if is_positive(s := rs.reflect(r, i)) and s not in closure
         }
         closure |= frontier
     if rs.positive_roots != tuple(sorted(closure, key=lambda r: (sum(r), r))):
@@ -38,7 +40,7 @@ def root_system_faults(rs) -> list[str]:
     w0, prefix = rs.longest_word(), []
     while True:
         lengthening = [
-            i for i in rs.nodes if rs.is_positive(rs.apply_word(prefix, rs.simple_root(i)))
+            i for i in rs.nodes if is_positive(rs.apply_word(prefix, rs.simple_root(i)))
         ]
         if not lengthening:
             break

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -7,13 +8,15 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfold import affine, cli, seqorder
+from arfold import affine, cli, seqorder, words
 from arfold.rootsys import RootSystem, folding_to, root_system
 from arfold.words import (
     CommutationClass,
+    _kahn,
     adapted_point,
     bits,
     commutation_class,
+    mirror_classes,
     root_sequence,
     twisted_adapted_point,
 )
@@ -43,7 +46,7 @@ from arfold.seqorder import (
     weight_of,
 )
 
-from oracles import classify_cover
+from oracles import classify_cover, comparable, interval
 
 
 def seq(rs, *roots):
@@ -181,7 +184,7 @@ def test_partitions_equal_oracle(tt, rk):
     for a in every:
         for b in every:
             w = weight_of(rs, sequence_from_roots(rs, [a, b]))
-            inner = cls.interval(a, b)
+            inner = interval(cls, a, b)
             assert _partitions(rs, w, inner) == partitions_oracle(rs, w, inner)
 
 
@@ -205,9 +208,9 @@ def pair_below_oracle(tt, rk):
         for a, b in product(range(rs.num_positive), repeat=2):
             w = weight_of(rs, sequence_from_roots(rs, [a, b]))
             if cls.precedes(a, b):
-                want = partitions_oracle(rs, w, cls.interval(a, b))
+                want = partitions_oracle(rs, w, interval(cls, a, b))
             elif cls.precedes(b, a):
-                want = partitions_oracle(rs, w, cls.interval(b, a))
+                want = partitions_oracle(rs, w, interval(cls, b, a))
             else:
                 want = []
             out.append((cls.canonical_word, a, b, want))
@@ -300,7 +303,7 @@ def test_interval_is_the_bits_of_above_and_below():
                 assert above[a] == sum(1 << r for r in order if cls.precedes(a, r))
                 for b in order:
                     mask = above[a] & below[b]
-                    assert cls.interval(a, b) == [r for r in order if mask >> r & 1]
+                    assert interval(cls, a, b) == [r for r in order if mask >> r & 1]
 
 
 def test_simple_singleton_and_multiple():
@@ -647,8 +650,8 @@ def _triple_sum_side_holds(cls, supp):
             tuple(sorted(q))
             for q in minimal_pairs_of_root(cls, rs.root_index[mn])
         }
-        if minimal and not cls.comparable(eta, mu) \
-                and not cls.comparable(eta, nu):
+        if minimal and not comparable(cls, eta, mu) \
+                and not comparable(cls, eta, nu):
             return True
     return False
 
@@ -783,6 +786,14 @@ def test_removing_at_the_child_coordinates_fails_the_oracle(fresh_point, monkeyp
     assert not all(_tables_match_scratch(fresh_point(*s)) for s in MUTANT_SOURCES)
 
 
+def _read_classes(point) -> set:
+    """The classes `_walk_point` reads: of each mirror pair, the one that
+    comes first in the point's order."""
+    mirror = mirror_classes(point)
+    place = {cls: k for k, cls in enumerate(point)}
+    return {cls for cls in point if place[cls] < place[mirror[cls]]}
+
+
 class _Marked(list):
     """The `pair_below` list of the one pair a test lies about."""
 
@@ -807,9 +818,10 @@ def _lie_about(monkeypatch, lie, change):
 
 def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
     point = fresh_point("A", 7)
+    read = _read_classes(point)
     lie = None
     for fq in point.values():
-        if fq.source_class.parent is None:
+        if fq.source_class.parent is None or fq.source_class not in read:
             continue
         _, i = fq.source_class.parent
         r = fq.rs.simple_root_index[i]
@@ -879,15 +891,19 @@ def test_a_distance_read_tables_its_own_quiver_alone(monkeypatch):
 
 def test_classes_keep_only_their_order_data():
     # no distance table or polynomial is stored on a class, only its roots
-    # and the order masks and letters read off them
+    # and the order masks and letters read off them; a class the walk
+    # reads has all three, its mirror may have none
     assert affine.verify_den_dist("C", 5).ok and affine.verify_dorey("B", 4).ok
     affine.verify_f4_conjecture()
     assert cli.verify_socle_dist("A", 7).ok
     sources = [folding_to("C", 5).source, ("E", 6), folding_to("B", 4).source, ("A", 7)]
     for source in sources:
-        for cls in twisted_folded_quivers(*source):
-            assert {"roots", "below", "letter"} <= set(cls._cache) <= {
-                "roots", "below", "letter", "above"}, (cls, set(cls._cache))
+        point = twisted_folded_quivers(*source)
+        read = _read_classes(point)
+        for cls in point:
+            kept = set(cls._cache)
+            assert kept <= {"roots", "below", "letter", "above"}, (cls, kept)
+            assert cls not in read or {"roots", "below", "letter"} <= kept, (cls, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,12 +1073,14 @@ def test_skipping_the_child_pairs_fails_the_socle_oracle(fresh_point, monkeypatc
 
 def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
     """socle-dist A7 with a `_read_below` that gives the socle None on one
-    pair at the moved root of a child class, and ``_pairs_at`` replaced by
-    the mutant, if one is given; the report and the record the lie makes."""
+    pair at the moved root of a child class the walk reads, and
+    ``_pairs_at`` replaced by the mutant, if one is given; the report and
+    the record the lie makes."""
+    read = _read_classes(point)
     lie = None
     for fq in point.values():
         cls = fq.source_class
-        if cls.parent is None:
+        if cls.parent is None or cls not in read:
             continue
         r = fq.rs.simple_root_index[cls.parent[1]]
         for _, a, b in seqorder._pairs_at(fq, r):
@@ -1136,12 +1154,10 @@ def test_socle_dist_reads_each_checked_pair_once(fresh_point, monkeypatch):
 
 
 def test_pair_path_reads_the_masks_and_sweeps_two_or_more(fresh_point, monkeypatch):
-    # `pair_below` lists each interval from the order masks, never through
-    # `CommutationClass.interval`, and `_read_below` answers 0 or 1
+    # `pair_below` lists each interval from the order masks: a class has
+    # no interval list to read, and `_read_below` answers 0 or 1
     # sequences below without the chain sweep
-    def interval(cls, a, b):
-        raise AssertionError(f"interval({a}, {b}) listed on the pair path")
-
+    assert not hasattr(CommutationClass, "interval")
     sizes = []
     real_chain_depths = seqorder._chain_depths
 
@@ -1149,13 +1165,118 @@ def test_pair_path_reads_the_masks_and_sweeps_two_or_more(fresh_point, monkeypat
         sizes.append(len(elems))
         return real_chain_depths(cls, elems)
 
-    monkeypatch.setattr(CommutationClass, "interval", interval)
     monkeypatch.setattr(seqorder, "_chain_depths", chain_depths)
     monkeypatch.setattr(cli, "twisted_folded_quivers", fresh_point)
     monkeypatch.setattr(affine, "twisted_folded_quivers", fresh_point)
     assert cli.verify_socle_dist("A", 7).ok
     assert affine.verify_den_dist("C", 5).ok
     assert sizes and min(sizes) >= 2
+
+
+# ---------------------------------------------------------------------------
+# mirror pairs: c and c^v share one datum
+
+MIRROR_SOURCES = (
+    [("A", r) for r in (5, 7, 9, 11)] + [("D", r) for r in (5, 6, 7, 8)] + [("E", 6)]
+)
+
+
+def _mirrors_match_kahn(point) -> bool:
+    """Every class's mirror is the class of its reversed, starred
+    canonical word, canonicalised by `_kahn`; False also when finding the
+    mirrors raises."""
+    rs = next(iter(point)).rs
+    star = rs.star()
+    try:
+        mirror = mirror_classes(point)
+    except AssertionError:
+        return False
+    return all(
+        mirror[cls] == CommutationClass(
+            rs, _kahn(rs, tuple(star[i] for i in reversed(cls.canonical_word))))
+        for cls in point
+    )
+
+
+@pytest.mark.parametrize("tt, rk", MIRROR_SOURCES)
+def test_mirror_key_names_the_reversed_starred_class(tt, rk):
+    # the lru-cached points; no class is its own mirror, so a walk reads
+    # exactly half the classes
+    point = twisted_folded_quivers(tt, rk)
+    mirror = mirror_classes(point)
+    assert _mirrors_match_kahn(point)
+    assert all(mirror[cls] != cls and mirror[mirror[cls]] is cls for cls in point)
+
+
+@pytest.mark.parametrize(
+    "tt, rk", [("A", 5), ("A", 7), ("A", 9), ("D", 5), ("D", 6), ("D", 7), ("E", 6)]
+)
+def test_a_mirror_has_the_reversed_convex_order(tt, rk):
+    point = twisted_folded_quivers(tt, rk)
+    mirror = mirror_classes(point)
+    for cls in point:
+        assert cls.below() == mirror[cls].above()
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 7), ("D", 6), ("E", 6)])
+def test_the_walk_reads_one_class_of_each_mirror_pair(monkeypatch, tt, rk):
+    point = twisted_folded_quivers(tt, rk)
+    reads = Counter()
+    for name in ("_scratch", "_transport"):
+        real = getattr(seqorder, name)
+        monkeypatch.setattr(
+            seqorder, name, lambda *a, real=real, name=name: reads.update([name]) or real(*a))
+    walk = list(seqorder._walk_point(point))
+    assert [fq for fq, _ in walk] == list(point.values())
+    assert reads["_scratch"] == 1 and sum(reads.values()) == len(point) // 2
+    # the second class of a pair gets the first's datum objects, uncopied
+    data = {fq.source_class: datum for fq, datum in walk}
+    mirror = mirror_classes(point)
+    assert all(data[cls] is data[mirror[cls]] for cls in point)
+
+
+def test_reversing_without_starring_fails_the_mirror_oracle(monkeypatch, recompiled):
+    # the unstarred reversal names a class of the point, but not the
+    # mirror, and the walk refuses its cells; on D6, * is trivial, so
+    # there the mutant is the real code
+    mutant = recompiled(words.mirror_word, "star[i] for i", "i for i")
+    monkeypatch.setattr(words, "mirror_word", mutant)
+    for source in [("A", 7), ("E", 6)]:
+        point = twisted_folded_quivers(*source)
+        assert not _mirrors_match_kahn(point)
+        with pytest.raises(AssertionError, match="unmirrored cells"):
+            list(seqorder._walk_point(point))
+    assert _mirrors_match_kahn(twisted_folded_quivers("D", 6))
+
+
+def test_a_mirror_check_by_positions_alone_fails(recompiled):
+    # two residues of one quiver swapped at one position: the positions
+    # still mirror, the residues do not
+    point = twisted_folded_quivers("A", 7)
+    cls = next(c for c in point if c.parent)
+    cells = list(point[cls].cells)
+    a, b = next(
+        (a, b) for a, b in combinations(range(len(cells)), 2)
+        if cells[a][1] == cells[b][1] and cells[a][0] != cells[b][0]
+    )
+    cells[a], cells[b] = (cells[b][0], cells[a][1]), (cells[a][0], cells[b][1])
+    bad = {**point, cls: replace(point[cls], cells=tuple(cells))}
+    with pytest.raises(AssertionError, match="unmirrored cells") as refused:
+        list(seqorder._walk_point(bad))
+    assert str(cls.canonical_word) in str(refused.value)
+    positions_only = recompiled(seqorder._assert_mirrored, "(rm - rc, pc + pm)", "(0, pc + pm)")
+    positions_only(bad[cls], bad[mirror_classes(bad)[cls]])
+    with pytest.raises(AssertionError, match="unmirrored cells"):
+        seqorder._assert_mirrored(point[cls], point[cls])  # no class is its own mirror
+
+
+def test_a_mirror_outside_the_point_is_refused():
+    point = twisted_folded_quivers("E", 6)
+    cls = next(iter(point))
+    gone = mirror_classes(point)[cls]
+    cut = {c: fq for c, fq in point.items() if c != gone}
+    with pytest.raises(AssertionError, match=re.escape(f"mirror of class {cls.canonical_word}")):
+        list(seqorder._walk_point(cut))
 
 
 ROOT_SYSTEM_MEMOS = {
