@@ -19,6 +19,13 @@ it: a pair summing to a root is accepted iff the key
 as plain integer tuples (i, j, k, y/z phase, y/z exponent, x/z phase,
 x/z exponent), made by `_pair_keys` from those triples and by
 `_plain_key` from table entries.
+
+`verify_dorey` reads the summing pairs of the twisted point along the
+BFS tree of its folded reflections (`_dorey_sweep`).  A folded
+reflection at the sink alpha_i keeps every other summing pair, relabelled
+by s_i, with its minimality and its cells, so with its keys and its
+verdict: the seed reads each of its summing pairs, and every other class
+keeps its parent's verdicts and reads only its own pairs at alpha_i.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ from .seqorder import (
     factor_minus_q_power,
     factor_minus_qs_power,
     factor_plus_q_power,
+    is_minimal_pair,
     minimal_pairs_of_root,
+    parents_first,
     point_tables,
     table_polynomial,
 )
@@ -450,47 +459,101 @@ def verify_class_invariance(target: str, n: int) -> Report:
     return rep
 
 
-def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
-    """One pass over the summing pairs of every class of the twisted point.
+def _read_pairs(fq: FoldedQuiver, pairs, target: str, validated, realized: set) -> tuple:
+    """(minimal pairs, mismatches) of some summing pairs (g, a, b), a < b,
+    of the quiver's class, each pair read once: its Dorey keys from the
+    plain labels of its cells, its ``listed`` verdict, and its minimality
+    (`is_minimal_pair`).  A minimal pair's keys join ``realized``.  A
+    mismatch is (g, a, b, listed), a pair whose verdict is not its
+    minimality."""
+    cls = fq.source_class
+    below, above, summing = cls.below(), cls.above(), cls.rs.summing_pairs
+    labels = {x: _plain_spectral(target, *fq.cells[x]) for pair in pairs for x in pair}
+    count, mismatches = 0, []
+    for g, a, b in pairs:
+        keys = _pair_keys(labels, a, b, g)
+        listed = not validated.isdisjoint(keys)
+        minimal = is_minimal_pair(below, above, summing(g), a, b)
+        if minimal:
+            count += 1
+            realized.update(keys)
+        if listed != minimal:
+            mismatches.append((g, a, b, listed))
+    return count, mismatches
 
-    Each root's label is made plain once per class, each pair's Dorey
-    keys are computed once, and its minimality is read from
-    `minimal_pairs_of_root`.  Returns the minimal-pair report
+
+def _carry(data: tuple, parent: FoldedQuiver, i: int, at_i) -> tuple:
+    """The parent's (minimal pairs, mismatches) without its pairs at
+    alpha_i, ``at_i``, the rest relabelled by s_i.
+
+    alpha_i is minimal in the parent's convex order and maximal in the
+    child's, so a pair at alpha_i never lies below another pair.  Every
+    other summing pair {a, b} of g becomes {s_i a, s_i b} of s_i g with
+    its order, its minimality and its three cells, so its keys and its
+    verdict are kept.
+    """
+    count, mismatches = data
+    rs, cls = parent.rs, parent.source_class
+    below, above = cls.below(), cls.above()
+    count -= sum(is_minimal_pair(below, above, rs.summing_pairs(g), a, b) for g, a, b in at_i)
+    r, perm = rs.simple_root_index[i], rs.reflection_permutation(i)
+    return count, [
+        (perm[g], *sorted((perm[a], perm[b])), listed)
+        for g, a, b, listed in mismatches
+        if r != a and r != b
+    ]
+
+
+def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
+    """One walk over the summing pairs of every class of the twisted point.
+
+    Each class keeps its minimal-pair count and its mismatches, by root
+    index, along the BFS tree of `parents_first`: the seed reads every
+    summing pair (`_read_pairs`), and a child reached by the folded
+    reflection at the sink alpha_i keeps its parent's, without the
+    parent's pairs at alpha_i (`_carry`), and reads only its own pairs
+    at alpha_i, the pairs {alpha_i, beta} with alpha_i + beta a root.  So
+    the plain keys the minimal pairs realize are the seed's and those of
+    the new pairs at alpha_i.  Returns the minimal-pair report
     (checked = minimal pairs, a mismatch per pair whose keys are not in
-    the validated table), the plain keys the minimal pairs realize, and the
-    report of the predicate against minimality over all summing pairs.
+    the validated table), those keys, and the report of the predicate
+    against minimality over all summing pairs, the mismatches sorted by
+    canonical word, root and summing pair, as a class-by-class sweep
+    finds them.
     """
     folding = folding_to(target, n)  # refuse an unsupported rank before any table
     validated = _validated_keys(target, n)
-    pairs = Report(f"dorey {target} n={n}", 0)
-    predicate = Report(f"minimal-pair predicate {target} n={n}", 0)
-    realized: set = set()
     point = twisted_folded_quivers(*folding.source)
-    for cls in sorted(point, key=lambda c: c.canonical_word):
-        coord = point[cls].cells
-        labels = [_plain_spectral(target, *c) for c in coord]
-        for g in range(cls.rs.num_positive):
-            minimal = set(minimal_pairs_of_root(cls, g))
-            for a, b in cls.rs.summing_pairs(g):
-                if (b, a) in minimal:
-                    a, b = b, a  # a minimal pair in the convex order
-                keys = _pair_keys(labels, a, b, g)
-                listed = not validated.isdisjoint(keys)
-                is_minimal = (a, b) in minimal
-                predicate.checked += 1
-                if listed != is_minimal:
-                    predicate.mismatches.append(
-                        (cls.canonical_word, coord[a], coord[b], coord[g],
-                         "predicate", listed)
-                    )
-                if is_minimal:
-                    pairs.checked += 1
-                    realized.update(keys)
-                    if not listed:
-                        pairs.mismatches.append(
-                            ("pair not in table", cls.canonical_word,
-                             coord[a], coord[b], coord[g])
-                        )
+    rs = next(iter(point)).rs
+    every = [(g, a, b) for g in range(rs.num_positive) for a, b in rs.summing_pairs(g)]
+    at = {i: [p for p in every if rs.simple_root_index[i] in p[1:]] for i in rs.nodes}
+    realized: set = set()
+
+    def read(fq, up):
+        if up is None:
+            return _read_pairs(fq, every, target, validated, realized)
+        data, parent, i = up
+        count, kept = _carry(data, parent, i, at[i])
+        new_count, new = _read_pairs(fq, at[i], target, validated, realized)
+        return count + new_count, kept + new
+
+    pairs = Report(f"dorey {target} n={n}", 0)
+    predicate = Report(f"minimal-pair predicate {target} n={n}", len(point) * len(every))
+    found = []
+    for fq, (count, mismatches) in parents_first(point, read):
+        pairs.checked += count
+        if mismatches:
+            found.append((fq.source_class.canonical_word, fq, mismatches))
+    for word, fq, mismatches in sorted(found, key=lambda f: f[0]):
+        cls, coord = fq.source_class, fq.cells
+        for g, a, b, listed in sorted(mismatches):  # (g, a): the summing-pair order
+            if not listed and cls.precedes(b, a):
+                a, b = b, a  # a minimal pair in the convex order
+            predicate.mismatches.append(
+                (word, coord[a], coord[b], coord[g], "predicate", listed))
+            if not listed:
+                pairs.mismatches.append(
+                    ("pair not in table", word, coord[a], coord[b], coord[g]))
     return pairs, realized, predicate
 
 

@@ -31,9 +31,12 @@ pairs summing to the root are disjoint and of one weight, so the four
 roots are their difference support, and {c, d} lies below {a, b} iff c
 and d are both inner in {a, b, c, d}: each has one of the four below it
 and one above it in the convex order, two mask reads of `below` and
-`above` per root (`_pair_lies_below`).  No sequence is built.  The
-definitional search over all sequences of the weight is kept as
-`minimal_sequences`, the oracle for `minimal_pairs_of_root` in the tests.
+`above` per root (`_pair_lies_below`).  No sequence is built.
+`is_minimal_pair` is that test for one pair against the other pairs of
+its root, for `minimal_pairs_of_root` and for the Dorey walk of
+``affine``.  The definitional search over all sequences of the weight is
+kept as `minimal_sequences`, the oracle for `minimal_pairs_of_root` in
+the tests.
 
 A pair is read once, as (dist, least), from its one `pair_below` list
 and one `_chain_depths` sweep (`_read_below`).  Whatever lies below an
@@ -48,8 +51,9 @@ read the quiver's table, {(k, l): {t: o_t}} with k <= l, o_t the common
 built from that quiver alone on every call and never memoised;
 `phi_pairs`, Phi[t] by definition, is its oracle in the tests.  The
 suites walk their point once instead (`_walk_point`), along the BFS
-tree of its folded reflections, with one datum per class: the counts
-{(k, l, t): (o_t, |Phi[t]|)} and the socle-dist records, a class's
+tree of its folded reflections (`parents_first`, the one walker, which
+the Dorey walk of ``affine`` also takes), with one datum per class: the
+counts {(k, l, t): (o_t, |Phi[t]|)} and the socle-dist records, a class's
 pairs at dist > 2 or without a unique socle, each with its `dist` and
 socle.  The seed's are read pair by pair, every other class's come
 from its parent's.  A folded reflection at the sink alpha_i keeps
@@ -393,28 +397,33 @@ def _pair_lies_below(below, above, c: int, d: int, upper: int) -> bool:
     return bool(below[c] & m and above[c] & m and below[d] & m and above[d] & m)
 
 
+def is_minimal_pair(below, above, pairs, a: int, b: int) -> bool:
+    """No other pair of ``pairs``, the summing pairs (a, b), a < b, of one
+    root, lies below its pair (a, b) in the convex order of the masks
+    ``below`` and ``above``: two distinct pairs summing to the root are
+    disjoint, so this is `_pair_lies_below` for each of them."""
+    upper = 1 << a | 1 << b
+    return not any(_pair_lies_below(below, above, c, d, upper) for c, d in pairs if c != a)
+
+
 def minimal_pairs_of_root(cls: CommutationClass, gamma: int) -> list[tuple[int, int]]:
     """Minimal pairs (a, b) of a positive root, a preceding b.
 
     Every minimal sequence above a root is a pair, and by convexity every
     pair summing to the root lies above it; so the minimal pairs are the
-    minimal elements among the summing pairs.  Two distinct pairs summing
-    to the root are disjoint, so one lies below the other iff its two
-    roots are inner in the four (`_pair_lies_below`): two mask reads per
-    root.  `minimal_sequences`, the definitional search over all
-    sequences of the weight, is the oracle the tests check this against.
-    A bad root index is a ValueError.
+    minimal elements among the summing pairs, each found by
+    `is_minimal_pair`: two mask reads per root of each other pair.
+    `minimal_sequences`, the definitional search over all sequences of the
+    weight, is the oracle the tests check this against.  A bad root index
+    is a ValueError.
     """
     pairs = cls.rs.summing_pairs(gamma)  # a bad index is refused before any shift
     below, above = cls.below(), cls.above()
-    out = []
-    for a, b in pairs:
-        upper = 1 << a | 1 << b
-        if not any(
-            _pair_lies_below(below, above, c, d, upper) for c, d in pairs if c != a
-        ):
-            out.append((b, a) if cls.precedes(b, a) else (a, b))
-    return sorted(out)
+    return sorted(
+        (b, a) if cls.precedes(b, a) else (a, b)
+        for a, b in pairs
+        if is_minimal_pair(below, above, pairs, a, b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +600,35 @@ def _assert_mirrored(fq: FoldedQuiver, mirror: FoldedQuiver) -> None:
         )
 
 
+def parents_first(point: dict[CommutationClass, FoldedQuiver], read):
+    """(quiver, datum) for every quiver of a twisted point, along the BFS
+    tree of the classes' ``parent``, (up, i).
+
+    The point's order puts each parent first.  The seed's datum is
+    ``read(fq, None)``, every other class's ``read(fq, (datum, parent
+    quiver, i))`` from the datum of ``point[up]`` across the folded
+    reflection at the sink alpha_i; a class's datum is dropped once its
+    last child has come.
+    """
+    children = Counter(cls.parent[0] for cls in point if cls.parent)
+    live: dict[CommutationClass, object] = {}
+    for cls, fq in point.items():
+        if cls.parent is None:
+            data = read(fq, None)
+        else:
+            up, i = cls.parent
+            data = read(fq, (live[up], point[up], i))
+            children[up] -= 1
+            if not children[up]:
+                del live[up]
+        if children[cls]:
+            live[cls] = data
+        yield fq, data
+
+
 def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
     """(quiver, (bucket counts, socle-dist records)) for every quiver of a
-    twisted point, parents first.
+    twisted point, parents first (`parents_first`).
 
     The point is closed under the mirror c -> c^v (`mirror_classes`):
     c^v has c's roots in reverse convex order, and its cells keep every
@@ -604,47 +639,43 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
     same for c and c^v, and so are every pair's `dist`, socle and bucket
     (k, l, t): c^v's datum is c's.  So only the first class of each pair
     is read, and the second gets the same datum objects, held until it
-    comes.
-
-    A class is read along the BFS tree of the classes' ``parent``,
-    (up, i): the seed's data pair by pair (`_scratch`), every other
-    class's its parent's, that of ``point[up]``, carried across the
-    folded reflection at the sink alpha_i (`_transport`).  The point's
-    order puts each parent first, and a class's data is dropped once its
-    last child has come.
+    comes.  The seed is read pair by pair (`_scratch`), every other
+    class's datum is its parent's carried across the folded reflection
+    at the sink alpha_i (`_transport`).
     """
     mirror = mirror_classes(point)
     for cls, other in mirror.items():
         _assert_mirrored(point[cls], point[other])
-    children = Counter(cls.parent[0] for cls in point if cls.parent)
-    live: dict[CommutationClass, tuple] = {}
     held: dict[CommutationClass, tuple] = {}  # a read datum, under the mirror to come
-    for cls, fq in point.items():
-        data = held.pop(cls, None)
-        if data is None:
-            if cls.parent is None:
-                data = _scratch(fq)
-            else:
-                up, i = cls.parent
-                data = _transport(live[up], point[up], fq, i)
-            held[mirror[cls]] = data
-        if cls.parent:
-            up = cls.parent[0]
-            children[up] -= 1
-            if not children[up]:
-                del live[up]
-        if children[cls]:
-            live[cls] = data
-        yield fq, data
+
+    def read(fq, up):
+        cls = fq.source_class
+        if cls in held:
+            return held.pop(cls)
+        if up is None:
+            data = _scratch(fq)
+        else:
+            up_data, parent, i = up
+            data = _transport(up_data, parent, fq, i)
+        held[mirror[cls]] = data
+        return data
+
+    yield from parents_first(point, read)
 
 
 def point_tables(point: dict[CommutationClass, FoldedQuiver]):
     """(quiver, table) for every quiver of a twisted point, parents first,
     in one walk: the seed read from scratch, the first class of every
-    other mirror pair transported, its mirror given the same datum.
-    Nothing is memoised."""
+    other mirror pair transported, its mirror given the same datum and
+    the same table object.  Nothing is memoised."""
+    # by the id of a datum whose mirror is to come: the walk holds that
+    # datum until then, so its id names no other object before the pop
+    tables: dict[int, dict] = {}
     for fq, (counts, _) in _walk_point(point):
-        yield fq, _table_of(counts)
+        table = tables.pop(id(counts), None)
+        if table is None:
+            table = tables[id(counts)] = _table_of(counts)
+        yield fq, table
 
 
 def point_socle_records(point: dict[CommutationClass, FoldedQuiver]):

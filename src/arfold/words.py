@@ -337,8 +337,13 @@ def projection_key(rs: RootSystem, word: Word) -> Key:
     """One int per edge (a, b) of ``rs.edges``: the word restricted to
     {a, b}, as a leading 1 followed by one bit per letter, 1 for b.
     Equal keys are equal classes, by the projection lemma."""
-    slots = edge_slots(rs)
-    key = [1] * len(rs.edges)
+    return _slotted_key(edge_slots(rs), len(rs.edges), word)
+
+
+def _slotted_key(slots, edges: int, word: Word) -> Key:
+    """`projection_key` of ``word`` from ``slots``, the `edge_slots` of a
+    root system with ``edges`` edges, built once by the caller."""
+    key = [1] * edges
     for i in word:
         for s, b in slots[i]:
             key[s] = key[s] << 1 | b
@@ -378,7 +383,7 @@ def cluster_moves(cls: CommutationClass):
     """
     rs = cls.rs
     slots, star = edge_slots(rs), rs.star()
-    start = projection_key(rs, cls.canonical_word)
+    start = _slotted_key(slots, len(rs.edges), cls.canonical_word)
     by_key = {start: cls}
     classes = {cls}
     queue = [(start, cls)]
@@ -416,12 +421,13 @@ def mirror_classes(classes) -> dict[CommutationClass, CommutationClass]:
     AssertionError naming it.
     """
     rs = next(iter(classes)).rs
-    by_key = {projection_key(rs, c.canonical_word): c for c in classes}
+    slots, edges = edge_slots(rs), len(rs.edges)
+    by_key = {_slotted_key(slots, edges, c.canonical_word): c for c in classes}
     out: dict[CommutationClass, CommutationClass] = {}
     for c in classes:
         if c in out:
             continue
-        mirror = by_key.get(projection_key(rs, mirror_word(rs, c.canonical_word)))
+        mirror = by_key.get(_slotted_key(slots, edges, mirror_word(rs, c.canonical_word)))
         if mirror is None:
             raise AssertionError(
                 f"the mirror of class {c.canonical_word} is not among the classes")

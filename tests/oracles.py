@@ -1,7 +1,8 @@
 """References and printed fixtures that the tests compare against: small
-reads of classes and roots, the cover trichotomy, the E_6 folded quiver
-of the printed table (with the tables in ``tests/data``), Coxeter
-compositions and words.  No suite or CLI path runs them."""
+reads of classes and roots, the cover trichotomy, the class-by-class
+Dorey sweep, the E_6 folded quiver of the printed table (with the tables
+in ``tests/data``), Coxeter compositions and words.  No suite or CLI path
+runs them."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from pathlib import Path
 
-from arfold.rootsys import Root, RootSystem, folding_from, root_system
+from arfold import affine
+from arfold.rootsys import Root, RootSystem, folding_from, folding_to, root_system
 from arfold.words import CommutationClass, Word, commutation_class
 from arfold.arquiver import DynkinQuiver
 from arfold.twistfold import FoldedQuiver
@@ -164,6 +166,51 @@ def _pair_cover_conditions(cls, a, b, supp):
         if fwd or bwd:
             return (("forward", fwd), ("backward", bwd))
     return (("forward", False), ("backward", False))
+
+
+# ---------------------------------------------------------------------------
+# the Dorey sweep, class by class
+
+
+def dorey_sweep_by_class(target: str, n: int):
+    """`affine._dorey_sweep` read anew on every class of the twisted
+    point, in canonical-word order: each root's label made plain once per
+    class, each summing pair's Dorey keys computed once, its minimality
+    read from `minimal_pairs_of_root`.  The table, the keys and the labels
+    are read through the ``affine`` module, so a test's mutant of them
+    reaches this oracle too."""
+    folding = folding_to(target, n)
+    validated = affine._validated_keys(target, n)
+    pairs = affine.Report(f"dorey {target} n={n}", 0)
+    predicate = affine.Report(f"minimal-pair predicate {target} n={n}", 0)
+    realized: set = set()
+    point = affine.twisted_folded_quivers(*folding.source)
+    for cls in sorted(point, key=lambda c: c.canonical_word):
+        coord = point[cls].cells
+        labels = [affine._plain_spectral(target, *c) for c in coord]
+        for g in range(cls.rs.num_positive):
+            minimal = set(minimal_pairs_of_root(cls, g))
+            for a, b in cls.rs.summing_pairs(g):
+                if (b, a) in minimal:
+                    a, b = b, a  # a minimal pair in the convex order
+                keys = affine._pair_keys(labels, a, b, g)
+                listed = not validated.isdisjoint(keys)
+                is_minimal = (a, b) in minimal
+                predicate.checked += 1
+                if listed != is_minimal:
+                    predicate.mismatches.append(
+                        (cls.canonical_word, coord[a], coord[b], coord[g],
+                         "predicate", listed)
+                    )
+                if is_minimal:
+                    pairs.checked += 1
+                    realized.update(keys)
+                    if not listed:
+                        pairs.mismatches.append(
+                            ("pair not in table", cls.canonical_word,
+                             coord[a], coord[b], coord[g])
+                        )
+    return pairs, realized, predicate
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from arfold.affine import (
     verify_minimal_pair_predicate,
 )
 from arfold.cli import verify_socle_dist
+from oracles import dorey_sweep_by_class
 
 SP = SpectralParameter
 
@@ -281,26 +282,142 @@ def test_minimal_pair_predicate_equivalence_quick():
     assert rep.ok and rep.checked > 0
 
 
-def test_verify_dorey_reads_each_summing_pair_once(monkeypatch):
+def _summing_pairs(rs):
+    """Every summing pair as (a, b, g), a < b, by root g, then by a."""
+    return [(a, b, g) for g in range(rs.num_positive) for a, b in rs.summing_pairs(g)]
+
+
+@pytest.mark.parametrize("target, n", [("C", 3), ("B", 4)])
+def test_verify_dorey_reads_the_seed_and_the_pairs_at_alpha_i_once(monkeypatch, target, n):
+    # the seed reads every summing pair, and a class reached by the folded
+    # reflection at alpha_i only its pairs {alpha_i, beta}, in walk order;
+    # the predicate still checks every summing pair of every class
     calls = []
     pair_keys = affine._pair_keys
     monkeypatch.setattr(
-        affine, "_pair_keys", lambda *args: calls.append(args) or pair_keys(*args)
+        affine, "_pair_keys", lambda *args: calls.append(args[1:]) or pair_keys(*args)
     )
-    rep = verify_dorey("C", 3)
-    summing = len(calls)
-    calls.clear()
-    assert verify_minimal_pair_predicate("C", 3).checked == summing == len(calls)
-    assert summing < rep.checked
+    rep = verify_minimal_pair_predicate(target, n)
+    point = twisted_folded_quivers(*affine.folding_to(target, n).source)
+    rs = next(iter(point)).rs
+    every = _summing_pairs(rs)
+    read = []
+    for cls in point:
+        if cls.parent is None:
+            read += every
+        else:
+            r = rs.simple_root_index[cls.parent[1]]
+            read += [p for p in every if r in p[:2]]
+    assert calls == read
+    assert len(read) < len(point) * len(every) == rep.checked
+
+
+def _walked_and_oracle(monkeypatch, target, n) -> tuple[str, str]:
+    """The JSON of `verify_dorey` through the walk and through the
+    class-by-class oracle."""
+    walked = json.dumps(verify_dorey(target, n).as_dict(), sort_keys=True)
+    with monkeypatch.context() as m:
+        m.setattr(affine, "_dorey_sweep", dorey_sweep_by_class)
+        oracle = json.dumps(verify_dorey(target, n).as_dict(), sort_keys=True)
+    return walked, oracle
+
+
+@pytest.mark.parametrize("target, n", [
+    ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("C", 4), ("C", 5), ("C", 6), ("C", 7),
+])
+def test_walked_dorey_report_equals_the_class_by_class_oracle(monkeypatch, target, n):
+    walked, oracle = _walked_and_oracle(monkeypatch, target, n)
+    assert walked == oracle
+
+
+def test_walked_dorey_equals_the_oracle_on_the_printed_table(monkeypatch):
+    # the printed B(ii) branches as the validated table: mismatches in many
+    # classes, so the walk's final sort is pinned record by record
+    printed = frozenset(affine._plain_key(e.key()) for e in dorey_triples("B", 4, "printed"))
+    monkeypatch.setattr(affine, "_validated_keys", lambda *_: printed)
+    walked, oracle = _walked_and_oracle(monkeypatch, "B", 4)
+    assert walked == oracle
+    mismatches = json.loads(walked)["mismatches"]
+    assert sum("pair not in table" in m for m in mismatches) > 100
+    assert sum("'predicate'" in m for m in mismatches) > 100
+
+
+def _child_skips_its_pairs(monkeypatch):
+    real = affine._read_pairs
+    monkeypatch.setattr(
+        affine, "_read_pairs",
+        lambda fq, *args: (0, []) if fq.source_class.parent else real(fq, *args),
+    )
+
+
+def _parent_keeps_its_pairs(monkeypatch):
+    def carry(data, parent, i, at_i):
+        count, mismatches = data
+        perm = parent.rs.reflection_permutation(i)
+        return count, [
+            (perm[g], *sorted((perm[a], perm[b])), listed) for g, a, b, listed in mismatches
+        ]
+
+    monkeypatch.setattr(affine, "_carry", carry)
+
+
+@pytest.mark.parametrize("mutant", [_child_skips_its_pairs, _parent_keeps_its_pairs])
+def test_walk_mutants_fail_the_dorey_oracle(monkeypatch, mutant):
+    mutant(monkeypatch)
+    for target, n in [("B", 3), ("C", 4)]:
+        walked, oracle = _walked_and_oracle(monkeypatch, target, n)
+        assert walked != oracle
+
+
+LEMMA_SOURCES = (
+    [("A", r) for r in (5, 7, 9, 11)] + [("D", r) for r in (5, 6, 7, 8)] + [("E", 6)]
+)
+
+
+@pytest.mark.parametrize("tt, rk", LEMMA_SOURCES)
+def test_a_folded_reflection_keeps_every_pair_off_alpha_i(tt, rk):
+    # on every edge of the BFS tree: alpha_i is minimal in the parent and
+    # maximal in the child, and every summing pair without it keeps its
+    # minimality under s_i and its three cells
+    point = twisted_folded_quivers(tt, rk)
+    rs = next(iter(point)).rs
+    every = _summing_pairs(rs)
+
+    def minimal(cls):
+        below, above = cls.below(), cls.above()
+        return {
+            (a, b, g) for a, b, g in every
+            if seqorder.is_minimal_pair(below, above, rs.summing_pairs(g), a, b)
+        }
+
+    minimal_of = {cls: minimal(cls) for cls in point}
+    for child, fq in point.items():
+        if child.parent is None:
+            continue
+        up, i = child.parent
+        parent = point[up]
+        r, perm = rs.simple_root_index[i], rs.reflection_permutation(i)
+        assert up.below()[r] == 0 and child.above()[r] == 0
+        moved = {
+            (*sorted((perm[a], perm[b])), perm[g]) for a, b, g in minimal_of[up]
+            if r not in (a, b)
+        }
+        assert moved == {p for p in minimal_of[child] if r not in p[:2]}
+        for a, b, g in every:
+            if r not in (a, b):
+                assert all(parent.cells[x] == fq.cells[perm[x]] for x in (a, b, g))
 
 
 @pytest.mark.parametrize("target, n", [("B", 3), ("C", 3)])
 def test_dorey_and_predicate_fail_without_any_one_table_entry(monkeypatch, target, n):
+    # and the walk reports each failure as the class-by-class oracle does
     keys = affine._validated_keys(target, n)
     for dropped in keys:
         monkeypatch.setattr(affine, "_validated_keys", lambda *_: keys - {dropped})
         assert not verify_dorey(target, n).ok, dropped
         assert not verify_minimal_pair_predicate(target, n).ok, dropped
+        walked, oracle = _walked_and_oracle(monkeypatch, target, n)
+        assert walked == oracle, dropped
 
 
 # sha256 of each report's sorted-key JSON: the sweep's plain integer keys

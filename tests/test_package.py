@@ -116,13 +116,19 @@ def _callers(name: str) -> set[tuple[str, str]]:
 def test_pairs_are_read_once_along_one_walk():
     # the suites read socles off the chain sweep, never through
     # `is_simple`; one transport carries a class's counts and records,
-    # and the walk takes the point alone
+    # called by the walk's one reader, and the walk takes the point alone
     import inspect
 
     from arfold.seqorder import _walk_point
 
     assert _callers("is_simple") == {("seqorder", "minimal_sequences")}
-    assert _callers("_transport") == {("seqorder", "_walk_point")}
+    assert _callers("_transport") == {("seqorder", "_walk_point"), ("seqorder", "read")}
+    # one parents-first walker for the distance walk and the Dorey walk,
+    # and one minimality test of a summing pair
+    assert _callers("parents_first") == {("seqorder", "_walk_point"), ("affine", "_dorey_sweep")}
+    assert _callers("is_minimal_pair") == {
+        ("seqorder", "minimal_pairs_of_root"), ("affine", "_read_pairs"), ("affine", "_carry"),
+    }
     assert list(inspect.signature(_walk_point).parameters) == ["point"]
 
 
@@ -161,7 +167,7 @@ def test_each_move_and_class_order_is_stored_once():
             if not isinstance(fn, ast.FunctionDef):
                 continue
             for node in ast.walk(fn):
-                if isinstance(node, ast.Attribute) and fn.name == "_walk_point":
+                if isinstance(node, ast.Attribute) and fn.name == "parents_first":
                     walk_attrs.add(node.attr)
                 if not isinstance(node, ast.Call):
                     continue
@@ -209,7 +215,8 @@ def test_test_oracles_live_in_the_tests():
     # test code: the package neither exports, defines nor calls them
     oracles = (
         "classify_cover", "coxeter_composition", "coxeter_element_of",
-        "e6_folded_quiver", "is_foldable", "twisted_coxeter_elements",
+        "dorey_sweep_by_class", "e6_folded_quiver", "is_foldable",
+        "twisted_coxeter_elements",
     )
     src = Path(arfold.__file__).parent
     modules = [getattr(arfold, p.stem) for p in src.glob("*.py") if p.stem != "__init__"]
