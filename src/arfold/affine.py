@@ -405,28 +405,55 @@ def _distance_polynomials(target: tuple[str, int], conventions: tuple[str, ...])
     ``target`` under each convention, times the diagonal factor at k = l.
 
     One `point_tables` walk over the point builds every convention's
-    polynomials as each class arrives, once per distinct table row; memoised
-    per point and conventions.  Callers must not change it.
+    polynomials as each class arrives: the rows of each table once
+    (`_row_polynomials`), each polynomial once per distinct row, and a
+    class's mirror, which gets the same table object, takes the first
+    class's polynomials; memoised per point and conventions.  Callers
+    must not change it.
     """
     _, n = target
     extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
     keys = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
     polys = {conv: {key: {} for key in keys} for conv in conventions}
     by_row = {}
+    # the class that read a table whose mirror is to come, by the table's
+    # id: `point_tables` holds that table until then, so its id names no
+    # other table before the pop
+    first = {}
     point = twisted_folded_quivers(*folding_to(*target).source)
     for fq, table in point_tables(point):
-        for conv, by_key in polys.items():
-            for k, l in keys:
-                row = (conv, k, l, tuple(sorted(table.get((k, l), {}).items())))
-                if row not in by_row:
-                    poly = table_polynomial(table, target, k, l, conv)
-                    by_row[row] = poly * extra if k == l else poly
-                by_key[k, l][fq.source_class] = by_row[row]
+        cls = fq.source_class
+        twin = first.pop(id(table), None)
+        if twin is None:
+            first[id(table)] = cls
+            for (conv, k, l), poly in _row_polynomials(
+                    table, target, conventions, keys, extra, by_row).items():
+                polys[conv][k, l][cls] = poly
+        else:
+            for by_key in polys.values():
+                for by_class in by_key.values():
+                    by_class[cls] = by_class[twin]
     order = sorted(point, key=lambda c: c.canonical_word)
     for by_key in polys.values():
         for key, by_class in by_key.items():
             by_key[key] = {c: by_class[c] for c in order}
     return polys
+
+
+def _row_polynomials(table, target, conventions, keys, extra, by_row) -> dict:
+    """{(convention, k, l): polynomial} of one distance table, times
+    ``extra`` at k = l; a polynomial already in ``by_row``, keyed by
+    (convention, k, l, sorted row), is reused, a new one is put there."""
+    out = {}
+    for k, l in keys:
+        row = tuple(sorted(table.get((k, l), {}).items()))
+        for conv in conventions:
+            poly = by_row.get((conv, k, l, row))
+            if poly is None:
+                poly = table_polynomial(table, target, k, l, conv)
+                poly = by_row[conv, k, l, row] = poly * extra if k == l else poly
+            out[conv, k, l] = poly
+    return out
 
 
 def verify_den_dist(target: str, n: int) -> Report:

@@ -177,6 +177,16 @@ class RootSystem:
             adj[a].add(b)
             adj[b].add(a)
         self.adjacent = {i: frozenset(adj[i]) for i in self.nodes}
+        # {i: the jumpers of i}, nodes without any left out: a jumper of i
+        # commutes with i and with a neighbour j of i, j < a < i.  Where
+        # none precedes the moved i, `words.reflect` canonicalises by
+        # deletion and insertion alone.  The A and D labellings have none.
+        jumpers = {
+            i: frozenset(a for j in adj[i] for a in range(j + 1, i)
+                         if a not in adj[i] and a not in adj[j])
+            for i in self.nodes
+        }
+        self.jumpers = {i: at for i, at in jumpers.items() if at}
         # Cartan matrix entries a[i][j], 1-based dict of dicts.
         self.cartan = {
             i: {j: 2 if i == j else (-1 if j in adj[i] else 0) for j in self.nodes}

@@ -34,6 +34,24 @@ reduced word of w_0 again.  Reducedness is checked only where a word
 enters: `commutation_class`, and so the seeds of the cluster
 points and the CLI's ``--class``.
 
+The moved class's canonical word is read off the parent's W = u i v by
+one deletion and one insertion; `_kahn` runs where a word enters.  The
+append rule holds for any labelling: a new maximal letter is taken by
+the greedy at the first step where it is free and least, so i* goes into
+u v after the last letter in {i*} and its neighbours, and then past the
+letters less than i* (`_appended`).  The deletion lemma: u v is the
+canonical word of the heap without that i unless u holds a jumper of i,
+a letter a that commutes with i and with a neighbour j of i, j < a < i
+(``RootSystem.jumpers``).  The greedies on the two heaps agree until a
+cover y of the removed i, of letter j, is free and beats the letter a_t
+the first greedy took at a step t < |u|.  That needs j < a_t < i, since
+i was free and not taken; and a_t commutes with j, or y would lie above
+it.  From step |u| on the two greedies are the same.  The A and D
+labellings have no jumper: an edge (p, p + 1) has nothing strictly
+between its ends, and at the fork edge (m - 2, m) the letter m - 1 is
+adjacent to m - 2.  E6 has one, 5 for i = 6, and a move at 6 past a 5
+canonicalises the moved word by `_kahn`.
+
 The r_i alone reach the whole cluster point, the closure under r_i and
 the left moves, which take the last s_i to the front as s_{i*}.  Let
 c = [i w'] and d = r_i(c) = [w' i*], N letters.  Moving the N letters of
@@ -306,18 +324,48 @@ def commutation_class(rs: RootSystem, word: Word) -> CommutationClass:
     return cls
 
 
+def _appended(rs: RootSystem, word: Word, i: int) -> Word:
+    """The canonical word of the class of ``word`` + (i,), for a canonical
+    word ``word``: i inserted after the last letter in {i} and its
+    neighbours, and then after the letters less than i that follow."""
+    block, q = rs.adjacent[i] | {i}, len(word)
+    while q and word[q - 1] not in block:
+        q -= 1
+    while q < len(word) and word[q] < i:
+        q += 1
+    return word[:q] + (i,) + word[q:]
+
+
 def reflect(cls: CommutationClass, i: int) -> CommutationClass:
     """The reflection functor r_i, or the input class at a fixed point:
-    the class of the canonical word with its first s_i moved to the end
-    as s_{i*}, canonicalised unchecked, with (cls, i) as its parent."""
+    the class of the canonical word W = u i v with its first s_i moved to
+    the end as s_{i*}, unchecked, with (cls, i) as its parent.
+
+    Its canonical word is u v with i* inserted by `_appended`: the greedy
+    takes a new maximal letter at the first step where it is free and
+    least (the append rule).  And u v is the canonical word of the heap
+    without that i unless u holds a jumper of i (``rs.jumpers``), a letter
+    a commuting with i and with a neighbour j of i, j < a < i (the
+    deletion lemma).  For, the greedies on the two heaps agree until a
+    cover y of the removed i, of letter j, is free and beats the letter
+    a_t the first one took at a step t < |u|: then j < a_t < i, and a_t
+    commutes with j, or y would lie above it; from |u| on they are the
+    same.  A and D have no jumpers; E6 has 5 for i = 6, and a move at 6
+    past a 5 canonicalises the moved word by `_kahn`.
+    """
     rs = cls.rs
     if i not in rs.nodes:
         raise ValueError(f"letter {i!r} outside the index set of {rs}")
     word = cls.canonical_word
     k = word.index(i)
-    if any(rs.cartan[j][i] for j in word[:k]):
+    u = word[:k]
+    if not rs.adjacent[i].isdisjoint(u):
         return cls
-    return CommutationClass(rs, _kahn(rs, word[:k] + word[k + 1:] + (rs.star()[i],)), (cls, i))
+    rest, i_star = u + word[k + 1:], rs.star()[i]
+    jumpers = rs.jumpers.get(i)
+    if jumpers and not jumpers.isdisjoint(u):
+        return CommutationClass(rs, _kahn(rs, rest + (i_star,)), (cls, i))
+    return CommutationClass(rs, _appended(rs, rest, i_star), (cls, i))
 
 
 Key = tuple[int, ...]

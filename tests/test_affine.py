@@ -216,6 +216,30 @@ def _fresh_distance_memo(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("target", [("C", 4), ("F", 4)])
+def test_distance_rows_are_built_once_per_distinct_table(target, monkeypatch):
+    # a class's mirror gets the first class's table object and its rows;
+    # every class's polynomials are still its own table's
+    _fresh_distance_memo(monkeypatch)
+    tables = []
+    real = affine._row_polynomials
+    monkeypatch.setattr(
+        affine, "_row_polynomials", lambda table, *args: tables.append(table) or real(table, *args)
+    )
+    polys = affine._distance_polynomials(target, ("A", "D"))
+    point = twisted_folded_quivers(*affine.folding_to(*target).source)
+    assert len(tables) == len({id(t) for t in tables}) == len(point) // 2
+    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
+    n = target[1]
+    for fq, table in seqorder.point_tables(point):
+        for conv in ("A", "D"):
+            for k in range(1, n + 1):
+                for l in range(k, n + 1):
+                    poly = affine.table_polynomial(table, target, k, l, conv)
+                    want = poly * extra if k == l else poly
+                    assert polys[conv][k, l][fq.source_class] == want
+
+
 def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
     # a fresh memo, so none of the point's polynomials is built yet; each
     # is built once per distinct row of the point's tables, and shared

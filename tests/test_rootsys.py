@@ -1,6 +1,7 @@
 import pytest
 
 from arfold.rootsys import (
+    MAX_RANK,
     FoldingError,
     RootSystem,
     UnsupportedTypeError,
@@ -258,6 +259,27 @@ def test_root_system_equality_is_by_type_and_rank():
     assert hash(RootSystem("A", 3)) == hash(root_system("A", 3))
     assert RootSystem("A", 3) != root_system("A", 4)
     assert commutation_class(RootSystem("A", 3), w) == commutation_class(root_system("A", 3), w)
+
+
+def _jumpers_by_definition(rs):
+    """{i: letters a with a_ai = 0 and a_aj = 0 for a neighbour j of i,
+    j < a < i}, read off the Cartan matrix, nodes without any left out."""
+    c, out = rs.cartan, {}
+    for i in rs.nodes:
+        at = {a for j in rs.nodes if c[i][j] == -1
+              for a in rs.nodes if j < a < i and c[a][i] == 0 and c[a][j] == 0}
+        if at:
+            out[i] = at
+    return out
+
+
+def test_jumpers_are_none_in_a_and_d_and_5_for_6_in_e6():
+    for tt, low in (("A", 1), ("D", 4)):
+        for rk in range(low, MAX_RANK + 1):
+            rs = RootSystem(tt, rk)
+            assert rs.jumpers == {} == _jumpers_by_definition(rs), rs
+    e6 = root_system("E", 6)
+    assert e6.jumpers == {6: {5}} == _jumpers_by_definition(e6)
 
 
 @pytest.mark.parametrize("tt, rk", [("A", 9), ("D", 7), ("E", 6)])

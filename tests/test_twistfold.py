@@ -399,12 +399,22 @@ def test_recorded_bfs_edges_replay(source):
 
 
 @pytest.mark.parametrize(
-    "source", [("A", 9), ("D", 7), ("E", 6)], ids=lambda s: f"{s[0]}{s[1]}"
+    "source, kahn",
+    # the seed's, plus one per move of E6 at i = 6 past its jumper 5
+    [pytest.param(("A", 9), 1, id="A9"), pytest.param(("D", 7), 1, id="D7"),
+     pytest.param(("E", 6), 1 + 10, id="E6")],
 )
-def test_bfs_canonicalises_each_class_once(source, monkeypatch):
+def test_bfs_canonicalises_each_class_once(source, kahn, monkeypatch):
     # a class reached again is told apart by its projection key alone:
-    # no canonical word, heap or arrows are built for it; and the twisted
-    # point is the folded quivers' walk, not a second one
+    # no canonical word, heap or arrows are built for it; a new class
+    # runs `_kahn` only past a jumper; and the twisted point is the folded
+    # quivers' walk, not a second one
+    guarded = 0
+    for c, moves in words.cluster_moves(_seed_class(*source)):
+        for i, _, new in moves:
+            w = c.canonical_word
+            guarded += new and not c.rs.jumpers.get(i, set()).isdisjoint(w[:w.index(i)])
+    assert kahn == 1 + guarded
     calls = Counter()
 
     def counted(name, f):
@@ -418,7 +428,7 @@ def test_bfs_canonicalises_each_class_once(source, monkeypatch):
         FoldedQuiver, "__post_init__", counted("FoldedQuiver", FoldedQuiver.__post_init__)
     )
     point = cluster_point(_seed_class(*source))
-    assert calls == {"_kahn": len(point)}
+    assert calls == {"_kahn": kahn}
     calls.clear()
     # the folded quivers' memo, here a cold one, is the twisted point's only one
     assert not hasattr(twisted_adapted_point, "cache_info")
@@ -426,7 +436,7 @@ def test_bfs_canonicalises_each_class_once(source, monkeypatch):
     monkeypatch.setattr(twistfold, "twisted_folded_quivers", cold)
     assert twisted_adapted_point(*source) == point
     fqs = cold(*source)
-    assert calls == {"_kahn": len(point), "FoldedQuiver": len(point)} and set(fqs) == point
+    assert calls == {"_kahn": kahn, "FoldedQuiver": len(point)} and set(fqs) == point
 
 
 @pytest.mark.parametrize("suite", ["socle-dist A7", "dorey B4"])

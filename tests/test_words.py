@@ -218,6 +218,40 @@ def test_reflect_moves_to_a_reduced_word_of_its_class(tt, rk):
     assert moves
 
 
+def _reflect_faults(point):
+    """The moves (canonical word, i) of a point's classes where `reflect`
+    gives another canonical word than `_kahn` of the moved word."""
+    faults = []
+    for cls in point:
+        for i in cls.rs.nodes:
+            moved = _moved_word(cls, i, "right")
+            if moved is not None and reflect(cls, i).canonical_word != _kahn(cls.rs, moved):
+                faults.append((cls.canonical_word, i))
+    return faults
+
+
+REFLECT_POINTS = (
+    [pytest.param(twisted_adapted_point, tt, rk, id=f"twisted-{tt}{rk}")
+     for tt, rk in [("A", 5), ("A", 7), ("A", 9), ("A", 11), ("D", 5), ("D", 6),
+                    ("D", 7), ("D", 8), ("E", 6)]]
+    + [pytest.param(adapted_point, tt, rk, id=f"adapted-{tt}{rk}")
+       for tt, rk in [("A", 4), ("A", 5), ("A", 6), ("D", 4), ("D", 5), ("D", 6), ("E", 6)]]
+)
+
+
+@pytest.mark.parametrize("point, tt, rk", REFLECT_POINTS)
+def test_reflect_canonical_word_is_kahns(point, tt, rk):
+    # one deletion and one insertion, `_kahn` only past a jumper
+    assert _reflect_faults(point(tt, rk)) == []
+
+
+@pytest.mark.parametrize("point, wrong", [(twisted_adapted_point, 10), (adapted_point, 12)])
+def test_reflect_without_the_jumper_guard_fails_on_e6(point, wrong, monkeypatch):
+    classes = point("E", 6)
+    monkeypatch.setattr(root_system("E", 6), "jumpers", {})
+    assert len(_reflect_faults(classes)) == wrong
+
+
 def _heap(rs, word):
     """The heap of a reduced word from scratch as (roots, below, letter,
     above): its `root_sequence`, then `_order_pass` over the word's
