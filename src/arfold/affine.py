@@ -407,25 +407,19 @@ def _distance_polynomials(target: tuple[str, int], conventions: tuple[str, ...])
     One `point_tables` walk over the point builds every convention's
     polynomials as each class arrives: the rows of each table once
     (`_row_polynomials`), each polynomial once per distinct row, and a
-    class's mirror, which gets the same table object, takes the first
-    class's polynomials; memoised per point and conventions.  Callers
-    must not change it.
+    class's mirror, whose table is its twin's, takes the twin's
+    polynomials; memoised per point and conventions.  Callers must not
+    change it.
     """
     _, n = target
     extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
     keys = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
     polys = {conv: {key: {} for key in keys} for conv in conventions}
     by_row = {}
-    # the class that read a table whose mirror is to come, by the table's
-    # id: `point_tables` holds that table until then, so its id names no
-    # other table before the pop
-    first = {}
     point = twisted_folded_quivers(*folding_to(*target).source)
-    for fq, table in point_tables(point):
+    for fq, table, twin in point_tables(point):
         cls = fq.source_class
-        twin = first.pop(id(table), None)
         if twin is None:
-            first[id(table)] = cls
             for (conv, k, l), poly in _row_polynomials(
                     table, target, conventions, keys, extra, by_row).items():
                 polys[conv][k, l][cls] = poly

@@ -38,11 +38,18 @@ its root, for `minimal_pairs_of_root` and for the Dorey walk of
 kept as `minimal_sequences`, the oracle for `minimal_pairs_of_root` in
 the tests.
 
-A pair is read once, as (dist, least), from its one `pair_below` list
-and one `_chain_depths` sweep (`_read_below`).  Whatever lies below an
-element of the list also lies below the pair, so the list's minimal
-elements, those at depth 0, are its simple sequences, and the socle is
-the unique one; `is_simple` is not asked.
+A pair is read once, as (dist, least), from its one list of the
+sequences below it and one `_chain_depths` sweep (`_read_below`).
+Whatever lies below an element of the list also lies below the pair, so
+the list's minimal elements, those at depth 0, are its simple sequences,
+and the socle is the unique one; `is_simple` is not asked.  `pair_below`
+searches the list anew on every call, the walk-free oracle.  A walk
+reads its pairs through one `_pair_reader` instead, which keeps one
+partition memo for the walk and drops it at the walk's end: the list
+depends on the pair weight w and on the interval roots that fit under
+w alone, never on the class, so each such key is searched once per walk
+and kept by support.  The reading itself, `_read_below`, runs for every
+pair, since dist and the socle depend on the class order.
 
 Distance reads (`distance_polynomial`, `o_t`, `phi_pairs`) take the
 folded quiver alone and read its class from `fq.source_class`.  They
@@ -74,9 +81,10 @@ every bucket (k, l, t) agrees too, and c^v's datum is c's.  The walk
 finds c^v by projection key (`words.mirror_classes`), checks that its
 cells mirror c's (`_assert_mirrored`, an AssertionError naming the
 class), reads only the first class of each pair and hands the second
-the same datum objects.  `point_tables` and `point_socle_records` are
-the two projections of that walk, and `table_polynomial` turns a table
-into a distance polynomial for either reader.
+the same datum objects, naming the first as its twin.  `point_tables`
+and `point_socle_records` are the two projections of that walk, and
+`table_polynomial` turns a table into a distance polynomial for either
+reader.
 """
 
 from __future__ import annotations
@@ -92,6 +100,7 @@ from .words import CommutationClass, bits, mirror_classes
 from .twistfold import FoldedQuiver
 
 Sequence = tuple[int, ...]  # multiplicity per positive-root index
+Support = tuple[tuple[int, int], ...]  # (root index, multiplicity) per root in it
 
 
 def sequence_from_roots(rs: RootSystem, roots) -> Sequence:
@@ -112,6 +121,14 @@ def weight_of(rs: RootSystem, m: Sequence) -> Root:
 
 def support(m: Sequence) -> list[int]:
     return [r for r, mult in enumerate(m) if mult]
+
+
+def _sequence(n: int, part: Support) -> Sequence:
+    """The sequence over n positive roots whose support is ``part``."""
+    m = [0] * n
+    for r, k in part:
+        m[r] = k
+    return tuple(m)
 
 
 def is_pair(m: Sequence) -> bool:
@@ -188,11 +205,13 @@ def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     mask = 0
     for r in allowed:
         mask |= 1 << r
-    return _packed_partitions(rs, _packing(rs, f), _pack(w, f), mask)
+    n = rs.num_positive
+    return [_sequence(n, s) for s in _packed_partitions(rs, _packing(rs, f), _pack(w, f), mask)]
 
 
-def _packed_partitions(rs: RootSystem, packing, w: int, mask: int) -> list[Sequence]:
-    """`_partitions` of the packed weight w over the roots of ``mask``.
+def _packed_partitions(rs: RootSystem, packing, w: int, mask: int) -> list[Support]:
+    """`_partitions` of the packed weight w over the roots of ``mask``, by
+    support: (root, multiplicity) for each root taken, in the order taken.
 
     ``packing`` is `_packing` at the width of w.  The top bit of each
     field is a guard: (rem | guard) - root keeps every guard bit iff
@@ -207,7 +226,7 @@ def _packed_partitions(rs: RootSystem, packing, w: int, mask: int) -> list[Seque
     """
     packed, guard, ones = packing
     if not w:
-        return [(0,) * rs.num_positive]
+        return [()]
     wg = w | guard
     fit = []
     reach = 0  # guard bits of the coordinates some fitting root is nonzero on
@@ -226,24 +245,25 @@ def _packed_partitions(rs: RootSystem, packing, w: int, mask: int) -> list[Seque
     cover = [0] * (len(roots) + 1)
     for k in range(len(roots) - 1, -1, -1):
         cover[k] = cover[k + 1] | ((roots[k][1] | guard) - ones) & guard
-    out: list[Sequence] = []
-    cur = [0] * rs.num_positive
+    out: list[Support] = []
+    taken: list[tuple[int, int]] = []  # (root, multiplicity) of the roots before
 
     def rec(start: int, rem: int):
         # a later first root gives a lexicographically smaller multiset
         for k in range(len(roots) - 1, start - 1, -1):
             r, p = roots[k]
             uncovered = guard ^ cover[k + 1]
-            acc = rem
+            acc, mult = rem, 0
             while ((acc | guard) - p) & guard == guard:
                 acc -= p
-                cur[r] += 1
+                mult += 1
                 if not acc:
-                    out.append(tuple(cur))
+                    out.append((*taken, (r, mult)))
                     break
                 if not ((acc | guard) - ones) & uncovered:
+                    taken.append((r, mult))
                     rec(k + 1, acc)
-            cur[r] = 0
+                    taken.pop()
 
     rec(0, w)
     return out
@@ -292,7 +312,9 @@ def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
     and b in the convex order whose weight is root_a + root_b; every
     call enumerates them anew, in `_partitions` order.  The interval is
     read from the order masks, and the weight is packed at the one pair
-    width of the root system, as the sum of the two packed roots.
+    width of the root system, as the sum of the two packed roots.  This
+    is the walk-free oracle: the walks read their pairs through one
+    `_pair_reader` each, which searches each key once.
     """
     above, below = cls.above(), cls.below()
     mask = above[a] & below[b] or above[b] & below[a]
@@ -301,7 +323,10 @@ def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
     rs = cls.rs
     packing = _packing(rs, _pair_width(rs))
     packed = packing[0]
-    return _packed_partitions(rs, packing, packed[a] + packed[b], mask)
+    return [
+        _sequence(rs.num_positive, s)
+        for s in _packed_partitions(rs, packing, packed[a] + packed[b], mask)
+    ]
 
 
 def is_simple(cls: CommutationClass, m: Sequence) -> bool:
@@ -327,15 +352,17 @@ def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence
 
 
 def _read_below(
-    cls: CommutationClass, under: list[Sequence]
-) -> tuple[int, Sequence | None]:
+    cls: CommutationClass, under: list[Sequence] | tuple[Support, ...]
+) -> tuple[int, Sequence | Support | None]:
     """(dist, least) of a sequence from the list of every sequence below it.
 
     dist is 0 with none below, 1 with one, else one plus the longest
     chain.  least is the list's one minimal element, None when it has
     none or several.  Whatever lies below an element of a pair's list
     also lies below the pair, so there the minimal elements are the
-    simple sequences, and least is the pair's socle.
+    simple sequences, and least is the pair's socle.  A list of 0 or 1
+    entries is not compared, so its entry may come in any form: the
+    walk's reader hands it by support.
     """
     if len(under) < 2:
         return len(under), (under[0] if under else None)
@@ -511,27 +538,88 @@ def _count(counts: dict, key: tuple[int, int, int], d: int) -> None:
     counts[key] = (d, size + 1)
 
 
-def _read_pair(data: tuple, cls: CommutationClass, key, a: int, b: int) -> None:
-    """Read the pair {a, b}, a before b, of bucket ``key`` into the data
-    (counts, records): its `dist` joins the bucket counts, and the record
+def _pair_reader(rs: RootSystem):
+    """The reader of one walk over a point of ``rs``: a function of (a, b,
+    interval), a before b and ``interval`` the bits of above[a] & below[b],
+    that gives the partitions below the pair, as `pair_below` lists them.
+
+    They are the partitions of the pair weight w into the interval roots
+    that fit under w, so they depend on (w, interval & fit(w)) alone,
+    never on the class.  The reader searches each such key once
+    (`_packed_partitions`) and keeps its partitions by support, a tuple
+    of (root, multiplicity) pairs each, one pair object per (root,
+    multiplicity) and one int per key; fit(w) is built once per pair
+    weight, and the packing once.  A list of 0 or 1 partitions is handed
+    out as kept, since `_read_below` compares none; a longer one as fresh
+    N-tuples for the chain sweep.  The memo lives as long as the reader,
+    which the walk drops at its end.
+    """
+    n = rs.num_positive
+    width = _pair_width(rs)
+    packing = _packing(rs, width)
+    packed = packing[0]
+    field = (1 << width) - 1
+    shift = rs.rank * width  # every pair weight is below 1 << shift
+    # at[j][v]: the bits of the roots whose coefficient j is at most v
+    at = [
+        [sum(1 << r for r, root in enumerate(rs.positive_roots) if root[j] <= v)
+         for v in range(1 << width - 1)]
+        for j in range(rs.rank)
+    ]
+    fits: dict[int, int] = {}  # pair weight -> the bits of the roots under it
+    memo: dict[int, tuple] = {}  # (w, interval & fit(w)) as one int -> supports
+    units: dict[tuple[int, int], tuple[int, int]] = {}  # each (root, multiplicity) once
+
+    def read(a: int, b: int, interval: int):
+        if not interval:
+            return ()
+        w = packed[a] + packed[b]
+        fit = fits.get(w)
+        if fit is None:
+            fit = -1
+            for j, under in enumerate(at):
+                fit &= under[w >> j * width & field]
+            fits[w] = fit
+        inside = interval & fit
+        if not inside:
+            return ()
+        key = inside << shift | w
+        parts = memo.get(key)
+        if parts is None:
+            parts = memo[key] = tuple(
+                tuple(units.setdefault(unit, unit) for unit in part)
+                for part in _packed_partitions(rs, packing, w, inside)
+            )
+        return parts if len(parts) < 2 else [_sequence(n, part) for part in parts]
+
+    return read
+
+
+def _read_pair(data: tuple, reader, cls: CommutationClass, key, a: int, b: int,
+               interval: int) -> None:
+    """Read the pair {a, b}, a before b, of bucket ``key`` and open interval
+    ``interval`` into the data (counts, records), its partitions from
+    ``reader``: its `dist` joins the bucket counts, and the record
     (a, b, d, socle), a < b, joins the records when the pair is at dist
     d > 2 or has no unique socle.  A pair with nothing below it is at
     dist 0 and is its own socle."""
     counts, records = data
-    d, least = _read_below(cls, pair_below(cls, a, b))
+    d, least = _read_below(cls, reader(a, b, interval))
     _count(counts, key, d)
     if d > 2 or (d and least is None):
         records.append((min(a, b), max(a, b), d, least))
 
 
-def _scratch(fq: FoldedQuiver) -> tuple:
+def _scratch(fq: FoldedQuiver, reader) -> tuple:
     """(bucket counts, socle-dist records) of a folded quiver, one reading
-    per comparable pair (an incomparable pair has nothing below it)."""
+    per comparable pair (an incomparable pair has nothing below it), the
+    class's masks fetched once."""
     cls = fq.source_class
     coord = fq.cells
+    below, above = cls.below(), cls.above()
     data: tuple = ({}, [])
     for a, b in comparable_pairs(cls):
-        _read_pair(data, cls, _bucket(coord, a, b), a, b)
+        _read_pair(data, reader, cls, _bucket(coord, a, b), a, b, above[a] & below[b])
     return data
 
 
@@ -545,7 +633,9 @@ def _pairs_at(fq: FoldedQuiver, r: int) -> list[tuple[tuple[int, int, int], int,
     ]
 
 
-def _transport(data: tuple, parent: FoldedQuiver, child: FoldedQuiver, i: int) -> tuple:
+def _transport(
+    data: tuple, parent: FoldedQuiver, child: FoldedQuiver, i: int, reader
+) -> tuple:
     """The child's (bucket counts, socle-dist records) from the parent's,
     across the folded reflection at the sink alpha_i.
 
@@ -556,7 +646,7 @@ def _transport(data: tuple, parent: FoldedQuiver, child: FoldedQuiver, i: int) -
     partitions onto the relabelled pair's, order kept).  So the parent's
     pairs at alpha_i, all above it, leave the buckets of the parent's
     coordinates and the records, and the child's pairs at alpha_i, all
-    below it, are read anew: at most N - 1.
+    below it, are read anew through ``reader``: at most N - 1.
     """
     counts, records = data
     rs = child.rs
@@ -576,8 +666,9 @@ def _transport(data: tuple, parent: FoldedQuiver, child: FoldedQuiver, i: int) -
         if r != a and r != b
     ])
     cls = child.source_class
+    below, above = cls.below(), cls.above()
     for key, a, b in _pairs_at(child, r):
-        _read_pair(out, cls, key, a, b)
+        _read_pair(out, reader, cls, key, a, b, above[a] & below[b])
     return out
 
 
@@ -627,8 +718,10 @@ def parents_first(point: dict[CommutationClass, FoldedQuiver], read):
 
 
 def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
-    """(quiver, (bucket counts, socle-dist records)) for every quiver of a
-    twisted point, parents first (`parents_first`).
+    """(quiver, (bucket counts, socle-dist records), twin) for every
+    quiver of a twisted point, parents first (`parents_first`); twin is
+    None for a class the walk reads, and the class read in its place for
+    its mirror.
 
     The point is closed under the mirror c -> c^v (`mirror_classes`):
     c^v has c's roots in reverse convex order, and its cells keep every
@@ -639,13 +732,16 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
     same for c and c^v, and so are every pair's `dist`, socle and bucket
     (k, l, t): c^v's datum is c's.  So only the first class of each pair
     is read, and the second gets the same datum objects, held until it
-    comes.  The seed is read pair by pair (`_scratch`), every other
-    class's datum is its parent's carried across the folded reflection
-    at the sink alpha_i (`_transport`).
+    comes, with the first as its twin.  The seed is read pair by pair
+    (`_scratch`), every other class's datum is its parent's carried
+    across the folded reflection at the sink alpha_i (`_transport`); both
+    read their pairs through the walk's one `_pair_reader`, dropped with
+    the walk.
     """
     mirror = mirror_classes(point)
     for cls, other in mirror.items():
         _assert_mirrored(point[cls], point[other])
+    reader = _pair_reader(next(iter(point)).rs)
     held: dict[CommutationClass, tuple] = {}  # a read datum, under the mirror to come
 
     def read(fq, up):
@@ -653,35 +749,33 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
         if cls in held:
             return held.pop(cls)
         if up is None:
-            data = _scratch(fq)
+            data = _scratch(fq, reader)
         else:
             up_data, parent, i = up
-            data = _transport(up_data, parent, fq, i)
+            data = _transport(up_data, parent, fq, i, reader)
         held[mirror[cls]] = data
         return data
 
-    yield from parents_first(point, read)
+    for fq, data in parents_first(point, read):
+        twin = mirror[fq.source_class]
+        # a class just read holds its datum under its mirror, still to come
+        yield fq, data, None if twin in held else twin
 
 
 def point_tables(point: dict[CommutationClass, FoldedQuiver]):
-    """(quiver, table) for every quiver of a twisted point, parents first,
-    in one walk: the seed read from scratch, the first class of every
-    other mirror pair transported, its mirror given the same datum and
-    the same table object.  Nothing is memoised."""
-    # by the id of a datum whose mirror is to come: the walk holds that
-    # datum until then, so its id names no other object before the pop
-    tables: dict[int, dict] = {}
-    for fq, (counts, _) in _walk_point(point):
-        table = tables.pop(id(counts), None)
-        if table is None:
-            table = tables[id(counts)] = _table_of(counts)
-        yield fq, table
+    """(quiver, table, twin) for every quiver of a twisted point, parents
+    first, in one walk (`_walk_point`): a class the walk reads gets its
+    table and twin None; its mirror gets None and that class as its twin,
+    whose table is the mirror's.  No table is held for a mirror to come;
+    the pair reads share one partition memo, dropped with the walk."""
+    for fq, (counts, _), twin in _walk_point(point):
+        yield fq, None if twin is not None else _table_of(counts), twin
 
 
 def point_socle_records(point: dict[CommutationClass, FoldedQuiver]):
     """(quiver, socle-dist records) for every quiver of a twisted point,
     from the same walk as `point_tables`."""
-    for fq, (_, records) in _walk_point(point):
+    for fq, (_, records), _ in _walk_point(point):
         yield fq, records
 
 
@@ -689,7 +783,7 @@ def _distance_table(fq: FoldedQuiver) -> dict:
     """{(k, l): {t: o_t}}, k <= l, of one folded quiver, built from that
     quiver alone on every call; a Phi[t] on which `dist` is not constant
     is an AssertionError."""
-    return _table_of(_scratch(fq)[0])
+    return _table_of(_scratch(fq, _pair_reader(fq.rs))[0])
 
 
 def _check_read(target: tuple[str, int], k: int, l: int, convention: str = "A") -> None:

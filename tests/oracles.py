@@ -22,6 +22,7 @@ from arfold.seqorder import (
     is_pair,
     minimal_pairs_of_root,
     pair_below,
+    point_tables,
     support,
 )
 
@@ -48,6 +49,18 @@ def interval(cls: CommutationClass, a: int, b: int) -> list[int]:
     bits of above[a] & below[b], listed in canonical-word order."""
     mask = cls.above()[a] & cls.below()[b]
     return [r for r in cls.roots() if mask >> r & 1]
+
+
+def walk_tables(point) -> list[tuple[FoldedQuiver, dict]]:
+    """(quiver, table) for every quiver of a twisted point, in the order of
+    one `point_tables` walk, a mirror's table read off its twin's."""
+    tables, out = {}, []
+    for fq, table, twin in point_tables(point):
+        if twin is not None:
+            table = tables[twin]
+        tables[fq.source_class] = table
+        out.append((fq, table))
+    return out
 
 
 def root_labels(fq: FoldedQuiver) -> dict[tuple[int, int], Root]:

@@ -27,7 +27,7 @@ from arfold.affine import (
     verify_minimal_pair_predicate,
 )
 from arfold.cli import verify_socle_dist
-from oracles import dorey_sweep_by_class
+from oracles import dorey_sweep_by_class, walk_tables
 
 SP = SpectralParameter
 
@@ -218,8 +218,8 @@ def _fresh_distance_memo(monkeypatch):
 
 @pytest.mark.parametrize("target", [("C", 4), ("F", 4)])
 def test_distance_rows_are_built_once_per_distinct_table(target, monkeypatch):
-    # a class's mirror gets the first class's table object and its rows;
-    # every class's polynomials are still its own table's
+    # a class's mirror is handed the first class, its twin, and takes its
+    # rows; every class's polynomials are still its own table's
     _fresh_distance_memo(monkeypatch)
     tables = []
     real = affine._row_polynomials
@@ -231,7 +231,7 @@ def test_distance_rows_are_built_once_per_distinct_table(target, monkeypatch):
     assert len(tables) == len({id(t) for t in tables}) == len(point) // 2
     extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
     n = target[1]
-    for fq, table in seqorder.point_tables(point):
+    for fq, table in walk_tables(point):
         for conv in ("A", "D"):
             for k in range(1, n + 1):
                 for l in range(k, n + 1):
@@ -257,7 +257,7 @@ def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
 
     rows = {
         row(table, k, l)
-        for _, table in seqorder.point_tables(twisted_folded_quivers(*folding.source))
+        for _, table in walk_tables(twisted_folded_quivers(*folding.source))
         for k in range(1, 5) for l in range(k, 5)
     }
     assert sorted(row(table, k, l) for table, _, k, l, _ in calls) == sorted(rows)
@@ -282,11 +282,18 @@ def test_den_dist_builds_each_denominator_once(monkeypatch):
 
 def test_f4_walks_e6_once_for_both_conventions(monkeypatch):
     _fresh_distance_memo(monkeypatch)
-    seeds = []
-    real = seqorder._scratch
-    monkeypatch.setattr(seqorder, "_scratch", lambda fq: seeds.append(fq) or real(fq))
+    # one seed read and one pair reader, which the whole walk shares
+    seeds, readers = [], []
+    real, real_reader = seqorder._scratch, seqorder._pair_reader
+    monkeypatch.setattr(
+        seqorder, "_scratch", lambda fq, reader: seeds.append(fq) or real(fq, reader)
+    )
+    monkeypatch.setattr(
+        seqorder, "_pair_reader", lambda rs: readers.append(rs) or real_reader(rs)
+    )
     verify_f4_conjecture()
     assert len(seeds) == 1 and seeds[0].source_class.parent is None
+    assert readers == [seeds[0].rs]
 
 
 def test_verify_dorey_b2():

@@ -123,6 +123,10 @@ def test_pairs_are_read_once_along_one_walk():
 
     assert _callers("is_simple") == {("seqorder", "minimal_sequences")}
     assert _callers("_transport") == {("seqorder", "_walk_point"), ("seqorder", "read")}
+    # a pair reader, with its partition memo, lives for one walk or one
+    # quiver's table, and the walks never call the one-shot `pair_below`
+    assert _callers("_pair_reader") == {("seqorder", "_walk_point"), ("seqorder", "_distance_table")}
+    assert _callers("pair_below") == {("seqorder", "is_simple"), ("seqorder", "dist"), ("seqorder", "socle")}
     # one parents-first walker for the distance walk and the Dorey walk,
     # and one minimality test of a summing pair
     assert _callers("parents_first") == {("seqorder", "_walk_point"), ("affine", "_dorey_sweep")}

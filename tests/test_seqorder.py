@@ -46,7 +46,7 @@ from arfold.seqorder import (
     weight_of,
 )
 
-from oracles import classify_cover, comparable, interval
+from oracles import classify_cover, comparable, interval, walk_tables
 
 
 def seq(rs, *roots):
@@ -735,23 +735,30 @@ def _scratch_table(fq):
     return out
 
 
-def _tables_match_scratch(point) -> bool:
-    """Every transported table equals the scratch build; False also when
-    the transport raises on the way."""
+def _tables_match_scratch(point, every: int = 1) -> bool:
+    """Every transported table, a mirror's read off its twin's, equals the
+    scratch build, at every ``every``-th class of the walk; False also
+    when the transport raises on the way."""
     try:
-        tables = [table for _, table in point_tables(point)]
+        walk = walk_tables(point)
     except AssertionError:
         return False
-    return tables == [_scratch_table(fq) for fq in point.values()]
+    assert [fq for fq, _ in walk] == list(point.values())
+    return all(table == _scratch_table(fq) for fq, table in walk[::every])
+
+
+# the larger points are checked at every k-th class of the walk, seed and
+# mirrors included, to keep the scratch oracle's time down
+ORACLE_STRIDE = {("A", 11): 64, ("D", 8): 8}
 
 
 @pytest.mark.parametrize(
-    "target", ["B3", "B4", "B5", "C4", "C5", "C6", "F4"]
+    "target", ["B3", "B4", "B5", "B6", "C4", "C5", "C6", "C7", "F4"]
 )
 def test_transported_tables_equal_scratch_build(fresh_point, target):
-    # every class of the twisted point
-    point = fresh_point(*folding_to(target[0], int(target[1:])).source)
-    assert _tables_match_scratch(point)
+    # every class of the twisted point, or of every k-th at A11 and D8
+    source = folding_to(target[0], int(target[1:])).source
+    assert _tables_match_scratch(fresh_point(*source), ORACLE_STRIDE.get(source, 1))
 
 
 def _keep_pairs(keep):
@@ -779,8 +786,8 @@ def test_transport_mutants_fail_the_oracle(fresh_point, monkeypatch, mutant):
 def test_removing_at_the_child_coordinates_fails_the_oracle(fresh_point, monkeypatch):
     real = seqorder._transport
 
-    def transport(counts, parent, child, i):
-        return real(counts, replace(parent, cells=child.cells), child, i)
+    def transport(counts, parent, child, i, reader):
+        return real(counts, replace(parent, cells=child.cells), child, i, reader)
 
     monkeypatch.setattr(seqorder, "_transport", transport)
     assert not all(_tables_match_scratch(fresh_point(*s)) for s in MUTANT_SOURCES)
@@ -794,31 +801,65 @@ def _read_classes(point) -> set:
     return {cls for cls in point if place[cls] < place[mirror[cls]]}
 
 
-class _Marked(list):
-    """The `pair_below` list of the one pair a test lies about."""
+def _memo_key(rs, a, b, interval):
+    """The pair weight of {a, b} and the interval roots that fit under it,
+    by definition: what the walk's partitions of the pair depend on."""
+    w = tuple(x + y for x, y in zip(rs.positive_roots[a], rs.positive_roots[b]))
+    fit = [r for r in bits(interval) if all(map(int.__le__, rs.positive_roots[r], w))]
+    return w, frozenset(fit)
 
 
-def _lie_about(monkeypatch, lie, change):
-    """Mark the `pair_below` list of the pair ``lie`` = (cls, a, b), a < b,
-    and pass the (dist, least) that `_read_below` reads off a marked list
-    through ``change``."""
-    real_pair_below, real_read = seqorder.pair_below, seqorder._read_below
+def _served_before(point) -> set:
+    """(cls, a, b), a < b, for every pair the walk reads whose `_memo_key`,
+    with a root that fits, a read of another class had before it: the
+    pairs whose partitions the walk's memo serves across classes."""
+    first, served = {}, set()
+    real = seqorder._read_pair
 
-    def pair_below(cls, a, b):
-        out = real_pair_below(cls, a, b)
-        return _Marked(out) if (cls, min(a, b), max(a, b)) == lie else out
+    def read_pair(data, reader, cls, key, a, b, interval):
+        k = _memo_key(cls.rs, a, b, interval)
+        if k[1] and first.setdefault(k, cls) != cls:
+            served.add((cls, min(a, b), max(a, b)))
+        real(data, reader, cls, key, a, b, interval)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqorder, "_read_pair", read_pair)
+        list(seqorder._walk_point(point))
+    return served
+
+
+def _lie_about(monkeypatch, lie, change) -> list:
+    """Pass the (dist, least) that `_read_below` reads for the pair
+    ``lie`` = (cls, a, b), a < b, through ``change``, in that one read of
+    that one class: the walk's memo, keyed without the class, hands the
+    same partitions to other reads, which stay true.  Returns the reads
+    lied about, filled as the walk goes."""
+    real_read_pair, real_read = seqorder._read_pair, seqorder._read_below
+    lying, lied = [], []
+
+    def read_pair(data, reader, cls, key, a, b, interval):
+        lying.append((cls, min(a, b), max(a, b)) == lie)
+        try:
+            real_read_pair(data, reader, cls, key, a, b, interval)
+        finally:
+            lying.pop()
 
     def read_below(cls, under):
         got = real_read(cls, under)
-        return change(*got) if isinstance(under, _Marked) else got
+        if lying and lying[-1]:
+            lied.append((cls, got))
+            return change(*got)
+        return got
 
-    monkeypatch.setattr(seqorder, "pair_below", pair_below)
+    monkeypatch.setattr(seqorder, "_read_pair", read_pair)
     monkeypatch.setattr(seqorder, "_read_below", read_below)
+    return lied
 
 
 def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
     point = fresh_point("A", 7)
     read = _read_classes(point)
+    served = _served_before(point)
     lie = None
     for fq in point.values():
         if fq.source_class.parent is None or fq.source_class not in read:
@@ -831,14 +872,18 @@ def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
             key = seqorder._bucket(coord, a, b)
             sizes[key] = sizes.get(key, 0) + 1
         for key, a, b in seqorder._pairs_at(fq, r):
-            if sizes[key] > 1:  # Phi[t] has another pair to disagree with
-                lie = (fq.source_class, min(a, b), max(a, b))
+            pair = (fq.source_class, min(a, b), max(a, b))
+            # Phi[t] has another pair to disagree with, and the memo
+            # serves the pair's partitions to another class before it
+            if sizes[key] > 1 and pair in served:
+                lie = pair
                 break
         if lie:
             break
-    _lie_about(monkeypatch, lie, lambda d, least: (d + 1, least))
+    lied = _lie_about(monkeypatch, lie, lambda d, least: (d + 1, least))
     with pytest.raises(AssertionError, match="not constant on Phi"):
         list(point_tables(point))
+    assert [cls for cls, _ in lied] == [lie[0]]
 
 
 def test_transport_driving_a_count_negative_raises(fresh_point):
@@ -847,7 +892,7 @@ def test_transport_driving_a_count_negative_raises(fresh_point):
     up, i = child.source_class.parent
     parent = point[up]
     with pytest.raises(AssertionError, match="negative"):
-        seqorder._transport(({}, []), parent, child, i)
+        seqorder._transport(({}, []), parent, child, i, seqorder._pair_reader(child.rs))
 
 
 def test_table_fill_computes_only_the_moved_pairs(fresh_point, monkeypatch):
@@ -909,7 +954,9 @@ def test_classes_keep_only_their_order_data():
 # ---------------------------------------------------------------------------
 # socle-dist records transported along the same walk
 
-SOCLE_POINTS = [("A", 5), ("A", 7), ("A", 9), ("D", 5), ("D", 6), ("D", 7), ("E", 6)]
+SOCLE_POINTS = [
+    ("A", 5), ("A", 7), ("A", 9), ("A", 11), ("D", 5), ("D", 6), ("D", 7), ("D", 8), ("E", 6),
+]
 
 
 def _is_simple_socle(cls, below):
@@ -933,24 +980,25 @@ def _scratch_socle_records(cls):
     return out
 
 
-def _socles_match_scratch(point) -> bool:
-    """Every transported class's records equal the scratch records; False
-    also when the transport raises on the way."""
+def _socles_match_scratch(point, every: int = 1) -> bool:
+    """Every transported class's records equal the scratch records, at
+    every ``every``-th class of the walk; False also when the transport
+    raises on the way."""
     try:
         walk = list(point_socle_records(point))
     except AssertionError:
         return False
     return all(
         sorted(records) == _scratch_socle_records(fq.source_class)
-        for fq, records in walk
+        for fq, records in walk[::every]
     )
 
 
 @pytest.mark.parametrize("tt, rk", SOCLE_POINTS)
 def test_transported_socles_equal_scratch_records(fresh_point, tt, rk):
-    # every class of the twisted point; E6 is read through the walk only,
-    # since socle-dist refuses it as a suite
-    assert _socles_match_scratch(fresh_point(tt, rk))
+    # every class of the twisted point, or of every k-th at A11 and D8; E6
+    # is read through the walk only, since socle-dist refuses it as a suite
+    assert _socles_match_scratch(fresh_point(tt, rk), ORACLE_STRIDE.get((tt, rk), 1))
 
 
 def test_e6_is_the_point_with_socle_records(fresh_point):
@@ -1024,7 +1072,7 @@ def test_dist_and_socle_refuse_a_malformed_sequence(m):
 
 
 def _keep_parent_alpha_records(real):
-    def transport(data, parent, child, i):
+    def transport(data, parent, child, i, reader):
         r = child.rs.simple_root_index[i]
         perm = child.rs.reflection_permutation(i)
         kept = [
@@ -1032,7 +1080,7 @@ def _keep_parent_alpha_records(real):
             for a, b, d, s in data[1]
             if r in (a, b)
         ]
-        counts, records = real(data, parent, child, i)
+        counts, records = real(data, parent, child, i, reader)
         return counts, records + kept
 
     return transport
@@ -1051,14 +1099,14 @@ def test_socle_not_relabelled_fails_the_oracle(fresh_point, monkeypatch):
     point = fresh_point("E", 6)
     real = seqorder._transport
 
-    def transport(data, parent, child, i):
+    def transport(data, parent, child, i, reader):
         r = child.rs.simple_root_index[i]
         perm = child.rs.reflection_permutation(i)
         parents = {
             tuple(sorted((perm[a], perm[b]))): s
             for a, b, _, s in data[1] if r not in (a, b)
         }
-        counts, records = real(data, parent, child, i)
+        counts, records = real(data, parent, child, i, reader)
         return counts, [(a, b, d, parents.get((a, b), s)) for a, b, d, s in records]
 
     monkeypatch.setattr(seqorder, "_transport", transport)
@@ -1077,6 +1125,7 @@ def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
     ``_pairs_at`` replaced by the mutant, if one is given; the report and
     the record the lie makes."""
     read = _read_classes(point)
+    served = _served_before(point)
     lie = None
     for fq in point.values():
         cls = fq.source_class
@@ -1085,17 +1134,19 @@ def _socle_report_with_a_lie(point, monkeypatch, mutant_pairs_at=None):
         r = fq.rs.simple_root_index[cls.parent[1]]
         for _, a, b in seqorder._pairs_at(fq, r):
             d = dist(cls, sequence_from_roots(cls.rs, (a, b)))
-            if d:
+            if d and (cls, min(a, b), max(a, b)) in served:
                 lie = (cls, min(a, b), max(a, b), d)
                 break
         if lie:
             break
-    _lie_about(monkeypatch, lie[:3], lambda d, least: (d, None))
+    lied = _lie_about(monkeypatch, lie[:3], lambda d, least: (d, None))
     if mutant_pairs_at:
         monkeypatch.setattr(seqorder, "_pairs_at", mutant_pairs_at)
     monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
     cls, a, b, d = lie
-    return cli.verify_socle_dist("A", 7), (cls.canonical_word, a, b, d, None)
+    rep = cli.verify_socle_dist("A", 7)
+    assert [c for c, _ in lied] == [cls]
+    return rep, (cls.canonical_word, a, b, d, None)
 
 
 def test_lying_pair_socle_at_a_moved_root_is_named(fresh_point, monkeypatch):
@@ -1130,23 +1181,28 @@ def test_socle_dist_checks_only_the_moved_pairs(fresh_point, monkeypatch):
 
 
 def test_socle_dist_reads_each_checked_pair_once(fresh_point, monkeypatch):
-    # dist and socle come from one `pair_below` list, one
-    # `_packed_partitions` enumeration, and one reading of it; no pair
-    # inside the interval is read for its simplicity
+    # dist and socle come from one list of the walk's reader and one
+    # reading of it; no pair inside the interval is read for its
+    # simplicity, and the walk never calls the one-shot `pair_below`
     point = fresh_point("A", 7)
     reads, readings = Counter(), []
-    real_read, real_pair_below = seqorder._read_below, seqorder.pair_below
+    real_read, real_read_pair = seqorder._read_below, seqorder._read_pair
 
     def read_below(cls, under):
         readings.append(cls)
         return real_read(cls, under)
 
-    def pair_below(cls, a, b):
+    def read_pair(data, reader, cls, key, a, b, interval):
         reads[cls, min(a, b), max(a, b)] += 1
-        return real_pair_below(cls, a, b)
+        return real_read_pair(data, reader, cls, key, a, b, interval)
+
+    def pair_below(cls, a, b):
+        raise AssertionError("the walk calls pair_below")
 
     monkeypatch.setattr(seqorder, "_read_below", read_below)
+    monkeypatch.setattr(seqorder, "_read_pair", read_pair)
     monkeypatch.setattr(seqorder, "pair_below", pair_below)
+    monkeypatch.setattr(seqorder, "is_simple", pair_below)
     monkeypatch.setattr(cli, "twisted_folded_quivers", lambda tt, rk: point)
     assert cli.verify_socle_dist("A", 7).ok
     assert reads and max(reads.values()) == 1
@@ -1171,6 +1227,62 @@ def test_pair_path_reads_the_masks_and_sweeps_two_or_more(fresh_point, monkeypat
     assert cli.verify_socle_dist("A", 7).ok
     assert affine.verify_den_dist("C", 5).ok
     assert sizes and min(sizes) >= 2
+
+
+# ---------------------------------------------------------------------------
+# the walk's pair reader: one partition search per memo key and walk
+
+
+@pytest.mark.parametrize("tt, rk, searches", [("A", 9, 1809), ("D", 7, 1197)])
+def test_a_walk_searches_each_memo_key_once(fresh_point, monkeypatch, tt, rk, searches):
+    # one `_packed_partitions` search per (pair weight, interval roots that
+    # fit under it) with a fitting root, over all the walk's reads; the
+    # next walk keeps nothing of the last one's memo and searches again
+    point = fresh_point(tt, rk)
+    searched, keys = [], set()
+    real_search, real_read_pair = seqorder._packed_partitions, seqorder._read_pair
+
+    def packed_partitions(rs, packing, w, mask):
+        searched.append((w, mask))
+        return real_search(rs, packing, w, mask)
+
+    def read_pair(data, reader, cls, key, a, b, interval):
+        memo_key = _memo_key(cls.rs, a, b, interval)
+        if memo_key[1]:
+            keys.add(memo_key)
+        return real_read_pair(data, reader, cls, key, a, b, interval)
+
+    monkeypatch.setattr(seqorder, "_packed_partitions", packed_partitions)
+    monkeypatch.setattr(seqorder, "_read_pair", read_pair)
+    first = [datum for _, datum, _ in seqorder._walk_point(point)]
+    assert len(searched) == len(set(searched)) == len(keys) == searches
+    again = [datum for _, datum, _ in seqorder._walk_point(point)]
+    assert searched[searches:] == searched[:searches] and again == first
+
+
+@pytest.mark.parametrize("key", ["w", "inside"])
+def test_a_memo_keyed_by_one_half_of_its_key_fails_the_oracles(
+    fresh_point, monkeypatch, recompiled, key
+):
+    # the pair weight alone, or the fitting interval roots alone, hand a
+    # pair the partitions of another pair
+    mutant = recompiled(seqorder._pair_reader, "key = inside << shift | w", f"key = {key}")
+    monkeypatch.setattr(seqorder, "_pair_reader", mutant)
+    assert not _tables_match_scratch(fresh_point("D", 4))
+    assert not _socles_match_scratch(fresh_point("E", 6))
+
+
+def test_a_mirror_handed_another_class_fails_the_oracles(fresh_point, monkeypatch, recompiled):
+    # every mirror named the twin of the seed, which the walk has read, so
+    # its table is the seed's; the distance polynomials would not show it,
+    # as they are the same for every class
+    mutant = recompiled(
+        seqorder._walk_point, "None if twin in held else twin",
+        "None if twin in held else next(iter(point))",
+    )
+    monkeypatch.setattr(seqorder, "_walk_point", mutant)
+    assert not _tables_match_scratch(fresh_point("A", 7))
+    assert not _tables_match_scratch(fresh_point("D", 5))
 
 
 # ---------------------------------------------------------------------------
@@ -1227,12 +1339,16 @@ def test_the_walk_reads_one_class_of_each_mirror_pair(monkeypatch, tt, rk):
         monkeypatch.setattr(
             seqorder, name, lambda *a, real=real, name=name: reads.update([name]) or real(*a))
     walk = list(seqorder._walk_point(point))
-    assert [fq for fq, _ in walk] == list(point.values())
+    assert [fq for fq, _, _ in walk] == list(point.values())
     assert reads["_scratch"] == 1 and sum(reads.values()) == len(point) // 2
-    # the second class of a pair gets the first's datum objects, uncopied
-    data = {fq.source_class: datum for fq, datum in walk}
-    mirror = mirror_classes(point)
+    # the second class of a pair gets the first's datum objects, uncopied,
+    # and the first as its twin
+    data = {fq.source_class: datum for fq, datum, _ in walk}
+    mirror, read = mirror_classes(point), _read_classes(point)
     assert all(data[cls] is data[mirror[cls]] for cls in point)
+    assert [twin for _, _, twin in walk] == [
+        None if cls in read else mirror[cls] for cls in point
+    ]
 
 
 def test_reversing_without_starring_fails_the_mirror_oracle(monkeypatch, recompiled):
@@ -1311,7 +1427,7 @@ def test_bad_reads_are_refused_before_the_table_is_built(monkeypatch):
     fqs = twisted_folded_quivers("A", 3)
     fq = fqs[min(fqs, key=lambda c: c.canonical_word)]
 
-    def no_table(fq):
+    def no_table(fq, reader):
         raise AssertionError("distance table built for a bad read")
 
     monkeypatch.setattr(seqorder, "_scratch", no_table)
