@@ -26,6 +26,11 @@ reflection at the sink alpha_i keeps every other summing pair, relabelled
 by s_i, with its minimality and its cells, so with its keys and its
 verdict: the seed reads each of its summing pairs, and every other class
 keeps its parent's verdicts and reads only its own pairs at alpha_i.
+
+The distance suites are reductions over one memo per target,
+`_exponent_rows`, each class's exponent row at every key (k, l): class
+invariance is one row per key, and a polynomial is built at compare
+time, once per distinct (key, row).
 """
 
 from __future__ import annotations
@@ -38,14 +43,16 @@ from .arquiver import DynkinQuiver, gamma_q
 from .twistfold import FoldedQuiver, twisted_folded_quivers
 from .seqorder import (
     RootedPolynomial,
+    exponent_row,
     factor_minus_q_power,
     factor_minus_qs_power,
     factor_plus_q_power,
     is_minimal_pair,
     minimal_pairs_of_root,
     parents_first,
-    point_tables,
-    table_polynomial,
+    row_polynomial,
+    table_of,
+    walk_point,
 )
 
 
@@ -100,6 +107,8 @@ def _check_rank(target: str, n: int) -> None:
 def denominator(target: str, n: int, k: int, l: int) -> RootedPolynomial:
     """The printed denominator of the (k, l) fundamental R-matrix."""
     if target == "F":
+        if n != 4:
+            raise ValueError(f"F target needs n = 4, not F_{n}")
         return f4_denominator(k, l)
     _check_rank(target, n)
     if not (1 <= k <= n and 1 <= l <= n):
@@ -398,84 +407,84 @@ class Report:
         }
 
 
+def _keys(n: int) -> list[tuple[int, int]]:
+    """The keys (k, l), 1 <= k <= l <= n, of a distance table, in order."""
+    return [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
+
+
 @lru_cache(maxsize=None)
-def _distance_polynomials(target: tuple[str, int], conventions: tuple[str, ...]) -> dict:
-    """{convention: {(k, l): {cls: poly}}}, k <= l, classes by canonical
-    word: the distance polynomials of the twisted point folding onto
-    ``target`` under each convention, times the diagonal factor at k = l.
+def _exponent_rows(target: tuple[str, int]) -> dict:
+    """{cls: rows} over the twisted point folding onto ``target``: the
+    `exponent_row` of the class's table at each key of `_keys`, read off
+    one `walk_point` walk, a class and its mirror with one rows tuple.
+    Equal rows are one object, and so are equal rows tuples.
 
-    One `point_tables` walk over the point builds every convention's
-    polynomials as each class arrives: the rows of each table once
-    (`_row_polynomials`), each polynomial once per distinct row, and a
-    class's mirror, whose table is its twin's, takes the twin's
-    polynomials; memoised per point and conventions.  Callers must not
-    change it.
+    A row is all that a distance polynomial reads: under either sign
+    convention the polynomial at (k, l) is the product over t of
+    (z - eps q_s^t)^ceil(o_t / 2), eps a function of (convention, k, l, t)
+    alone, and `RootedPolynomial` keys its factors by (eps, t).  So equal
+    rows give equal polynomials under both conventions, and equal
+    polynomials equal rows, as each t has one factor: a polynomial is
+    class-invariant at (k, l) iff the classes have one row there.
+    Memoised per target; callers must not change it.
     """
-    _, n = target
-    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
-    keys = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
-    polys = {conv: {key: {} for key in keys} for conv in conventions}
-    by_row = {}
+    keys = _keys(target[1])
+    interned: dict = {}
+    rows_of = {}
     point = twisted_folded_quivers(*folding_to(*target).source)
-    for fq, table, twin in point_tables(point):
-        cls = fq.source_class
-        if twin is None:
-            for (conv, k, l), poly in _row_polynomials(
-                    table, target, conventions, keys, extra, by_row).items():
-                polys[conv][k, l][cls] = poly
-        else:
-            for by_key in polys.values():
-                for by_class in by_key.values():
-                    by_class[cls] = by_class[twin]
-    order = sorted(point, key=lambda c: c.canonical_word)
-    for by_key in polys.values():
-        for key, by_class in by_key.items():
-            by_key[key] = {c: by_class[c] for c in order}
-    return polys
+    for (counts, _), quivers in walk_point(point):
+        table = table_of(counts)
+        rows = tuple(exponent_row(table.get(key, {})) for key in keys)
+        rows = interned.setdefault(rows, tuple(interned.setdefault(r, r) for r in rows))
+        for fq in quivers:
+            rows_of[fq.source_class] = rows
+    return rows_of
 
 
-def _row_polynomials(table, target, conventions, keys, extra, by_row) -> dict:
-    """{(convention, k, l): polynomial} of one distance table, times
-    ``extra`` at k = l; a polynomial already in ``by_row``, keyed by
-    (convention, k, l, sorted row), is reused, a new one is put there."""
-    out = {}
-    for k, l in keys:
-        row = tuple(sorted(table.get((k, l), {}).items()))
-        for conv in conventions:
-            poly = by_row.get((conv, k, l, row))
-            if poly is None:
-                poly = table_polynomial(table, target, k, l, conv)
-                poly = by_row[conv, k, l, row] = poly * extra if k == l else poly
-            out[conv, k, l] = poly
-    return out
+def _classes_by_rows(target: tuple[str, int]) -> dict:
+    """{rows: classes}: the classes of `_exponent_rows` by their rows."""
+    groups: dict = {}
+    for cls, rows in _exponent_rows(target).items():
+        groups.setdefault(rows, []).append(cls)
+    return groups
+
+
+def _polynomial(target: tuple[str, int], key, row, convention: str) -> RootedPolynomial:
+    """The distance polynomial of an exponent row at ``key`` = (k, l)
+    under one convention, times the diagonal factor at k = l."""
+    poly = row_polynomial(row, *key, convention)
+    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
+    return poly * extra if key[0] == key[1] else poly
 
 
 def verify_den_dist(target: str, n: int) -> Report:
-    """den = dist poly x diagonal factor, class by class, exactly."""
+    """den = dist poly x diagonal factor, class by class, exactly: one
+    polynomial per distinct (key, row), one denominator per key."""
     folding = folding_to(target, n)
-    conv = folding.sign_convention
-    polys = _distance_polynomials(folding.target, (conv,))[conv]
-    rep = Report(f"den-dist {target} n={n}", 0)
-    dens = {key: denominator(target, n, *key) for key in polys}
-    for cls in polys[1, 1]:
-        for key, by_class in polys.items():
-            rep.checked += 1
-            if by_class[cls] != dens[key]:
-                rep.mismatches.append(
-                    (cls.canonical_word, key, str(by_class[cls]), str(dens[key]))
-                )
+    groups = _classes_by_rows(folding.target)
+    keys = _keys(n)
+    rep = Report(f"den-dist {target} n={n}", sum(map(len, groups.values())) * len(keys))
+    for j, key in enumerate(keys):
+        den = denominator(target, n, *key)
+        polys = {row: _polynomial(folding.target, key, row, folding.sign_convention)
+                 for row in {rows[j] for rows in groups}}
+        for rows, classes in groups.items():
+            if polys[rows[j]] != den:
+                rep.mismatches.extend(
+                    (cls.canonical_word, key, str(polys[rows[j]]), str(den)) for cls in classes)
+    rep.mismatches.sort(key=lambda m: m[:2])  # by class, then by key
     return rep
 
 
 def verify_class_invariance(target: str, n: int) -> Report:
-    """The distance polynomial must not depend on the class."""
+    """The distance polynomial must not depend on the class: one
+    exponent row per key (`_exponent_rows`)."""
     folding = folding_to(target, n)
-    conv = folding.sign_convention
-    polys = _distance_polynomials(folding.target, (conv,))[conv]
-    rep = Report(f"class-invariance {target} n={n}", 0)
-    for key, by_class in polys.items():
-        rep.checked += len(by_class)
-        if len(set(by_class.values())) != 1:
+    groups = _classes_by_rows(folding.target)
+    keys = _keys(n)
+    rep = Report(f"class-invariance {target} n={n}", sum(map(len, groups.values())) * len(keys))
+    for j, key in enumerate(keys):
+        if len({rows[j] for rows in groups}) != 1:
             rep.mismatches.append((key, "polynomials differ across classes"))
     return rep
 
@@ -630,20 +639,22 @@ def verify_f4_conjecture() -> Report:
     It passes iff the polynomials are class-invariant and exactly one
     convention matches every entry: two full matches are a mismatch.
     """
-    polys = _distance_polynomials(("F", 4), ("A", "D"))
+    target = ("F", 4)
+    groups = _classes_by_rows(target)
+    classes = sum(map(len, groups.values()))
     rep = Report("f4 conjecture", 0)
     entry_match = {"A": {}, "D": {}}
     invariant = True
     computed: dict[tuple[int, int], dict[str, RootedPolynomial]] = {}
     for conv in ("A", "D"):
-        for key, by_class in polys[conv].items():
-            rep.checked += len(by_class)
-            distinct = set(by_class.values())
+        for j, key in enumerate(_keys(4)):
+            rep.checked += classes
+            distinct = {rows[j] for rows in groups}
             if len(distinct) != 1:
                 invariant = False
                 rep.mismatches.append((conv, key, "not class-invariant"))
                 continue
-            dhat = distinct.pop()
+            dhat = _polynomial(target, key, distinct.pop(), conv)
             computed.setdefault(key, {})[conv] = dhat
             entry_match[conv][key] = dhat == f4_denominator(*key)
     full = [c for c in ("A", "D") if all(entry_match[c].values())]
@@ -652,7 +663,7 @@ def verify_f4_conjecture() -> Report:
     counts = {c: sum(entry_match[c].values()) for c in ("A", "D")}
     best = max(counts, key=lambda c: counts[c])
     entries, h = len(_F4_EXPONENTS), folding_to("F", 4).h_dual
-    rep.notes.append(f"class-invariance over all {len(polys['A'][1, 1])} classes: {invariant}")
+    rep.notes.append(f"class-invariance over all {classes} classes: {invariant}")
     rep.notes.append(
         f"entries matching the listed table: A {counts['A']}/{entries}, "
         f"D {counts['D']}/{entries}"

@@ -18,7 +18,7 @@ from .rootsys import (
 from .words import adapted_point, commutation_class, twisted_adapted_point
 from .arquiver import ARQuiver, adapted_quiver_of, gamma_q, hasse_quiver
 from .twistfold import FoldingError, twisted_folded_quivers
-from .seqorder import point_socle_records
+from .seqorder import walk_point
 from . import affine
 
 SCHEMA = "arfold/1"
@@ -266,9 +266,10 @@ def cmd_verify(args) -> int:
 def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
     """Socle existence/uniqueness and dist bounds over a twisted point of A or D.
 
-    One walk over the point's BFS tree: the seed class checks each
-    comparable pair, every other class carries its parent's records along
-    the folded reflection and checks only the pairs at the moved root.
+    One walk over the point's BFS tree (`walk_point`): the seed class
+    checks each comparable pair, every other class read carries its
+    parent's records along the folded reflection and checks only the
+    pairs at the moved root, and a class's mirror takes its records.
     ``checked`` counts every pair of every class; mismatches come sorted
     by canonical word, then by pair.  The check runs in one thread:
     ``jobs`` is kept only because `perfbench/passes.py` passes ``jobs=1``,
@@ -280,11 +281,10 @@ def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
         raise UnsupportedTypeError(f"socle-dist is proved for A and D only, not {type_tag}")
     point = twisted_folded_quivers(type_tag, rank)
     n = root_system(type_tag, rank).num_positive
-    rep = affine.Report(f"socle-dist {type_tag}{rank}", 0)
-    for fq, records in point_socle_records(point):
-        rep.checked += n * (n - 1) // 2
-        word = fq.source_class.canonical_word
-        rep.mismatches.extend((word, *rec) for rec in records)
+    rep = affine.Report(f"socle-dist {type_tag}{rank}", len(point) * n * (n - 1) // 2)
+    for (_, records), quivers in walk_point(point):
+        for fq in quivers:  # a class and its mirror share their records
+            rep.mismatches.extend((fq.source_class.canonical_word, *rec) for rec in records)
     rep.mismatches.sort(key=lambda m: m[:3])
     return rep
 

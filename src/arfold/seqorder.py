@@ -56,8 +56,11 @@ folded quiver alone and read its class from `fq.source_class`.  They
 read the quiver's table, {(k, l): {t: o_t}} with k <= l, o_t the common
 `dist` on Phi[t] (the comparable pairs at residues {k, l} with gap t),
 built from that quiver alone on every call and never memoised;
-`phi_pairs`, Phi[t] by definition, is its oracle in the tests.  The
-suites walk their point once instead (`_walk_point`), along the BFS
+`phi_pairs`, Phi[t] by definition, is its oracle in the tests.  A
+polynomial depends on its row of the table through the row's
+`exponent_row` alone, ((t, ceil(o_t / 2)), ...) over o_t > 0, which
+`row_polynomial` turns into factors under either sign convention.  The
+suites walk their point once instead (`walk_point`), along the BFS
 tree of its folded reflections (`parents_first`, the one walker, which
 the Dorey walk of ``affine`` also takes), with one datum per class: the
 counts {(k, l, t): (o_t, |Phi[t]|)} and the socle-dist records, a class's
@@ -78,13 +81,12 @@ the extremal elements of a difference support at both ends, is the
 same for both: every pair's `dist` and socle agree.  The cells of c^v
 keep every residue and map each position p to C - p, one C per pair, so
 every bucket (k, l, t) agrees too, and c^v's datum is c's.  The walk
-finds c^v by projection key (`words.mirror_classes`), checks that its
-cells mirror c's (`_assert_mirrored`, an AssertionError naming the
-class), reads only the first class of each pair and hands the second
-the same datum objects, naming the first as its twin.  `point_tables`
-and `point_socle_records` are the two projections of that walk, and
-`table_polynomial` turns a table into a distance polynomial for either
-reader.
+finds c^v by projection key (`words.mirror_classes`), checks once per
+pair that its cells mirror c's (`_assert_mirrored`, an AssertionError
+naming the class), reads only the first class of each pair and hands
+its datum out once, with the quivers of both classes.  Every suite is a
+reduction over that one yield: socle-dist reads the records, and the
+distance suites of ``affine`` the tables (`table_of`).
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import ceil
 
 from .rootsys import Root, RootSystem
 from .words import CommutationClass, bits, mirror_classes
@@ -672,8 +673,8 @@ def _transport(
     return out
 
 
-def _table_of(counts: dict) -> dict:
-    """The table {(k, l): {t: o_t}} of the bucket counts."""
+def table_of(counts: dict) -> dict:
+    """The table {(k, l): {t: o_t}} of a datum's bucket counts."""
     table: dict[tuple[int, int], dict[int, int]] = {}
     for (k, l, t), (o, _) in counts.items():
         table.setdefault((k, l), {})[t] = o
@@ -717,30 +718,26 @@ def parents_first(point: dict[CommutationClass, FoldedQuiver], read):
         yield fq, data
 
 
-def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
-    """(quiver, (bucket counts, socle-dist records), twin) for every
-    quiver of a twisted point, parents first (`parents_first`); twin is
-    None for a class the walk reads, and the class read in its place for
-    its mirror.
+def walk_point(point: dict[CommutationClass, FoldedQuiver]):
+    """((bucket counts, socle-dist records), quivers) once per datum the
+    walk reads, parents first (`parents_first`): ``quivers`` holds the
+    quiver of the class read and that of its mirror, whose datum it is too.
 
     The point is closed under the mirror c -> c^v (`mirror_classes`):
     c^v has c's roots in reverse convex order, and its cells keep every
     residue and map each position p to C - p, one C per pair, which the
-    walk checks for every class before it reads (`_assert_mirrored`; a
-    class that is its own mirror fails it).  The class order tests the
-    extremal elements of a difference support at both ends, so it is the
-    same for c and c^v, and so are every pair's `dist`, socle and bucket
-    (k, l, t): c^v's datum is c's.  So only the first class of each pair
-    is read, and the second gets the same datum objects, held until it
-    comes, with the first as its twin.  The seed is read pair by pair
-    (`_scratch`), every other class's datum is its parent's carried
-    across the folded reflection at the sink alpha_i (`_transport`); both
-    read their pairs through the walk's one `_pair_reader`, dropped with
-    the walk.
+    walk checks once per pair, before it reads the pair's first class
+    (`_assert_mirrored`; a class that is its own mirror fails it).  The
+    class order tests the extremal elements of a difference support at
+    both ends, so it is the same for c and c^v, and so are every pair's
+    `dist`, socle and bucket (k, l, t): c^v's datum is c's.  So only the
+    first class of each pair is read; its datum is held under the mirror
+    until the mirror comes, as the mirror may be a parent.  The seed is
+    read pair by pair (`_scratch`), every other class's datum is its
+    parent's carried across the folded reflection at the sink alpha_i
+    (`_transport`), both through the walk's one `_pair_reader`.
     """
     mirror = mirror_classes(point)
-    for cls, other in mirror.items():
-        _assert_mirrored(point[cls], point[other])
     reader = _pair_reader(next(iter(point)).rs)
     held: dict[CommutationClass, tuple] = {}  # a read datum, under the mirror to come
 
@@ -748,6 +745,7 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
         cls = fq.source_class
         if cls in held:
             return held.pop(cls)
+        _assert_mirrored(fq, point[mirror[cls]])
         if up is None:
             data = _scratch(fq, reader)
         else:
@@ -757,33 +755,16 @@ def _walk_point(point: dict[CommutationClass, FoldedQuiver]):
         return data
 
     for fq, data in parents_first(point, read):
-        twin = mirror[fq.source_class]
-        # a class just read holds its datum under its mirror, still to come
-        yield fq, data, None if twin in held else twin
-
-
-def point_tables(point: dict[CommutationClass, FoldedQuiver]):
-    """(quiver, table, twin) for every quiver of a twisted point, parents
-    first, in one walk (`_walk_point`): a class the walk reads gets its
-    table and twin None; its mirror gets None and that class as its twin,
-    whose table is the mirror's.  No table is held for a mirror to come;
-    the pair reads share one partition memo, dropped with the walk."""
-    for fq, (counts, _), twin in _walk_point(point):
-        yield fq, None if twin is not None else _table_of(counts), twin
-
-
-def point_socle_records(point: dict[CommutationClass, FoldedQuiver]):
-    """(quiver, socle-dist records) for every quiver of a twisted point,
-    from the same walk as `point_tables`."""
-    for fq, (_, records), _ in _walk_point(point):
-        yield fq, records
+        other = mirror[fq.source_class]
+        if other in held:  # just read: its datum waits for its mirror
+            yield data, (fq, point[other])
 
 
 def _distance_table(fq: FoldedQuiver) -> dict:
     """{(k, l): {t: o_t}}, k <= l, of one folded quiver, built from that
     quiver alone on every call; a Phi[t] on which `dist` is not constant
     is an AssertionError."""
-    return _table_of(_scratch(fq, _pair_reader(fq.rs))[0])
+    return table_of(_scratch(fq, _pair_reader(fq.rs))[0])
 
 
 def _check_read(target: tuple[str, int], k: int, l: int, convention: str = "A") -> None:
@@ -804,21 +785,28 @@ def o_t(fq: FoldedQuiver, k: int, l: int, t: int) -> int | None:
     return _distance_table(fq).get((min(k, l), max(k, l)), {}).get(t)
 
 
-def table_polynomial(
-    table: dict, target: tuple[str, int], k: int, l: int, convention: str
-) -> RootedPolynomial:
-    """The folded distance polynomial at (k, l) of a distance table of the
-    folding onto ``target``, under one sign convention.
+def exponent_row(row: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """((t, ceil(o_t / 2)), ...) over the t of a table row {t: o_t} with
+    o_t > 0, sorted: the factor exponents of its distance polynomial."""
+    return tuple(sorted((t, (o + 1) // 2) for t, o in row.items() if o))
 
-    Convention "A" uses factors (z - (-1)^(k+l) q_s^t), convention "D"
-    uses (z - (-q_s)^t); exponents are ceil(o_t / 2).
-    """
+
+def row_polynomial(row: tuple, k: int, l: int, convention: str) -> RootedPolynomial:
+    """The folded distance polynomial of an `exponent_row` at (k, l): its
+    factors (z - eps q_s^t), eps = (-1)^(k+l) under convention "A" and
+    (-1)^t under "D"."""
+    return RootedPolynomial(tuple(sorted(
+        (((-1) ** (k + l) if convention == "A" else (-1) ** t, t), e) for t, e in row
+    )))
+
+
+def table_polynomial(table: dict, target: tuple[str, int], k: int, l: int,
+                     convention: str) -> RootedPolynomial:
+    """The folded distance polynomial at (k, l) of a distance table of the
+    folding onto ``target``, under one sign convention."""
     _check_read(target, k, l, convention)
-    factors = []
-    for t, o in table.get((min(k, l), max(k, l)), {}).items():
-        eps = (-1) ** (k + l) if convention == "A" else (-1) ** t
-        factors.extend([(eps, t)] * ceil(o / 2))
-    return RootedPolynomial.from_factors(factors)
+    row = exponent_row(table.get((min(k, l), max(k, l)), {}))
+    return row_polynomial(row, k, l, convention)
 
 
 def distance_polynomial(

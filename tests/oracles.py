@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from pathlib import Path
 
-from arfold import affine
+from arfold import affine, seqorder
 from arfold.rootsys import Root, RootSystem, folding_from, folding_to, root_system
 from arfold.words import CommutationClass, Word, commutation_class
 from arfold.arquiver import DynkinQuiver
@@ -22,8 +22,8 @@ from arfold.seqorder import (
     is_pair,
     minimal_pairs_of_root,
     pair_below,
-    point_tables,
     support,
+    table_of,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -51,16 +51,29 @@ def interval(cls: CommutationClass, a: int, b: int) -> list[int]:
     return [r for r in cls.roots() if mask >> r & 1]
 
 
+def walk_data(point) -> dict:
+    """{class: datum} of one `seqorder.walk_point` walk over a twisted
+    point: a read class and its mirror each with the one datum the walk
+    hands out for both.  A class handed out twice, not at all, or with a
+    quiver that is not the point's is an AssertionError."""
+    data = {}
+    for datum, quivers in seqorder.walk_point(point):
+        for fq in quivers:
+            cls = fq.source_class
+            if cls in data or point.get(cls) is not fq:
+                raise AssertionError(f"class {cls.canonical_word} handed out twice or foreign")
+            data[cls] = datum
+    if len(data) != len(point):
+        raise AssertionError(f"the walk handed out {len(data)} of {len(point)} classes")
+    return data
+
+
 def walk_tables(point) -> list[tuple[FoldedQuiver, dict]]:
-    """(quiver, table) for every quiver of a twisted point, in the order of
-    one `point_tables` walk, a mirror's table read off its twin's."""
-    tables, out = {}, []
-    for fq, table, twin in point_tables(point):
-        if twin is not None:
-            table = tables[twin]
-        tables[fq.source_class] = table
-        out.append((fq, table))
-    return out
+    """(quiver, table) for every quiver of a twisted point, in the point's
+    order, from one walk (`walk_data`): each class once, with a table of
+    its own built from its datum's counts."""
+    data = walk_data(point)
+    return [(fq, table_of(data[cls][0])) for cls, fq in point.items()]
 
 
 def root_labels(fq: FoldedQuiver) -> dict[tuple[int, int], Root]:

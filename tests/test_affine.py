@@ -1,6 +1,8 @@
 import hashlib
 import json
 from functools import lru_cache
+from itertools import combinations
+from math import ceil
 
 import pytest
 
@@ -8,7 +10,7 @@ from arfold import affine, seqorder
 from arfold.rootsys import FoldingError, root_system
 from arfold.arquiver import DynkinQuiver, all_quivers, gamma_q
 from arfold.twistfold import twisted_folded_quivers
-from arfold.seqorder import RootedPolynomial
+from arfold.seqorder import RootedPolynomial, exponent_row, row_polynomial, table_polynomial
 from arfold.affine import (
     SpectralParameter,
     den_dist_extra_factor,
@@ -78,6 +80,15 @@ def test_denominator_f4_example():
     assert f4_denominator(1, 4) == RootedPolynomial.from_factors(
         [(1, 8), (1, 14)]
     )
+
+
+def test_denominator_refuses_an_f_target_of_another_rank():
+    # the printed list is F_4's alone, as den_dist_extra_factor has it
+    for n in (3, 5, 7):
+        with pytest.raises(ValueError, match=f"F target needs n = 4, not F_{n}"):
+            denominator("F", n, 1, 1)
+        with pytest.raises(FoldingError):
+            den_dist_extra_factor("F", n)
 
 
 def test_denominator_symmetry_and_positive_exponents():
@@ -211,61 +222,107 @@ def test_verify_class_invariance_c3():
 
 def _fresh_distance_memo(monkeypatch):
     monkeypatch.setattr(
-        affine, "_distance_polynomials",
-        lru_cache(maxsize=None)(affine._distance_polynomials.__wrapped__),
+        affine, "_exponent_rows",
+        lru_cache(maxsize=None)(affine._exponent_rows.__wrapped__),
     )
 
 
 @pytest.mark.parametrize("target", [("C", 4), ("F", 4)])
-def test_distance_rows_are_built_once_per_distinct_table(target, monkeypatch):
-    # a class's mirror is handed the first class, its twin, and takes its
-    # rows; every class's polynomials are still its own table's
+def test_exponent_rows_are_read_once_per_datum(target, monkeypatch):
+    # one table per datum the walk reads, its rows shared by the class and
+    # its mirror; every class's rows are its own table's, and on these
+    # passing points every class has one row object per key
     _fresh_distance_memo(monkeypatch)
     tables = []
-    real = affine._row_polynomials
-    monkeypatch.setattr(
-        affine, "_row_polynomials", lambda table, *args: tables.append(table) or real(table, *args)
-    )
-    polys = affine._distance_polynomials(target, ("A", "D"))
+    real = affine.table_of
+    monkeypatch.setattr(affine, "table_of", lambda counts: tables.append(counts) or real(counts))
+    rows_of = affine._exponent_rows(target)
     point = twisted_folded_quivers(*affine.folding_to(*target).source)
-    assert len(tables) == len({id(t) for t in tables}) == len(point) // 2
-    extra = RootedPolynomial.from_factors([den_dist_extra_factor(*target)])
-    n = target[1]
+    assert len(tables) == len(point) // 2 and set(rows_of) == set(point)
+    keys = affine._keys(target[1])
     for fq, table in walk_tables(point):
-        for conv in ("A", "D"):
-            for k in range(1, n + 1):
-                for l in range(k, n + 1):
-                    poly = affine.table_polynomial(table, target, k, l, conv)
-                    want = poly * extra if k == l else poly
-                    assert polys[conv][k, l][fq.source_class] == want
+        assert rows_of[fq.source_class] == tuple(exponent_row(table.get(key, {})) for key in keys)
+    assert len({id(rows) for rows in rows_of.values()}) == 1
 
 
 def test_den_dist_builds_each_distance_polynomial_once(monkeypatch):
-    # a fresh memo, so none of the point's polynomials is built yet; each
-    # is built once per distinct row of the point's tables, and shared
+    # a fresh memo, so none of the point's rows is read yet; den-dist
+    # builds one polynomial per distinct (key, row), and on a passing
+    # point that is one per key; class invariance builds none
     _fresh_distance_memo(monkeypatch)
     calls = []
-    real = affine.table_polynomial
+    real = affine.row_polynomial
     monkeypatch.setattr(
-        affine, "table_polynomial", lambda *args: calls.append(args) or real(*args)
+        affine, "row_polynomial", lambda *args: calls.append(args) or real(*args)
     )
     assert verify_den_dist("C", 4).ok
     folding = affine.folding_to("C", 4)
-
-    def row(table, k, l):
-        return k, l, tuple(sorted(table.get((k, l), {}).items()))
-
+    keys = affine._keys(4)
     rows = {
-        row(table, k, l)
-        for _, table in walk_tables(twisted_folded_quivers(*folding.source))
-        for k in range(1, 5) for l in range(k, 5)
+        (key, row)
+        for rows in affine._exponent_rows(folding.target).values()
+        for key, row in zip(keys, rows)
     }
-    assert sorted(row(table, k, l) for table, _, k, l, _ in calls) == sorted(rows)
+    assert len(rows) == len(keys)
+    assert sorted(((k, l), row) for row, k, l, _ in calls) == sorted(rows)
     assert {conv for *_, conv in calls} == {folding.sign_convention}
     calls.clear()
     rep = verify_class_invariance("C", 4)
     assert rep.ok and rep.checked > len(rows) > 0
     assert calls == []
+
+
+def _definitional_polynomial(row: dict, k: int, l: int, convention: str) -> RootedPolynomial:
+    """The folded distance polynomial of a table row {t: o_t} at (k, l) by
+    its definition: ceil(o_t / 2) factors (z - eps q_s^t) per t, eps =
+    (-1)^(k+l) under convention "A" and (-1)^t under "D"."""
+    factors = []
+    for t, o in row.items():
+        eps = (-1) ** (k + l) if convention == "A" else (-1) ** t
+        factors.extend([(eps, t)] * ceil(o / 2))
+    return RootedPolynomial.from_factors(factors)
+
+
+@pytest.mark.parametrize(
+    "target", [("B", 3), ("B", 4), ("B", 5), ("C", 4), ("C", 5), ("C", 6), ("F", 4)]
+)
+def test_a_distance_polynomial_reads_its_exponent_row_alone(target):
+    # each class's row gives its table's polynomial under both
+    # conventions; and over the distinct full rows {t: o_t} at a key, two
+    # rows have one polynomial under a convention iff one exponent row
+    rows_of = affine._exponent_rows(target)
+    keys = affine._keys(target[1])
+    point = twisted_folded_quivers(*affine.folding_to(*target).source)
+    full = {key: {} for key in keys}
+    for fq, table in walk_tables(point):
+        for key, row in zip(keys, rows_of[fq.source_class]):
+            full[key].setdefault(tuple(sorted(table.get(key, {}).items())), row)
+            for conv in ("A", "D"):
+                want = _definitional_polynomial(table.get(key, {}), *key, conv)
+                assert row_polynomial(row, *key, conv) == want
+                assert table_polynomial(table, target, *key, conv) == want
+    assert max(len(by_full) for by_full in full.values()) > 1
+    for key, by_full in full.items():
+        for (f1, r1), (f2, r2) in combinations(by_full.items(), 2):
+            for conv in ("A", "D"):
+                same = _definitional_polynomial(dict(f1), *key, conv) == (
+                    _definitional_polynomial(dict(f2), *key, conv))
+                assert same == (r1 == r2)
+
+
+@pytest.mark.parametrize("old, new, suite", [
+    ("if o))", "))", verify_class_invariance),  # keeps the o_t = 0 entries
+    ("(t, (o + 1) // 2)", "(t, o)", verify_den_dist),  # keeps o_t itself
+])
+@pytest.mark.parametrize("target", [("B", 3), ("C", 4)])
+def test_a_row_keeping_more_than_the_exponents_fails(
+    monkeypatch, recompiled, old, new, suite, target
+):
+    # o_t = 0 entries come and go across classes, so class invariance
+    # fails; o_t itself stays class-invariant, but its polynomial is not den
+    _fresh_distance_memo(monkeypatch)
+    monkeypatch.setattr(affine, "exponent_row", recompiled(exponent_row, old, new))
+    assert not suite(*target).ok
 
 
 def test_den_dist_builds_each_denominator_once(monkeypatch):
@@ -282,18 +339,23 @@ def test_den_dist_builds_each_denominator_once(monkeypatch):
 
 def test_f4_walks_e6_once_for_both_conventions(monkeypatch):
     _fresh_distance_memo(monkeypatch)
-    # one seed read and one pair reader, which the whole walk shares
-    seeds, readers = [], []
-    real, real_reader = seqorder._scratch, seqorder._pair_reader
+    # one seed read and one pair reader, which the whole walk shares, and
+    # one polynomial per convention and key of the class-invariant rows
+    seeds, readers, built = [], [], []
+    real, real_reader, real_poly = seqorder._scratch, seqorder._pair_reader, affine.row_polynomial
     monkeypatch.setattr(
         seqorder, "_scratch", lambda fq, reader: seeds.append(fq) or real(fq, reader)
     )
     monkeypatch.setattr(
         seqorder, "_pair_reader", lambda rs: readers.append(rs) or real_reader(rs)
     )
+    monkeypatch.setattr(
+        affine, "row_polynomial", lambda *args: built.append(args[1:]) or real_poly(*args)
+    )
     verify_f4_conjecture()
     assert len(seeds) == 1 and seeds[0].source_class.parent is None
     assert readers == [seeds[0].rs]
+    assert sorted(built) == sorted((*key, c) for c in "AD" for key in affine._keys(4))
 
 
 def test_verify_dorey_b2():

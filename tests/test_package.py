@@ -119,21 +119,28 @@ def test_pairs_are_read_once_along_one_walk():
     # called by the walk's one reader, and the walk takes the point alone
     import inspect
 
-    from arfold.seqorder import _walk_point
+    from arfold.seqorder import walk_point
 
     assert _callers("is_simple") == {("seqorder", "minimal_sequences")}
-    assert _callers("_transport") == {("seqorder", "_walk_point"), ("seqorder", "read")}
+    assert _callers("_transport") == {("seqorder", "walk_point"), ("seqorder", "read")}
     # a pair reader, with its partition memo, lives for one walk or one
     # quiver's table, and the walks never call the one-shot `pair_below`
-    assert _callers("_pair_reader") == {("seqorder", "_walk_point"), ("seqorder", "_distance_table")}
+    assert _callers("_pair_reader") == {("seqorder", "walk_point"), ("seqorder", "_distance_table")}
     assert _callers("pair_below") == {("seqorder", "is_simple"), ("seqorder", "dist"), ("seqorder", "socle")}
     # one parents-first walker for the distance walk and the Dorey walk,
     # and one minimality test of a summing pair
-    assert _callers("parents_first") == {("seqorder", "_walk_point"), ("affine", "_dorey_sweep")}
+    assert _callers("parents_first") == {("seqorder", "walk_point"), ("affine", "_dorey_sweep")}
     assert _callers("is_minimal_pair") == {
         ("seqorder", "minimal_pairs_of_root"), ("affine", "_read_pairs"), ("affine", "_carry"),
     }
-    assert list(inspect.signature(_walk_point).parameters) == ["point"]
+    assert list(inspect.signature(walk_point).parameters) == ["point"]
+    # the suites read the one walk: the distance suites through one
+    # exponent-row memo, socle-dist directly
+    assert _callers("walk_point") == {("affine", "_exponent_rows"), ("cli", "verify_socle_dist")}
+    assert _callers("exponent_row") == {
+        ("seqorder", "table_polynomial"), ("affine", "_exponent_rows"),
+    }
+    assert _callers("_exponent_rows") == {("affine", "_classes_by_rows")}
 
 
 def test_each_folding_and_twisted_point_is_stated_once():
@@ -207,8 +214,8 @@ def test_folded_quivers_store_coordinates_alone(monkeypatch):
     cold = lru_cache(maxsize=None)(twistfold.twisted_folded_quivers.__wrapped__)
     for module in (twistfold, affine):
         monkeypatch.setattr(module, "twisted_folded_quivers", cold)
-    polys = lru_cache(maxsize=None)(affine._distance_polynomials.__wrapped__)
-    monkeypatch.setattr(affine, "_distance_polynomials", polys)
+    rows = lru_cache(maxsize=None)(affine._exponent_rows.__wrapped__)
+    monkeypatch.setattr(affine, "_exponent_rows", rows)
     assert len(cold("A", 9)) == 256
     assert affine.verify_den_dist("C", 5).ok
     assert cold.cache_info().currsize == 2 and calls == []

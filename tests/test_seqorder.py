@@ -37,16 +37,15 @@ from arfold.seqorder import (
     o_t,
     pair_below,
     phi_pairs,
-    point_socle_records,
-    point_tables,
     sequence_from_roots,
     sequences_of_weight,
     socle,
     support,
+    walk_point,
     weight_of,
 )
 
-from oracles import classify_cover, comparable, interval, walk_tables
+from oracles import classify_cover, comparable, interval, walk_data, walk_tables
 
 
 def seq(rs, *roots):
@@ -713,11 +712,11 @@ def test_distance_table_is_keyed_by_folded_coordinates():
 
 @pytest.fixture
 def fresh_point(monkeypatch):
-    """Twisted points built anew, and a fresh `_distance_polynomials` memo,
-    so no polynomial of these points is memoised yet."""
+    """Twisted points built anew, and a fresh `_exponent_rows` memo, so
+    no row of these points is memoised yet."""
     monkeypatch.setattr(
-        affine, "_distance_polynomials",
-        lru_cache(maxsize=None)(affine._distance_polynomials.__wrapped__),
+        affine, "_exponent_rows",
+        lru_cache(maxsize=None)(affine._exponent_rows.__wrapped__),
     )
     return lru_cache(maxsize=None)(twisted_folded_quivers.__wrapped__)
 
@@ -736,18 +735,17 @@ def _scratch_table(fq):
 
 
 def _tables_match_scratch(point, every: int = 1) -> bool:
-    """Every transported table, a mirror's read off its twin's, equals the
-    scratch build, at every ``every``-th class of the walk; False also
-    when the transport raises on the way."""
+    """The walk hands out every class exactly once, and the table of its
+    datum equals the scratch build, at every ``every``-th class of the
+    point; False also when the walk raises on the way."""
     try:
         walk = walk_tables(point)
     except AssertionError:
         return False
-    assert [fq for fq, _ in walk] == list(point.values())
     return all(table == _scratch_table(fq) for fq, table in walk[::every])
 
 
-# the larger points are checked at every k-th class of the walk, seed and
+# the larger points are checked at every k-th class of the point, seed and
 # mirrors included, to keep the scratch oracle's time down
 ORACLE_STRIDE = {("A", 11): 64, ("D", 8): 8}
 
@@ -794,7 +792,7 @@ def test_removing_at_the_child_coordinates_fails_the_oracle(fresh_point, monkeyp
 
 
 def _read_classes(point) -> set:
-    """The classes `_walk_point` reads: of each mirror pair, the one that
+    """The classes `walk_point` reads: of each mirror pair, the one that
     comes first in the point's order."""
     mirror = mirror_classes(point)
     place = {cls: k for k, cls in enumerate(point)}
@@ -824,7 +822,7 @@ def _served_before(point) -> set:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(seqorder, "_read_pair", read_pair)
-        list(seqorder._walk_point(point))
+        list(walk_point(point))
     return served
 
 
@@ -882,7 +880,7 @@ def test_lying_pair_dist_at_a_moved_root_raises(fresh_point, monkeypatch):
             break
     lied = _lie_about(monkeypatch, lie, lambda d, least: (d + 1, least))
     with pytest.raises(AssertionError, match="not constant on Phi"):
-        list(point_tables(point))
+        list(walk_point(point))
     assert [cls for cls, _ in lied] == [lie[0]]
 
 
@@ -907,7 +905,7 @@ def test_table_fill_computes_only_the_moved_pairs(fresh_point, monkeypatch):
         return real(cls, under)
 
     monkeypatch.setattr(seqorder, "_read_below", read_below)
-    list(point_tables(point))
+    list(walk_point(point))
     seed = next(iter(point.values()))
     assert seed.source_class.parent is None
     n = seed.rs.num_positive
@@ -981,16 +979,15 @@ def _scratch_socle_records(cls):
 
 
 def _socles_match_scratch(point, every: int = 1) -> bool:
-    """Every transported class's records equal the scratch records, at
-    every ``every``-th class of the walk; False also when the transport
-    raises on the way."""
+    """The walk hands out every class exactly once, and its records equal
+    the scratch records, at every ``every``-th class of the point; False
+    also when the walk raises on the way."""
     try:
-        walk = list(point_socle_records(point))
+        data = walk_data(point)
     except AssertionError:
         return False
     return all(
-        sorted(records) == _scratch_socle_records(fq.source_class)
-        for fq, records in walk[::every]
+        sorted(data[cls][1]) == _scratch_socle_records(cls) for cls in list(point)[::every]
     )
 
 
@@ -1003,7 +1000,8 @@ def test_transported_socles_equal_scratch_records(fresh_point, tt, rk):
 
 def test_e6_is_the_point_with_socle_records(fresh_point):
     # the only point whose records carry pairs and socles to relabel
-    records = [r for _, recs in point_socle_records(fresh_point("E", 6)) for r in recs]
+    data = walk_data(fresh_point("E", 6))
+    records = [r for _, recs in data.values() for r in recs]
     assert len(records) == 960
     assert sum(s is not None for *_, s in records) > 0
 
@@ -1013,8 +1011,8 @@ E6_RECORDS_DIGEST = "9fa2abc23067a4be10864d5d039fc8c4bb06956f8e609b30d81b58dbb60
 
 def test_e6_walk_records_are_pinned(fresh_point):
     # each class's sorted records, the classes by canonical word
-    walk = point_socle_records(fresh_point("E", 6))
-    records = sorted((fq.source_class.canonical_word, sorted(r)) for fq, r in walk)
+    data = walk_data(fresh_point("E", 6))
+    records = sorted((cls.canonical_word, sorted(r)) for cls, (_, r) in data.items())
     assert sum(len(r) for _, r in records) == 960
     assert hashlib.sha256(repr(records).encode()).hexdigest() == E6_RECORDS_DIGEST
 
@@ -1254,9 +1252,9 @@ def test_a_walk_searches_each_memo_key_once(fresh_point, monkeypatch, tt, rk, se
 
     monkeypatch.setattr(seqorder, "_packed_partitions", packed_partitions)
     monkeypatch.setattr(seqorder, "_read_pair", read_pair)
-    first = [datum for _, datum, _ in seqorder._walk_point(point)]
+    first = [datum for datum, _ in walk_point(point)]
     assert len(searched) == len(set(searched)) == len(keys) == searches
-    again = [datum for _, datum, _ in seqorder._walk_point(point)]
+    again = [datum for datum, _ in walk_point(point)]
     assert searched[searches:] == searched[:searches] and again == first
 
 
@@ -1273,14 +1271,14 @@ def test_a_memo_keyed_by_one_half_of_its_key_fails_the_oracles(
 
 
 def test_a_mirror_handed_another_class_fails_the_oracles(fresh_point, monkeypatch, recompiled):
-    # every mirror named the twin of the seed, which the walk has read, so
-    # its table is the seed's; the distance polynomials would not show it,
-    # as they are the same for every class
+    # every read class handed out with the seed's quiver as its mirror:
+    # the seed comes many times and the true mirrors never; the distance
+    # polynomials would not show it, as they are the same for every class
     mutant = recompiled(
-        seqorder._walk_point, "None if twin in held else twin",
-        "None if twin in held else next(iter(point))",
+        seqorder.walk_point, "yield data, (fq, point[other])",
+        "yield data, (fq, next(iter(point.values())))",
     )
-    monkeypatch.setattr(seqorder, "_walk_point", mutant)
+    monkeypatch.setattr(seqorder, "walk_point", mutant)
     assert not _tables_match_scratch(fresh_point("A", 7))
     assert not _tables_match_scratch(fresh_point("D", 5))
 
@@ -1334,21 +1332,19 @@ def test_a_mirror_has_the_reversed_convex_order(tt, rk):
 def test_the_walk_reads_one_class_of_each_mirror_pair(monkeypatch, tt, rk):
     point = twisted_folded_quivers(tt, rk)
     reads = Counter()
-    for name in ("_scratch", "_transport"):
+    for name in ("_scratch", "_transport", "_assert_mirrored"):
         real = getattr(seqorder, name)
         monkeypatch.setattr(
             seqorder, name, lambda *a, real=real, name=name: reads.update([name]) or real(*a))
-    walk = list(seqorder._walk_point(point))
-    assert [fq for fq, _, _ in walk] == list(point.values())
-    assert reads["_scratch"] == 1 and sum(reads.values()) == len(point) // 2
-    # the second class of a pair gets the first's datum objects, uncopied,
-    # and the first as its twin
-    data = {fq.source_class: datum for fq, datum, _ in walk}
+    walk = list(walk_point(point))
+    assert reads["_scratch"] == 1 and reads["_scratch"] + reads["_transport"] == len(point) // 2
+    # each mirror pair is checked once, before its first class is read
+    assert reads["_assert_mirrored"] == len(point) // 2
+    # one yield per datum read, with the read class's quiver and its
+    # mirror's, in the point's order
     mirror, read = mirror_classes(point), _read_classes(point)
-    assert all(data[cls] is data[mirror[cls]] for cls in point)
-    assert [twin for _, _, twin in walk] == [
-        None if cls in read else mirror[cls] for cls in point
-    ]
+    assert [fq.source_class for _, (fq, _) in walk] == [cls for cls in point if cls in read]
+    assert all(other is point[mirror[fq.source_class]] for _, (fq, other) in walk)
 
 
 def test_reversing_without_starring_fails_the_mirror_oracle(monkeypatch, recompiled):
@@ -1361,7 +1357,7 @@ def test_reversing_without_starring_fails_the_mirror_oracle(monkeypatch, recompi
         point = twisted_folded_quivers(*source)
         assert not _mirrors_match_kahn(point)
         with pytest.raises(AssertionError, match="unmirrored cells"):
-            list(seqorder._walk_point(point))
+            list(walk_point(point))
     assert _mirrors_match_kahn(twisted_folded_quivers("D", 6))
 
 
@@ -1378,7 +1374,7 @@ def test_a_mirror_check_by_positions_alone_fails(recompiled):
     cells[a], cells[b] = (cells[b][0], cells[a][1]), (cells[a][0], cells[b][1])
     bad = {**point, cls: replace(point[cls], cells=tuple(cells))}
     with pytest.raises(AssertionError, match="unmirrored cells") as refused:
-        list(seqorder._walk_point(bad))
+        list(walk_point(bad))
     assert str(cls.canonical_word) in str(refused.value)
     positions_only = recompiled(seqorder._assert_mirrored, "(rm - rc, pc + pm)", "(0, pc + pm)")
     positions_only(bad[cls], bad[mirror_classes(bad)[cls]])
@@ -1392,7 +1388,7 @@ def test_a_mirror_outside_the_point_is_refused():
     gone = mirror_classes(point)[cls]
     cut = {c: fq for c, fq in point.items() if c != gone}
     with pytest.raises(AssertionError, match=re.escape(f"mirror of class {cls.canonical_word}")):
-        list(seqorder._walk_point(cut))
+        list(walk_point(cut))
 
 
 ROOT_SYSTEM_MEMOS = {
