@@ -43,7 +43,7 @@ from .arquiver import DynkinQuiver, gamma_q
 from .twistfold import FoldedQuiver, twisted_folded_quivers
 from .seqorder import (
     RootedPolynomial,
-    exponent_row,
+    exponent_rows,
     factor_minus_q_power,
     factor_minus_qs_power,
     factor_plus_q_power,
@@ -51,7 +51,6 @@ from .seqorder import (
     minimal_pairs_of_root,
     parents_first,
     row_polynomial,
-    table_of,
     walk_point,
 )
 
@@ -415,8 +414,9 @@ def _keys(n: int) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _exponent_rows(target: tuple[str, int]) -> dict:
     """{cls: rows} over the twisted point folding onto ``target``: the
-    `exponent_row` of the class's table at each key of `_keys`, read off
-    one `walk_point` walk, a class and its mirror with one rows tuple.
+    exponent row of the class's counts at each key of `_keys`
+    (`exponent_rows`), read off one `walk_point` walk, a class and its
+    mirror with one rows tuple.
     Equal rows are one object, and so are equal rows tuples.
 
     A row is all that a distance polynomial reads: under either sign
@@ -433,8 +433,8 @@ def _exponent_rows(target: tuple[str, int]) -> dict:
     rows_of = {}
     point = twisted_folded_quivers(*folding_to(*target).source)
     for (counts, _), quivers in walk_point(point):
-        table = table_of(counts)
-        rows = tuple(exponent_row(table.get(key, {})) for key in keys)
+        by_key = exponent_rows(counts)
+        rows = tuple(by_key.get(key, ()) for key in keys)
         rows = interned.setdefault(rows, tuple(interned.setdefault(r, r) for r in rows))
         for fq in quivers:
             rows_of[fq.source_class] = rows

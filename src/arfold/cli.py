@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .rootsys import (
     UnsupportedTypeError,
@@ -127,16 +126,19 @@ def quiver_from_json(doc: dict) -> ARQuiver:
     return ARQuiver(rs, tuple(sorted(coords)), frozenset(arrows))
 
 
+def _half(p2: int) -> str:
+    """The doubled position p2 as the exact p2 / 2: an integer, or p2/2
+    in lowest terms."""
+    return f"{p2 // 2}" if p2 % 2 == 0 else f"{p2}/2"
+
+
 def quiver_to_dot(quiver: ARQuiver) -> str:
     rs = quiver.rs
     lines = ["digraph arquiver {", "  rankdir=RL;"]
     names = {}
     for r, i, p2 in sorted(quiver.coords, key=lambda t: (t[2], t[1])):
         names[r] = f"v{r}"
-        pos = Fraction(p2, 2)
-        lines.append(
-            f'  v{r} [label="{_root_label(rs, r)}\\n({i},{pos})"];'
-        )
+        lines.append(f'  v{r} [label="{_root_label(rs, r)}\\n({i},{_half(p2)})"];')
     for a, b in sorted(quiver.arrows):
         lines.append(f"  {names[a]} -> {names[b]};")
     lines.append("}")
@@ -151,11 +153,11 @@ def quiver_to_ascii(quiver: ARQuiver) -> str:
         rows.setdefault(i, {})[p2] = _root_label(rs, r)
     width = max(
         [len(lab) for row in rows.values() for lab in row.values()]
-        + [len(str(Fraction(p, 2))) for p in positions]
+        + [len(_half(p)) for p in positions]
     ) + 1
     out = []
     header = ["(i,p)".rjust(6)]
-    header += [str(Fraction(p, 2)).rjust(width) for p in positions]
+    header += [_half(p).rjust(width) for p in positions]
     out.append("".join(header))
     for i in sorted(rows):
         cells = [f"{i}".rjust(6)]

@@ -222,8 +222,11 @@ class RootSystem:
         return tuple(v)
 
     def pairing(self, v: Root, i: int) -> int:
-        """<v, h_i> for a vector v in the root lattice."""
-        return sum(self.cartan[i][j + 1] * c for j, c in enumerate(v) if c)
+        """<v, h_i> for a vector v in the root lattice, read from the
+        coordinates at i and its neighbours, the only nonzero entries of
+        row i of the Cartan matrix."""
+        row = self.cartan[i]
+        return 2 * v[i - 1] + sum(row[j] * v[j - 1] for j in self.adjacent[i])
 
     def reflect(self, v: Root, i: int) -> Root:
         c = self.pairing(v, i)

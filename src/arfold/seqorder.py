@@ -53,13 +53,14 @@ pair, since dist and the socle depend on the class order.
 
 Distance reads (`distance_polynomial`, `o_t`, `phi_pairs`) take the
 folded quiver alone and read its class from `fq.source_class`.  They
-read the quiver's table, {(k, l): {t: o_t}} with k <= l, o_t the common
-`dist` on Phi[t] (the comparable pairs at residues {k, l} with gap t),
-built from that quiver alone on every call and never memoised;
-`phi_pairs`, Phi[t] by definition, is its oracle in the tests.  A
-polynomial depends on its row of the table through the row's
-`exponent_row` alone, ((t, ceil(o_t / 2)), ...) over o_t > 0, which
-`row_polynomial` turns into factors under either sign convention.  The
+read the quiver's table as bucket counts, {(k, l, t): (o_t, |Phi[t]|)}
+with k <= l, o_t the common `dist` on Phi[t] (the comparable pairs at
+residues {k, l} with gap t), built from that quiver alone on every call
+and never memoised; `phi_pairs`, Phi[t] by definition, is its oracle in
+the tests.  A polynomial depends on its row (k, l) of the counts
+through its exponent row alone, ((t, ceil(o_t / 2)), ...) over o_t > 0,
+which `exponent_rows` reads straight off the counts and `row_polynomial`
+turns into factors under either sign convention.  The
 suites walk their point once instead (`walk_point`), along the BFS
 tree of its folded reflections (`parents_first`, the one walker, which
 the Dorey walk of ``affine`` also takes), with one datum per class: the
@@ -86,7 +87,7 @@ pair that its cells mirror c's (`_assert_mirrored`, an AssertionError
 naming the class), reads only the first class of each pair and hands
 its datum out once, with the quivers of both classes.  Every suite is a
 reduction over that one yield: socle-dist reads the records, and the
-distance suites of ``affine`` the tables (`table_of`).
+distance suites of ``affine`` the counts (`exponent_rows`).
 """
 
 from __future__ import annotations
@@ -158,17 +159,16 @@ def _pack(v, f: int) -> int:
     return k
 
 
-def _packing(rs: RootSystem, f: int) -> tuple[list[int], int, int]:
-    """(packed, guard, ones) at f bits per coordinate: every positive root
-    packed, and the top and the low bit of every field; kept per root
+def _packing(rs: RootSystem, f: int) -> tuple[list[int], int, int, list[int]]:
+    """(packed, guard, ones, nonzero) at f bits per coordinate: every
+    positive root packed, the top and the low bit of every field, and each
+    root's guard bits of the coordinates it is nonzero on; kept per root
     system."""
     key = ("packed_roots", f)
     if key not in rs._cache:
-        rs._cache[key] = (
-            [_pack(r, f) for r in rs.positive_roots],
-            _pack([1 << f - 1] * rs.rank, f),
-            _pack([1] * rs.rank, f),
-        )
+        packed = [_pack(r, f) for r in rs.positive_roots]
+        guard, ones = _pack([1 << f - 1] * rs.rank, f), _pack([1] * rs.rank, f)
+        rs._cache[key] = (packed, guard, ones, [((p | guard) - ones) & guard for p in packed])
     return rs._cache[key]
 
 
@@ -198,7 +198,7 @@ def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     They come in lexicographic order of the multiplicities along
     ``allowed`` sorted by decreasing height.  w is packed f bits per
     coordinate, f wide enough for w and for every root, and
-    `_packed_partitions` searches.
+    `_packed_partitions` searches the allowed roots that fit under it.
     """
     if min(w) < 0:
         return []
@@ -206,46 +206,48 @@ def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     mask = 0
     for r in allowed:
         mask |= 1 << r
+    packing, packed_w = _packing(rs, f), _pack(w, f)
     n = rs.num_positive
-    return [_sequence(n, s) for s in _packed_partitions(rs, _packing(rs, f), _pack(w, f), mask)]
+    return [
+        _sequence(n, s)
+        for s in _packed_partitions(rs, packing, packed_w, _fitting(packing, packed_w, mask))
+    ]
+
+
+def _fitting(packing, w: int, mask: int) -> int:
+    """The roots of ``mask`` that fit under the packed weight w in every
+    coordinate: (w | guard) - root keeps every guard bit."""
+    packed, guard = packing[0], packing[1]
+    wg = w | guard
+    return sum(1 << r for r in bits(mask) if (wg - packed[r]) & guard == guard)
 
 
 def _packed_partitions(rs: RootSystem, packing, w: int, mask: int) -> list[Support]:
     """`_partitions` of the packed weight w over the roots of ``mask``, by
     support: (root, multiplicity) for each root taken, in the order taken.
 
-    ``packing`` is `_packing` at the width of w.  The top bit of each
-    field is a guard: (rem | guard) - root keeps every guard bit iff
-    root <= rem in each coordinate, and then rem - root is the remaining
-    weight; ((rem | guard) - ones) & guard are the guard bits of the
-    coordinates where rem is nonzero.  Only the roots of the mask that fit
-    w take part, and only they are sorted.  cover[k] holds the guard bits
-    of the coordinates on which some root of roots[k:] is nonzero: a
+    ``packing`` is `_packing` at the width of w, and every root of the
+    mask fits under w (`_fitting`, or the walk reader's fit table).  The
+    top bit of each field is a guard: (rem | guard) - root keeps every
+    guard bit iff root <= rem in each coordinate, and then rem - root is
+    the remaining weight; ((rem | guard) - ones) & guard are the guard
+    bits of the coordinates where rem is nonzero.  The roots are sorted
+    by height.  cover[k] holds the guard bits of the coordinates on which
+    some root of roots[k:] is nonzero, read off the packing's table: a
     remainder nonzero outside it has no completion there, so the search
     descends only where the cover holds, and a sequence is emitted as
     soon as its remainder is 0.
     """
-    packed, guard, ones = packing
+    packed, guard, ones, nonzero = packing
     if not w:
         return [()]
-    wg = w | guard
-    fit = []
-    reach = 0  # guard bits of the coordinates some fitting root is nonzero on
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        r = low.bit_length() - 1
-        p = packed[r]
-        if (wg - p) & guard == guard:
-            fit.append(r)
-            reach |= (p | guard) - ones
-    if (wg - ones) & guard & ~reach:
-        return []  # w is nonzero where no fitting root is
-    fit.sort(key=_height_rank(rs).__getitem__)
+    fit = sorted(bits(mask), key=_height_rank(rs).__getitem__)
+    cover = [0] * (len(fit) + 1)
+    for k in range(len(fit) - 1, -1, -1):
+        cover[k] = cover[k + 1] | nonzero[fit[k]]
+    if ((w | guard) - ones) & guard & ~cover[0]:
+        return []  # w is nonzero where no root of the mask is
     roots = [(r, packed[r]) for r in fit]
-    cover = [0] * (len(roots) + 1)
-    for k in range(len(roots) - 1, -1, -1):
-        cover[k] = cover[k + 1] | ((roots[k][1] | guard) - ones) & guard
     out: list[Support] = []
     taken: list[tuple[int, int]] = []  # (root, multiplicity) of the roots before
 
@@ -323,10 +325,10 @@ def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
         return []  # an empty interval, or an incomparable pair
     rs = cls.rs
     packing = _packing(rs, _pair_width(rs))
-    packed = packing[0]
+    w = packing[0][a] + packing[0][b]
     return [
         _sequence(rs.num_positive, s)
-        for s in _packed_partitions(rs, packing, packed[a] + packed[b], mask)
+        for s in _packed_partitions(rs, packing, w, _fitting(packing, w, mask))
     ]
 
 
@@ -673,12 +675,15 @@ def _transport(
     return out
 
 
-def table_of(counts: dict) -> dict:
-    """The table {(k, l): {t: o_t}} of a datum's bucket counts."""
-    table: dict[tuple[int, int], dict[int, int]] = {}
+def exponent_rows(counts: dict) -> dict:
+    """{(k, l): ((t, ceil(o_t / 2)), ...)} over the buckets (k, l, t) of a
+    datum's counts with o_t > 0, each row sorted by t: the factor
+    exponents of its distance polynomials, read straight off the counts."""
+    rows: dict = {}
     for (k, l, t), (o, _) in counts.items():
-        table.setdefault((k, l), {})[t] = o
-    return table
+        if o:
+            rows.setdefault((k, l), []).append((t, (o + 1) // 2))
+    return {key: tuple(sorted(row)) for key, row in rows.items()}
 
 
 def _assert_mirrored(fq: FoldedQuiver, mirror: FoldedQuiver) -> None:
@@ -761,10 +766,10 @@ def walk_point(point: dict[CommutationClass, FoldedQuiver]):
 
 
 def _distance_table(fq: FoldedQuiver) -> dict:
-    """{(k, l): {t: o_t}}, k <= l, of one folded quiver, built from that
-    quiver alone on every call; a Phi[t] on which `dist` is not constant
-    is an AssertionError."""
-    return table_of(_scratch(fq, _pair_reader(fq.rs))[0])
+    """The bucket counts {(k, l, t): (o_t, |Phi[t]|)}, k <= l, of one folded
+    quiver, built from that quiver alone on every call; a Phi[t] on which
+    `dist` is not constant is an AssertionError."""
+    return _scratch(fq, _pair_reader(fq.rs))[0]
 
 
 def _check_read(target: tuple[str, int], k: int, l: int, convention: str = "A") -> None:
@@ -782,37 +787,24 @@ def o_t(fq: FoldedQuiver, k: int, l: int, t: int) -> int | None:
     """Common distance on Phi[t]; None when the set is empty.  Bad
     residues are refused before the table is built."""
     _check_read(fq.folding.target, k, l)
-    return _distance_table(fq).get((min(k, l), max(k, l)), {}).get(t)
-
-
-def exponent_row(row: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """((t, ceil(o_t / 2)), ...) over the t of a table row {t: o_t} with
-    o_t > 0, sorted: the factor exponents of its distance polynomial."""
-    return tuple(sorted((t, (o + 1) // 2) for t, o in row.items() if o))
+    return _distance_table(fq).get((min(k, l), max(k, l), t), (None,))[0]
 
 
 def row_polynomial(row: tuple, k: int, l: int, convention: str) -> RootedPolynomial:
-    """The folded distance polynomial of an `exponent_row` at (k, l): its
-    factors (z - eps q_s^t), eps = (-1)^(k+l) under convention "A" and
-    (-1)^t under "D"."""
+    """The folded distance polynomial of an exponent row (`exponent_rows`)
+    at (k, l): its factors (z - eps q_s^t), eps = (-1)^(k+l) under
+    convention "A" and (-1)^t under "D"."""
     return RootedPolynomial(tuple(sorted(
         (((-1) ** (k + l) if convention == "A" else (-1) ** t, t), e) for t, e in row
     )))
 
 
-def table_polynomial(table: dict, target: tuple[str, int], k: int, l: int,
-                     convention: str) -> RootedPolynomial:
-    """The folded distance polynomial at (k, l) of a distance table of the
-    folding onto ``target``, under one sign convention."""
-    _check_read(target, k, l, convention)
-    row = exponent_row(table.get((min(k, l), max(k, l)), {}))
-    return row_polynomial(row, k, l, convention)
-
-
 def distance_polynomial(
     fq: FoldedQuiver, k: int, l: int, convention: str
 ) -> RootedPolynomial:
-    """`table_polynomial` of the quiver's own distance table; a bad read
-    is refused before the table is built."""
+    """The folded distance polynomial at (k, l) of the quiver's own
+    distance table, under one sign convention; a bad read is refused
+    before the table is built."""
     _check_read(fq.folding.target, k, l, convention)
-    return table_polynomial(_distance_table(fq), fq.folding.target, k, l, convention)
+    row = exponent_rows(_distance_table(fq)).get((min(k, l), max(k, l)), ())
+    return row_polynomial(row, k, l, convention)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .rootsys import (
     Folding,
@@ -208,44 +209,76 @@ def fold(quiver: ARQuiver, cls: CommutationClass) -> FoldedQuiver:
 # the folded reflection algorithm
 
 
+def _sink_test(rs: RootSystem, folding: Folding):
+    """The folded-sink test of one walk over quivers of ``rs``: a function
+    of a cell tuple that lists the nodes i of the source diagram whose
+    alpha_i vertex has no out-arrow.
+
+    The arrows out of a cell (res, p) step to (j, p + min(d_res, d_j)) for
+    each folded neighbour j of res, d the folding's symmetrizer; those
+    steps are tabled once per residue, and a call builds one set of the
+    cells it tests them against.
+    """
+    d = folding.symmetrizer
+    steps = {
+        res: tuple((j, min(d[res], d[j])) for j in (res - 1, res + 1) if j in d)
+        for res in d
+    }
+    simple = tuple((i, rs.simple_root_index[i]) for i in rs.nodes)
+
+    def sinks(cells) -> list[int]:
+        taken = set(cells)
+        out = []
+        for i, r in simple:
+            res, p = cells[r]
+            for j, step in steps[res]:
+                if (j, p + step) in taken:
+                    break
+            else:
+                out.append(i)
+        return out
+
+    return sinks
+
+
+def _reflector(rs: RootSystem, folding: Folding):
+    """The folded reflection of one walk over quivers of ``rs``: a function
+    of (cells, i) that gives the cells of the reflection at alpha_i, every
+    other label reflected by s_i, a permutation of the positive roots
+    other than alpha_i, and the alpha_i vertex moved 2 h_dual to the left.
+
+    Each node gets one ``itemgetter`` of its permutation, built when the
+    walk starts, that reads the moved alpha_i cell from one slot past the
+    cells.
+    """
+    n, gap = rs.num_positive, 2 * folding.h_dual
+    tables = {}
+    for i in rs.nodes:
+        perm = list(rs.reflection_permutation(i))  # an involution
+        r_i = rs.simple_root_index[i]
+        perm[r_i] = n
+        tables[i] = (r_i, itemgetter(*perm))
+
+    def reflected(cells: tuple, i: int) -> tuple:
+        r_i, get = tables[i]
+        res, pos = cells[r_i]
+        return get(cells + ((res, pos - gap),))
+
+    return reflected
+
+
 def folded_sinks(fq: FoldedQuiver) -> list[int]:
     """Nodes i of the source diagram whose alpha_i vertex has no out-arrow,
-    read off the cells: no cell at (j, p + min(d_res, d_j)) for a folded
-    neighbour j of the residue res of alpha_i's cell (res, p)."""
-    rs, cells, d = fq.rs, fq.cells, fq.folding.symmetrizer
-    taken = set(cells)
-    out = []
-    for i in rs.nodes:
-        res, p = cells[rs.simple_root_index[i]]
-        if not any((j, p + min(d[res], d[j])) in taken for j in (res - 1, res + 1) if j in d):
-            out.append(i)
-    return out
-
-
-def _reflected_coords(fq: FoldedQuiver, i: int) -> list[tuple[int, int]]:
-    """The cells of the folded reflection of ``fq`` at alpha_i: every
-    other label reflected by s_i, a permutation of the positive roots
-    other than alpha_i, and the alpha_i vertex moved 2 h_dual to the
-    left."""
-    cells = fq.cells
-    out = [cells[r] for r in fq.rs.reflection_permutation(i)]  # an involution
-    r_i = fq.rs.simple_root_index[i]
-    res, pos = out[r_i]
-    out[r_i] = (res, pos - 2 * fq.folding.h_dual)
-    return out
-
-
-def _moved(fq: FoldedQuiver, i: int, cls: CommutationClass) -> FoldedQuiver:
-    """The folded quiver of ``cls`` = r_i of ``fq``'s class, on the cells
-    of `_reflected_coords`."""
-    return FoldedQuiver(cls.rs, tuple(_reflected_coords(fq, i)), cls, fq.folding)
+    read off the cells by `_sink_test`."""
+    return _sink_test(fq.rs, fq.folding)(fq.cells)
 
 
 def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     """One reflection step on a folded quiver, at the sink alpha_i.
 
     Refuses a letter outside the diagram, an alpha_i that is not a sink
-    vertex and a class that does not move, then builds `_moved`.
+    vertex and a class that does not move, then moves the cells by
+    `_reflector`.
     """
     rs = fq.rs
     if i not in rs.nodes:
@@ -255,7 +288,7 @@ def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
     new_cls = reflect(fq.source_class, i)
     if new_cls == fq.source_class:
         raise FoldingError(f"class has no member starting with s_{i}")
-    return _moved(fq, i, new_cls)
+    return FoldedQuiver(rs, _reflector(rs, fq.folding)(fq.cells, i), new_cls, fq.folding)
 
 
 def _seed(folding: Folding) -> FoldedQuiver:
@@ -285,11 +318,15 @@ def _seed(folding: Folding) -> FoldedQuiver:
     return FoldedQuiver(rs, tuple(cells), cls, folding)
 
 
-def _assert_coords_shift_equal(ca, cb) -> None:
-    """Two cell sequences of one root system, indexed by root: every cell
-    keeps its residue and moves by one global position offset."""
-    moves = {(rb - ra, pb - pa) for (ra, pa), (rb, pb) in zip(ca, cb)}
-    if len(moves) != 1 or moves.pop()[0]:
+def _assert_coords_shift_equal(ca: tuple, cb: tuple) -> None:
+    """Two cell tuples of one root system, indexed by root: every cell
+    keeps its residue and moves by one global position offset, the first
+    cell's.  Compared as tuples, shifted only when that offset is nonzero."""
+    (ra, pa), (rb, pb) = ca[0], cb[0]
+    shift = pb - pa
+    if shift:
+        ca = tuple([(r, p + shift) for r, p in ca])
+    if ra != rb or ca != cb:
         raise AssertionError("same class, incompatible folded quivers")
 
 
@@ -300,29 +337,34 @@ def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, F
     Reads the BFS of `words.cluster_moves` from the seed's class: the
     folded sinks of each class's quiver, read off its cells, must be the
     letters that move the class, and a class reached first by r_i gets
-    the folded reflection of its parent at alpha_i (`_moved`).  No arrows
-    are built: they are a function of the cells, and a shift keeps them,
-    so a class reached again must agree with its first quiver cell by
-    cell up to one global position shift.  The first class reached is
-    kept, so each key's ``parent`` is an edge of the BFS tree, its quiver
-    this dict's entry, and the insertion order puts every parent before
-    its children.
+    the folded reflection of its parent at alpha_i.  No arrows are
+    built: they are a function of the cells, and a shift keeps them, so
+    a class reached again must agree with its first quiver cell by cell
+    up to one global position shift.  The sink test and the reflections
+    (`_sink_test`, `_reflector`) are built once for the walk and dropped
+    with it.  The first class reached is kept, so each key's ``parent``
+    is an edge of the BFS tree, its quiver this dict's entry, and the
+    insertion order puts every parent before its children.
     """
-    start = _seed(folding_from(type_tag, rank))
+    folding = folding_from(type_tag, rank)
+    start = _seed(folding)
+    rs = start.rs
+    sinks, reflected = _sink_test(rs, folding), _reflector(rs, folding)
     found = {start.source_class: start}
     for cls, moves in cluster_moves(start.source_class):
-        fq = found[cls]
+        cells = found[cls].cells
         movers = [i for i, _, _ in moves]
-        sinks = folded_sinks(fq)
-        for i in sinks:
-            if i not in movers:
-                raise FoldingError(f"class has no member starting with s_{i}")
-        for i in movers:
-            if i not in sinks:
-                raise FoldingError(f"s_{i} moves the class but alpha_{i} is not a folded sink")
+        got = sinks(cells)
+        if got != movers:
+            for i in got:
+                if i not in movers:
+                    raise FoldingError(f"class has no member starting with s_{i}")
+            i = next(i for i in movers if i not in got)
+            raise FoldingError(f"s_{i} moves the class but alpha_{i} is not a folded sink")
         for i, d, new in moves:
+            moved = reflected(cells, i)
             if new:
-                found[d] = _moved(fq, i, d)
+                found[d] = FoldedQuiver(rs, moved, d, folding)
             else:
-                _assert_coords_shift_equal(found[d].cells, _reflected_coords(fq, i))
+                _assert_coords_shift_equal(found[d].cells, moved)
     return found

@@ -403,15 +403,18 @@ def moved_key(key: Key, slots, i: int, i_star: int) -> Key | None:
     ``key``, or None when the class does not move.
 
     ``slots`` is ``edge_slots`` of the root system.  The move needs every
-    edge at i to start with i; it drops that letter and appends i* to
-    every edge at i*.
+    edge at i to start with i, tested before the key is copied; it drops
+    that letter and appends i* to every edge at i*.
     """
-    out = list(key)
-    for s, b in slots[i]:
-        k = out[s]
-        first = k.bit_length() - 2  # the bit of the first letter
-        if k >> first & 1 != b:
+    at_i = slots[i]
+    for s, b in at_i:
+        k = key[s]
+        if k >> k.bit_length() - 2 & 1 != b:  # the bit of the first letter
             return None
+    out = list(key)
+    for s, _ in at_i:
+        k = out[s]
+        first = k.bit_length() - 2
         out[s] = k & ((1 << first) - 1) | 1 << first
     for s, b in slots[i_star]:
         out[s] = out[s] << 1 | b

@@ -23,7 +23,6 @@ from arfold.seqorder import (
     minimal_pairs_of_root,
     pair_below,
     support,
-    table_of,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -66,6 +65,14 @@ def walk_data(point) -> dict:
     if len(data) != len(point):
         raise AssertionError(f"the walk handed out {len(data)} of {len(point)} classes")
     return data
+
+
+def table_of(counts: dict) -> dict:
+    """The table {(k, l): {t: o_t}} of a datum's bucket counts."""
+    table: dict[tuple[int, int], dict[int, int]] = {}
+    for (k, l, t), (o, _) in counts.items():
+        table.setdefault((k, l), {})[t] = o
+    return table
 
 
 def walk_tables(point) -> list[tuple[FoldedQuiver, dict]]:

@@ -10,7 +10,7 @@ from arfold import affine, seqorder
 from arfold.rootsys import FoldingError, root_system
 from arfold.arquiver import DynkinQuiver, all_quivers, gamma_q
 from arfold.twistfold import twisted_folded_quivers
-from arfold.seqorder import RootedPolynomial, exponent_row, row_polynomial, table_polynomial
+from arfold.seqorder import RootedPolynomial, distance_polynomial, exponent_rows, row_polynomial
 from arfold.affine import (
     SpectralParameter,
     den_dist_extra_factor,
@@ -227,21 +227,29 @@ def _fresh_distance_memo(monkeypatch):
     )
 
 
+def _exponent_row(row: dict) -> tuple:
+    """((t, ceil(o_t / 2)), ...) over the t of a table row {t: o_t} with
+    o_t > 0, sorted by t: the factor exponents by their definition."""
+    return tuple(sorted((t, ceil(o / 2)) for t, o in row.items() if o))
+
+
 @pytest.mark.parametrize("target", [("C", 4), ("F", 4)])
 def test_exponent_rows_are_read_once_per_datum(target, monkeypatch):
-    # one table per datum the walk reads, its rows shared by the class and
-    # its mirror; every class's rows are its own table's, and on these
-    # passing points every class has one row object per key
+    # one read of the counts per datum the walk reads, its rows shared by
+    # the class and its mirror; every class's rows are its own table's,
+    # and on these passing points every class has one row object per key
     _fresh_distance_memo(monkeypatch)
-    tables = []
-    real = affine.table_of
-    monkeypatch.setattr(affine, "table_of", lambda counts: tables.append(counts) or real(counts))
+    counts_read = []
+    real = affine.exponent_rows
+    monkeypatch.setattr(
+        affine, "exponent_rows", lambda counts: counts_read.append(counts) or real(counts)
+    )
     rows_of = affine._exponent_rows(target)
     point = twisted_folded_quivers(*affine.folding_to(*target).source)
-    assert len(tables) == len(point) // 2 and set(rows_of) == set(point)
+    assert len(counts_read) == len(point) // 2 and set(rows_of) == set(point)
     keys = affine._keys(target[1])
     for fq, table in walk_tables(point):
-        assert rows_of[fq.source_class] == tuple(exponent_row(table.get(key, {})) for key in keys)
+        assert rows_of[fq.source_class] == tuple(_exponent_row(table.get(key, {})) for key in keys)
     assert len({id(rows) for rows in rows_of.values()}) == 1
 
 
@@ -288,19 +296,20 @@ def _definitional_polynomial(row: dict, k: int, l: int, convention: str) -> Root
 )
 def test_a_distance_polynomial_reads_its_exponent_row_alone(target):
     # each class's row gives its table's polynomial under both
-    # conventions; and over the distinct full rows {t: o_t} at a key, two
+    # conventions, and so does the single-quiver read on the point's
+    # first class; and over the distinct full rows {t: o_t} at a key, two
     # rows have one polynomial under a convention iff one exponent row
     rows_of = affine._exponent_rows(target)
     keys = affine._keys(target[1])
     point = twisted_folded_quivers(*affine.folding_to(*target).source)
     full = {key: {} for key in keys}
-    for fq, table in walk_tables(point):
+    for k, (fq, table) in enumerate(walk_tables(point)):
         for key, row in zip(keys, rows_of[fq.source_class]):
             full[key].setdefault(tuple(sorted(table.get(key, {}).items())), row)
             for conv in ("A", "D"):
                 want = _definitional_polynomial(table.get(key, {}), *key, conv)
                 assert row_polynomial(row, *key, conv) == want
-                assert table_polynomial(table, target, *key, conv) == want
+                assert k or distance_polynomial(fq, *key, conv) == want
     assert max(len(by_full) for by_full in full.values()) > 1
     for key, by_full in full.items():
         for (f1, r1), (f2, r2) in combinations(by_full.items(), 2):
@@ -311,7 +320,7 @@ def test_a_distance_polynomial_reads_its_exponent_row_alone(target):
 
 
 @pytest.mark.parametrize("old, new, suite", [
-    ("if o))", "))", verify_class_invariance),  # keeps the o_t = 0 entries
+    ("if o:", "if True:", verify_class_invariance),  # keeps the o_t = 0 entries
     ("(t, (o + 1) // 2)", "(t, o)", verify_den_dist),  # keeps o_t itself
 ])
 @pytest.mark.parametrize("target", [("B", 3), ("C", 4)])
@@ -321,7 +330,7 @@ def test_a_row_keeping_more_than_the_exponents_fails(
     # o_t = 0 entries come and go across classes, so class invariance
     # fails; o_t itself stays class-invariant, but its polynomial is not den
     _fresh_distance_memo(monkeypatch)
-    monkeypatch.setattr(affine, "exponent_row", recompiled(exponent_row, old, new))
+    monkeypatch.setattr(affine, "exponent_rows", recompiled(exponent_rows, old, new))
     assert not suite(*target).ok
 
 

@@ -137,8 +137,8 @@ def test_pairs_are_read_once_along_one_walk():
     # the suites read the one walk: the distance suites through one
     # exponent-row memo, socle-dist directly
     assert _callers("walk_point") == {("affine", "_exponent_rows"), ("cli", "verify_socle_dist")}
-    assert _callers("exponent_row") == {
-        ("seqorder", "table_polynomial"), ("affine", "_exponent_rows"),
+    assert _callers("exponent_rows") == {
+        ("seqorder", "distance_polynomial"), ("affine", "_exponent_rows"),
     }
     assert _callers("_exponent_rows") == {("affine", "_classes_by_rows")}
 

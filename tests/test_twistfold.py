@@ -258,11 +258,39 @@ def test_folded_sinks_equal_the_arrow_oracle(source):
         assert folded_sinks(fq) == _arrow_sinks(fq)
 
 
-def test_a_sink_test_with_the_wrong_step_fails_the_oracle(recompiled):
-    mutant = recompiled(folded_sinks, "min(d[res], d[j])", "max(d[res], d[j])")
-    for source in (("A", 5), ("D", 5)):
-        fqs = twisted_folded_quivers(*source).values()
-        assert any(mutant(fq) != _arrow_sinks(fq) for fq in fqs)
+def test_a_sink_test_with_the_wrong_step_fails_the_oracle(monkeypatch, recompiled):
+    # the step rule lives in `_sink_test`, which `folded_sinks` and the
+    # walk share: with it broken both disagree with the arrows
+    points = {source: twisted_folded_quivers(*source) for source in (("A", 5), ("D", 5))}
+    mutant = recompiled(twistfold._sink_test, "min(d[res], d[j])", "max(d[res], d[j])")
+    monkeypatch.setattr(twistfold, "_sink_test", mutant)
+    for source, point in points.items():
+        assert any(folded_sinks(fq) != _arrow_sinks(fq) for fq in point.values())
+        with pytest.raises(FoldingError):
+            twisted_folded_quivers.__wrapped__(*source)
+
+
+def _patch_walk_sinks(monkeypatch, change):
+    """Make every sink test that `_sink_test` builds return
+    ``change(sinks, rs)`` of the true sinks."""
+    real = twistfold._sink_test
+
+    def patched(rs, folding):
+        sinks = real(rs, folding)
+        return lambda cells: change(sinks(cells), rs)
+
+    monkeypatch.setattr(twistfold, "_sink_test", patched)
+
+
+@pytest.mark.parametrize("source", SINK_SOURCES, ids=lambda s: f"{s[0]}{s[1]}")
+def test_the_walks_sinks_equal_the_arrow_oracle(source, monkeypatch):
+    # the sink test the walk builds once, read on every class it reaches
+    seen = []
+    _patch_walk_sinks(monkeypatch, lambda sinks, rs: seen.append(sinks) or sinks)
+    point = twisted_folded_quivers.__wrapped__(*source)
+    assert len(seen) == len(point)
+    # the walk reads the classes in the point's order
+    assert seen == [_arrow_sinks(fq) for fq in point.values()]
 
 
 def test_colliding_cells_are_refused():
@@ -477,20 +505,37 @@ def test_revisit_check_catches_broken_reflection(source, monkeypatch):
         twisted_folded_quivers.__wrapped__(*source)
 
 
+@pytest.mark.parametrize("source", [("A", 7), ("D", 6)], ids=lambda s: f"{s[0]}{s[1]}")
+def test_revisit_check_catches_one_cell_off_after_a_shift(source, monkeypatch):
+    # on a revisit whose reflected cells sit 4 to the left of the stored
+    # ones, move one cell other than the first by one: the check compares
+    # the shifted cells one by one, so it must refuse
+    check = twistfold._assert_coords_shift_equal
+    perturbed = []
+
+    def perturbing(stored, moved):
+        if moved[0][1] - stored[0][1] == -4:
+            res, pos = moved[-1]
+            moved = (*moved[:-1], (res, pos + 1))
+            perturbed.append(moved)
+        return check(stored, moved)
+
+    monkeypatch.setattr(twistfold, "_assert_coords_shift_equal", perturbing)
+    with pytest.raises(AssertionError, match="same class, incompatible folded quivers"):
+        twisted_folded_quivers.__wrapped__(*source)
+    assert len(perturbed) == 1
+
+
 def test_bfs_refuses_a_sink_whose_class_does_not_move(monkeypatch):
     # offer the non-sinks as sinks: no member of their class starts with s_i
-    sinks = folded_sinks
-    monkeypatch.setattr(
-        twistfold, "folded_sinks", lambda fq: [i for i in fq.rs.nodes if i not in sinks(fq)]
-    )
+    _patch_walk_sinks(monkeypatch, lambda sinks, rs: [i for i in rs.nodes if i not in sinks])
     with pytest.raises(FoldingError, match="no member starting with s_"):
         twisted_folded_quivers.__wrapped__("D", 5)
 
 
 def test_bfs_refuses_a_moving_letter_that_is_not_a_folded_sink(monkeypatch):
     # hide the first sink: its class still moves by r_i
-    sinks = folded_sinks
-    monkeypatch.setattr(twistfold, "folded_sinks", lambda fq: sinks(fq)[1:])
+    _patch_walk_sinks(monkeypatch, lambda sinks, rs: sinks[1:])
     with pytest.raises(FoldingError, match="moves the class but alpha_.* is not a folded sink"):
         twisted_folded_quivers.__wrapped__("D", 5)
 
