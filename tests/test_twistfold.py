@@ -252,24 +252,6 @@ def _arrow_sinks(fq):
     return [i for i in fq.rs.nodes if fq.rs.simple_root_index[i] not in tails]
 
 
-@pytest.mark.parametrize("source", SINK_SOURCES, ids=lambda s: f"{s[0]}{s[1]}")
-def test_folded_sinks_equal_the_arrow_oracle(source):
-    for fq in twisted_folded_quivers(*source).values():
-        assert folded_sinks(fq) == _arrow_sinks(fq)
-
-
-def test_a_sink_test_with_the_wrong_step_fails_the_oracle(monkeypatch, recompiled):
-    # the step rule lives in `_sink_test`, which `folded_sinks` and the
-    # walk share: with it broken both disagree with the arrows
-    points = {source: twisted_folded_quivers(*source) for source in (("A", 5), ("D", 5))}
-    mutant = recompiled(twistfold._sink_test, "min(d[res], d[j])", "max(d[res], d[j])")
-    monkeypatch.setattr(twistfold, "_sink_test", mutant)
-    for source, point in points.items():
-        assert any(folded_sinks(fq) != _arrow_sinks(fq) for fq in point.values())
-        with pytest.raises(FoldingError):
-            twisted_folded_quivers.__wrapped__(*source)
-
-
 def _patch_walk_sinks(monkeypatch, change):
     """Make every sink test that `_sink_test` builds return
     ``change(sinks, rs)`` of the true sinks."""
@@ -283,14 +265,27 @@ def _patch_walk_sinks(monkeypatch, change):
 
 
 @pytest.mark.parametrize("source", SINK_SOURCES, ids=lambda s: f"{s[0]}{s[1]}")
-def test_the_walks_sinks_equal_the_arrow_oracle(source, monkeypatch):
-    # the sink test the walk builds once, read on every class it reaches
+def test_folded_sinks_equal_the_arrow_oracle(source, monkeypatch):
+    # the sinks of every class, as a fresh walk read them with the sink
+    # test it built once, in the point's order, and as `folded_sinks` reads them
     seen = []
     _patch_walk_sinks(monkeypatch, lambda sinks, rs: seen.append(sinks) or sinks)
     point = twisted_folded_quivers.__wrapped__(*source)
-    assert len(seen) == len(point)
-    # the walk reads the classes in the point's order
-    assert seen == [_arrow_sinks(fq) for fq in point.values()]
+    want = [_arrow_sinks(fq) for fq in point.values()]
+    assert seen == want
+    assert [folded_sinks(fq) for fq in point.values()] == want
+
+
+def test_a_sink_test_with_the_wrong_step_fails_the_oracle(monkeypatch, recompiled):
+    # the step rule lives in `_sink_test`, which `folded_sinks` and the
+    # walk share: with it broken both disagree with the arrows
+    points = {source: twisted_folded_quivers(*source) for source in (("A", 5), ("D", 5))}
+    mutant = recompiled(twistfold._sink_test, "min(d[res], d[j])", "max(d[res], d[j])")
+    monkeypatch.setattr(twistfold, "_sink_test", mutant)
+    for source, point in points.items():
+        assert any(folded_sinks(fq) != _arrow_sinks(fq) for fq in point.values())
+        with pytest.raises(FoldingError):
+            twisted_folded_quivers.__wrapped__(*source)
 
 
 def test_colliding_cells_are_refused():
