@@ -16,7 +16,7 @@ from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 Root = tuple[int, ...]
@@ -79,7 +79,10 @@ class Folding:
     the sign convention its distance polynomials match,
     ``twisted_coxeter_word`` has one source letter per orbit, and
     ``automorphism`` is the diagram automorphism of the source that
-    folds it, with its orbits labelled as the target's nodes.
+    folds it, with its orbits labelled as the target's nodes.  ``steps``,
+    read off the symmetrizer d, gives each orbit label the steps
+    (j, min(d_res, d_j)) of the arrows out of a folded vertex at it, one
+    per folded neighbour j.
     """
 
     source: tuple[str, int]
@@ -89,6 +92,14 @@ class Folding:
     sign_convention: str
     twisted_coxeter_word: tuple[int, ...]
     automorphism: DiagramAutomorphism
+    steps: dict[int, tuple[tuple[int, int], ...]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        d = self.symmetrizer
+        object.__setattr__(self, "steps", {
+            res: tuple((j, min(d[res], d[j])) for j in (res - 1, res + 1) if j in d)
+            for res in d
+        })
 
     def twisted_longest_word(self) -> tuple[int, ...]:
         """h_dual twisted repetitions of the Coxeter word: a word of w_0."""

@@ -6,11 +6,15 @@ class order m < m' tests the bi-lexicographic condition under every
 member word; because member words are exactly the linear extensions of
 the convex order, this reduces to a condition on the extremal elements
 of the difference support, which is what `class_less` implements; the
-definitional word-by-word test is its oracle in the test suite.  The
-canonical word is a member word, so sorting sequences by their
-multiplicities along it extends the class order: `dist` reads its
-longest chains in one sweep over that sort (`_chain_depths`), each
-sequence compared only with those before it.
+definitional word-by-word test is its oracle in the test suite.  Any
+linear extension of the convex order is a member word, so sorting
+sequences by their multiplicities along it extends the class order.
+One such extension is free on every class: the roots by the popcount
+of below[r], then by r, since r' before r makes below[r'] a strict
+subset of below[r].  `dist` reads its longest chains in one sweep over
+that sort (`_chain_depths`), each sequence handed by its support,
+compared only with those before it and only on the roots where the
+two differ (`_support_less`).
 `sequences_of_weight` lists every sequence of a weight up to height
 `MAX_WEIGHT_HEIGHT` and refuses a heavier one.
 
@@ -19,10 +23,17 @@ root_a + root_b into the roots strictly between a and b: the bits of
 above[a] & below[b].  Weights are packed into one int, and every pair
 weight fits one field width per root system, the highest root's largest
 coefficient doubled plus a guard bit, so the pair's weight is the sum
-of its two packed roots.  Only the interval roots that fit the weight
-are sorted by height and searched, and the search descends only while
-the roots left cover every nonzero coordinate of the remainder.  That
-search, `_packed_partitions`, also serves `_partitions` for any weight.
+of its two packed roots.  The one partition search, `_packed_partitions`,
+walks the mask of interval roots in root-index order and sorts nothing:
+the roots are indexed by (height, coefficients), so each multiset is
+listed once by its highest root k, and the remainder is searched over
+the roots of the mask below k that fit under it.  Which roots fit under
+a packed weight, and which coordinates it needs covered, are read from
+per-coordinate tables kept with the packing and memoised per remainder
+(`_Fits`); a branch is entered only while the roots left cover every
+nonzero coordinate of its remainder.  The search also serves
+`_partitions` for any weight, and `pair_below` and `_partitions`
+restore their pinned height-rank order with one sort.
 
 Minimal pairs of a root are found among the pairs summing to it only:
 every minimal sequence above a root is a pair, and every summing pair
@@ -39,17 +50,19 @@ kept as `minimal_sequences`, the oracle for `minimal_pairs_of_root` in
 the tests.
 
 A pair is read once, as (dist, least), from its one list of the
-sequences below it and one `_chain_depths` sweep (`_read_below`).
-Whatever lies below an element of the list also lies below the pair, so
-the list's minimal elements, those at depth 0, are its simple sequences,
-and the socle is the unique one; `is_simple` is not asked.  `pair_below`
-searches the list anew on every call, the walk-free oracle.  A walk
-reads its pairs through one `_pair_reader` instead, which keeps one
-partition memo for the walk and drops it at the walk's end: the list
-depends on the pair weight w and on the interval roots that fit under
-w alone, never on the class, so each such key is searched once per walk
-and kept by support.  The reading itself, `_read_below`, runs for every
-pair, since dist and the socle depend on the class order.
+sequences below it, by support, and one `_chain_depths` sweep
+(`_read_below`); an N-tuple is built only for a socle that a record
+keeps.  Whatever lies below an element of the list also lies below the
+pair, so the list's minimal elements, those at depth 0, are its simple
+sequences, and the socle is the unique one; `is_simple` is not asked.
+`pair_below` searches the list anew on every call, the walk-free
+oracle.  A walk reads its pairs through one `_pair_reader` instead,
+which keeps one partition memo and one `_Fits` for the walk and drops
+them at the walk's end: the list depends on the pair weight w and on
+the interval roots that fit under w alone, never on the class, so each
+such key is searched once per walk and kept by support.  The reading
+itself, `_read_below`, runs for every pair, since dist and the socle
+depend on the class order.
 
 Distance reads (`distance_polynomial`, `o_t`, `phi_pairs`) take the
 folded quiver alone and read its class from `fq.source_class`.  They
@@ -96,6 +109,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from .rootsys import Root, RootSystem
 from .words import CommutationClass, bits, mirror_classes
@@ -159,37 +173,90 @@ def _pack(v, f: int) -> int:
     return k
 
 
-def _packing(rs: RootSystem, f: int) -> tuple[list[int], int, int, list[int]]:
-    """(packed, guard, ones, nonzero) at f bits per coordinate: every
-    positive root packed, the top and the low bit of every field, and each
-    root's guard bits of the coordinates it is nonzero on; kept per root
-    system."""
+def _packing(rs: RootSystem, f: int) -> tuple[list[int], list[list[tuple]], int, list]:
+    """(packed, units, span, chunks) at f bits per coordinate: every
+    positive root packed; units[r][k] = (r, k), one object for every root
+    r and multiplicity k below the top bit of a field; and the fit tables
+    of the coordinates taken a few at a time, ``span`` bits of a packed
+    weight per chunk.
+
+    chunks[c][u] is (fit, needs) at the field values u of chunk c: fit
+    holds the bits of the roots at most u in each of its coordinates, and
+    needs, for each of them that u is nonzero on, the bits of the roots
+    nonzero there.  A field with its top bit set, or one past the rank,
+    fits no root unless it is 0.  Kept per root system and width.
+    """
     key = ("packed_roots", f)
     if key not in rs._cache:
-        packed = [_pack(r, f) for r in rs.positive_roots]
-        guard, ones = _pack([1 << f - 1] * rs.rank, f), _pack([1] * rs.rank, f)
-        rs._cache[key] = (packed, guard, ones, [((p | guard) - ones) & guard for p in packed])
+        roots = rs.positive_roots
+        every, per = (1 << len(roots)) - 1, max(1, 9 // f)  # at most 2^9 entries a chunk
+        coords = []  # per coordinate, (fit, needs) at each field value
+        for j in range(rs.rank):
+            under = [0] * (1 << f)
+            for r, root in enumerate(roots):
+                under[root[j]] |= 1 << r
+            for v in range(1, 1 << f - 1):
+                under[v] |= under[v - 1]
+            touch = (every & ~under[0],)
+            coords.append([(under[0], ())] + [(fit, touch) for fit in under[1:]])
+        # past the rank, up to a whole chunk, only 0 fits
+        coords += [[(every, ())] + [(0, ())] * ((1 << f) - 1)] * (-rs.rank % per)
+        chunks = []
+        for part in zip(*[iter(coords)] * per):
+            table = [(every, ())]
+            for column in part:  # the next field up: u = lower + v * len(table)
+                table = [(fit & a, needs + b) for a, b in column for fit, needs in table]
+            chunks.append(table)
+        units = [[(r, k) for k in range(1 << f - 1)] for r in range(len(roots))]
+        rs._cache[key] = ([_pack(r, f) for r in roots], units, f * per, chunks)
     return rs._cache[key]
+
+
+class _Fits(dict):
+    """{packed weight: (fit, needs)} at the width of one `_packing`, one
+    chunk of coordinates per table read: fit holds the bits of the roots
+    under the weight, and needs, for each coordinate it is nonzero on, the
+    bits of the roots nonzero there.  Each entry is made on its first read
+    and kept as long as the dict."""
+
+    def __init__(self, packing: tuple):
+        super().__init__()
+        self.span, self.chunks = packing[2:]
+        self.low = (1 << self.span) - 1
+
+    def __missing__(self, w: int) -> tuple[int, tuple[int, ...]]:
+        fit, needs, rest = -1, (), w
+        for table in self.chunks:
+            got = table[rest & self.low]
+            fit &= got[0]
+            needs += got[1]
+            rest >>= self.span
+        self[w] = got = (fit, needs)
+        return got
 
 
 def _pair_width(rs: RootSystem) -> int:
     """The field width of every pair weight: the highest root's largest
-    coefficient doubled, plus the guard bit."""
+    coefficient doubled, plus a top bit that stays clear."""
     return (2 * max(rs.positive_roots[-1])).bit_length() + 1
 
 
 def _height_rank(rs: RootSystem) -> list[int]:
-    """Each root's place by decreasing height, then by index; kept per
-    root system."""
+    """The roots by decreasing height, then by index; kept per root
+    system."""
     if "height_rank" not in rs._cache:
-        order = sorted(
+        rs._cache["height_rank"] = sorted(
             range(rs.num_positive), key=lambda r: (-sum(rs.positive_roots[r]), r)
         )
-        rank = [0] * len(order)
-        for k, r in enumerate(order):
-            rank[r] = k
-        rs._cache["height_rank"] = rank
     return rs._cache["height_rank"]
+
+
+def _in_height_rank(rs: RootSystem, parts: list[Support]) -> list[Sequence]:
+    """The sequences of some supports in lexicographic order of their
+    multiplicities along `_height_rank`: the order `pair_below` and
+    `_partitions` list."""
+    n = rs.num_positive
+    return sorted((_sequence(n, part) for part in parts), key=itemgetter(*_height_rank(rs)))
 
 
 def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
@@ -198,7 +265,7 @@ def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     They come in lexicographic order of the multiplicities along
     ``allowed`` sorted by decreasing height.  w is packed f bits per
     coordinate, f wide enough for w and for every root, and
-    `_packed_partitions` searches the allowed roots that fit under it.
+    `_packed_partitions` searches the allowed roots.
     """
     if min(w) < 0:
         return []
@@ -206,69 +273,66 @@ def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     mask = 0
     for r in allowed:
         mask |= 1 << r
-    packing, packed_w = _packing(rs, f), _pack(w, f)
-    n = rs.num_positive
-    return [
-        _sequence(n, s)
-        for s in _packed_partitions(rs, packing, packed_w, _fitting(packing, packed_w, mask))
-    ]
+    packing = _packing(rs, f)
+    found = _packed_partitions(packing, _Fits(packing), _pack(w, f), mask)
+    return _in_height_rank(rs, found)
 
 
-def _fitting(packing, w: int, mask: int) -> int:
-    """The roots of ``mask`` that fit under the packed weight w in every
-    coordinate: (w | guard) - root keeps every guard bit."""
-    packed, guard = packing[0], packing[1]
-    wg = w | guard
-    return sum(1 << r for r in bits(mask) if (wg - packed[r]) & guard == guard)
+def _packed_partitions(packing: tuple, fits: _Fits, w: int, mask: int) -> list[Support]:
+    """The multisets of roots of ``mask`` summing to the packed weight w,
+    by support: (root, multiplicity) for each root taken, highest index
+    first, each pair one of the packing's units.
 
-
-def _packed_partitions(rs: RootSystem, packing, w: int, mask: int) -> list[Support]:
-    """`_partitions` of the packed weight w over the roots of ``mask``, by
-    support: (root, multiplicity) for each root taken, in the order taken.
-
-    ``packing`` is `_packing` at the width of w, and every root of the
-    mask fits under w (`_fitting`, or the walk reader's fit table).  The
-    top bit of each field is a guard: (rem | guard) - root keeps every
-    guard bit iff root <= rem in each coordinate, and then rem - root is
-    the remaining weight; ((rem | guard) - ones) & guard are the guard
-    bits of the coordinates where rem is nonzero.  The roots are sorted
-    by height.  cover[k] holds the guard bits of the coordinates on which
-    some root of roots[k:] is nonzero, read off the packing's table: a
-    remainder nonzero outside it has no completion there, so the search
-    descends only where the cover holds, and a sequence is emitted as
-    soon as its remainder is 0.
+    ``packing`` is the `_packing` of one width and ``fits`` a `_Fits` of
+    it.  Each multiset is listed once, by its highest root k: k is taken
+    some number of times, and the remainder is searched over the roots of
+    the mask below k that fit under it, ``mask & ((1 << k) - 1) & fit``.
+    k is at least the lowest root of the mask on each coordinate the
+    remainder is nonzero on, a branch is entered only where its roots
+    cover every such coordinate, and a multiset is emitted as soon as its
+    remainder is 0.  Nothing is sorted.
     """
-    packed, guard, ones, nonzero = packing
     if not w:
         return [()]
-    fit = sorted(bits(mask), key=_height_rank(rs).__getitem__)
-    cover = [0] * (len(fit) + 1)
-    for k in range(len(fit) - 1, -1, -1):
-        cover[k] = cover[k + 1] | nonzero[fit[k]]
-    if ((w | guard) - ones) & guard & ~cover[0]:
+    packed, units = packing[:2]
+    fit, needs = fits[w]
+    mask &= fit
+    if not all(map(mask.__and__, needs)):
         return []  # w is nonzero where no root of the mask is
-    roots = [(r, packed[r]) for r in fit]
     out: list[Support] = []
-    taken: list[tuple[int, int]] = []  # (root, multiplicity) of the roots before
+    taken: list[tuple[int, int]] = []  # (root, multiplicity) of the roots above
 
-    def rec(start: int, rem: int):
-        # a later first root gives a lexicographically smaller multiset
-        for k in range(len(roots) - 1, start - 1, -1):
-            r, p = roots[k]
-            uncovered = guard ^ cover[k + 1]
-            acc, mult = rem, 0
-            while ((acc | guard) - p) & guard == guard:
+    def rec(mask: int, rem: int, needs: tuple[int, ...]) -> None:
+        floor = 0  # the lowest bit of the mask on some needed coordinate, the highest
+        for touch in needs:
+            touch &= mask
+            touch &= -touch
+            if touch > floor:
+                floor = touch
+        top = mask & -floor
+        while top:
+            k = top.bit_length() - 1
+            bit = 1 << k
+            top ^= bit
+            left = mask & bit - 1
+            p, acc, unit = packed[k], rem, units[k]
+            mult = 0
+            while True:
                 acc -= p
                 mult += 1
                 if not acc:
-                    out.append((*taken, (r, mult)))
+                    out.append((*taken, unit[mult]))
                     break
-                if not ((acc | guard) - ones) & uncovered:
-                    taken.append((r, mult))
-                    rec(k + 1, acc)
+                fit, needs = fits[acc]
+                sub = left & fit
+                if all(map(sub.__and__, needs)):
+                    taken.append(unit[mult])
+                    rec(sub, acc, needs)
                     taken.pop()
+                if not fit & bit:
+                    break
 
-    rec(0, w)
+    rec(mask, w, needs)
     return out
 
 
@@ -304,6 +368,26 @@ def _less_same_weight(cls: CommutationClass, m: Sequence, mp: Sequence) -> bool:
     return True
 
 
+def _support_less(below, above, x: dict[int, int], y: dict[int, int]) -> bool:
+    """`_less_same_weight` for the multiplicities {root: k} of two supports
+    of one weight, in the convex order of the masks ``below`` and
+    ``above``, read on their difference alone: every root where x is
+    larger has a root of the difference below it and one above it."""
+    diff, up = 0, []
+    for r, k in x.items():
+        j = y.get(r, 0)
+        if k != j:
+            diff |= 1 << r
+            if k > j:
+                up.append(r)
+    for r in y.keys() - x.keys():
+        diff |= 1 << r
+    for r in up:
+        if not below[r] & diff or not above[r] & diff:
+            return False
+    return bool(diff)
+
+
 # ---------------------------------------------------------------------------
 # pairs: everything below a pair lives on its open interval
 
@@ -313,59 +397,71 @@ def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
 
     These are exactly the multisets of roots lying strictly between a
     and b in the convex order whose weight is root_a + root_b; every
-    call enumerates them anew, in `_partitions` order.  The interval is
-    read from the order masks, and the weight is packed at the one pair
-    width of the root system, as the sum of the two packed roots.  This
-    is the walk-free oracle: the walks read their pairs through one
-    `_pair_reader` each, which searches each key once.
+    call enumerates them anew (`_pair_partitions`), in `_partitions`
+    order.  This is the walk-free oracle: the walks read their pairs
+    through one `_pair_reader` each, which searches each key once.
     """
+    return _in_height_rank(cls.rs, _pair_partitions(cls, a, b))
+
+
+def _pair_partitions(cls: CommutationClass, a: int, b: int) -> list[Support]:
+    """The sequences strictly below the pair {a, b}, by support, from one
+    search of its own: the interval is read from the order masks, and the
+    weight is packed at the one pair width of the root system, as the sum
+    of the two packed roots."""
     above, below = cls.above(), cls.below()
     mask = above[a] & below[b] or above[b] & below[a]
     if not mask:
         return []  # an empty interval, or an incomparable pair
     rs = cls.rs
     packing = _packing(rs, _pair_width(rs))
-    w = packing[0][a] + packing[0][b]
-    return [
-        _sequence(rs.num_positive, s)
-        for s in _packed_partitions(rs, packing, w, _fitting(packing, w, mask))
-    ]
+    packed = packing[0]
+    return _packed_partitions(packing, _Fits(packing), packed[a] + packed[b], mask)
 
 
 def is_simple(cls: CommutationClass, m: Sequence) -> bool:
     """Simplicity: a single-root multiple, or all supported pairs simple."""
-    return not any(pair_below(cls, a, b) for a, b in combinations(support(m), 2))
+    return not any(_pair_partitions(cls, a, b) for a, b in combinations(support(m), 2))
 
 
-def _chain_depths(cls: CommutationClass, elems: list[Sequence]) -> dict[Sequence, int]:
-    """Longest-chain length ending at each of some sequences of one weight.
+def _chain_depths(cls: CommutationClass, elems: list[Support]) -> dict[Support, int]:
+    """Longest-chain length ending at each of some supports of one weight.
 
-    Sorted along the canonical word, every element comes after the
-    elements below it, so one sweep compares each pair once.
+    The roots in order of the popcount of below[r], then of r, are a
+    linear extension of the convex order, since r' before r makes
+    below[r'] a strict subset of below[r]; so they are a member word, and
+    x < y makes x lexicographically smaller along it.  Sorted by their
+    multiplicities along it, every element comes after the elements below
+    it, so one sweep compares each pair once (`_support_less`).
     """
-    order = cls.roots()
-    elems = sorted(elems, key=lambda m: [m[r] for r in order])
-    depth: dict[Sequence, int] = {}
-    for k, y in enumerate(elems):
-        depth[y] = max(
-            (depth[x] + 1 for x in elems[:k] if _less_same_weight(cls, x, y)),
-            default=0,
+    below, above = cls.below(), cls.above()
+    n = cls.rs.num_positive
+
+    def along(part: Support) -> list[tuple[int, int]]:
+        # compares as the multiplicities along the extension do: each root
+        # as (-place, multiplicity), the roots in place order
+        return sorted([(-(below[r].bit_count() * n + r), k) for r, k in part], reverse=True)
+
+    depth: dict[Support, int] = {}
+    swept: list[tuple[dict[int, int], int]] = []  # (multiplicities, depth)
+    for y in sorted(elems, key=along):
+        my = dict(y)
+        depth[y] = d = max(
+            (e + 1 for mx, e in swept if _support_less(below, above, mx, my)), default=0
         )
+        swept.append((my, d))
     return depth
 
 
-def _read_below(
-    cls: CommutationClass, under: list[Sequence] | tuple[Support, ...]
-) -> tuple[int, Sequence | Support | None]:
-    """(dist, least) of a sequence from the list of every sequence below it.
+def _read_below(cls: CommutationClass, under: list[Support]) -> tuple[int, Support | None]:
+    """(dist, least) of a sequence from the supports of every sequence
+    below it.
 
     dist is 0 with none below, 1 with one, else one plus the longest
     chain.  least is the list's one minimal element, None when it has
     none or several.  Whatever lies below an element of a pair's list
     also lies below the pair, so there the minimal elements are the
-    simple sequences, and least is the pair's socle.  A list of 0 or 1
-    entries is not compared, so its entry may come in any form: the
-    walk's reader hands it by support.
+    simple sequences, and least is the pair's socle.
     """
     if len(under) < 2:
         return len(under), (under[0] if under else None)
@@ -388,9 +484,12 @@ def dist(cls: CommutationClass, m: Sequence) -> int:
     rs = cls.rs
     _check_sequence(rs, m)
     if is_pair(m):
-        return _read_below(cls, pair_below(cls, *support(m)))[0]
-    seqs = sequences_of_weight(rs, weight_of(rs, m))
-    return _read_below(cls, [x for x in seqs if class_less(cls, x, m)])[0]
+        under = _pair_partitions(cls, *support(m))
+    else:
+        seqs = sequences_of_weight(rs, weight_of(rs, m))
+        under = [tuple((r, k) for r, k in enumerate(x) if k)
+                 for x in seqs if class_less(cls, x, m)]
+    return _read_below(cls, under)[0]
 
 
 def socle(cls: CommutationClass, m: Sequence) -> Sequence | None:
@@ -398,8 +497,11 @@ def socle(cls: CommutationClass, m: Sequence) -> Sequence | None:
     _check_sequence(cls.rs, m)
     if not is_pair(m):
         raise ValueError("socle is defined for pairs")
-    below = pair_below(cls, *support(m))
-    return _read_below(cls, below)[1] if below else m
+    under = _pair_partitions(cls, *support(m))
+    if not under:
+        return m
+    least = _read_below(cls, under)[1]
+    return least and _sequence(cls.rs.num_positive, least)
 
 
 def minimal_sequences(cls: CommutationClass, s: Sequence) -> list[Sequence]:
@@ -544,56 +646,37 @@ def _count(counts: dict, key: tuple[int, int, int], d: int) -> None:
 def _pair_reader(rs: RootSystem):
     """The reader of one walk over a point of ``rs``: a function of (a, b,
     interval), a before b and ``interval`` the bits of above[a] & below[b],
-    that gives the partitions below the pair, as `pair_below` lists them.
+    that gives the partitions below the pair by support, as
+    `_pair_partitions` lists them.
 
     They are the partitions of the pair weight w into the interval roots
     that fit under w, so they depend on (w, interval & fit(w)) alone,
     never on the class.  The reader searches each such key once
-    (`_packed_partitions`) and keeps its partitions by support, a tuple
-    of (root, multiplicity) pairs each, one pair object per (root,
-    multiplicity) and one int per key; fit(w) is built once per pair
-    weight, and the packing once.  A list of 0 or 1 partitions is handed
-    out as kept, since `_read_below` compares none; a longer one as fresh
-    N-tuples for the chain sweep.  The memo lives as long as the reader,
-    which the walk drops at its end.
+    (`_packed_partitions`) and keeps its partitions, a tuple of (root,
+    multiplicity) pairs each, one pair object per (root, multiplicity)
+    and one int per key.  One `_Fits` serves every search of the walk, so
+    each pair weight and each remainder is fitted once, and the packing
+    is read once.  The memos live as long as the reader, which the walk
+    drops at its end.
     """
-    n = rs.num_positive
     width = _pair_width(rs)
     packing = _packing(rs, width)
-    packed = packing[0]
-    field = (1 << width) - 1
+    packed, fits = packing[0], _Fits(packing)
     shift = rs.rank * width  # every pair weight is below 1 << shift
-    # at[j][v]: the bits of the roots whose coefficient j is at most v
-    at = [
-        [sum(1 << r for r, root in enumerate(rs.positive_roots) if root[j] <= v)
-         for v in range(1 << width - 1)]
-        for j in range(rs.rank)
-    ]
-    fits: dict[int, int] = {}  # pair weight -> the bits of the roots under it
     memo: dict[int, tuple] = {}  # (w, interval & fit(w)) as one int -> supports
-    units: dict[tuple[int, int], tuple[int, int]] = {}  # each (root, multiplicity) once
 
     def read(a: int, b: int, interval: int):
         if not interval:
             return ()
         w = packed[a] + packed[b]
-        fit = fits.get(w)
-        if fit is None:
-            fit = -1
-            for j, under in enumerate(at):
-                fit &= under[w >> j * width & field]
-            fits[w] = fit
-        inside = interval & fit
+        inside = interval & fits[w][0]
         if not inside:
             return ()
         key = inside << shift | w
         parts = memo.get(key)
         if parts is None:
-            parts = memo[key] = tuple(
-                tuple(units.setdefault(unit, unit) for unit in part)
-                for part in _packed_partitions(rs, packing, w, inside)
-            )
-        return parts if len(parts) < 2 else [_sequence(n, part) for part in parts]
+            parts = memo[key] = tuple(_packed_partitions(packing, fits, w, inside))
+        return parts
 
     return read
 
@@ -604,13 +687,15 @@ def _read_pair(data: tuple, reader, cls: CommutationClass, key, a: int, b: int,
     ``interval`` into the data (counts, records), its partitions from
     ``reader``: its `dist` joins the bucket counts, and the record
     (a, b, d, socle), a < b, joins the records when the pair is at dist
-    d > 2 or has no unique socle.  A pair with nothing below it is at
-    dist 0 and is its own socle."""
+    d > 2 or has no unique socle; that socle is the one sequence the read
+    builds.  A pair with nothing below it is at dist 0 and is its own
+    socle."""
     counts, records = data
     d, least = _read_below(cls, reader(a, b, interval))
     _count(counts, key, d)
     if d > 2 or (d and least is None):
-        records.append((min(a, b), max(a, b), d, least))
+        socle = least and _sequence(cls.rs.num_positive, least)
+        records.append((min(a, b), max(a, b), d, socle))
 
 
 def _scratch(fq: FoldedQuiver, reader) -> tuple:

@@ -18,9 +18,10 @@ The printed constructions stay as references for it:
 ``fold`` collapses their residues to orbits.  The printed E_6 tables
 are test fixtures.
 
-A folded quiver stores its coordinates alone, one (orbit residue,
-position) cell per root; its sinks and, on demand, its arrows are read
-off them.  Folded coordinates are plain integers: for a type-A source
+A folded quiver stores its coordinates, one (orbit residue, position)
+cell per root, and its sinks, read off them when it is made from the
+one set of its cells that also refuses a collision; its arrows are read
+off the cells on demand.  Folded coordinates are plain integers: for a type-A source
 they are the doubled half-integer positions, otherwise positions are
 kept as they are.
 """
@@ -67,20 +68,36 @@ class FoldedQuiver:
     """An AR quiver with residues collapsed to automorphism orbits.
 
     ``cells`` holds one (orbit residue, position) per root, indexed by
-    root index; colliding cells are a FoldingError.  The arrows are not
-    stored: `arrows` reads them off the cells.  ``folding`` is the record
-    it was folded by; it takes no part in equality or hashing.  The move
-    that made a quiver is its class's ``parent``.
+    root index; colliding cells are a FoldingError.  ``sinks`` are the
+    nodes i of the source diagram whose alpha_i vertex has no out-arrow,
+    read off the same set of the cells when the quiver is made: the
+    arrows out of a cell (res, p) step to (j, p + step) for each of the
+    folding's ``steps`` at res.  The arrows are not stored: `arrows`
+    reads them off the cells.  ``folding`` is the record it was folded
+    by; it takes no part in equality or hashing, nor do the sinks.  The
+    move that made a quiver is its class's ``parent``.
     """
 
     rs: RootSystem
     cells: tuple[tuple[int, int], ...]
     source_class: CommutationClass
     folding: Folding = field(compare=False)
+    sinks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.cells)) != len(self.cells):
+        cells = self.cells
+        taken = set(cells)
+        if len(taken) != len(cells):
             raise FoldingError("coordinates collide")
+        steps, sinks = self.folding.steps, []
+        for i, r in self.rs.simple_root_index.items():
+            res, p = cells[r]
+            for j, step in steps[res]:
+                if (j, p + step) in taken:
+                    break
+            else:
+                sinks.append(i)
+        object.__setattr__(self, "sinks", tuple(sinks))
 
     def arrows(self) -> frozenset[tuple[int, int]]:
         """Arrows along the folded diagram, the path 1..n, each stepping
@@ -209,38 +226,6 @@ def fold(quiver: ARQuiver, cls: CommutationClass) -> FoldedQuiver:
 # the folded reflection algorithm
 
 
-def _sink_test(rs: RootSystem, folding: Folding):
-    """The folded-sink test of one walk over quivers of ``rs``: a function
-    of a cell tuple that lists the nodes i of the source diagram whose
-    alpha_i vertex has no out-arrow.
-
-    The arrows out of a cell (res, p) step to (j, p + min(d_res, d_j)) for
-    each folded neighbour j of res, d the folding's symmetrizer; those
-    steps are tabled once per residue, and a call builds one set of the
-    cells it tests them against.
-    """
-    d = folding.symmetrizer
-    steps = {
-        res: tuple((j, min(d[res], d[j])) for j in (res - 1, res + 1) if j in d)
-        for res in d
-    }
-    simple = tuple((i, rs.simple_root_index[i]) for i in rs.nodes)
-
-    def sinks(cells) -> list[int]:
-        taken = set(cells)
-        out = []
-        for i, r in simple:
-            res, p = cells[r]
-            for j, step in steps[res]:
-                if (j, p + step) in taken:
-                    break
-            else:
-                out.append(i)
-        return out
-
-    return sinks
-
-
 def _reflector(rs: RootSystem, folding: Folding):
     """The folded reflection of one walk over quivers of ``rs``: a function
     of (cells, i) that gives the cells of the reflection at alpha_i, every
@@ -269,8 +254,8 @@ def _reflector(rs: RootSystem, folding: Folding):
 
 def folded_sinks(fq: FoldedQuiver) -> list[int]:
     """Nodes i of the source diagram whose alpha_i vertex has no out-arrow,
-    read off the cells by `_sink_test`."""
-    return _sink_test(fq.rs, fq.folding)(fq.cells)
+    as the quiver read them off its cells when it was made."""
+    return list(fq.sinks)
 
 
 def folded_reflection(fq: FoldedQuiver, i: int) -> FoldedQuiver:
@@ -340,21 +325,23 @@ def twisted_folded_quivers(type_tag: str, rank: int) -> dict[CommutationClass, F
     the folded reflection of its parent at alpha_i.  No arrows are
     built: they are a function of the cells, and a shift keeps them, so
     a class reached again must agree with its first quiver cell by cell
-    up to one global position shift.  The sink test and the reflections
-    (`_sink_test`, `_reflector`) are built once for the walk and dropped
-    with it.  The first class reached is kept, so each key's ``parent``
-    is an edge of the BFS tree, its quiver this dict's entry, and the
-    insertion order puts every parent before its children.
+    up to one global position shift.  Each quiver's sinks are read off
+    its cells once, when it is made (`FoldedQuiver`), and the reflections
+    (`_reflector`) are built once for the walk and dropped with it.  The
+    first class reached is kept, so each key's ``parent`` is an edge of
+    the BFS tree, its quiver this dict's entry, and the insertion order
+    puts every parent before its children.
     """
     folding = folding_from(type_tag, rank)
     start = _seed(folding)
     rs = start.rs
-    sinks, reflected = _sink_test(rs, folding), _reflector(rs, folding)
+    reflected = _reflector(rs, folding)
     found = {start.source_class: start}
     for cls, moves in cluster_moves(start.source_class):
-        cells = found[cls].cells
+        fq = found[cls]
+        cells = fq.cells
         movers = [i for i, _, _ in moves]
-        got = sinks(cells)
+        got = folded_sinks(fq)
         if got != movers:
             for i in got:
                 if i not in movers:

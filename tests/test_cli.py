@@ -326,10 +326,8 @@ def test_quiver_twisted_construction_errors_propagate(monkeypatch):
 def test_quiver_twisted_walk_errors_are_not_a_missing_folding(monkeypatch, capsys):
     # a FoldingError raised inside the walk, here a moving letter that is
     # no folded sink, is an error: not a type without a folding, drawn layered
-    sink_test = twistfold._sink_test
-    monkeypatch.setattr(
-        twistfold, "_sink_test", lambda rs, folding: lambda cells: sink_test(rs, folding)(cells)[1:]
-    )
+    folded_sinks = twistfold.folded_sinks
+    monkeypatch.setattr(twistfold, "folded_sinks", lambda fq: folded_sinks(fq)[1:])
     cold = lru_cache(maxsize=None)(twistfold.twisted_folded_quivers.__wrapped__)
     monkeypatch.setattr(cli, "twisted_folded_quivers", cold)
     with pytest.raises(SystemExit) as exc:

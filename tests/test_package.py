@@ -126,7 +126,17 @@ def test_pairs_are_read_once_along_one_walk():
     # a pair reader, with its partition memo, lives for one walk or one
     # quiver's table, and the walks never call the one-shot `pair_below`
     assert _callers("_pair_reader") == {("seqorder", "walk_point"), ("seqorder", "_distance_table")}
-    assert _callers("pair_below") == {("seqorder", "is_simple"), ("seqorder", "dist"), ("seqorder", "socle")}
+    assert _callers("pair_below") == set()
+    assert _callers("_pair_partitions") == {
+        ("seqorder", "pair_below"), ("seqorder", "is_simple"), ("seqorder", "dist"),
+        ("seqorder", "socle"),
+    }
+    # one partition search and one chain sweep
+    assert _callers("_packed_partitions") == {
+        ("seqorder", "_partitions"), ("seqorder", "_pair_partitions"),
+        ("seqorder", "_pair_reader"), ("seqorder", "read"),
+    }
+    assert _callers("_chain_depths") == {("seqorder", "_read_below")}
     # one parents-first walker for the distance walk and the Dorey walk,
     # and one minimality test of a summing pair
     assert _callers("parents_first") == {("seqorder", "walk_point"), ("affine", "_dorey_sweep")}
@@ -195,16 +205,19 @@ def test_each_move_and_class_order_is_stored_once():
 
 
 def test_folded_quivers_store_coordinates_alone(monkeypatch):
-    # one (residue, position) cell per root and no arrows: neither the
-    # walk nor a suite builds them, and no module reads a folded quiver's
-    # coordinates through a dict
+    # one (residue, position) cell per root, the sinks read off them once
+    # when the quiver is made, and no arrows: neither the walk nor a suite
+    # builds them, and no module reads a folded quiver's coordinates
+    # through a dict
     from dataclasses import fields
     from functools import lru_cache
 
     from arfold import affine, arquiver, twistfold
     from arfold.twistfold import FoldedQuiver
 
-    assert [f.name for f in fields(FoldedQuiver)] == ["rs", "cells", "source_class", "folding"]
+    assert [f.name for f in fields(FoldedQuiver)] == [
+        "rs", "cells", "source_class", "folding", "sinks",
+    ]
     assert not hasattr(FoldedQuiver, "coord_of")
     assert _callers("coord_of") == {("affine", "v_untwisted_twisted")}  # of gamma_q
     calls = []

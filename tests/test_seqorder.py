@@ -52,6 +52,11 @@ def seq(rs, *roots):
     return sequence_from_roots(rs, [rs.root_index[r] for r in roots])
 
 
+def by_support(m):
+    """A sequence as its support: (root, multiplicity) for each root in it."""
+    return tuple((r, k) for r, k in enumerate(m) if k)
+
+
 @lru_cache(maxsize=None)
 def member_orders(cls):
     """For each member word, its root indices in word order."""
@@ -238,24 +243,31 @@ def test_pair_below_equals_the_interval_oracle_in_order(tt, rk):
 
 
 def _unsorted_height_rank(rs):
-    return range(rs.num_positive)  # the fit list stays in root-index order
+    return range(rs.num_positive)  # the roots in index order
 
 
 def _undoubled_pair_width(rs):
     return max(rs.positive_roots[-1]).bit_length() + 1
 
 
-@pytest.mark.parametrize("mutant", ["width", "cover", "sort"])
+SEARCH_MUTANTS = {
+    # the cover misses the lowest root below k, so live branches are cut
+    "cover": ("if all(map(sub.__and__, needs)):", "if all(map((sub & sub - 1).__and__, needs)):"),
+    # the remainder is also searched over the roots above k: each multiset
+    # comes once per order of its roots
+    "above": ("sub = left & fit", "sub = mask & ~(1 << k) & fit"),
+}
+
+
+@pytest.mark.parametrize("mutant", ["width", "cover", "sort", "above"])
 def test_pair_below_mutants_fail_the_interval_oracle(monkeypatch, recompiled, mutant):
     if mutant == "width":  # a pair weight overflows its fields
         monkeypatch.setattr(seqorder, "_pair_width", _undoubled_pair_width)
-    elif mutant == "sort":
+    elif mutant == "sort":  # `pair_below` restores the index order, not the height rank
         monkeypatch.setattr(seqorder, "_height_rank", _unsorted_height_rank)
-    else:  # the cover misses root k + 1, so live branches are cut
+    else:
         monkeypatch.setattr(seqorder, "_packed_partitions", recompiled(
-            seqorder._packed_partitions,
-            "uncovered = guard ^ cover[k + 1]",
-            "uncovered = guard ^ cover[min(k + 2, len(roots))]",
+            seqorder._packed_partitions, *SEARCH_MUTANTS[mutant]
         ))
     assert any(
         pair_below_mismatches(tt, rk) for tt, rk in PAIR_ORACLE_POINTS
@@ -457,14 +469,15 @@ def test_pair_dist_equals_dist_of_the_pair_sequence(tt, rk):
     rs = cls.rs
     for a, b in combinations(range(rs.num_positive), 2):
         m = sequence_from_roots(rs, [a, b])
-        d = _read_below(cls, pair_below(cls, a, b))[0]
-        assert d == _read_below(cls, pair_below(cls, b, a))[0]
+        d = _read_below(cls, [by_support(x) for x in pair_below(cls, a, b)])[0]
+        assert d == _read_below(cls, [by_support(x) for x in pair_below(cls, b, a)])[0]
         assert d == dist(cls, m) == _dist_oracle(cls, m)
 
 
 def _chain_depths_oracle(cls, elems):
     """Longest-chain length ending at each element, by closing the strict
-    order relation over all ordered pairs."""
+    order relation of `_less_same_weight` over all ordered pairs, each
+    element by its support."""
     lt = {
         (x, y) for x in elems for y in elems if x != y and _less_same_weight(cls, x, y)
     }
@@ -477,35 +490,69 @@ def _chain_depths_oracle(cls, elems):
 
     for y in elems:
         rec(y)
-    return depth
+    return {by_support(y): d for y, d in depth.items()}
+
+
+@lru_cache(maxsize=None)
+def _closure_depths(tt, rk) -> list:
+    """(class, below-list by support, its relation-closure depths) for
+    every comparable pair of every class of the twisted point."""
+    out = []
+    for cls in twisted_adapted_point(tt, rk):
+        for a, b in comparable_pairs(cls):
+            below = pair_below(cls, a, b)
+            out.append((cls, [by_support(x) for x in below], _chain_depths_oracle(cls, below)))
+    return out
+
+
+def _chain_depth_misses(tt, rk, chain_depths) -> tuple[int, int]:
+    """(pairs whose below-list ``chain_depths`` reads other than the
+    relation closure, deepest depth read) over every comparable pair of
+    every class of the twisted point, the list handed by support."""
+    misses = deepest = 0
+    for cls, under, want in _closure_depths(tt, rk):
+        depth = chain_depths(cls, under)
+        misses += depth != want
+        deepest = max(deepest, *depth.values(), 0)
+    return misses, deepest
 
 
 @pytest.mark.parametrize("tt, rk", [("E", 6), ("A", 7), ("D", 6)])
 def test_chain_depths_equal_the_relation_closure(tt, rk):
-    deepest = 0
-    for cls in twisted_adapted_point(tt, rk):
-        for a, b in comparable_pairs(cls):
-            below = pair_below(cls, a, b)
-            depth = seqorder._chain_depths(cls, below)
-            assert depth == _chain_depths_oracle(cls, below)
-            deepest = max(deepest, *depth.values(), 0)
+    misses, deepest = _chain_depth_misses(tt, rk, seqorder._chain_depths)
+    assert misses == 0
     # E6 reaches dist 4, the twisted points of A and D dist 2
     assert deepest + 1 == (4 if tt == "E" else 2)
 
 
+def test_a_sweep_sorted_along_no_linear_extension_fails_the_closure(recompiled):
+    # root index order, by height, is no linear extension of the convex
+    # order nor of its reverse: the sweep meets elements before some below
+    # them
+    by_index = recompiled(seqorder._chain_depths, "below[r].bit_count() * n + r", "r")
+    assert _chain_depth_misses("E", 6, by_index)[0] > 0
+    # the popcount of above[r] orders the roots along a linear extension
+    # reversed, which is one of the mirror class, of the same class order
+    # (the order tests both ends of a difference): no mutant
+    reversed_extension = recompiled(
+        seqorder._chain_depths, "below[r].bit_count()", "above[r].bit_count()"
+    )
+    assert _chain_depth_misses("E", 6, reversed_extension)[0] == 0
+
+
 def test_chain_depths_compare_each_unordered_pair_at_most_once(monkeypatch):
     calls = []
-    real = seqorder._less_same_weight
+    real = seqorder._support_less
 
-    def less(cls, m, mp):
-        calls.append((m, mp))
-        return real(cls, m, mp)
+    def less(below, above, x, y):
+        calls.append((x, y))
+        return real(below, above, x, y)
 
-    monkeypatch.setattr(seqorder, "_less_same_weight", less)
+    monkeypatch.setattr(seqorder, "_support_less", less)
     largest = 0
     for cls in twisted_adapted_point("E", 6):
         for a, b in comparable_pairs(cls):
-            below = pair_below(cls, a, b)
+            below = [by_support(x) for x in pair_below(cls, a, b)]
             calls.clear()
             seqorder._chain_depths(cls, below)
             k = len(below)
@@ -1050,8 +1097,10 @@ def test_least_is_the_is_simple_socle():
                 below = pair_below(cls, a, b)
                 if below:
                     want = _is_simple_socle(cls, below)
+                    want = want and by_support(want)
+                    under = [by_support(x) for x in below]
                     for name, read in readings.items():
-                        misses[name][tt + str(rk)] += read(cls, below)[1] != want
+                        misses[name][tt + str(rk)] += read(cls, under)[1] != want
     assert sum(misses["least"].values()) == 0
     assert sum(misses["unique maximal"].values()) == 7904
     assert +misses["first minimal"] == Counter(E6=128)

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 
 from arfold import twistfold, words
-from arfold.rootsys import RootSystem, folding_from, root_system
+from arfold.rootsys import Folding, RootSystem, folding_from, root_system
 from arfold.words import cluster_point, commutation_class, twisted_adapted_point
 from arfold.arquiver import (
     ARQuiver,
@@ -253,21 +253,16 @@ def _arrow_sinks(fq):
 
 
 def _patch_walk_sinks(monkeypatch, change):
-    """Make every sink test that `_sink_test` builds return
-    ``change(sinks, rs)`` of the true sinks."""
-    real = twistfold._sink_test
-
-    def patched(rs, folding):
-        sinks = real(rs, folding)
-        return lambda cells: change(sinks(cells), rs)
-
-    monkeypatch.setattr(twistfold, "_sink_test", patched)
+    """Make every read of a quiver's sinks through `folded_sinks`, the
+    walk's included, return ``change(sinks, rs)`` of the true sinks."""
+    real = twistfold.folded_sinks
+    monkeypatch.setattr(twistfold, "folded_sinks", lambda fq: change(real(fq), fq.rs))
 
 
 @pytest.mark.parametrize("source", SINK_SOURCES, ids=lambda s: f"{s[0]}{s[1]}")
 def test_folded_sinks_equal_the_arrow_oracle(source, monkeypatch):
-    # the sinks of every class, as a fresh walk read them with the sink
-    # test it built once, in the point's order, and as `folded_sinks` reads them
+    # the sinks of every class, as a fresh walk read them, once per class
+    # in the point's order, and as `folded_sinks` reads them
     seen = []
     _patch_walk_sinks(monkeypatch, lambda sinks, rs: seen.append(sinks) or sinks)
     point = twisted_folded_quivers.__wrapped__(*source)
@@ -277,13 +272,18 @@ def test_folded_sinks_equal_the_arrow_oracle(source, monkeypatch):
 
 
 def test_a_sink_test_with_the_wrong_step_fails_the_oracle(monkeypatch, recompiled):
-    # the step rule lives in `_sink_test`, which `folded_sinks` and the
-    # walk share: with it broken both disagree with the arrows
+    # the step rule of the sinks lives in the folding's ``steps``, which
+    # every quiver reads when it is made: with it broken, the quivers made
+    # on a folding disagree with the arrows, and the walk refuses them
     points = {source: twisted_folded_quivers(*source) for source in (("A", 5), ("D", 5))}
-    mutant = recompiled(twistfold._sink_test, "min(d[res], d[j])", "max(d[res], d[j])")
-    monkeypatch.setattr(twistfold, "_sink_test", mutant)
+    mutant = recompiled(Folding.__post_init__, "min(d[res], d[j])", "max(d[res], d[j])")
+    monkeypatch.setattr(Folding, "__post_init__", mutant)
     for source, point in points.items():
-        assert any(folded_sinks(fq) != _arrow_sinks(fq) for fq in point.values())
+        folding = folding_from(*source)
+        assert any(
+            folded_sinks(replace(fq, folding=folding)) != _arrow_sinks(fq)
+            for fq in point.values()
+        )
         with pytest.raises(FoldingError):
             twisted_folded_quivers.__wrapped__(*source)
 
