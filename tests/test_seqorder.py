@@ -1307,6 +1307,33 @@ def test_a_walk_searches_each_memo_key_once(fresh_point, monkeypatch, tt, rk, se
     assert searched[searches:] == searched[:searches] and again == first
 
 
+WALK_SEARCH_POINTS = [
+    ("A", 5), ("A", 7), ("A", 9), ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("E", 6),
+]
+
+
+@pytest.mark.parametrize("tt, rk", WALK_SEARCH_POINTS)
+def test_the_walk_search_equals_the_partitions_oracle_on_every_memo_key(monkeypatch, tt, rk):
+    # every key the walk reads, with the partitions its reader hands out,
+    # against `partitions_oracle` over the interval roots that fit, as
+    # multisets: each partition once, and no other
+    found = {}
+    real_read_pair = seqorder._read_pair
+
+    def read_pair(data, reader, cls, key, a, b, interval):
+        memo_key = _memo_key(cls.rs, a, b, interval)
+        if memo_key[1] and memo_key not in found:
+            found[memo_key] = (cls.rs, reader(a, b, interval))
+        return real_read_pair(data, reader, cls, key, a, b, interval)
+
+    monkeypatch.setattr(seqorder, "_read_pair", read_pair)
+    list(walk_point(twisted_folded_quivers(tt, rk)))
+    assert found
+    for (w, fit), (rs, parts) in found.items():
+        want = Counter(by_support(m) for m in partitions_oracle(rs, w, fit))
+        assert Counter(tuple(sorted(part)) for part in parts) == want, (w, sorted(fit))
+
+
 @pytest.mark.parametrize("key", ["w", "inside"])
 def test_a_memo_keyed_by_one_half_of_its_key_fails_the_oracles(
     fresh_point, monkeypatch, recompiled, key
