@@ -21,9 +21,9 @@ are test fixtures.
 A folded quiver stores its coordinates, one (orbit residue, position)
 cell per root, and its sinks, read off them when it is made from the
 one set of its cells that also refuses a collision; its arrows are read
-off the cells on demand.  Folded coordinates are plain integers: for a type-A source
-they are the doubled half-integer positions, otherwise positions are
-kept as they are.
+off the cells on demand.  Folded coordinates are plain integers: for a
+type-A source they are the doubled half-integer positions, otherwise
+positions are kept as they are.
 """
 
 from __future__ import annotations
