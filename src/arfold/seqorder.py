@@ -22,7 +22,7 @@ The sequences below a pair {a, b} (`pair_below`) are the partitions of
 root_a + root_b into the roots strictly between a and b: the bits of
 above[a] & below[b].  Weights are packed into one int, and every pair
 weight fits one field width per root system, the highest root's largest
-coefficient doubled plus a guard bit, so the pair's weight is the sum
+coefficient doubled plus a top bit kept clear, so the pair's weight is the sum
 of its two packed roots.  The one partition search, `_packed_partitions`,
 walks the mask of interval roots in root-index order and sorts nothing:
 the roots are indexed by (height, coefficients), so each multiset is
