@@ -22,18 +22,19 @@ The sequences below a pair {a, b} (`pair_below`) are the partitions of
 root_a + root_b into the roots strictly between a and b: the bits of
 above[a] & below[b].  Weights are packed into one int, and every pair
 weight fits one field width per root system, the highest root's largest
-coefficient doubled plus a top bit kept clear, so the pair's weight is the sum
-of its two packed roots.  The one partition search, `_packed_partitions`,
-walks the mask of interval roots in root-index order and sorts nothing:
-the roots are indexed by (height, coefficients), so each multiset is
-listed once by its highest root k, and the remainder is searched over
-the roots of the mask below k that fit under it.  Which roots fit under
-a packed weight, and which coordinates it needs covered, are read from
-per-coordinate tables kept with the packing and memoised per remainder
-(`_Fits`); a branch is entered only while the roots left cover every
-nonzero coordinate of its remainder.  The search also serves
-`_partitions` for any weight, and `pair_below` and `_partitions`
-restore their pinned height-rank order with one sort.
+coefficient doubled plus a top bit kept clear, so the pair's weight is
+the sum of its two packed roots.  The one partition search,
+`_packed_partitions`, walks the mask of interval roots in root-index
+order and sorts nothing: the roots are indexed by (height,
+coefficients), so each multiset is listed once by its highest root k,
+and the remainder is searched over the roots of the mask below k that
+fit under it.  Which roots fit under a packed weight, and which
+coordinates it needs covered, are read from per-coordinate tables kept
+with the packing and memoised per remainder (`_Fits`); a branch is
+entered only while the roots left cover every nonzero coordinate of its
+remainder.  The search also serves `_partitions` for any weight, and
+`pair_below` and `_partitions` restore their pinned height-rank order
+with one sort.
 
 Minimal pairs of a root are found among the pairs summing to it only:
 every minimal sequence above a root is a pair, and every summing pair
@@ -217,12 +218,15 @@ class _Fits(dict):
     chunk of coordinates per table read: fit holds the bits of the roots
     under the weight, and needs, for each coordinate it is nonzero on, the
     bits of the roots nonzero there.  Each entry is made on its first read
-    and kept as long as the dict."""
+    and kept as long as the dict; equal entries are one object, since
+    many remainders of a walk fit the same roots and need the same
+    covers."""
 
     def __init__(self, packing: tuple):
         super().__init__()
         self.span, self.chunks = packing[2:]
         self.low = (1 << self.span) - 1
+        self.distinct: dict = {}  # each entry to its one object
 
     def __missing__(self, w: int) -> tuple[int, tuple[int, ...]]:
         fit, needs, rest = -1, (), w
@@ -231,7 +235,8 @@ class _Fits(dict):
             fit &= got[0]
             needs += got[1]
             rest >>= self.span
-        self[w] = got = (fit, needs)
+        got = (fit, needs)
+        self[w] = got = self.distinct.setdefault(got, got)
         return got
 
 

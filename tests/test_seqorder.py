@@ -1307,6 +1307,24 @@ def test_a_walk_searches_each_memo_key_once(fresh_point, monkeypatch, tt, rk, se
     assert searched[searches:] == searched[:searches] and again == first
 
 
+@pytest.mark.parametrize("tt, rk", [("D", 6), ("E", 6)])
+def test_a_walk_keeps_one_object_per_distinct_fit(monkeypatch, tt, rk):
+    # the walk's one `_Fits` holds each distinct (fit, needs) entry once,
+    # however many remainders share it, and far fewer than it has keys
+    made = []
+    real_init = seqorder._Fits.__init__
+
+    def init(self, packing):
+        made.append(self)
+        real_init(self, packing)
+
+    monkeypatch.setattr(seqorder._Fits, "__init__", init)
+    list(walk_point(twisted_folded_quivers(tt, rk)))
+    [fits] = made
+    distinct = set(fits.values())
+    assert len({id(v) for v in fits.values()}) == len(distinct) < len(fits) / 3
+
+
 WALK_SEARCH_POINTS = [
     ("A", 5), ("A", 7), ("A", 9), ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("E", 6),
 ]
