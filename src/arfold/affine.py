@@ -25,7 +25,12 @@ BFS tree of its folded reflections (`_dorey_sweep`).  A folded
 reflection at the sink alpha_i keeps every other summing pair, relabelled
 by s_i, with its minimality and its cells, so with its keys and its
 verdict: the seed reads each of its summing pairs, and every other class
-keeps its parent's verdicts and reads only its own pairs at alpha_i.
+read keeps its parent's verdicts and reads only its own pairs at
+alpha_i.  One class of each pair {c, sigma c} is read, sigma the diagram
+automorphism: sigma c has the minimal pairs of c relabelled by sigma,
+and its cells are c's relabelled up to one shift, which Dorey keys,
+made of position differences, do not see.  The mirror c^v is not
+used: it negates every position difference, so its keys are others.
 
 The distance suites are reductions over one memo per target,
 `_exponent_rows`, each class's exponent row at every key (k, l): class
@@ -49,8 +54,8 @@ from .seqorder import (
     factor_plus_q_power,
     is_minimal_pair,
     minimal_pairs_of_root,
-    parents_first,
     row_polynomial,
+    walk_orbits,
     walk_point,
 )
 
@@ -415,8 +420,8 @@ def _keys(n: int) -> list[tuple[int, int]]:
 def _exponent_rows(target: tuple[str, int]) -> dict:
     """{cls: rows} over the twisted point folding onto ``target``: the
     exponent row of the class's counts at each key of `_keys`
-    (`exponent_rows`), read off one `walk_point` walk, a class and its
-    mirror with one rows tuple.
+    (`exponent_rows`), read off one `walk_point` walk, the classes that
+    share a datum with one rows tuple.
     Equal rows are one object, and so are equal rows tuples.
 
     A row is all that a distance polynomial reads: under either sign
@@ -534,17 +539,32 @@ def _carry(data: tuple, parent: FoldedQuiver, i: int, at_i) -> tuple:
     ]
 
 
+def _twin_pairs(data: tuple, sigma) -> tuple:
+    """The (minimal pairs, mismatches) of a class's sigma twin: the same
+    count, and the mismatches relabelled by sigma on root indices."""
+    count, mismatches = data
+    return count, [
+        (sigma[g], *sorted((sigma[a], sigma[b])), listed) for g, a, b, listed in mismatches
+    ]
+
+
 def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
     """One walk over the summing pairs of every class of the twisted point.
 
     Each class keeps its minimal-pair count and its mismatches, by root
-    index, along the BFS tree of `parents_first`: the seed reads every
+    index, along the BFS tree of the walk over the orbits {c, sigma c}
+    (`walk_orbits`), which reads one class of each: the seed reads every
     summing pair (`_read_pairs`), and a child reached by the folded
     reflection at the sink alpha_i keeps its parent's, without the
     parent's pairs at alpha_i (`_carry`), and reads only its own pairs
-    at alpha_i, the pairs {alpha_i, beta} with alpha_i + beta a root.  So
-    the plain keys the minimal pairs realize are the seed's and those of
-    the new pairs at alpha_i.  Returns the minimal-pair report
+    at alpha_i, the pairs {alpha_i, beta} with alpha_i + beta a root.
+    sigma c takes c's count and its mismatches relabelled by sigma
+    (`_twin_pairs`): sigma carries c's summing pairs and their order onto
+    sigma c's, and its cells are c's up to one shift, which the walk
+    checks, so every key and verdict is kept.  The mirror is left out, as
+    it negates the keys' position differences.  So the plain keys the
+    minimal pairs realize are the seed's and those of the new pairs at
+    alpha_i of the classes read.  Returns the minimal-pair report
     (checked = minimal pairs, a mismatch per pair whose keys are not in
     the validated table), those keys, and the report of the predicate
     against minimality over all summing pairs, the mismatches sorted by
@@ -570,10 +590,11 @@ def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
     pairs = Report(f"dorey {target} n={n}", 0)
     predicate = Report(f"minimal-pair predicate {target} n={n}", len(point) * len(every))
     found = []
-    for fq, (count, mismatches) in parents_first(point, read):
-        pairs.checked += count
-        if mismatches:
-            found.append((fq.source_class.canonical_word, fq, mismatches))
+    for (count, mismatches), quivers in walk_orbits(point, read, _twin_pairs, mirror=False):
+        for fq in quivers:
+            pairs.checked += count
+            if mismatches:
+                found.append((fq.source_class.canonical_word, fq, mismatches))
     for word, fq, mismatches in sorted(found, key=lambda f: f[0]):
         cls, coord = fq.source_class, fq.cells
         for g, a, b, listed in sorted(mismatches):  # (g, a): the summing-pair order

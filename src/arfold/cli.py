@@ -268,10 +268,12 @@ def cmd_verify(args) -> int:
 def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
     """Socle existence/uniqueness and dist bounds over a twisted point of A or D.
 
-    One walk over the point's BFS tree (`walk_point`): the seed class
-    checks each comparable pair, every other class read carries its
-    parent's records along the folded reflection and checks only the
-    pairs at the moved root, and a class's mirror takes its records.
+    One walk over the point's BFS tree (`walk_point`), one class read of
+    each orbit {c, c^v, sigma c, sigma c^v}: the seed class checks each
+    comparable pair, every other class read carries its parent's records
+    along the folded reflection and checks only the pairs at the moved
+    root, c^v takes c's records, and sigma c and sigma c^v take them
+    relabelled by sigma.
     ``checked`` counts every pair of every class; mismatches come sorted
     by canonical word, then by pair.  The check runs in one thread:
     ``jobs`` is kept only because `perfbench/passes.py` passes ``jobs=1``,
@@ -285,7 +287,7 @@ def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
     n = root_system(type_tag, rank).num_positive
     rep = affine.Report(f"socle-dist {type_tag}{rank}", len(point) * n * (n - 1) // 2)
     for (_, records), quivers in walk_point(point):
-        for fq in quivers:  # a class and its mirror share their records
+        for fq in quivers:  # the classes that share these records
             rep.mismatches.extend((fq.source_class.canonical_word, *rec) for rec in records)
     rep.mismatches.sort(key=lambda m: m[:3])
     return rep

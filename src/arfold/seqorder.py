@@ -95,13 +95,30 @@ order of c^v is that of c reversed, and the class order, which tests
 the extremal elements of a difference support at both ends, is the
 same for both: every pair's `dist` and socle agree.  The cells of c^v
 keep every residue and map each position p to C - p, one C per pair, so
-every bucket (k, l, t) agrees too, and c^v's datum is c's.  The walk
-finds c^v by projection key (`words.mirror_classes`), checks once per
-pair that its cells mirror c's (`_assert_mirrored`, an AssertionError
-naming the class), reads only the first class of each pair and hands
-its datum out once, with the quivers of both classes.  Every suite is a
-reduction over that one yield: socle-dist reads the records, and the
-distance suites of ``affine`` the counts (`exponent_rows`).
+every bucket (k, l, t) agrees too, and c^v's datum is c's.
+
+It is closed as well under c -> sigma c, the class of the canonical word
+relabelled by sigma, the diagram automorphism of the folding.  This is
+transport of structure: s_{sigma i} = sigma s_i sigma^-1 and sigma fixes
+w_0, so the relabelled word is a reduced word of w_0 whose k-th root is
+sigma of c's k-th root, and the class order of sigma c, with every
+pair's `dist` and socle, is sigma applied to c's.  The cells of sigma c
+are c's relabelled by sigma, every residue kept and every position
+moved by one shift, so every bucket agrees, and sigma c's datum is c's
+with its records relabelled by sigma on root indices.
+
+So the walk reads one class of each orbit {c, c^v, sigma c, sigma c^v},
+a quarter of the point (`walk_orbits`, which the Dorey walk of
+``affine`` also takes, over the orbits {c, sigma c}).  It finds the
+images by projection key (`words.class_images`) and checks, once per
+orbit and before its read, that the orbit has four classes, that sigma
+commutes with the mirror, that the mirrors' cells mirror
+(`_assert_mirrored`) and that the twins' agree up to one shift
+(`_assert_twinned`), an AssertionError naming the class.  It hands each
+distinct datum out once, with the quivers of the classes that share it.
+Every suite is a reduction over that one yield: socle-dist reads the
+records, and the distance suites of ``affine`` the counts
+(`exponent_rows`).
 """
 
 from __future__ import annotations
@@ -113,7 +130,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .rootsys import Root, RootSystem
-from .words import CommutationClass, bits, mirror_classes
+from .words import CommutationClass, bits, class_images
 from .twistfold import FoldedQuiver
 
 Sequence = tuple[int, ...]  # multiplicity per positive-root index
@@ -787,6 +804,31 @@ def _assert_mirrored(fq: FoldedQuiver, mirror: FoldedQuiver) -> None:
         )
 
 
+def _assert_twinned(fq: FoldedQuiver, twin: FoldedQuiver, sigma) -> None:
+    """The cells of a class and of its sigma twin, indexed by root: the
+    twin's root sigma(r) keeps r's residue, and its position is r's moved
+    by one shift for every root."""
+    cells = twin.cells
+    moves = {(cells[s][0] - rc, cells[s][1] - pc) for (rc, pc), s in zip(fq.cells, sigma)}
+    if len(moves) != 1 or moves.pop()[0]:
+        raise AssertionError(
+            f"class {fq.source_class.canonical_word} and its twin "
+            f"{twin.source_class.canonical_word} have untwinned cells"
+        )
+
+
+def _root_twins(rs: RootSystem, perm: dict[int, int]) -> tuple[int, ...]:
+    """sigma on positive-root indices: the root sum c_j alpha_j to the root
+    sum c_j alpha_{sigma j}."""
+    out = []
+    for root in rs.positive_roots:
+        moved = [0] * rs.rank
+        for j, c in zip(rs.nodes, root):
+            moved[perm[j] - 1] = c
+        out.append(rs.root_index[tuple(moved)])
+    return tuple(out)
+
+
 def parents_first(point: dict[CommutationClass, FoldedQuiver], read):
     """(quiver, datum) for every quiver of a twisted point, along the BFS
     tree of the classes' ``parent``, (up, i).
@@ -813,46 +855,97 @@ def parents_first(point: dict[CommutationClass, FoldedQuiver], read):
         yield fq, data
 
 
-def walk_point(point: dict[CommutationClass, FoldedQuiver]):
-    """((bucket counts, socle-dist records), quivers) once per datum the
-    walk reads, parents first (`parents_first`): ``quivers`` holds the
-    quiver of the class read and that of its mirror, whose datum it is too.
+def walk_orbits(point: dict[CommutationClass, FoldedQuiver], read, relabel, mirror: bool):
+    """(datum, quivers) once per distinct datum of a twisted point, parents
+    first (`parents_first`): ``quivers`` holds the quivers of the classes
+    whose datum it is.
 
-    The point is closed under the mirror c -> c^v (`mirror_classes`):
-    c^v has c's roots in reverse convex order, and its cells keep every
-    residue and map each position p to C - p, one C per pair, which the
-    walk checks once per pair, before it reads the pair's first class
-    (`_assert_mirrored`; a class that is its own mirror fails it).  The
-    class order tests the extremal elements of a difference support at
-    both ends, so it is the same for c and c^v, and so are every pair's
-    `dist`, socle and bucket (k, l, t): c^v's datum is c's.  So only the
-    first class of each pair is read; its datum is held under the mirror
-    until the mirror comes, as the mirror may be a parent.  The seed is
-    read pair by pair (`_scratch`), every other class's datum is its
-    parent's carried across the folded reflection at the sink alpha_i
-    (`_transport`), both through the walk's one `_pair_reader`.
+    One class of each orbit {c, sigma c}, or with ``mirror`` {c, c^v,
+    sigma c, sigma c^v}, is read, the first in the point's order, by
+    ``read(fq, up)``; c^v takes c's datum and sigma c the datum
+    ``relabel(datum, sigma)``, sigma on root indices.  Before the read the
+    orbit is checked: its number of classes, sigma commuting with the
+    mirror, the mirrors' cells (`_assert_mirrored`) and the twin's
+    (`_assert_twinned`), an AssertionError naming the class; images
+    outside the point, and a sigma that is no involution, are refused
+    when the walk starts.  The other classes' data are held under them
+    until they come, as they may be parents.
     """
-    mirror = mirror_classes(point)
+    first = next(iter(point.values()))
+    rs, perm = first.rs, first.folding.automorphism.perm
+    if any(perm[perm[i]] != i for i in perm):
+        raise AssertionError(f"the diagram automorphism of {rs} is not an involution")
+    images = class_images(point, perm, ("mirror", "twin") if mirror else ("twin",))
+    twin, mirror_of = images["twin"], images.get("mirror")
+    sigma = _root_twins(rs, perm)
+    held: dict[CommutationClass, object] = {}  # a datum, under its class to come
+    fresh: list[tuple] = []  # the yields of the datum just read
+
+    def orbit(cls):
+        """(the classes with cls's datum, those with its twin's), checked."""
+        same, twins = [cls], [twin[cls]]
+        if mirror_of:
+            same.append(mirror_of[cls])
+            twins.append(mirror_of[twins[0]])
+            if twin[same[1]] != twins[1]:
+                raise AssertionError(
+                    f"sigma and the mirror do not commute at class {cls.canonical_word}")
+        if len({*same, *twins}) != 2 * len(same):
+            raise AssertionError(
+                f"the orbit of class {cls.canonical_word} has fewer than "
+                f"{2 * len(same)} classes")
+        if mirror_of:
+            _assert_mirrored(point[cls], point[same[1]])
+            _assert_mirrored(point[twins[0]], point[twins[1]])
+        _assert_twinned(point[cls], point[twins[0]], sigma)
+        return same, twins
+
+    def step(fq, up):
+        cls = fq.source_class
+        if cls not in held:
+            same, twins = orbit(cls)
+            data = read(fq, up)
+            other = relabel(data, sigma)
+            groups = [(data, same + twins)] if other == data else [(data, same), (other, twins)]
+            for datum, group in groups:
+                held.update(dict.fromkeys(group, datum))
+                fresh.append((datum, tuple(point[c] for c in group)))
+        return held.pop(cls)
+
+    for _ in parents_first(point, step):
+        yield from fresh
+        fresh.clear()
+
+
+def _twin_datum(data: tuple, sigma) -> tuple:
+    """The (bucket counts, socle-dist records) of a class's sigma twin: the
+    same counts, and the records relabelled by sigma, an involution."""
+    counts, records = data
+    return counts, [
+        (*sorted((sigma[a], sigma[b])), d, s and tuple(map(s.__getitem__, sigma)))
+        for a, b, d, s in records
+    ]
+
+
+def walk_point(point: dict[CommutationClass, FoldedQuiver]):
+    """((bucket counts, socle-dist records), quivers) once per distinct
+    datum, parents first, one class read per orbit {c, c^v, sigma c,
+    sigma c^v} (`walk_orbits`): ``quivers`` holds the quivers of the
+    classes whose datum it is.  c^v's datum is c's, and sigma c's is c's
+    with its records relabelled by sigma (`_twin_datum`).  The seed is
+    read pair by pair (`_scratch`), every other class read has its datum
+    carried from its parent's across the folded reflection at the sink
+    alpha_i (`_transport`), both through the walk's one `_pair_reader`.
+    """
     reader = _pair_reader(next(iter(point)).rs)
-    held: dict[CommutationClass, tuple] = {}  # a read datum, under the mirror to come
 
     def read(fq, up):
-        cls = fq.source_class
-        if cls in held:
-            return held.pop(cls)
-        _assert_mirrored(fq, point[mirror[cls]])
         if up is None:
-            data = _scratch(fq, reader)
-        else:
-            up_data, parent, i = up
-            data = _transport(up_data, parent, fq, i, reader)
-        held[mirror[cls]] = data
-        return data
+            return _scratch(fq, reader)
+        up_data, parent, i = up
+        return _transport(up_data, parent, fq, i, reader)
 
-    for fq, data in parents_first(point, read):
-        other = mirror[fq.source_class]
-        if other in held:  # just read: its datum waits for its mirror
-            yield data, (fq, point[other])
+    yield from walk_orbits(point, read, _twin_datum, mirror=True)
 
 
 def _distance_table(fq: FoldedQuiver) -> dict:

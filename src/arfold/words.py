@@ -74,10 +74,17 @@ move, and appends i* to each edge at i*.  So a class is canonicalised
 only the first time its key is reached.
 
 The mirror c^v of a class c is the class of the reversed, starred
-canonical word i_N* ... i_1* (`mirror_word`): s_{i*} = w_0 s_i w_0, so
-it is a reduced word of w_0 whose k-th root is the (N + 1 - k)-th root
-of c.  `mirror_classes` pairs the classes of a set closed under it by
-the projection key of that word, with no canonicalisation.
+canonical word i_N* ... i_1*: s_{i*} = w_0 s_i w_0, so it is a reduced
+word of w_0 whose k-th root is the (N + 1 - k)-th root of c.  The twin
+sigma c is the class of the canonical word relabelled by a diagram
+automorphism sigma: s_{sigma i} = sigma s_i sigma^-1 and sigma fixes
+w_0, so it is a reduced word of w_0 whose k-th root is sigma of the k-th
+root of c.  `class_images` pairs the classes of a set closed under
+either involution by the projection key of the moved word, both
+relations from one table of keys, with no canonicalisation; each key is
+written from the word's bytes by one `bytes.translate` per edge, the
+moved word's by tables relabelled by * or sigma, over the bytes
+reversed for the mirror.  `mirror_classes` is its mirror relation alone.
 
 `cluster_point` is the set of classes that BFS yields, as for
 `adapted_point`.  A twisted adapted point is walked once, by
@@ -211,9 +218,11 @@ class CommutationClass:
     """A commutation class of reduced words of w_0, canonically keyed.
 
     Two classes are equal when their root systems have the same type and
-    rank and their canonical words agree.  ``parent`` is the move that
-    made the class, (class, i) for `reflect` at letter i, and None for a
-    class built otherwise; it takes no part in equality, hashing or repr.
+    rank and their canonical words agree.  The hash of the two is taken
+    once, when the class is made, as a root system's is.  ``parent`` is
+    the move that made the class, (class, i) for `reflect` at letter i,
+    and None for a class built otherwise; it takes no part in equality,
+    hashing or repr.
     """
 
     rs: RootSystem
@@ -222,6 +231,10 @@ class CommutationClass:
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_hash", hash((self.rs, self.canonical_word)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def roots(self) -> tuple[int, ...]:
         """The root indices along the canonical word: the canonical-word
@@ -385,17 +398,27 @@ def projection_key(rs: RootSystem, word: Word) -> Key:
     """One int per edge (a, b) of ``rs.edges``: the word restricted to
     {a, b}, as a leading 1 followed by one bit per letter, 1 for b.
     Equal keys are equal classes, by the projection lemma."""
-    return _slotted_key(edge_slots(rs), len(rs.edges), word)
+    return _translated_key(_key_tables(rs), bytes(word))
 
 
-def _slotted_key(slots, edges: int, word: Word) -> Key:
-    """`projection_key` of ``word`` from ``slots``, the `edge_slots` of a
-    root system with ``edges`` edges, built once by the caller."""
-    key = [1] * edges
-    for i in word:
-        for s, b in slots[i]:
-            key[s] = key[s] << 1 | b
-    return tuple(key)
+def _key_tables(rs: RootSystem, relabel: dict[int, int] | None = None) -> tuple:
+    """Per edge (a, b) of ``rs.edges``, the `bytes.translate` table and the
+    letters it deletes that write a word w, as bytes, as the projection of
+    relabel(w) onto {a, b}: a letter x is 0 where relabel(x) = a, 1 where
+    it is b, and deleted elsewhere.  Built once per key of many words."""
+    back = {relabel[i] if relabel else i: i for i in rs.nodes}
+    out = []
+    for a, b in rs.edges:
+        table = bytearray(range(256))
+        table[back[a]], table[back[b]] = ord("0"), ord("1")
+        out.append((bytes(table), bytes(i for i in rs.nodes if i not in (back[a], back[b]))))
+    return tuple(out)
+
+
+def _translated_key(tables, data: bytes) -> Key:
+    """The projection key that `_key_tables` ``tables`` write of a word
+    given as bytes, one letter per byte."""
+    return tuple(int(b"1" + data.translate(table, drop), 2) for table, drop in tables)
 
 
 def moved_key(key: Key, slots, i: int, i_star: int) -> Key | None:
@@ -434,7 +457,7 @@ def cluster_moves(cls: CommutationClass):
     """
     rs = cls.rs
     slots, star = edge_slots(rs), rs.star()
-    start = _slotted_key(slots, len(rs.edges), cls.canonical_word)
+    start = projection_key(rs, cls.canonical_word)
     by_key = {start: cls}
     classes = {cls}
     queue = [(start, cls)]
@@ -456,34 +479,44 @@ def cluster_moves(cls: CommutationClass):
         yield c, moves
 
 
-def mirror_word(rs: RootSystem, word: Word) -> Word:
-    """i_N* ... i_1*, the reversed, starred word of i_1 ... i_N."""
-    star = rs.star()
-    return tuple(star[i] for i in reversed(word))
+def class_images(classes, perm, relations) -> dict[str, dict[CommutationClass, CommutationClass]]:
+    """{relation: {c: its image}} over classes of one root system closed
+    under each of ``relations``: "mirror", c^v the class of c's reversed,
+    starred canonical word, and "twin", sigma c the class of c's
+    canonical word relabelled by the diagram automorphism sigma =
+    ``perm``.
+
+    Each image is found by the projection key of the moved canonical word
+    in one table of the classes' keys, written straight from c's word
+    (`_key_tables`), never canonicalised, and a class and its image are
+    paired at once; a class whose image is not among the classes is an
+    AssertionError naming it and the relation.
+    """
+    rs = next(iter(classes)).rs
+    plain = _key_tables(rs)
+    by_key = {_translated_key(plain, bytes(c.canonical_word)): c for c in classes}
+    moves = {"mirror": (rs.star(), -1), "twin": (perm, 1)}  # (relabelling, letter order)
+    out = {}
+    for name in relations:
+        relabel, step = moves[name]
+        tables = _key_tables(rs, relabel)
+        image = out[name] = {}
+        for c in classes:
+            if c in image:
+                continue
+            d = by_key.get(_translated_key(tables, bytes(c.canonical_word)[::step]))
+            if d is None:
+                raise AssertionError(
+                    f"the {name} of class {c.canonical_word} is not among the classes")
+            image[c], image[d] = d, c
+    return out
 
 
 def mirror_classes(classes) -> dict[CommutationClass, CommutationClass]:
-    """{c: c^v} over classes of one root system closed under the mirror.
-
-    c^v is the class of `mirror_word` of c's canonical word, a reduced
-    word of w_0 with c's roots in reverse order.  It is found by the
-    projection key of that word among the classes' keys, never
-    canonicalised; a class whose mirror is not among them is an
-    AssertionError naming it.
-    """
-    rs = next(iter(classes)).rs
-    slots, edges = edge_slots(rs), len(rs.edges)
-    by_key = {_slotted_key(slots, edges, c.canonical_word): c for c in classes}
-    out: dict[CommutationClass, CommutationClass] = {}
-    for c in classes:
-        if c in out:
-            continue
-        mirror = by_key.get(_slotted_key(slots, edges, mirror_word(rs, c.canonical_word)))
-        if mirror is None:
-            raise AssertionError(
-                f"the mirror of class {c.canonical_word} is not among the classes")
-        out[c], out[mirror] = mirror, c
-    return out
+    """{c: c^v} over classes of one root system closed under the mirror:
+    c^v is the class of c's reversed, starred canonical word, a reduced
+    word of w_0 with c's roots in reverse order (`class_images`)."""
+    return class_images(classes, None, ("mirror",))["mirror"]
 
 
 def cluster_point(cls: CommutationClass) -> frozenset[CommutationClass]:

@@ -83,6 +83,39 @@ def walk_tables(point) -> list[tuple[FoldedQuiver, dict]]:
     return [(fq, table_of(data[cls][0])) for cls, fq in point.items()]
 
 
+def twin_class(fq: FoldedQuiver) -> CommutationClass:
+    """sigma c by definition: the class of c's canonical word relabelled by
+    the diagram automorphism of the quiver's folding, canonicalised by
+    `commutation_class`."""
+    perm = fq.folding.automorphism.perm
+    return commutation_class(fq.rs, tuple(perm[i] for i in fq.source_class.canonical_word))
+
+
+def mirror_class(cls: CommutationClass) -> CommutationClass:
+    """c^v by definition: the class of c's reversed, starred canonical
+    word, canonicalised by `commutation_class`."""
+    star = cls.rs.star()
+    return commutation_class(cls.rs, tuple(star[i] for i in reversed(cls.canonical_word)))
+
+
+def read_classes(point, mirror: bool = True) -> list[CommutationClass]:
+    """The classes a walk over a twisted point reads, in the point's order:
+    the first class of each orbit {c, sigma c}, or with ``mirror`` of each
+    orbit {c, c^v, sigma c, sigma c^v}, the images by `twin_class` and
+    `mirror_class`."""
+    seen: set = set()
+    out = []
+    for cls, fq in point.items():
+        if cls in seen:
+            continue
+        orbit = {cls, twin_class(fq)}
+        if mirror:
+            orbit |= {mirror_class(c) for c in orbit}
+        seen |= orbit
+        out.append(cls)
+    return out
+
+
 def root_labels(fq: FoldedQuiver) -> dict[tuple[int, int], Root]:
     """The root at each cell of a folded quiver."""
     return {c: fq.rs.positive_roots[r] for r, c in enumerate(fq.cells)}

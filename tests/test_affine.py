@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from math import ceil
@@ -29,7 +30,7 @@ from arfold.affine import (
     verify_minimal_pair_predicate,
 )
 from arfold.cli import verify_socle_dist
-from oracles import dorey_sweep_by_class, walk_tables
+from oracles import dorey_sweep_by_class, read_classes, twin_class, walk_tables
 
 SP = SpectralParameter
 
@@ -235,9 +236,12 @@ def _exponent_row(row: dict) -> tuple:
 
 @pytest.mark.parametrize("target", [("C", 4), ("F", 4)])
 def test_exponent_rows_are_read_once_per_datum(target, monkeypatch):
-    # one read of the counts per datum the walk reads, its rows shared by
-    # the class and its mirror; every class's rows are its own table's,
-    # and on these passing points every class has one row object per key
+    # one read of the counts per datum the walk hands out, its rows shared
+    # by the classes of the datum: one read class per orbit {c, c^v,
+    # sigma c, sigma c^v}, whose four classes share one datum on C4, while
+    # on E6 sigma c and sigma c^v take a second, their records relabelled;
+    # every class's rows are its own table's, and on these passing points
+    # every class has one row object per key
     _fresh_distance_memo(monkeypatch)
     counts_read = []
     real = affine.exponent_rows
@@ -246,7 +250,8 @@ def test_exponent_rows_are_read_once_per_datum(target, monkeypatch):
     )
     rows_of = affine._exponent_rows(target)
     point = twisted_folded_quivers(*affine.folding_to(*target).source)
-    assert len(counts_read) == len(point) // 2 and set(rows_of) == set(point)
+    data = len(point) // 4 * (2 if target == ("F", 4) else 1)
+    assert len(counts_read) == data and set(rows_of) == set(point)
     keys = affine._keys(target[1])
     for fq, table in walk_tables(point):
         assert rows_of[fq.source_class] == tuple(_exponent_row(table.get(key, {})) for key in keys)
@@ -391,7 +396,8 @@ def _summing_pairs(rs):
 
 @pytest.mark.parametrize("target, n", [("C", 3), ("B", 4)])
 def test_verify_dorey_reads_the_seed_and_the_pairs_at_alpha_i_once(monkeypatch, target, n):
-    # the seed reads every summing pair, and a class reached by the folded
+    # one class read of each orbit {c, sigma c}, so half the point: the
+    # seed reads every summing pair, and a class reached by the folded
     # reflection at alpha_i only its pairs {alpha_i, beta}, in walk order;
     # the predicate still checks every summing pair of every class
     calls = []
@@ -403,8 +409,10 @@ def test_verify_dorey_reads_the_seed_and_the_pairs_at_alpha_i_once(monkeypatch, 
     point = twisted_folded_quivers(*affine.folding_to(target, n).source)
     rs = next(iter(point)).rs
     every = _summing_pairs(rs)
+    walked = read_classes(point, mirror=False)
+    assert len(walked) == len(point) // 2
     read = []
-    for cls in point:
+    for cls in walked:
         if cls.parent is None:
             read += every
         else:
@@ -442,6 +450,33 @@ def test_walked_dorey_equals_the_oracle_on_the_printed_table(monkeypatch):
     mismatches = json.loads(walked)["mismatches"]
     assert sum("pair not in table" in m for m in mismatches) > 100
     assert sum("'predicate'" in m for m in mismatches) > 100
+
+
+def test_dorey_twin_mismatches_not_relabelled_fail_the_oracle(monkeypatch):
+    # sigma c handed c's mismatches as they are, under the printed table,
+    # whose mismatches are in many classes
+    printed = frozenset(affine._plain_key(e.key()) for e in dorey_triples("B", 4, "printed"))
+    monkeypatch.setattr(affine, "_validated_keys", lambda *_: printed)
+    walked, oracle = _walked_and_oracle(monkeypatch, "B", 4)
+    assert walked == oracle
+    monkeypatch.setattr(affine, "_twin_pairs", lambda data, sigma: data)
+    walked, oracle = _walked_and_oracle(monkeypatch, "B", 4)
+    assert walked != oracle
+
+
+@pytest.mark.parametrize("target, n", [("B", 3), ("C", 4)])
+def test_a_dorey_twin_cell_moved_by_one_is_refused(monkeypatch, target, n):
+    point = twisted_folded_quivers(*affine.folding_to(target, n).source)
+    seed = next(iter(point))
+    twin = twin_class(point[seed])
+    cells = list(point[twin].cells)
+    r = next(r for r, (res, p) in enumerate(cells) if (res, p + 1) not in cells)
+    cells[r] = (cells[r][0], cells[r][1] + 1)
+    bad = {**point, twin: replace(point[twin], cells=tuple(cells))}
+    monkeypatch.setattr(affine, "twisted_folded_quivers", lambda *source: bad)
+    with pytest.raises(AssertionError, match="untwinned cells") as refused:
+        verify_dorey(target, n)
+    assert str(seed.canonical_word) in str(refused.value)
 
 
 def _child_skips_its_pairs(monkeypatch):

@@ -137,9 +137,11 @@ def test_pairs_are_read_once_along_one_walk():
         ("seqorder", "_pair_reader"), ("seqorder", "read"),
     }
     assert _callers("_chain_depths") == {("seqorder", "_read_below")}
-    # one parents-first walker for the distance walk and the Dorey walk,
-    # and one minimality test of a summing pair
-    assert _callers("parents_first") == {("seqorder", "walk_point"), ("affine", "_dorey_sweep")}
+    # one parents-first walker, one orbit-sharing walk for the distance
+    # walk and the Dorey walk, and one minimality test of a summing pair
+    assert _callers("parents_first") == {("seqorder", "walk_orbits")}
+    assert _callers("walk_orbits") == {("seqorder", "walk_point"), ("affine", "_dorey_sweep")}
+    assert _callers("class_images") == {("words", "mirror_classes"), ("seqorder", "walk_orbits")}
     assert _callers("is_minimal_pair") == {
         ("seqorder", "minimal_pairs_of_root"), ("affine", "_read_pairs"), ("affine", "_carry"),
     }

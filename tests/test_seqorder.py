@@ -45,7 +45,10 @@ from arfold.seqorder import (
     weight_of,
 )
 
-from oracles import classify_cover, comparable, interval, table_of, walk_data, walk_tables
+from oracles import (
+    classify_cover, comparable, interval, mirror_class, read_classes, table_of, twin_class,
+    walk_data, walk_tables,
+)
 
 
 def seq(rs, *roots):
@@ -839,11 +842,9 @@ def test_removing_at_the_child_coordinates_fails_the_oracle(fresh_point, monkeyp
 
 
 def _read_classes(point) -> set:
-    """The classes `walk_point` reads: of each mirror pair, the one that
-    comes first in the point's order."""
-    mirror = mirror_classes(point)
-    place = {cls: k for k, cls in enumerate(point)}
-    return {cls for cls in point if place[cls] < place[mirror[cls]]}
+    """The classes `walk_point` reads: of each orbit {c, c^v, sigma c,
+    sigma c^v}, the one that comes first in the point's order."""
+    return set(read_classes(point))
 
 
 def _memo_key(rs, a, b, interval):
@@ -1280,12 +1281,33 @@ def test_pair_path_reads_the_masks_and_sweeps_two_or_more(fresh_point, monkeypat
 # the walk's pair reader: one partition search per memo key and walk
 
 
-@pytest.mark.parametrize("tt, rk, searches", [("A", 9, 1809), ("D", 7, 1197)])
+def _read_keys(point) -> set:
+    """The `_memo_key`s with a fitting root of the pairs a walk reads, by
+    definition: every comparable pair of the seed, and the comparable
+    pairs at the moved root alpha_i of every other class it reads."""
+    keys = set()
+    for cls in read_classes(point):
+        below, above = cls.below(), cls.above()
+        if cls.parent is None:
+            pairs = comparable_pairs(cls)
+        else:
+            r = cls.rs.simple_root_index[cls.parent[1]]
+            pairs = [(a, r) for a in bits(below[r])] + [(r, b) for b in bits(above[r])]
+        for a, b in pairs:
+            key = _memo_key(cls.rs, a, b, above[a] & below[b])
+            if key[1]:
+                keys.add(key)
+    return keys
+
+
+@pytest.mark.parametrize("tt, rk, searches", [("A", 9, 1301), ("D", 7, 954)])
 def test_a_walk_searches_each_memo_key_once(fresh_point, monkeypatch, tt, rk, searches):
     # one `_packed_partitions` search per (pair weight, interval roots that
-    # fit under it) with a fitting root, over all the walk's reads; the
-    # next walk keeps nothing of the last one's memo and searches again
+    # fit under it) with a fitting root, over the reads of one class per
+    # orbit {c, c^v, sigma c, sigma c^v}; the next walk keeps nothing of
+    # the last one's memo and searches again
     point = fresh_point(tt, rk)
+    assert len(_read_keys(point)) == searches
     searched, keys = [], set()
     real_search, real_read_pair = seqorder._packed_partitions, seqorder._read_pair
 
@@ -1365,14 +1387,15 @@ def test_a_memo_keyed_by_one_half_of_its_key_fails_the_oracles(
 
 
 def test_a_mirror_handed_another_class_fails_the_oracles(fresh_point, monkeypatch, recompiled):
-    # every read class handed out with the seed's quiver as its mirror:
-    # the seed comes many times and the true mirrors never; the distance
-    # polynomials would not show it, as they are the same for every class
+    # every datum handed out with the seed's quiver in place of each class
+    # that shares it but the read class or its twin: the seed comes many
+    # times and the mirrors never; the distance polynomials would not show
+    # it, as they are the same for every class
     mutant = recompiled(
-        seqorder.walk_point, "yield data, (fq, point[other])",
-        "yield data, (fq, next(iter(point.values())))",
+        seqorder.walk_orbits, "tuple(point[c] for c in group)",
+        "(point[group[0]], *[next(iter(point.values()))] * (len(group) - 1))",
     )
-    monkeypatch.setattr(seqorder, "walk_point", mutant)
+    monkeypatch.setattr(seqorder, "walk_orbits", mutant)
     assert not _tables_match_scratch(fresh_point("A", 7))
     assert not _tables_match_scratch(fresh_point("D", 5))
 
@@ -1424,29 +1447,48 @@ def test_a_mirror_has_the_reversed_convex_order(tt, rk):
 
 @pytest.mark.parametrize("tt, rk", [("A", 7), ("D", 6), ("E", 6)])
 def test_the_walk_reads_one_class_of_each_mirror_pair(monkeypatch, tt, rk):
+    # one class read of each orbit {c, c^v, sigma c, sigma c^v}, two
+    # mirror pairs, so a quarter of the point
     point = twisted_folded_quivers(tt, rk)
-    reads = Counter()
-    for name in ("_scratch", "_transport", "_assert_mirrored"):
+    reads, read_now = Counter(), []
+    for name in ("_scratch", "_transport", "_assert_mirrored", "_assert_twinned"):
         real = getattr(seqorder, name)
         monkeypatch.setattr(
             seqorder, name, lambda *a, real=real, name=name: reads.update([name]) or real(*a))
+    for name, at in (("_scratch", 0), ("_transport", 2)):  # the quiver read
+        real = getattr(seqorder, name)
+        monkeypatch.setattr(seqorder, name, lambda *a, real=real, at=at: (
+            read_now.append(a[at].source_class) or real(*a)))
     walk = list(walk_point(point))
-    assert reads["_scratch"] == 1 and reads["_scratch"] + reads["_transport"] == len(point) // 2
-    # each mirror pair is checked once, before its first class is read
+    read = read_classes(point)
+    assert len(read) == len(point) // 4
+    assert reads["_scratch"] == 1 and reads["_scratch"] + reads["_transport"] == len(point) // 4
+    # the read classes, in the point's order
+    assert read_now == read
+    # each orbit is checked once, before its first class is read: two
+    # mirror pairs and one twin pair
     assert reads["_assert_mirrored"] == len(point) // 2
-    # one yield per datum read, with the read class's quiver and its
-    # mirror's, in the point's order
-    mirror, read = mirror_classes(point), _read_classes(point)
-    assert [fq.source_class for _, (fq, _) in walk] == [cls for cls in point if cls in read]
-    assert all(other is point[mirror[fq.source_class]] for _, (fq, other) in walk)
+    assert reads["_assert_twinned"] == len(point) // 4
+    # one yield per distinct datum, in the point's order: the read class
+    # with its mirror, and its twin with the twin's mirror, one datum for
+    # the four where no record is relabelled (A and D), two on E6
+    mirror = mirror_classes(point)
+    expect = []
+    for cls in read:
+        twin = twin_class(point[cls])
+        pairs = [(cls, mirror[cls]), (twin, mirror[twin])]
+        expect += [pairs[0] + pairs[1]] if tt != "E" else pairs
+    assert [tuple(fq.source_class for fq in quivers) for _, quivers in walk] == expect
+    assert all(fq is point[fq.source_class] for _, quivers in walk for fq in quivers)
 
 
 def test_reversing_without_starring_fails_the_mirror_oracle(monkeypatch, recompiled):
     # the unstarred reversal names a class of the point, but not the
     # mirror, and the walk refuses its cells; on D6, * is trivial, so
     # there the mutant is the real code
-    mutant = recompiled(words.mirror_word, "star[i] for i", "i for i")
-    monkeypatch.setattr(words, "mirror_word", mutant)
+    mutant = recompiled(words.class_images, "(rs.star(), -1)", "(None, -1)")
+    monkeypatch.setattr(words, "class_images", mutant)
+    monkeypatch.setattr(seqorder, "class_images", mutant)
     for source in [("A", 7), ("E", 6)]:
         point = twisted_folded_quivers(*source)
         assert not _mirrors_match_kahn(point)
@@ -1482,6 +1524,118 @@ def test_a_mirror_outside_the_point_is_refused():
     gone = mirror_classes(point)[cls]
     cut = {c: fq for c, fq in point.items() if c != gone}
     with pytest.raises(AssertionError, match=re.escape(f"mirror of class {cls.canonical_word}")):
+        list(walk_point(cut))
+
+
+# ---------------------------------------------------------------------------
+# sigma twins: sigma c and sigma c^v take c's datum relabelled by sigma
+
+TWIN_SOURCES = (
+    [("A", r) for r in (3, 5, 7, 9, 11)] + [("D", r) for r in (4, 5, 6, 7, 8)] + [("E", 6)]
+)
+
+
+def _sigma_by_words(cls, perm) -> dict[int, int]:
+    """sigma on root indices read off two root sequences: the k-th root of
+    the relabelled canonical word against the k-th root of the word."""
+    rs, word = cls.rs, cls.canonical_word
+    moved = root_sequence(rs, tuple(perm[i] for i in word))
+    return {rs.root_index[b]: rs.root_index[m] for b, m in zip(root_sequence(rs, word), moved)}
+
+
+@pytest.mark.parametrize("tt, rk", TWIN_SOURCES)
+def test_the_twin_key_names_the_relabelled_class(tt, rk):
+    # on every class: the twin is the Kahn-canonicalised class of the
+    # relabelled canonical word, the orbit has four classes, sigma commutes
+    # with the mirror, and the twin's cells are the class's relabelled by
+    # sigma up to one shift, residues kept
+    point = twisted_folded_quivers(tt, rk)
+    rs = next(iter(point)).rs
+    perm = next(iter(point.values())).folding.automorphism.perm
+    images = words.class_images(point, perm, ("mirror", "twin"))
+    mirror, twin = images["mirror"], images["twin"]
+    sigma = seqorder._root_twins(rs, perm)
+    for cls, fq in point.items():
+        t = twin[cls]
+        assert t == commutation_class(rs, tuple(perm[i] for i in cls.canonical_word))
+        assert point.get(t) is not None and len({cls, mirror[cls], t, mirror[t]}) == 4
+        assert twin[mirror[cls]] == mirror[t]
+        assert _sigma_by_words(cls, perm) == dict(enumerate(sigma))
+        shifts = {
+            (point[t].cells[sigma[r]][0] - res, point[t].cells[sigma[r]][1] - p)
+            for r, (res, p) in enumerate(fq.cells)
+        }
+        assert len(shifts) == 1 and shifts.pop()[0] == 0
+
+
+def test_twin_records_not_relabelled_fail_the_socle_oracle(fresh_point, monkeypatch):
+    # sigma c and sigma c^v handed c's records as they are; E6 is the point
+    # with records, 960 of them
+    monkeypatch.setattr(seqorder, "_twin_datum", lambda data, sigma: data)
+    assert not _socles_match_scratch(fresh_point("E", 6))
+
+
+def _moved_twin_cell(point, cls):
+    """The point with one cell of sigma c moved by one position, and the
+    same cell of sigma c^v moved back by one, so the two still mirror; a
+    cell whose moved place is free in both."""
+    twin = twin_class(point[cls])
+    pair = (twin, mirror_class(twin))
+    cells = [list(point[c].cells) for c in pair]
+    for r in range(len(cells[0])):
+        moved = [(res, p + step) for (res, p), step in zip((c[r] for c in cells), (1, -1))]
+        if all(m not in c for m, c in zip(moved, cells)):
+            break
+    bad = dict(point)
+    for c, row, m in zip(pair, cells, moved):
+        row[r] = m
+        bad[c] = replace(point[c], cells=tuple(row))
+    return bad, twin
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 7), ("D", 6), ("E", 6)])
+def test_a_twin_cell_moved_by_one_is_refused(tt, rk):
+    # the mirrors still mirror; the twin check names the class read
+    point = twisted_folded_quivers(tt, rk)
+    seed = next(iter(point))
+    bad, twin = _moved_twin_cell(point, seed)
+    with pytest.raises(AssertionError, match="untwinned cells") as refused:
+        list(walk_point(bad))
+    assert str(seed.canonical_word) in str(refused.value)
+    with pytest.raises(AssertionError, match="untwinned cells"):
+        seqorder._assert_twinned(point[seed], bad[twin], seqorder._root_twins(
+            seed.rs, point[seed].folding.automorphism.perm))
+
+
+def _untwisted(point):
+    """The point's quivers with sigma patched to the identity."""
+    folding = next(iter(point.values())).folding
+    identity = {i: i for i in folding.automorphism.perm}
+    fold = replace(folding, automorphism=replace(folding.automorphism, perm=identity))
+    return {cls: replace(fq, folding=fold) for cls, fq in point.items()}
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 7), ("D", 6), ("E", 6)])
+def test_a_walk_with_sigma_the_identity_refuses_the_point(tt, rk):
+    point = twisted_folded_quivers(tt, rk)
+    with pytest.raises(AssertionError, match="fewer than 4 classes"):
+        list(walk_point(_untwisted(point)))
+    read = lambda fq, up: None  # noqa: E731
+    with pytest.raises(AssertionError, match="fewer than 2 classes"):
+        list(seqorder.walk_orbits(_untwisted(point), read, lambda data, sigma: data, False))
+
+
+def test_a_twin_outside_the_point_is_refused():
+    # refused when the walk starts: the walk without the mirror names the
+    # class whose twin is missing, the distance walk a class whose mirror is
+    point = twisted_folded_quivers("A", 7)
+    cls = next(iter(point))
+    gone = twin_class(point[cls])
+    cut = {c: fq for c, fq in point.items() if c != gone}
+    read = lambda fq, up: None  # noqa: E731
+    with pytest.raises(AssertionError, match=re.escape(f"twin of class {cls.canonical_word}")):
+        list(seqorder.walk_orbits(cut, read, lambda data, sigma: data, False))
+    with pytest.raises(AssertionError, match="is not among the classes"):
         list(walk_point(cut))
 
 

@@ -344,6 +344,22 @@ def test_parent_takes_no_part_in_equality_hash_or_repr():
     assert {moved: 1}[plain] == 1
 
 
+def test_a_class_hashes_its_canonical_word_once(monkeypatch):
+    # the hash of (root system, canonical word) is taken when the class is
+    # made, the value a dataclass hash of the two gives, so sets and dicts
+    # of classes keep their order; later hashes read it back
+    rs = root_system("A", 5)
+    seed = commutation_class(rs, rs.longest_word())
+    assert hash(seed) == hash((rs, seed.canonical_word))
+    hashed = []
+    monkeypatch.setattr(type(rs), "__hash__", lambda self: hashed.append(self) or self._hash)
+    moved = reflect(seed, seed.canonical_word[0])
+    assert len(hashed) == 1  # the moved class, when it was made
+    assert {seed: 1, moved: 2}[CommutationClass(rs, moved.canonical_word)] == 2
+    assert len(hashed) == 2  # the class made to look up, and no other
+    assert hash(seed) == hash(seed) and len(hashed) == 2
+
+
 def test_heap_is_the_same_for_every_member_word():
     for tt, rk, word in [("A", 4, A4_EXAMPLE_WORD),
                          ("D", 4, root_system("D", 4).longest_word())]:
