@@ -26,11 +26,14 @@ reflection at the sink alpha_i keeps every other summing pair, relabelled
 by s_i, with its minimality and its cells, so with its keys and its
 verdict: the seed reads each of its summing pairs, and every other class
 read keeps its parent's verdicts and reads only its own pairs at
-alpha_i.  One class of each pair {c, sigma c} is read, sigma the diagram
-automorphism: sigma c has the minimal pairs of c relabelled by sigma,
-and its cells are c's relabelled up to one shift, which Dorey keys,
-made of position differences, do not see.  The mirror c^v is not
-used: it negates every position difference, so its keys are others.
+alpha_i.  One class of each orbit {c, c^v, sigma c, sigma c^v} is read,
+a quarter of the point, sigma the diagram automorphism and c^v the
+mirror.  sigma c has the minimal pairs of c relabelled by sigma, and its
+cells are c's relabelled up to one shift, which Dorey keys, made of
+position differences, do not see.  c^v has the minimal pairs of c, and
+its cells (res, C - p) negate every position difference, so its keys
+are those of the labels at (res, -p): each pair read gives two
+verdicts, c's and c^v's, and c^v takes the two swapped.
 
 The distance suites are reductions over one memo per target,
 `_exponent_rows`, each class's exponent row at every key (k, l): class
@@ -495,81 +498,118 @@ def verify_class_invariance(target: str, n: int) -> Report:
 
 
 def _read_pairs(fq: FoldedQuiver, pairs, target: str, validated, realized: set) -> tuple:
-    """(minimal pairs, mismatches) of some summing pairs (g, a, b), a < b,
-    of the quiver's class, each pair read once: its Dorey keys from the
-    plain labels of its cells, its ``listed`` verdict, and its minimality
-    (`is_minimal_pair`).  A minimal pair's keys join ``realized``.  A
-    mismatch is (g, a, b, listed), a pair whose verdict is not its
-    minimality."""
+    """(minimal pairs, mismatches, mirror mismatches) of some summing pairs
+    (g, a, b), a < b, of the quiver's class, each pair read once: its
+    minimality (`is_minimal_pair`), then two verdicts, each whether some
+    Dorey key of the pair is ``validated``.  The first reads the keys of
+    the plain labels of its cells (res, p), the second those of the labels
+    at (res, -p), which are the keys of the class's mirror (`_dorey_sweep`).
+    The keys of a minimal pair, both kinds, join ``realized``.  A mismatch
+    is (g, a, b, listed), a pair whose verdict is not its minimality."""
     cls = fq.source_class
     below, above, summing = cls.below(), cls.above(), cls.rs.summing_pairs
-    labels = {x: _plain_spectral(target, *fq.cells[x]) for pair in pairs for x in pair}
-    count, mismatches = 0, []
+    cells = fq.cells
+    labels, mirrored = {}, {}
+    for x in {x for pair in pairs for x in pair}:
+        res, p = cells[x]
+        labels[x] = _plain_spectral(target, res, p)
+        mirrored[x] = _plain_spectral(target, res, -p)
+    count, mismatches, mirror_mismatches = 0, [], []
     for g, a, b in pairs:
-        keys = _pair_keys(labels, a, b, g)
-        listed = not validated.isdisjoint(keys)
         minimal = is_minimal_pair(below, above, summing(g), a, b)
+        keys, mirror_keys = _pair_keys(labels, a, b, g), _pair_keys(mirrored, a, b, g)
+        listed = not validated.isdisjoint(keys)
+        mirror_listed = not validated.isdisjoint(mirror_keys)
         if minimal:
             count += 1
-            realized.update(keys)
+            realized.update(keys, mirror_keys)
         if listed != minimal:
             mismatches.append((g, a, b, listed))
-    return count, mismatches
+        if mirror_listed != minimal:
+            mirror_mismatches.append((g, a, b, mirror_listed))
+    return count, mismatches, mirror_mismatches
 
 
 def _carry(data: tuple, parent: FoldedQuiver, i: int, at_i) -> tuple:
-    """The parent's (minimal pairs, mismatches) without its pairs at
-    alpha_i, ``at_i``, the rest relabelled by s_i.
+    """The parent's (minimal pairs, mismatches, mirror mismatches) without
+    its pairs at alpha_i, ``at_i``, the rest relabelled by s_i.
 
     alpha_i is minimal in the parent's convex order and maximal in the
     child's, so a pair at alpha_i never lies below another pair.  Every
     other summing pair {a, b} of g becomes {s_i a, s_i b} of s_i g with
-    its order, its minimality and its three cells, so its keys and its
-    verdict are kept.
+    its order, its minimality and its three cells, so its keys, its
+    mirror keys and both its verdicts are kept.
     """
-    count, mismatches = data
+    count, *found = data
     rs, cls = parent.rs, parent.source_class
     below, above = cls.below(), cls.above()
     count -= sum(is_minimal_pair(below, above, rs.summing_pairs(g), a, b) for g, a, b in at_i)
     r, perm = rs.simple_root_index[i], rs.reflection_permutation(i)
-    return count, [
-        (perm[g], *sorted((perm[a], perm[b])), listed)
-        for g, a, b, listed in mismatches
-        if r != a and r != b
-    ]
+    return (count, *[
+        [(perm[g], *sorted((perm[a], perm[b])), listed)
+         for g, a, b, listed in mismatches if r != a and r != b]
+        for mismatches in found
+    ])
 
 
 def _twin_pairs(data: tuple, sigma) -> tuple:
-    """The (minimal pairs, mismatches) of a class's sigma twin: the same
-    count, and the mismatches relabelled by sigma on root indices."""
-    count, mismatches = data
-    return count, [
-        (sigma[g], *sorted((sigma[a], sigma[b])), listed) for g, a, b, listed in mismatches
-    ]
+    """The (minimal pairs, mismatches, mirror mismatches) of a class's sigma
+    twin: the same count, and both lists relabelled by sigma on root
+    indices."""
+    count, *found = data
+    return (count, *[
+        [(sigma[g], *sorted((sigma[a], sigma[b])), listed) for g, a, b, listed in mismatches]
+        for mismatches in found
+    ])
+
+
+def _mirror_pairs(data: tuple) -> tuple:
+    """The (minimal pairs, mismatches, mirror mismatches) of a class's
+    mirror: the same count, and the two lists swapped."""
+    count, mismatches, mirror_mismatches = data
+    return count, mirror_mismatches, mismatches
 
 
 def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
     """One walk over the summing pairs of every class of the twisted point.
 
-    Each class keeps its minimal-pair count and its mismatches, by root
-    index, along the BFS tree of the walk over the orbits {c, sigma c}
-    (`walk_orbits`), which reads one class of each: the seed reads every
-    summing pair (`_read_pairs`), and a child reached by the folded
-    reflection at the sink alpha_i keeps its parent's, without the
-    parent's pairs at alpha_i (`_carry`), and reads only its own pairs
-    at alpha_i, the pairs {alpha_i, beta} with alpha_i + beta a root.
-    sigma c takes c's count and its mismatches relabelled by sigma
+    Each class keeps its minimal-pair count and two lists of mismatches,
+    by root index, its own and its mirror's, along the BFS tree of the
+    walk over the orbits {c, c^v, sigma c, sigma c^v} (`walk_orbits`),
+    which reads one class of each: the seed reads every summing pair
+    (`_read_pairs`), and a child reached by the folded reflection at the
+    sink alpha_i keeps its parent's, without the parent's pairs at alpha_i
+    (`_carry`), and reads only its own pairs at alpha_i, the pairs
+    {alpha_i, beta} with alpha_i + beta a root.
+
+    sigma c takes c's count and both lists relabelled by sigma
     (`_twin_pairs`): sigma carries c's summing pairs and their order onto
     sigma c's, and its cells are c's up to one shift, which the walk
-    checks, so every key and verdict is kept.  The mirror is left out, as
-    it negates the keys' position differences.  So the plain keys the
-    minimal pairs realize are the seed's and those of the new pairs at
-    alpha_i of the classes read.  Returns the minimal-pair report
-    (checked = minimal pairs, a mismatch per pair whose keys are not in
-    the validated table), those keys, and the report of the predicate
-    against minimality over all summing pairs, the mismatches sorted by
-    canonical word, root and summing pair, as a class-by-class sweep
-    finds them.
+    checks (`_assert_twinned`).  A Dorey key is made of differences of
+    the plain labels (node, phase, exponent) of three cells, and a shift
+    of every position by s adds s to every exponent and one amount to
+    every phase (2 s for C, 0 for B, whose phase is 2 res), so no key
+    sees it, and every key and verdict is kept.
+
+    c^v takes c's count and the two lists swapped (`_mirror_pairs`).  Its
+    convex order is c's reversed, and a summing pair {c', d'} lies below
+    {a, b} iff c' and d' are both inner in the four roots, which the
+    reversal keeps: c^v has c's minimal pairs.  Its cells are (res, C - p)
+    for c's (res, p), one C per class, which the walk checks before the
+    read (`_assert_mirrored`).  That is the cells (res, -p) shifted by C,
+    so by the rule above c^v's keys are `_pair_keys` of the labels
+    `_plain_spectral(target, res, -p)` of c's cells: each exponent
+    difference negated, each phase difference kept, as 2 d = -2 d modulo
+    4.  So each pair read gives c's verdict and c^v's, and the keys of a
+    minimal pair at c and at c^v join the realized keys.  Every class's
+    keys are then those of the seed, of its mirror and of the new pairs
+    at alpha_i of the classes read and of their mirrors.
+
+    Returns the minimal-pair report (checked = minimal pairs, a mismatch
+    per pair whose keys are not in the validated table), the realized
+    keys, and the report of the predicate against minimality over all
+    summing pairs, the mismatches sorted by canonical word, root and
+    summing pair, as a class-by-class sweep finds them.
     """
     folding = folding_to(target, n)  # refuse an unsupported rank before any table
     validated = _validated_keys(target, n)
@@ -583,14 +623,14 @@ def _dorey_sweep(target: str, n: int) -> tuple[Report, set, Report]:
         if up is None:
             return _read_pairs(fq, every, target, validated, realized)
         data, parent, i = up
-        count, kept = _carry(data, parent, i, at[i])
-        new_count, new = _read_pairs(fq, at[i], target, validated, realized)
-        return count + new_count, kept + new
+        count, kept, kept_mirror = _carry(data, parent, i, at[i])
+        new_count, new, new_mirror = _read_pairs(fq, at[i], target, validated, realized)
+        return count + new_count, kept + new, kept_mirror + new_mirror
 
     pairs = Report(f"dorey {target} n={n}", 0)
     predicate = Report(f"minimal-pair predicate {target} n={n}", len(point) * len(every))
     found = []
-    for (count, mismatches), quivers in walk_orbits(point, read, _twin_pairs, mirror=False):
+    for (count, mismatches, _), quivers in walk_orbits(point, read, _twin_pairs, _mirror_pairs):
         for fq in quivers:
             pairs.checked += count
             if mismatches:

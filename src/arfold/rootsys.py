@@ -12,6 +12,14 @@ come from one walk from e to w_0 (`RootSystem._walk_longest_element`).
 Each printed folding is stated once, as the `Folding` record of
 `folding_to`; `RootSystem.diagram_automorphism` reads its automorphism
 from there.
+
+Every positive root is also kept packed into one int, one field per
+coordinate (`pack`), at the pair width of its root system: the highest
+root's largest coefficient doubled, plus a top bit that stays clear.  The
+sum of two roots then never carries out of a field, so it is the sum of
+their packed ints, and `RootSystem.summing_pairs` finds a pair's sum by
+one int add and one dict read.  ``seqorder`` packs its pair weights the
+same way.
 """
 
 from __future__ import annotations
@@ -48,6 +56,21 @@ def check_type_rank(type_tag: str, rank: int) -> None:
             f"rank {rank} of type {type_tag} is not supported "
             f"(need {low} <= rank <= {high})"
         )
+
+
+def pack(v, f: int) -> int:
+    """A vector of nonnegative coordinates as one int, f bits per coordinate."""
+    k = 0
+    for c in reversed(v):
+        k = k << f | c
+    return k
+
+
+def _pair_width(roots) -> int:
+    """The field width of every pair weight of the positive roots ``roots``,
+    sorted by height: the highest root's largest coefficient doubled, plus
+    a top bit that stays clear."""
+    return (2 * max(roots[-1])).bit_length() + 1
 
 
 def _edges(type_tag: str, rank: int) -> list[tuple[int, int]]:
@@ -210,9 +233,11 @@ class RootSystem:
         self.simple_root_index = {
             i: self.root_index[self.simple_root(i)] for i in self.nodes
         }
+        self.pair_width = _pair_width(self.positive_roots)
+        self.packed_roots = tuple(pack(r, self.pair_width) for r in self.positive_roots)
         # memos kept per root system, each filled once: the summing pairs,
-        # the reflection permutations, and seqorder's packed roots and
-        # height ranks
+        # the reflection permutations, and seqorder's packings and height
+        # ranks
         self._cache: dict = {}
         self._hash = hash((type_tag, rank))
 
@@ -321,20 +346,22 @@ class RootSystem:
     def summing_pairs(self, g: int) -> tuple[tuple[int, int], ...]:
         """The index pairs (a, b), a < b, of positive roots summing to root g.
 
-        One pass over all pairs fills the table for every root at once.
+        One pass over all pairs fills the table for every root at once: the
+        packed sum of a pair names its root in one dict of the packed roots.
         An index outside 0..N-1 is a ValueError.
         """
         if not 0 <= g < self.num_positive:
             raise ValueError(f"{g!r} is not a positive root of {self}")
         if "summing_pairs" not in self._cache:
-            table: list[list[tuple[int, int]]] = [[] for _ in self.positive_roots]
-            roots, index = self.positive_roots, self.root_index
-            for a, ra in enumerate(roots):
-                for b in range(a + 1, len(roots)):
-                    g_ab = index.get(tuple(x + y for x, y in zip(ra, roots[b])))
+            packed = self.packed_roots
+            index = {p: r for r, p in enumerate(packed)}
+            table: list[list[tuple[int, int]]] = [[] for _ in packed]
+            for a, pa in enumerate(packed):
+                for b in range(a + 1, len(packed)):
+                    g_ab = index.get(pa + packed[b])
                     if g_ab is not None:
                         table[g_ab].append((a, b))
-            self._cache["summing_pairs"] = tuple(tuple(pairs) for pairs in table)
+            self._cache["summing_pairs"] = tuple(map(tuple, table))
         return self._cache["summing_pairs"][g]
 
 

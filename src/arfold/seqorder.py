@@ -21,9 +21,9 @@ two differ (`_support_less`).
 The sequences below a pair {a, b} (`pair_below`) are the partitions of
 root_a + root_b into the roots strictly between a and b: the bits of
 above[a] & below[b].  Weights are packed into one int, and every pair
-weight fits one field width per root system, the highest root's largest
-coefficient doubled plus a top bit kept clear, so the pair's weight is
-the sum of its two packed roots.  The one partition search,
+weight fits the pair width of its root system (`RootSystem.pair_width`),
+so the pair's weight is the sum of its two packed roots
+(`RootSystem.packed_roots`).  The one partition search,
 `_packed_partitions`, walks the mask of interval roots in root-index
 order and sorts nothing: the roots are indexed by (height,
 coefficients), so each multiset is listed once by its highest root k,
@@ -109,10 +109,10 @@ with its records relabelled by sigma on root indices.
 
 So the walk reads one class of each orbit {c, c^v, sigma c, sigma c^v},
 a quarter of the point (`walk_orbits`, which the Dorey walk of
-``affine`` also takes, over the orbits {c, sigma c}).  It finds the
-images by projection key (`words.class_images`) and checks, once per
-orbit and before its read, that the orbit has four classes, that sigma
-commutes with the mirror, that the mirrors' cells mirror
+``affine`` also takes, with its own rule for the mirror's datum).  It
+finds the images by projection key (`words.class_images`) and checks,
+once per orbit and before its read, that the orbit has four classes,
+that sigma commutes with the mirror, that the mirrors' cells mirror
 (`_assert_mirrored`) and that the twins' agree up to one shift
 (`_assert_twinned`), an AssertionError naming the class.  It hands each
 distinct datum out once, with the quivers of the classes that share it.
@@ -129,7 +129,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, pack
 from .words import CommutationClass, bits, class_images
 from .twistfold import FoldedQuiver
 
@@ -183,20 +183,13 @@ def sequences_of_weight(rs: RootSystem, w: Root) -> tuple[Sequence, ...]:
     return tuple(_partitions(rs, w, range(rs.num_positive)))
 
 
-def _pack(v, f: int) -> int:
-    """A vector of nonnegative coordinates as one int, f bits per coordinate."""
-    k = 0
-    for c in reversed(v):
-        k = k << f | c
-    return k
-
-
 def _packing(rs: RootSystem, f: int) -> tuple[list[int], list[list[tuple]], int, list]:
     """(packed, units, span, chunks) at f bits per coordinate: every
-    positive root packed; units[r][k] = (r, k), one object for every root
-    r and multiplicity k below the top bit of a field; and the fit tables
-    of the coordinates taken a few at a time, ``span`` bits of a packed
-    weight per chunk.
+    positive root packed, the root system's own `packed_roots` at its pair
+    width; units[r][k] = (r, k), one object for every root r and
+    multiplicity k below the top bit of a field; and the fit tables of the
+    coordinates taken a few at a time, ``span`` bits of a packed weight
+    per chunk.
 
     chunks[c][u] is (fit, needs) at the field values u of chunk c: fit
     holds the bits of the roots at most u in each of its coordinates, and
@@ -226,7 +219,8 @@ def _packing(rs: RootSystem, f: int) -> tuple[list[int], list[list[tuple]], int,
                 table = [(fit & a, needs + b) for a, b in column for fit, needs in table]
             chunks.append(table)
         units = [[(r, k) for k in range(1 << f - 1)] for r in range(len(roots))]
-        rs._cache[key] = ([_pack(r, f) for r in roots], units, f * per, chunks)
+        packed = rs.packed_roots if f == rs.pair_width else [pack(r, f) for r in roots]
+        rs._cache[key] = (packed, units, f * per, chunks)
     return rs._cache[key]
 
 
@@ -255,12 +249,6 @@ class _Fits(dict):
         got = (fit, needs)
         self[w] = got = self.distinct.setdefault(got, got)
         return got
-
-
-def _pair_width(rs: RootSystem) -> int:
-    """The field width of every pair weight: the highest root's largest
-    coefficient doubled, plus a top bit that stays clear."""
-    return (2 * max(rs.positive_roots[-1])).bit_length() + 1
 
 
 def _height_rank(rs: RootSystem) -> list[int]:
@@ -296,7 +284,7 @@ def _partitions(rs: RootSystem, w: Root, allowed) -> list[Sequence]:
     for r in allowed:
         mask |= 1 << r
     packing = _packing(rs, f)
-    found = _packed_partitions(packing, _Fits(packing), _pack(w, f), mask)
+    found = _packed_partitions(packing, _Fits(packing), pack(w, f), mask)
     return _in_height_rank(rs, found)
 
 
@@ -436,7 +424,7 @@ def _pair_partitions(cls: CommutationClass, a: int, b: int) -> list[Support]:
     if not mask:
         return []  # an empty interval, or an incomparable pair
     rs = cls.rs
-    packing = _packing(rs, _pair_width(rs))
+    packing = _packing(rs, rs.pair_width)
     packed = packing[0]
     return _packed_partitions(packing, _Fits(packing), packed[a] + packed[b], mask)
 
@@ -681,10 +669,9 @@ def _pair_reader(rs: RootSystem):
     is read once.  The memos live as long as the reader, which the walk
     drops at its end.
     """
-    width = _pair_width(rs)
-    packing = _packing(rs, width)
+    packing = _packing(rs, rs.pair_width)
     packed, fits = packing[0], _Fits(packing)
-    shift = rs.rank * width  # every pair weight is below 1 << shift
+    shift = rs.rank * rs.pair_width  # every pair weight is below 1 << shift
     memo: dict[int, tuple] = {}  # (w, interval & fit(w)) as one int -> supports
 
     def read(a: int, b: int, interval: int):
@@ -855,17 +842,17 @@ def parents_first(point: dict[CommutationClass, FoldedQuiver], read):
         yield fq, data
 
 
-def walk_orbits(point: dict[CommutationClass, FoldedQuiver], read, relabel, mirror: bool):
+def walk_orbits(point: dict[CommutationClass, FoldedQuiver], read, relabel, mirror):
     """(datum, quivers) once per distinct datum of a twisted point, parents
     first (`parents_first`): ``quivers`` holds the quivers of the classes
     whose datum it is.
 
-    One class of each orbit {c, sigma c}, or with ``mirror`` {c, c^v,
-    sigma c, sigma c^v}, is read, the first in the point's order, by
-    ``read(fq, up)``; c^v takes c's datum and sigma c the datum
-    ``relabel(datum, sigma)``, sigma on root indices.  Before the read the
-    orbit is checked: its number of classes, sigma commuting with the
-    mirror, the mirrors' cells (`_assert_mirrored`) and the twin's
+    One class of each orbit {c, c^v, sigma c, sigma c^v} is read, the
+    first in the point's order, by ``read(fq, up)``; c^v takes the datum
+    ``mirror(datum)``, sigma c the datum ``relabel(datum, sigma)``, sigma
+    on root indices, and sigma c^v the mirror of that.  Before the read the
+    orbit is checked: its four classes, sigma commuting with the mirror,
+    the mirrors' cells (`_assert_mirrored`) and the twin's
     (`_assert_twinned`), an AssertionError naming the class; images
     outside the point, and a sigma that is no involution, are refused
     when the walk starts.  The other classes' data are held under them
@@ -875,38 +862,40 @@ def walk_orbits(point: dict[CommutationClass, FoldedQuiver], read, relabel, mirr
     rs, perm = first.rs, first.folding.automorphism.perm
     if any(perm[perm[i]] != i for i in perm):
         raise AssertionError(f"the diagram automorphism of {rs} is not an involution")
-    images = class_images(point, perm, ("mirror", "twin") if mirror else ("twin",))
-    twin, mirror_of = images["twin"], images.get("mirror")
+    images = class_images(point, perm, ("mirror", "twin"))
+    twin, mirror_of = images["twin"], images["mirror"]
     sigma = _root_twins(rs, perm)
     held: dict[CommutationClass, object] = {}  # a datum, under its class to come
     fresh: list[tuple] = []  # the yields of the datum just read
 
     def orbit(cls):
-        """(the classes with cls's datum, those with its twin's), checked."""
-        same, twins = [cls], [twin[cls]]
-        if mirror_of:
-            same.append(mirror_of[cls])
-            twins.append(mirror_of[twins[0]])
-            if twin[same[1]] != twins[1]:
-                raise AssertionError(
-                    f"sigma and the mirror do not commute at class {cls.canonical_word}")
-        if len({*same, *twins}) != 2 * len(same):
+        """(cls, cls^v, sigma cls, sigma cls^v), checked."""
+        classes = (cls, mirror_of[cls], twin[cls], mirror_of[twin[cls]])
+        if twin[classes[1]] != classes[3]:
             raise AssertionError(
-                f"the orbit of class {cls.canonical_word} has fewer than "
-                f"{2 * len(same)} classes")
-        if mirror_of:
-            _assert_mirrored(point[cls], point[same[1]])
-            _assert_mirrored(point[twins[0]], point[twins[1]])
-        _assert_twinned(point[cls], point[twins[0]], sigma)
-        return same, twins
+                f"sigma and the mirror do not commute at class {cls.canonical_word}")
+        if len(set(classes)) != 4:
+            raise AssertionError(
+                f"the orbit of class {cls.canonical_word} has fewer than 4 classes")
+        _assert_mirrored(point[classes[0]], point[classes[1]])
+        _assert_mirrored(point[classes[2]], point[classes[3]])
+        _assert_twinned(point[cls], point[classes[2]], sigma)
+        return classes
 
     def step(fq, up):
         cls = fq.source_class
         if cls not in held:
-            same, twins = orbit(cls)
+            classes = orbit(cls)
             data = read(fq, up)
             other = relabel(data, sigma)
-            groups = [(data, same + twins)] if other == data else [(data, same), (other, twins)]
+            groups: list[tuple] = []  # (datum, its classes), equal data once
+            for c, datum in zip(classes, (data, mirror(data), other, mirror(other))):
+                for known, group in reversed(groups):
+                    if known is datum or known == datum:
+                        group.append(c)
+                        break
+                else:
+                    groups.append((datum, [c]))
             for datum, group in groups:
                 held.update(dict.fromkeys(group, datum))
                 fresh.append((datum, tuple(point[c] for c in group)))
@@ -945,7 +934,7 @@ def walk_point(point: dict[CommutationClass, FoldedQuiver]):
         up_data, parent, i = up
         return _transport(up_data, parent, fq, i, reader)
 
-    yield from walk_orbits(point, read, _twin_datum, mirror=True)
+    yield from walk_orbits(point, read, _twin_datum, lambda data: data)
 
 
 def _distance_table(fq: FoldedQuiver) -> dict:

@@ -261,7 +261,9 @@ class CommutationClass:
         if "below" not in cache:
             idx, word = self.roots(), self.canonical_word
             cache["below"] = _order_pass(self.rs.adjacent, idx, word)
-            cache["letter"] = [i for _, i in sorted(zip(idx, word))]
+            letter = cache["letter"] = [0] * len(idx)
+            for r, i in zip(idx, word):
+                letter[r] = i
         return cache
 
     def letter_of(self, root_idx: int) -> int:
@@ -489,22 +491,22 @@ def class_images(classes, perm, relations) -> dict[str, dict[CommutationClass, C
     Each image is found by the projection key of the moved canonical word
     in one table of the classes' keys, written straight from c's word
     (`_key_tables`), never canonicalised, and a class and its image are
-    paired at once; a class whose image is not among the classes is an
-    AssertionError naming it and the relation.
+    paired at once.  The classes are taken in turn, each under every
+    relation, so a class whose image is not among the classes is an
+    AssertionError naming the first such class and the relation.
     """
     rs = next(iter(classes)).rs
     plain = _key_tables(rs)
     by_key = {_translated_key(plain, bytes(c.canonical_word)): c for c in classes}
     moves = {"mirror": (rs.star(), -1), "twin": (perm, 1)}  # (relabelling, letter order)
-    out = {}
-    for name in relations:
-        relabel, step = moves[name]
-        tables = _key_tables(rs, relabel)
-        image = out[name] = {}
-        for c in classes:
+    out = {name: {} for name in relations}
+    tables = {name: _key_tables(rs, moves[name][0]) for name in relations}
+    for c in classes:
+        for name, image in out.items():
             if c in image:
                 continue
-            d = by_key.get(_translated_key(tables, bytes(c.canonical_word)[::step]))
+            word = bytes(c.canonical_word)[::moves[name][1]]
+            d = by_key.get(_translated_key(tables[name], word))
             if d is None:
                 raise AssertionError(
                     f"the {name} of class {c.canonical_word} is not among the classes")

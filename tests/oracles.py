@@ -6,7 +6,7 @@ runs them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations, product
 from pathlib import Path
@@ -98,22 +98,47 @@ def mirror_class(cls: CommutationClass) -> CommutationClass:
     return commutation_class(cls.rs, tuple(star[i] for i in reversed(cls.canonical_word)))
 
 
-def read_classes(point, mirror: bool = True) -> list[CommutationClass]:
+def read_classes(point) -> list[CommutationClass]:
     """The classes a walk over a twisted point reads, in the point's order:
-    the first class of each orbit {c, sigma c}, or with ``mirror`` of each
-    orbit {c, c^v, sigma c, sigma c^v}, the images by `twin_class` and
-    `mirror_class`."""
+    the first class of each orbit {c, c^v, sigma c, sigma c^v}, the images
+    by `twin_class` and `mirror_class`."""
     seen: set = set()
     out = []
     for cls, fq in point.items():
         if cls in seen:
             continue
-        orbit = {cls, twin_class(fq)}
-        if mirror:
-            orbit |= {mirror_class(c) for c in orbit}
-        seen |= orbit
+        twin = twin_class(fq)
+        seen |= {cls, twin, mirror_class(cls), mirror_class(twin)}
         out.append(cls)
     return out
+
+
+def moved_twin_cell(point, cls):
+    """The point with one cell of sigma c moved by one position, and the
+    same cell of sigma c^v moved back by one, so the two still mirror; a
+    cell whose moved place is free in both.  Returns it and sigma c."""
+    twin = twin_class(point[cls])
+    pair = (twin, mirror_class(twin))
+    cells = [list(point[c].cells) for c in pair]
+    for r in range(len(cells[0])):
+        moved = [(res, p + step) for (res, p), step in zip((c[r] for c in cells), (1, -1))]
+        if all(m not in c for m, c in zip(moved, cells)):
+            break
+    bad = dict(point)
+    for c, row, m in zip(pair, cells, moved):
+        row[r] = m
+        bad[c] = replace(point[c], cells=tuple(row))
+    return bad, twin
+
+
+def moved_mirror_cell(point, cls):
+    """The point with one cell of c^v moved by one position, to a place
+    that is free.  Returns it and c^v."""
+    mirror = mirror_class(cls)
+    cells = list(point[mirror].cells)
+    r = next(r for r, (res, p) in enumerate(cells) if (res, p + 1) not in cells)
+    cells[r] = (cells[r][0], cells[r][1] + 1)
+    return {**point, mirror: replace(point[mirror], cells=tuple(cells))}, mirror
 
 
 def root_labels(fq: FoldedQuiver) -> dict[tuple[int, int], Root]:

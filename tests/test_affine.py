@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from math import ceil
@@ -30,7 +29,9 @@ from arfold.affine import (
     verify_minimal_pair_predicate,
 )
 from arfold.cli import verify_socle_dist
-from oracles import dorey_sweep_by_class, read_classes, twin_class, walk_tables
+from oracles import (
+    dorey_sweep_by_class, moved_mirror_cell, moved_twin_cell, read_classes, walk_tables,
+)
 
 SP = SpectralParameter
 
@@ -396,30 +397,40 @@ def _summing_pairs(rs):
 
 @pytest.mark.parametrize("target, n", [("C", 3), ("B", 4)])
 def test_verify_dorey_reads_the_seed_and_the_pairs_at_alpha_i_once(monkeypatch, target, n):
-    # one class read of each orbit {c, sigma c}, so half the point: the
-    # seed reads every summing pair, and a class reached by the folded
-    # reflection at alpha_i only its pairs {alpha_i, beta}, in walk order;
+    # one class read of each orbit {c, c^v, sigma c, sigma c^v}, four
+    # distinct classes, so a quarter of the point: the seed reads every
+    # summing pair, and a class reached by the folded reflection at alpha_i
+    # only its pairs {alpha_i, beta}, in walk order; each read takes the
+    # keys twice, from the labels of the cells (res, p) and of (res, -p);
     # the predicate still checks every summing pair of every class
     calls = []
     pair_keys = affine._pair_keys
     monkeypatch.setattr(
-        affine, "_pair_keys", lambda *args: calls.append(args[1:]) or pair_keys(*args)
+        affine, "_pair_keys", lambda *args: calls.append(args) or pair_keys(*args)
     )
     rep = verify_minimal_pair_predicate(target, n)
     point = twisted_folded_quivers(*affine.folding_to(target, n).source)
     rs = next(iter(point)).rs
     every = _summing_pairs(rs)
-    walked = read_classes(point, mirror=False)
-    assert len(walked) == len(point) // 2
-    read = []
+    walked = read_classes(point)
+    assert len(walked) == len(point) // 4
+    read, labels = [], []
     for cls in walked:
         if cls.parent is None:
-            read += every
+            pairs = every
         else:
             r = rs.simple_root_index[cls.parent[1]]
-            read += [p for p in every if r in p[:2]]
-    assert calls == read
-    assert len(read) < len(point) * len(every) == rep.checked
+            pairs = [p for p in every if r in p[:2]]
+        read += [p for p in pairs for _ in range(2)]
+        labels += [
+            [affine._plain_spectral(target, res, sign * p) for res, p in point[cls].cells]
+            for _ in pairs for sign in (1, -1)
+        ]
+    assert [args[1:] for args in calls] == read
+    assert all(
+        all(args[0][x] == want[x] for x in args[1:]) for args, want in zip(calls, labels)
+    )
+    assert len(read) // 2 < len(point) * len(every) == rep.checked
 
 
 def _walked_and_oracle(monkeypatch, target, n) -> tuple[str, str]:
@@ -464,36 +475,75 @@ def test_dorey_twin_mismatches_not_relabelled_fail_the_oracle(monkeypatch):
     assert walked != oracle
 
 
+def _mirror_key(key: tuple) -> tuple:
+    """A plain Dorey key read at the mirror, both orderings swapped: each
+    exponent negated, each phase kept."""
+    i, j, k, yp, ye, xp, xe = key
+    return (j, i, k, xp, -xe, yp, -ye)
+
+
+def test_dorey_mirror_handed_unswapped_verdicts_fails_the_oracle(monkeypatch):
+    # c^v handed c's mismatches as they are.  The validated table is closed
+    # under the mirror, and so is the printed one on the entries a pair can
+    # realize, so there c's verdicts and c^v's agree and the mutant does
+    # not show; without one B(ii) entry, whose mirror is kept, they differ
+    validated = affine._validated_keys("B", 4)
+    printed = {affine._plain_key(e.key()) for e in dorey_triples("B", 4, "printed")}
+    assert {_mirror_key(key) for key in validated} == validated
+    assert {_mirror_key(key) for key in printed} - printed == {
+        _mirror_key(affine._plain_key(e.key()))
+        for e in dorey_triples("B", 4, "printed") if e.branch == "B(ii) s=k"
+    }
+    entry = next(e for e in dorey_triples("B", 4) if e.branch == "B(ii) s=i")
+    dropped = validated - {affine._plain_key(entry.key())}
+    monkeypatch.setattr(affine, "_validated_keys", lambda *_: dropped)
+    walked, oracle = _walked_and_oracle(monkeypatch, "B", 4)
+    assert walked == oracle
+    monkeypatch.setattr(affine, "_mirror_pairs", lambda data: data)
+    walked, oracle = _walked_and_oracle(monkeypatch, "B", 4)
+    assert walked != oracle
+
+
 @pytest.mark.parametrize("target, n", [("B", 3), ("C", 4)])
 def test_a_dorey_twin_cell_moved_by_one_is_refused(monkeypatch, target, n):
+    # the twin's mirror moved back with it, so the mirrors still mirror
     point = twisted_folded_quivers(*affine.folding_to(target, n).source)
     seed = next(iter(point))
-    twin = twin_class(point[seed])
-    cells = list(point[twin].cells)
-    r = next(r for r, (res, p) in enumerate(cells) if (res, p + 1) not in cells)
-    cells[r] = (cells[r][0], cells[r][1] + 1)
-    bad = {**point, twin: replace(point[twin], cells=tuple(cells))}
+    bad, _ = moved_twin_cell(point, seed)
     monkeypatch.setattr(affine, "twisted_folded_quivers", lambda *source: bad)
     with pytest.raises(AssertionError, match="untwinned cells") as refused:
         verify_dorey(target, n)
     assert str(seed.canonical_word) in str(refused.value)
 
 
+@pytest.mark.parametrize("target, n", [("B", 3), ("C", 4)])
+def test_a_dorey_mirror_cell_moved_by_one_is_refused(monkeypatch, target, n):
+    point = twisted_folded_quivers(*affine.folding_to(target, n).source)
+    seed = next(iter(point))
+    bad, mirror = moved_mirror_cell(point, seed)
+    monkeypatch.setattr(affine, "twisted_folded_quivers", lambda *source: bad)
+    with pytest.raises(AssertionError, match="unmirrored cells") as refused:
+        verify_dorey(target, n)
+    assert str(seed.canonical_word) in str(refused.value)
+    assert str(mirror.canonical_word) in str(refused.value)
+
+
 def _child_skips_its_pairs(monkeypatch):
     real = affine._read_pairs
     monkeypatch.setattr(
         affine, "_read_pairs",
-        lambda fq, *args: (0, []) if fq.source_class.parent else real(fq, *args),
+        lambda fq, *args: (0, [], []) if fq.source_class.parent else real(fq, *args),
     )
 
 
 def _parent_keeps_its_pairs(monkeypatch):
     def carry(data, parent, i, at_i):
-        count, mismatches = data
+        count, *found = data
         perm = parent.rs.reflection_permutation(i)
-        return count, [
-            (perm[g], *sorted((perm[a], perm[b])), listed) for g, a, b, listed in mismatches
-        ]
+        return (count, *[
+            [(perm[g], *sorted((perm[a], perm[b])), listed) for g, a, b, listed in mismatches]
+            for mismatches in found
+        ])
 
     monkeypatch.setattr(affine, "_carry", carry)
 

@@ -237,20 +237,26 @@ def test_no_folding_to(target):
         folding_to(*target)
 
 
-@pytest.mark.parametrize("source", [("A", r) for r in range(3, 8)]
-                         + [("D", r) for r in (4, 5, 6)] + [("E", 6)],
+@pytest.mark.parametrize("source", [("A", r) for r in range(1, 18)]
+                         + [("D", r) for r in range(4, 13)] + [("E", 6)],
                          ids=lambda s: f"{s[0]}{s[1]}")
 def test_summing_pairs_by_definition(source):
-    rs = root_system(*source)
+    # up to A17 (B9) and D12 (C11): the table read through the packed
+    # roots is the one of the tuple sums, the pair width keeps every sum
+    # of two roots inside its fields, and a bad index is refused
+    rs = RootSystem(*source)
     roots = rs.positive_roots
-    for g, gv in enumerate(roots):
-        want = [
-            (a, b)
-            for a in range(len(roots))
-            for b in range(len(roots))
-            if a < b and tuple(x + y for x, y in zip(roots[a], roots[b])) == gv
-        ]
-        assert list(rs.summing_pairs(g)) == want
+    want = [[] for _ in roots]
+    for a in range(len(roots)):
+        for b in range(a + 1, len(roots)):
+            g = rs.root_index.get(tuple(x + y for x, y in zip(roots[a], roots[b])))
+            if g is not None:
+                want[g].append((a, b))
+    assert [list(rs.summing_pairs(g)) for g in range(len(roots))] == want
+    assert 2 * max(roots[-1]) < 1 << rs.pair_width - 1
+    for bad in (-1, len(roots)):
+        with pytest.raises(ValueError, match="is not a positive root of "):
+            rs.summing_pairs(bad)
 
 
 def test_root_system_equality_is_by_type_and_rank():

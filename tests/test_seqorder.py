@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arfold import affine, cli, seqorder, words
+from arfold import affine, cli, rootsys, seqorder, words
 from arfold.rootsys import RootSystem, folding_to, root_system
 from arfold.words import (
     CommutationClass,
@@ -46,8 +46,8 @@ from arfold.seqorder import (
 )
 
 from oracles import (
-    classify_cover, comparable, interval, mirror_class, read_classes, table_of, twin_class,
-    walk_data, walk_tables,
+    classify_cover, comparable, interval, mirror_class, moved_twin_cell, read_classes, table_of,
+    twin_class, walk_data, walk_tables,
 )
 
 
@@ -249,8 +249,8 @@ def _unsorted_height_rank(rs):
     return range(rs.num_positive)  # the roots in index order
 
 
-def _undoubled_pair_width(rs):
-    return max(rs.positive_roots[-1]).bit_length() + 1
+def _undoubled_pair_width(roots):
+    return max(roots[-1]).bit_length() + 1
 
 
 SEARCH_MUTANTS = {
@@ -265,7 +265,7 @@ SEARCH_MUTANTS = {
 @pytest.mark.parametrize("mutant", ["width", "cover", "sort", "above"])
 def test_pair_below_mutants_fail_the_interval_oracle(monkeypatch, recompiled, mutant):
     if mutant == "width":  # a pair weight overflows its fields
-        monkeypatch.setattr(seqorder, "_pair_width", _undoubled_pair_width)
+        monkeypatch.setattr(rootsys, "_pair_width", _undoubled_pair_width)
     elif mutant == "sort":  # `pair_below` restores the index order, not the height rank
         monkeypatch.setattr(seqorder, "_height_rank", _unsorted_height_rank)
     else:
@@ -1445,6 +1445,51 @@ def test_a_mirror_has_the_reversed_convex_order(tt, rk):
         assert cls.below() == mirror[cls].above()
 
 
+def _mirror_pairs_differ(point, mirror) -> list:
+    """(class, root) wherever `minimal_pairs_of_root` at the class's mirror
+    ``mirror[cls]`` is not its pairs at the class, each pair's two roots in
+    the reversed order."""
+    rs = next(iter(point)).rs
+    return [
+        (cls.canonical_word, g) for cls in point for g in range(rs.num_positive)
+        if minimal_pairs_of_root(mirror[cls], g)
+        != sorted((b, a) for a, b in minimal_pairs_of_root(cls, g))
+    ]
+
+
+@pytest.mark.parametrize("tt, rk", [("A", 5), ("A", 7), ("D", 5), ("D", 6), ("E", 6)])
+def test_a_mirror_has_the_minimal_pairs_of_its_class(tt, rk):
+    # the Dorey walk hands c's minimal pairs to c^v
+    point = twisted_folded_quivers(tt, rk)
+    assert _mirror_pairs_differ(point, mirror_classes(point)) == []
+
+
+def _with_one_pair_swapped(cls, a: int, b: int) -> CommutationClass:
+    """A copy of a class whose convex order has a before b turned into b
+    before a, every other relation kept: the mutant of one pair's order."""
+    copy = CommutationClass(cls.rs, cls.canonical_word)
+    below, above = list(cls.below()), list(cls.above())
+    below[b] &= ~(1 << a)
+    above[a] &= ~(1 << b)
+    below[a] |= 1 << b
+    above[b] |= 1 << a
+    copy._cache.update(below=below, above=above)
+    return copy
+
+
+def test_a_mirror_with_one_pair_order_swapped_fails_the_check():
+    # the first minimal pair of the seed's mirror, its two roots swapped
+    point = twisted_folded_quivers("A", 5)
+    mirror = mirror_classes(point)
+    seed = next(iter(point))
+    g, (a, b) = next(
+        (g, pair) for g in range(seed.rs.num_positive)
+        for pair in minimal_pairs_of_root(mirror[seed], g)
+    )
+    bad = {**mirror, seed: _with_one_pair_swapped(mirror[seed], a, b)}
+    assert (seed.canonical_word, g) in _mirror_pairs_differ(point, bad)
+
+
 @pytest.mark.parametrize("tt, rk", [("A", 7), ("D", 6), ("E", 6)])
 def test_the_walk_reads_one_class_of_each_mirror_pair(monkeypatch, tt, rk):
     # one class read of each orbit {c, c^v, sigma c, sigma c^v}, two
@@ -1575,30 +1620,12 @@ def test_twin_records_not_relabelled_fail_the_socle_oracle(fresh_point, monkeypa
     assert not _socles_match_scratch(fresh_point("E", 6))
 
 
-def _moved_twin_cell(point, cls):
-    """The point with one cell of sigma c moved by one position, and the
-    same cell of sigma c^v moved back by one, so the two still mirror; a
-    cell whose moved place is free in both."""
-    twin = twin_class(point[cls])
-    pair = (twin, mirror_class(twin))
-    cells = [list(point[c].cells) for c in pair]
-    for r in range(len(cells[0])):
-        moved = [(res, p + step) for (res, p), step in zip((c[r] for c in cells), (1, -1))]
-        if all(m not in c for m, c in zip(moved, cells)):
-            break
-    bad = dict(point)
-    for c, row, m in zip(pair, cells, moved):
-        row[r] = m
-        bad[c] = replace(point[c], cells=tuple(row))
-    return bad, twin
-
-
 @pytest.mark.parametrize("tt, rk", [("A", 7), ("D", 6), ("E", 6)])
 def test_a_twin_cell_moved_by_one_is_refused(tt, rk):
     # the mirrors still mirror; the twin check names the class read
     point = twisted_folded_quivers(tt, rk)
     seed = next(iter(point))
-    bad, twin = _moved_twin_cell(point, seed)
+    bad, twin = moved_twin_cell(point, seed)
     with pytest.raises(AssertionError, match="untwinned cells") as refused:
         list(walk_point(bad))
     assert str(seed.canonical_word) in str(refused.value)
@@ -1617,25 +1644,28 @@ def _untwisted(point):
 
 @pytest.mark.parametrize("tt, rk", [("A", 7), ("D", 6), ("E", 6)])
 def test_a_walk_with_sigma_the_identity_refuses_the_point(tt, rk):
+    # under the distance walk's mirror rule and under the Dorey walk's
     point = twisted_folded_quivers(tt, rk)
     with pytest.raises(AssertionError, match="fewer than 4 classes"):
         list(walk_point(_untwisted(point)))
-    read = lambda fq, up: None  # noqa: E731
-    with pytest.raises(AssertionError, match="fewer than 2 classes"):
-        list(seqorder.walk_orbits(_untwisted(point), read, lambda data, sigma: data, False))
+    read = lambda fq, up: (0, [], [])  # noqa: E731
+    with pytest.raises(AssertionError, match="fewer than 4 classes"):
+        list(seqorder.walk_orbits(
+            _untwisted(point), read, lambda data, sigma: data, affine._mirror_pairs))
 
 
 def test_a_twin_outside_the_point_is_refused():
-    # refused when the walk starts: the walk without the mirror names the
-    # class whose twin is missing, the distance walk a class whose mirror is
+    # refused when the walk starts, naming the class whose twin is missing:
+    # the images are found class by class, the first class first
     point = twisted_folded_quivers("A", 7)
     cls = next(iter(point))
     gone = twin_class(point[cls])
     cut = {c: fq for c, fq in point.items() if c != gone}
-    read = lambda fq, up: None  # noqa: E731
-    with pytest.raises(AssertionError, match=re.escape(f"twin of class {cls.canonical_word}")):
-        list(seqorder.walk_orbits(cut, read, lambda data, sigma: data, False))
-    with pytest.raises(AssertionError, match="is not among the classes"):
+    read = lambda fq, up: (0, [], [])  # noqa: E731
+    named = re.escape(f"twin of class {cls.canonical_word} is not among the classes")
+    with pytest.raises(AssertionError, match=named):
+        list(seqorder.walk_orbits(cut, read, lambda data, sigma: data, affine._mirror_pairs))
+    with pytest.raises(AssertionError, match=named):
         list(walk_point(cut))
 
 
