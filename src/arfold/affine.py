@@ -43,10 +43,9 @@ time, once per distinct (key, row).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .rootsys import folding_to
+from .rootsys import Frozen, folding_to
 from .arquiver import DynkinQuiver, gamma_q
 from .twistfold import FoldedQuiver, twisted_folded_quivers
 from .seqorder import (
@@ -63,15 +62,17 @@ from .seqorder import (
 )
 
 
-@dataclass(frozen=True)
-class SpectralParameter:
+class SpectralParameter(Frozen):
     """eps * q_s^exp with eps = i^phase, phase modulo 4."""
 
-    phase: int
-    exp: int
+    __slots__ = _shown = ("phase", "exp")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phase", self.phase % 4)
+    def __init__(self, phase: int, exp: int):
+        object.__setattr__(self, "phase", phase % 4)
+        object.__setattr__(self, "exp", exp)
+
+    def _key(self) -> tuple:
+        return (self.phase, self.exp)
 
     @classmethod
     def minus_q_power(cls, a: int) -> SpectralParameter:
@@ -94,10 +95,15 @@ class SpectralParameter:
         return f"{pre}qs^{self.exp}"
 
 
-@dataclass(frozen=True)
-class FundamentalModuleLabel:
-    node: int
-    parameter: SpectralParameter
+class FundamentalModuleLabel(Frozen):
+    __slots__ = _shown = ("node", "parameter")
+
+    def __init__(self, node: int, parameter: SpectralParameter):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "parameter", parameter)
+
+    def _key(self) -> tuple:
+        return (self.node, self.parameter)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +248,20 @@ def v_untwisted_twisted(q: DynkinQuiver, beta, t: int) -> FundamentalModuleLabel
 # Dorey's rule
 
 
-@dataclass(frozen=True)
-class DoreyEntry:
-    i: int
-    j: int
-    k: int
-    y_over_z: SpectralParameter
-    x_over_z: SpectralParameter
-    branch: str
+class DoreyEntry(Frozen):
+    __slots__ = _shown = ("i", "j", "k", "y_over_z", "x_over_z", "branch")
+
+    def __init__(self, i: int, j: int, k: int, y_over_z: SpectralParameter,
+                 x_over_z: SpectralParameter, branch: str):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "y_over_z", y_over_z)
+        object.__setattr__(self, "x_over_z", x_over_z)
+        object.__setattr__(self, "branch", branch)
+
+    def _key(self) -> tuple:
+        return self.key() + (self.branch,)
 
     def key(self) -> tuple:
         return (self.i, self.j, self.k, self.y_over_z, self.x_over_z)
@@ -390,15 +402,29 @@ def minimal_pair_predicate(target: str, n: int, a_coord, b_coord, g_coord) -> bo
 # verification sweeps
 
 
-@dataclass
 class Report:
     """Outcome of one verification suite: it passes iff it has no
-    mismatch."""
+    mismatch.  A report is mutable and unhashable, and each has its own
+    lists."""
 
-    name: str
-    checked: int
-    mismatches: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("name", "checked", "mismatches", "notes")
+
+    def __init__(self, name: str, checked: int, mismatches: list | None = None,
+                 notes: list | None = None):
+        self.name = name
+        self.checked = checked
+        self.mismatches = [] if mismatches is None else mismatches
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.checked, self.mismatches, self.notes)
+                == (other.name, other.checked, other.mismatches, other.notes))
+
+    def __repr__(self) -> str:
+        return (f"Report(name={self.name!r}, checked={self.checked!r}, "
+                f"mismatches={self.mismatches!r}, notes={self.notes!r})")
 
     @property
     def ok(self) -> bool:

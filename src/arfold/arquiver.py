@@ -10,11 +10,10 @@ Gamma_Q is built from its rows of bare cells, labelled with roots by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .rootsys import FoldingError, RootSystem
+from .rootsys import FoldingError, Frozen, RootSystem
 from .words import (
     CommutationClass,
     DEFAULT_CAP,
@@ -25,21 +24,24 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class DynkinQuiver:
+class DynkinQuiver(Frozen):
     """An orientation of the Dynkin diagram of ``rs``.
 
     ``orientation`` holds one (tail, head) pair per diagram edge.
     """
 
-    rs: RootSystem
-    orientation: frozenset[tuple[int, int]]
+    __slots__ = _shown = ("rs", "orientation")
 
-    def __post_init__(self):
-        edges = {frozenset(e) for e in self.rs.edges}
-        got = {frozenset(e) for e in self.orientation}
-        if got != edges or len(self.orientation) != len(edges):
+    def __init__(self, rs: RootSystem, orientation: frozenset[tuple[int, int]]):
+        edges = {frozenset(e) for e in rs.edges}
+        got = {frozenset(e) for e in orientation}
+        if got != edges or len(orientation) != len(edges):
             raise ValueError("orientation does not match the diagram edges")
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "orientation", orientation)
+
+    def _key(self) -> tuple:
+        return (self.rs, self.orientation)
 
     def is_sink(self, i: int) -> bool:
         return all(h == i for t, h in self.orientation if i in (t, h))
@@ -87,13 +89,20 @@ def all_quivers(rs: RootSystem) -> list[DynkinQuiver]:
     return out
 
 
-@dataclass(frozen=True)
-class ARQuiver:
+class ARQuiver(Frozen):
     """A quiver on the positive roots with (residue, position) coordinates."""
 
-    rs: RootSystem
-    coords: tuple[tuple[int, int, int], ...]  # (root_idx, residue, pos2)
-    arrows: frozenset[tuple[int, int]]  # (from_root_idx, to_root_idx)
+    __slots__ = _shown = ("rs", "coords", "arrows")
+
+    def __init__(self, rs: RootSystem,
+                 coords: tuple[tuple[int, int, int], ...],  # (root_idx, residue, pos2)
+                 arrows: frozenset[tuple[int, int]]):  # (from_root_idx, to_root_idx)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "arrows", arrows)
+
+    def _key(self) -> tuple:
+        return (self.rs, self.coords, self.arrows)
 
     def coord_of(self) -> dict[int, tuple[int, int]]:
         return {r: (i, p2) for r, i, p2 in self.coords}

@@ -1,9 +1,11 @@
-"""Command-line surface: enumerate classes, render quivers, run verifiers."""
+"""Command-line surface: enumerate classes, render quivers, run verifiers.
+
+``argparse`` is imported where `main` builds the parser, and ``json``
+where a command writes JSON, so importing this module loads neither.
+"""
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 
@@ -208,6 +210,8 @@ def cmd_quiver(args) -> int:
         raise UsageError(f"not a reduced word of w_0: {exc}") from None
     quiver, kind = _resolve_quiver(rs, cls)
     if args.format == "json":
+        import json
+
         doc = quiver_to_json(quiver)
         doc["class"] = list(cls.canonical_word)
         doc["layout"] = kind
@@ -261,6 +265,8 @@ def cmd_verify(args) -> int:
     text = "\n".join(_report_lines(r) for r in reports)
     print(text)
     if args.out:
+        import json
+
         _emit(json.dumps([r.as_dict() for r in reports], indent=2), args.out)
     return 0 if all(r.ok for r in reports) else 1
 
@@ -294,6 +300,8 @@ def verify_socle_dist(type_tag: str, rank: int, jobs: int = 1):
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arfold",
         description="folded AR quivers of longest-element commutation classes",

@@ -13,6 +13,11 @@ Each printed folding is stated once, as the `Folding` record of
 `folding_to`; `RootSystem.diagram_automorphism` reads its automorphism
 from there.
 
+The package's records are plain classes on one frozen base, `Frozen`:
+slots, hand-written constructors, and equality and hashing over the
+fields each compares.  No module imports `dataclasses`, whose class
+set-up would run at every import.
+
 Every positive root is also kept packed into one int, one field per
 coordinate (`pack`), at the pair width of its root system: the highest
 root's largest coefficient doubled, plus a top bit that stays clear.  The
@@ -24,7 +29,6 @@ same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 Root = tuple[int, ...]
@@ -81,20 +85,63 @@ def _edges(type_tag: str, rank: int) -> list[tuple[int, int]]:
     return [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class Frozen:
+    """Base of the package's frozen records.
+
+    A record lists its fields in ``__slots__`` and sets them in its
+    ``__init__`` through ``object.__setattr__``; after that, assigning or
+    deleting a field is an AttributeError.  ``_key()`` is the tuple of the
+    fields the record compares: two records are equal iff they are of one
+    class and their keys are equal, and a record's hash is its key's, the
+    value a frozen dataclass would give, so sets of records keep their
+    order.  A record holding a dict sets ``__hash__ = None``.  The repr
+    shows the fields named in ``_shown``, and copies and pickles rebuild
+    the record from them through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._shown)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DiagramAutomorphism(Frozen):
     """A diagram automorphism together with its orbit labelling.
 
     ``perm`` maps each node to its image, ``orbit_label`` maps each node
     to the label of its orbit in the folded diagram.
     """
 
-    perm: dict[int, int]
-    orbit_label: dict[int, int]
+    __slots__ = _shown = ("perm", "orbit_label")
+    __hash__ = None
+
+    def __init__(self, perm: dict[int, int], orbit_label: dict[int, int]):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "orbit_label", orbit_label)
+
+    def _key(self) -> tuple:
+        return (self.perm, self.orbit_label)
 
 
-@dataclass(frozen=True)
-class Folding:
+class Folding(Frozen):
     """One printed folding, source (type, rank) onto target (letter, n).
 
     ``h_dual`` is the dual Coxeter number of the target, ``symmetrizer``
@@ -105,24 +152,33 @@ class Folding:
     folds it, with its orbits labelled as the target's nodes.  ``steps``,
     read off the symmetrizer d, gives each orbit label the steps
     (j, min(d_res, d_j)) of the arrows out of a folded vertex at it, one
-    per folded neighbour j.
+    per folded neighbour j; it takes no part in equality or repr.
     """
 
-    source: tuple[str, int]
-    target: tuple[str, int]
-    h_dual: int
-    symmetrizer: dict[int, int]
-    sign_convention: str
-    twisted_coxeter_word: tuple[int, ...]
-    automorphism: DiagramAutomorphism
-    steps: dict[int, tuple[tuple[int, int], ...]] = field(init=False, compare=False, repr=False)
+    _shown = ("source", "target", "h_dual", "symmetrizer", "sign_convention",
+              "twisted_coxeter_word", "automorphism")
+    __slots__ = _shown + ("steps",)
+    __hash__ = None
 
-    def __post_init__(self):
-        d = self.symmetrizer
+    def __init__(self, source: tuple[str, int], target: tuple[str, int], h_dual: int,
+                 symmetrizer: dict[int, int], sign_convention: str,
+                 twisted_coxeter_word: tuple[int, ...], automorphism: DiagramAutomorphism):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "h_dual", h_dual)
+        object.__setattr__(self, "symmetrizer", symmetrizer)
+        object.__setattr__(self, "sign_convention", sign_convention)
+        object.__setattr__(self, "twisted_coxeter_word", twisted_coxeter_word)
+        object.__setattr__(self, "automorphism", automorphism)
+        d = symmetrizer
         object.__setattr__(self, "steps", {
             res: tuple((j, min(d[res], d[j])) for j in (res - 1, res + 1) if j in d)
             for res in d
         })
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.h_dual, self.symmetrizer,
+                self.sign_convention, self.twisted_coxeter_word, self.automorphism)
 
     def twisted_longest_word(self) -> tuple[int, ...]:
         """h_dual twisted repetitions of the Coxeter word: a word of w_0."""

@@ -124,12 +124,11 @@ records, and the distance suites of ``affine`` the counts
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 
-from .rootsys import Root, RootSystem, pack
+from .rootsys import Frozen, Root, RootSystem, pack
 from .words import CommutationClass, bits, class_images
 from .twistfold import FoldedQuiver
 
@@ -410,8 +409,13 @@ def pair_below(cls: CommutationClass, a: int, b: int) -> list[Sequence]:
     call enumerates them anew (`_pair_partitions`), in `_partitions`
     order.  This is the walk-free oracle: the walks read their pairs
     through one `_pair_reader` each, which searches each key once.
+    An index outside 0..N-1 is a ValueError.
     """
-    return _in_height_rank(cls.rs, _pair_partitions(cls, a, b))
+    rs = cls.rs
+    for r in (a, b):
+        if not 0 <= r < rs.num_positive:
+            raise ValueError(f"{r!r} is not a positive root of {rs}")
+    return _in_height_rank(rs, _pair_partitions(cls, a, b))
 
 
 def _pair_partitions(cls: CommutationClass, a: int, b: int) -> list[Support]:
@@ -431,6 +435,7 @@ def _pair_partitions(cls: CommutationClass, a: int, b: int) -> list[Support]:
 
 def is_simple(cls: CommutationClass, m: Sequence) -> bool:
     """Simplicity: a single-root multiple, or all supported pairs simple."""
+    _check_sequence(cls.rs, m)
     return not any(_pair_partitions(cls, a, b) for a, b in combinations(support(m), 2))
 
 
@@ -572,11 +577,16 @@ def minimal_pairs_of_root(cls: CommutationClass, gamma: int) -> list[tuple[int, 
 # distance polynomials
 
 
-@dataclass(frozen=True)
-class RootedPolynomial:
+class RootedPolynomial(Frozen):
     """A multiset of linear factors (z - eps * q_s^t), eps in {+1, -1}."""
 
-    factors: tuple[tuple[tuple[int, int], int], ...]  # ((eps, t), multiplicity)
+    __slots__ = _shown = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[tuple[int, int], int], ...]):
+        object.__setattr__(self, "factors", factors)  # ((eps, t), multiplicity)
+
+    def _key(self) -> tuple:
+        return (self.factors,)
 
     @classmethod
     def from_factors(cls, factors) -> RootedPolynomial:

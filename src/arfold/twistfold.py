@@ -28,13 +28,13 @@ positions are kept as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 
 from .rootsys import (
     Folding,
     FoldingError,
+    Frozen,
     RootSystem,
     folding_from,
     root_system,
@@ -63,8 +63,7 @@ def _unfolded_scale(type_tag: str) -> int:
     return 1 if type_tag == "A" else 2
 
 
-@dataclass(frozen=True)
-class FoldedQuiver:
+class FoldedQuiver(Frozen):
     """An AR quiver with residues collapsed to automorphism orbits.
 
     ``cells`` holds one (orbit residue, position) per root, indexed by
@@ -78,26 +77,30 @@ class FoldedQuiver:
     move that made a quiver is its class's ``parent``.
     """
 
-    rs: RootSystem
-    cells: tuple[tuple[int, int], ...]
-    source_class: CommutationClass
-    folding: Folding = field(compare=False)
-    sinks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _shown = ("rs", "cells", "source_class", "folding")
+    __slots__ = _shown + ("sinks",)
 
-    def __post_init__(self):
-        cells = self.cells
+    def __init__(self, rs: RootSystem, cells: tuple[tuple[int, int], ...],
+                 source_class: CommutationClass, folding: Folding):
         taken = set(cells)
         if len(taken) != len(cells):
             raise FoldingError("coordinates collide")
-        steps, sinks = self.folding.steps, []
-        for i, r in self.rs.simple_root_index.items():
+        steps, sinks = folding.steps, []
+        for i, r in rs.simple_root_index.items():
             res, p = cells[r]
             for j, step in steps[res]:
                 if (j, p + step) in taken:
                     break
             else:
                 sinks.append(i)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "source_class", source_class)
+        object.__setattr__(self, "folding", folding)
         object.__setattr__(self, "sinks", tuple(sinks))
+
+    def _key(self) -> tuple:
+        return (self.rs, self.cells, self.source_class)
 
     def arrows(self) -> frozenset[tuple[int, int]]:
         """Arrows along the folded diagram, the path 1..n, each stepping

@@ -95,10 +95,9 @@ reversed for the mirror.  `mirror_classes` is its mirror relation alone.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .rootsys import Root, RootSystem, root_system
+from .rootsys import Frozen, Root, RootSystem, root_system
 
 Word = tuple[int, ...]
 
@@ -213,8 +212,7 @@ def _moved_roots(rs: RootSystem, word: Word, idx, i: int) -> tuple[Word, list[in
     return word[:k] + word[k + 1:] + (rs.star()[i],), moved
 
 
-@dataclass(frozen=True)
-class CommutationClass:
+class CommutationClass(Frozen):
     """A commutation class of reduced words of w_0, canonically keyed.
 
     Two classes are equal when their root systems have the same type and
@@ -225,13 +223,19 @@ class CommutationClass:
     hashing or repr.
     """
 
-    rs: RootSystem
-    canonical_word: Word
-    parent: tuple[CommutationClass, int] | None = field(default=None, compare=False, repr=False)
+    _shown = ("rs", "canonical_word")
+    __slots__ = _shown + ("parent", "_cache", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, rs: RootSystem, canonical_word: Word,
+                 parent: tuple[CommutationClass, int] | None = None):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "canonical_word", canonical_word)
+        object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_hash", hash((self.rs, self.canonical_word)))
+        object.__setattr__(self, "_hash", hash((rs, canonical_word)))
+
+    def _key(self) -> tuple:
+        return (self.rs, self.canonical_word)
 
     def __hash__(self) -> int:
         return self._hash

@@ -6,7 +6,7 @@ runs them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from pathlib import Path
@@ -127,7 +127,8 @@ def moved_twin_cell(point, cls):
     bad = dict(point)
     for c, row, m in zip(pair, cells, moved):
         row[r] = m
-        bad[c] = replace(point[c], cells=tuple(row))
+        fq = point[c]
+        bad[c] = FoldedQuiver(fq.rs, tuple(row), fq.source_class, fq.folding)
     return bad, twin
 
 
@@ -138,7 +139,8 @@ def moved_mirror_cell(point, cls):
     cells = list(point[mirror].cells)
     r = next(r for r, (res, p) in enumerate(cells) if (res, p + 1) not in cells)
     cells[r] = (cells[r][0], cells[r][1] + 1)
-    return {**point, mirror: replace(point[mirror], cells=tuple(cells))}, mirror
+    fq = point[mirror]
+    return {**point, mirror: FoldedQuiver(fq.rs, tuple(cells), fq.source_class, fq.folding)}, mirror
 
 
 def root_labels(fq: FoldedQuiver) -> dict[tuple[int, int], Root]:

@@ -66,6 +66,38 @@ def test_import_needs_only_the_standard_library():
     assert done.stdout.strip() == ""
 
 
+def test_import_loads_no_dataclass_inspect_or_argparse_machinery(tmp_path):
+    # importing the package and its CLI in a fresh interpreter loads none of
+    # dataclasses, inspect or argparse; the CLI still runs a suite and
+    # writes its --out JSON, and a quiver's arfold/1 JSON
+    code = (
+        "import json, sys\n"
+        "import arfold, arfold.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))\n"
+        "out, quiver = sys.argv[1:]\n"
+        "assert arfold.cli.main(['verify', 'counts', '--out', out]) == 0\n"
+        "assert arfold.cli.main(['quiver', '--type', 'A', '--rank', '3',\n"
+        "                        '--class', '1,2,1,3,2,1', '--format', 'json',\n"
+        "                        '--out', quiver]) == 0\n"
+    )
+    out, quiver = tmp_path / "counts.json", tmp_path / "quiver.json"
+    src = str(Path(arfold.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(out), str(quiver)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1] == "[PASS] counts (6 checks)"
+    (report,) = json.loads(out.read_text())
+    assert report["name"] == "counts" and report["ok"] and report["checked"] == 6
+    doc = json.loads(quiver.read_text())
+    assert doc["schema"] == "arfold/1" and doc["class"] == [1, 2, 1, 3, 2, 1]
+    assert len(doc["vertices"]) == 6
+
+
 def test_only_words_runs_the_projection_key_bfs():
     # one BFS over a cluster point, by the reflection functors r_i alone
     import inspect
@@ -201,7 +233,7 @@ def test_each_move_and_class_order_is_stored_once():
                     in ("items", "keys") else None)
                 if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "below":
                     below_reads.append((module, fn.name, ast.unparse(node)))
-    assert setattr_in == {"__post_init__"}
+    assert setattr_in == {"__init__"}
     assert "parent" in walk_attrs
     assert below_reads == []
 
@@ -211,13 +243,12 @@ def test_folded_quivers_store_coordinates_alone(monkeypatch):
     # when the quiver is made, and no arrows: neither the walk nor a suite
     # builds them, and no module reads a folded quiver's coordinates
     # through a dict
-    from dataclasses import fields
     from functools import lru_cache
 
     from arfold import affine, arquiver, twistfold
     from arfold.twistfold import FoldedQuiver
 
-    assert [f.name for f in fields(FoldedQuiver)] == [
+    assert list(FoldedQuiver.__slots__) == [
         "rs", "cells", "source_class", "folding", "sinks",
     ]
     assert not hasattr(FoldedQuiver, "coord_of")

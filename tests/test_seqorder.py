@@ -1,7 +1,6 @@
 import hashlib
 import re
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arfold import affine, cli, rootsys, seqorder, words
-from arfold.rootsys import RootSystem, folding_to, root_system
+from arfold.rootsys import DiagramAutomorphism, Folding, RootSystem, folding_to, root_system
 from arfold.words import (
     CommutationClass,
     _kahn,
@@ -20,7 +19,7 @@ from arfold.words import (
     root_sequence,
     twisted_adapted_point,
 )
-from arfold.twistfold import twisted_folded_quivers
+from arfold.twistfold import FoldedQuiver, twisted_folded_quivers
 from arfold.seqorder import (
     _distance_table,
     _read_below,
@@ -291,6 +290,14 @@ def test_sequences_of_weight_refuses_a_weight_above_the_cap():
         with pytest.raises(ValueError, match=f"weight height {cap + 1} exceeds "
                            f"the enumeration cap {cap}"):
             sequences_of_weight(rs, (cap + 1,))
+
+
+@pytest.mark.parametrize("a, b, bad", [(-15, 1, -15), (1, -1, -1), (15, 1, 15), (0, 99, 99)])
+def test_pair_below_refuses_an_index_outside_the_roots(a, b, bad):
+    # A5 has N = 15 roots: -15 would alias root 0, and 15 end in an IndexError
+    cls = min(twisted_adapted_point("A", 5), key=lambda c: c.canonical_word)
+    with pytest.raises(ValueError, match=rf"^{bad} is not a positive root of RootSystem\(A5\)$"):
+        pair_below(cls, a, b)
 
 
 def test_pair_below_returns_a_fresh_list():
@@ -751,7 +758,7 @@ def test_distance_table_is_keyed_by_folded_coordinates():
     fqs = twisted_folded_quivers("A", 5)
     cls = min(fqs, key=lambda c: c.canonical_word)
     cells = tuple((i, 2 * p) for i, p in fqs[cls].cells)
-    stretched = replace(fqs[cls], cells=cells)
+    stretched = FoldedQuiver(fqs[cls].rs, cells, fqs[cls].source_class, fqs[cls].folding)
     assert table_of(_distance_table(stretched)) == _table_oracle(stretched)
     assert _distance_table(stretched) != _distance_table(fqs[cls])
 
@@ -835,7 +842,8 @@ def test_removing_at_the_child_coordinates_fails_the_oracle(fresh_point, monkeyp
     real = seqorder._transport
 
     def transport(counts, parent, child, i, reader):
-        return real(counts, replace(parent, cells=child.cells), child, i, reader)
+        moved = FoldedQuiver(parent.rs, child.cells, parent.source_class, parent.folding)
+        return real(counts, moved, child, i, reader)
 
     monkeypatch.setattr(seqorder, "_transport", transport)
     assert not all(_tables_match_scratch(fresh_point(*s)) for s in MUTANT_SOURCES)
@@ -1109,12 +1117,14 @@ def test_least_is_the_is_simple_socle():
 
 @pytest.mark.parametrize(
     "m",
-    [(1, 1), (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1), (), (1, -1, 1, 1, 0, 0)],
+    [(1, 1), (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1), (), (1, -1, 1, 1, 0, 0),
+     (0, 0, 0)],
 )
 def test_dist_and_socle_refuse_a_malformed_sequence(m):
-    # A3 has N = 6 positive roots
+    # A3 has N = 6 positive roots; is_simple checks its sequence as dist
+    # and socle do, and minimal_sequences through it
     cls = commutation_class(root_system("A", 3), (1, 2, 3, 2, 1, 2))
-    for read in (dist, socle):
+    for read in (dist, socle, is_simple, minimal_sequences):
         with pytest.raises(ValueError, match="N = 6"):
             read(cls, m)
 
@@ -1553,7 +1563,8 @@ def test_a_mirror_check_by_positions_alone_fails(recompiled):
         if cells[a][1] == cells[b][1] and cells[a][0] != cells[b][0]
     )
     cells[a], cells[b] = (cells[b][0], cells[a][1]), (cells[a][0], cells[b][1])
-    bad = {**point, cls: replace(point[cls], cells=tuple(cells))}
+    fq = point[cls]
+    bad = {**point, cls: FoldedQuiver(fq.rs, tuple(cells), fq.source_class, fq.folding)}
     with pytest.raises(AssertionError, match="unmirrored cells") as refused:
         list(walk_point(bad))
     assert str(cls.canonical_word) in str(refused.value)
@@ -1638,8 +1649,12 @@ def _untwisted(point):
     """The point's quivers with sigma patched to the identity."""
     folding = next(iter(point.values())).folding
     identity = {i: i for i in folding.automorphism.perm}
-    fold = replace(folding, automorphism=replace(folding.automorphism, perm=identity))
-    return {cls: replace(fq, folding=fold) for cls, fq in point.items()}
+    fold = Folding(
+        folding.source, folding.target, folding.h_dual, folding.symmetrizer,
+        folding.sign_convention, folding.twisted_coxeter_word,
+        DiagramAutomorphism(identity, folding.automorphism.orbit_label),
+    )
+    return {cls: FoldedQuiver(fq.rs, fq.cells, fq.source_class, fold) for cls, fq in point.items()}
 
 
 @pytest.mark.parametrize("tt, rk", [("A", 7), ("D", 6), ("E", 6)])

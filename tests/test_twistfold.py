@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -276,12 +275,13 @@ def test_a_sink_test_with_the_wrong_step_fails_the_oracle(monkeypatch, recompile
     # every quiver reads when it is made: with it broken, the quivers made
     # on a folding disagree with the arrows, and the walk refuses them
     points = {source: twisted_folded_quivers(*source) for source in (("A", 5), ("D", 5))}
-    mutant = recompiled(Folding.__post_init__, "min(d[res], d[j])", "max(d[res], d[j])")
-    monkeypatch.setattr(Folding, "__post_init__", mutant)
+    mutant = recompiled(Folding.__init__, "min(d[res], d[j])", "max(d[res], d[j])")
+    monkeypatch.setattr(Folding, "__init__", mutant)
     for source, point in points.items():
         folding = folding_from(*source)
         assert any(
-            folded_sinks(replace(fq, folding=folding)) != _arrow_sinks(fq)
+            folded_sinks(FoldedQuiver(fq.rs, fq.cells, fq.source_class, folding))
+            != _arrow_sinks(fq)
             for fq in point.values()
         )
         with pytest.raises(FoldingError):
@@ -293,8 +293,6 @@ def test_colliding_cells_are_refused():
     fq = e6_folded_quiver()
     cells = list(fq.cells)
     cells[1] = cells[0]
-    with pytest.raises(FoldingError, match="coordinates collide"):
-        replace(fq, cells=tuple(cells))
     with pytest.raises(FoldingError, match="coordinates collide"):
         FoldedQuiver(fq.rs, tuple(cells), fq.source_class, fq.folding)
 
@@ -397,7 +395,7 @@ def test_folded_quivers_equal_folded_constructions_up_to_shift(source):
 def test_e6_seed_is_the_printed_table_shifted():
     seed = twisted_folded_quivers("E", 6)[_seed_class("E", 6)]
     moved = tuple((i, p + 20) for i, p in seed.cells)
-    assert replace(seed, cells=moved) == e6_folded_quiver()
+    assert FoldedQuiver(seed.rs, moved, seed.source_class, seed.folding) == e6_folded_quiver()
 
 
 @pytest.mark.parametrize(
@@ -448,7 +446,7 @@ def test_bfs_canonicalises_each_class_once(source, kahn, monkeypatch):
 
     monkeypatch.setattr(words, "_kahn", counted("_kahn", words._kahn))
     monkeypatch.setattr(
-        FoldedQuiver, "__post_init__", counted("FoldedQuiver", FoldedQuiver.__post_init__)
+        FoldedQuiver, "__init__", counted("FoldedQuiver", FoldedQuiver.__init__)
     )
     point = cluster_point(_seed_class(*source))
     assert calls == {"_kahn": kahn}
